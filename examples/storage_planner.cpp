@@ -111,7 +111,8 @@ int main(int argc, char** argv) {
   std::printf(
       "\nrecommendation: %s with a %s stripe unit (%.1f MB/s, %.2fx "
       "storage).\n",
-      raid::scheme_name(best_scheme), format_bytes(best_su).c_str(), best_bw,
+      raid::scheme_name(best_scheme).c_str(), format_bytes(best_su).c_str(),
+      best_bw,
       cells[{best_scheme, best_su}].storage_ratio);
   if (best_scheme == raid::Scheme::hybrid &&
       cells[{best_scheme, best_su}].storage_ratio > 2.0) {

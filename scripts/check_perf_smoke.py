@@ -5,11 +5,10 @@ Compares a fresh `bench_sim_scale --quick` run against the committed
 perf-trajectory baseline (BENCH_sim_throughput.json) and fails if
 events/sec regressed by more than the allowed fraction.
 
-The quick config (8 servers x 64 tenants) is not part of the committed
-full sweep, so the baseline is the committed row with the same tenant
-count (16 x 64): per-event cost is dominated by tenant coroutines and
-queue depth, so the two configs track each other closely while the
-quick config stays cheap enough for a CI runner.
+The quick config (8 servers x 64 tenants) is not part of the full sweep,
+so the baseline file carries its own "quick" row, measured with the same
+`--quick` command. The gate compares like with like: it fails if that
+row is missing or was measured on a different config.
 
 Every malformed input fails with a one-line FAIL message, never a
 traceback: a missing or truncated baseline is a repo bug CI should
@@ -102,24 +101,27 @@ def gate(quick_path, base_path, max_regress):
     quick = load_json(quick_path, "quick run")
     base = load_json(base_path, "committed baseline")
     quick_rows = checked_rows(quick, quick_path, "quick run")
-    base_rows = checked_rows(base, base_path, "committed baseline")
+    checked_rows(base, base_path, "committed baseline")
 
     if quick.get("mode") != "quick" or len(quick_rows) != 1:
         fail(f"{quick_path} is not a --quick run")
     row = quick_rows[0]
 
-    tenants = row["tenants"]
-    ref_rows = [r for r in base_rows if r["tenants"] == tenants]
-    if not ref_rows:
-        fail(f"no baseline row with tenants={tenants} in {base_path}")
-    ref = ref_rows[0]
+    ref = base.get("quick")
+    if ref is None:
+        fail(f'{base_path} has no committed "quick" row')
+    checked_rows({"rows": [ref]}, base_path, 'committed baseline "quick"')
+    config = f"{row['servers']}x{row['tenants']}"
+    if (ref["servers"], ref["tenants"]) != (row["servers"], row["tenants"]):
+        fail(f"quick run is {config} but the committed quick row is "
+             f"{ref['servers']}x{ref['tenants']}")
 
     got = row["events_per_sec"]
     want = ref["events_per_sec"]
     floor = want * (1.0 - max_regress)
     verdict = "ok" if got >= floor else "REGRESSION"
-    print(f"perf-smoke: quick {row['servers']}x{tenants} = {got:.3e} ev/s; "
-          f"baseline {ref['servers']}x{tenants} = {want:.3e} ev/s; "
+    print(f"perf-smoke: quick {config} = {got:.3e} ev/s; "
+          f"committed quick {config} = {want:.3e} ev/s; "
           f"floor (-{max_regress:.0%}) = {floor:.3e} [{verdict}]")
     return 0 if got >= floor else 1
 

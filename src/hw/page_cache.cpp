@@ -35,24 +35,66 @@ void PageCache::lru_push_back(std::uint32_t s) {
   tail_ = s;
 }
 
-void PageCache::touch(std::uint64_t key) {
-  auto it = pages_.find(key);
-  assert(it != pages_.end());
-  lru_unlink(it->second);
-  lru_push_back(it->second);
+std::uint32_t PageCache::find(std::uint64_t fid, std::uint64_t page) const {
+  const std::size_t mask = index_.size() - 1;
+  for (std::size_t b = home(fid, page);; b = (b + 1) & mask) {
+    const std::uint32_t s = index_[b];
+    if (s == kNil || (pool_[s].idx == page && pool_[s].fid == fid)) return s;
+  }
+}
+
+void PageCache::index_place(std::uint32_t slot) {
+  const std::size_t mask = index_.size() - 1;
+  std::size_t b = home(pool_[slot].fid, pool_[slot].idx);
+  while (index_[b] != kNil) b = (b + 1) & mask;
+  index_[b] = slot;
+}
+
+void PageCache::index_insert(std::uint32_t slot) {
+  if (2 * (static_cast<std::size_t>(npages_) + 1) > index_.size()) {
+    index_grow();
+  }
+  index_place(slot);
+  ++npages_;
+}
+
+void PageCache::index_erase(std::uint32_t slot) {
+  const std::size_t mask = index_.size() - 1;
+  std::size_t hole = home(pool_[slot].fid, pool_[slot].idx);
+  while (index_[hole] != slot) hole = (hole + 1) & mask;
+  // Backward shift: pull later members of the probe chain into the hole
+  // whenever the hole lies between their home bucket and their position.
+  for (std::size_t b = (hole + 1) & mask; index_[b] != kNil;
+       b = (b + 1) & mask) {
+    const Page& pg = pool_[index_[b]];
+    const std::size_t h = home(pg.fid, pg.idx);
+    if (((b - h) & mask) >= ((b - hole) & mask)) {
+      index_[hole] = index_[b];
+      hole = b;
+    }
+  }
+  index_[hole] = kNil;
+  --npages_;
+}
+
+void PageCache::index_grow() {
+  std::vector<std::uint32_t> old(2 * index_.size(), kNil);
+  old.swap(index_);
+  --shift_;
+  for (const std::uint32_t s : old) {
+    if (s != kNil) index_place(s);
+  }
 }
 
 void PageCache::insert(std::uint64_t fid, std::uint64_t page, bool dirty) {
-  const std::uint64_t key = key_of(fid, page);
-  auto it = pages_.find(key);
-  if (it != pages_.end()) {
-    Page& pg = pool_[it->second];
+  const std::uint32_t found = find(fid, page);
+  if (found != kNil) {
+    Page& pg = pool_[found];
     if (dirty && !pg.dirty) {
       pg.dirty = true;
       ++dirty_count_;
     }
-    lru_unlink(it->second);
-    lru_push_back(it->second);
+    touch(found);
     return;
   }
   std::uint32_t slot;
@@ -65,12 +107,12 @@ void PageCache::insert(std::uint64_t fid, std::uint64_t page, bool dirty) {
     pool_.push_back(Page{fid, page, dirty, true, kNil, kNil});
   }
   lru_push_back(slot);
-  pages_.emplace(key, slot);
+  index_insert(slot);
   if (dirty) ++dirty_count_;
 }
 
 sim::Task<void> PageCache::ensure_room() {
-  if (resident_bytes() <= p_.capacity_bytes) co_return;
+  assert(resident_bytes() > p_.capacity_bytes);
   // Reclaim down to a hysteresis point one batch below capacity: victims are
   // collected synchronously (so the LRU stays consistent), then dirty ones
   // are written out in address order.
@@ -90,7 +132,7 @@ sim::Task<void> PageCache::ensure_room() {
       ++stats_.clean_evictions;
     }
     lru_unlink(slot);
-    pages_.erase(key_of(pg.fid, pg.idx));
+    index_erase(slot);
     pg.live = false;
     free_.push_back(slot);
   }
@@ -118,8 +160,8 @@ sim::Task<IoStatus> PageCache::read(std::uint64_t fid, std::uint64_t off,
   const std::uint64_t last = (off + len - 1) / p_.page_size;
   std::uint64_t run_start = 0;  // first page of a pending miss run
   std::uint64_t run_len = 0;    // pages in the pending miss run
+  // Entered only with a run pending, so cache hits allocate no frame here.
   auto flush_run = [&]() -> sim::Task<void> {
-    if (run_len == 0) co_return;
     ++stats_.miss_runs;
     if (co_await disk_->read(page_addr(fid, run_start, p_.page_size),
                              run_len * p_.page_size) ==
@@ -134,24 +176,25 @@ sim::Task<IoStatus> PageCache::read(std::uint64_t fid, std::uint64_t off,
       insert(fid, run_start + k, /*dirty=*/false);
     }
     run_len = 0;
-    co_await ensure_room();
+    if (resident_bytes() > p_.capacity_bytes) co_await ensure_room();
   };
   for (std::uint64_t pg = first; pg <= last; ++pg) {
     const bool is_hole =
         !has_content(pg * p_.page_size, (pg + 1) * p_.page_size);
-    if (is_hole || resident(key_of(fid, pg))) {
+    const std::uint32_t slot = is_hole ? kNil : find(fid, pg);
+    if (is_hole || slot != kNil) {
       if (!is_hole) {
         ++stats_.hits;
-        touch(key_of(fid, pg));
+        touch(slot);
       }
-      co_await flush_run();
+      if (run_len != 0) co_await flush_run();
       continue;
     }
     ++stats_.misses;
     if (run_len == 0) run_start = pg;
     ++run_len;
   }
-  co_await flush_run();
+  if (run_len != 0) co_await flush_run();
   co_await mem_->transfer(len);
   co_return status;
 }
@@ -168,8 +211,7 @@ sim::Task<void> PageCache::write(std::uint64_t fid, std::uint64_t off,
     const std::uint64_t pg_end = pg_start + p_.page_size;
     const bool full =
         pad_partial || (off <= pg_start && off + len >= pg_end);
-    const std::uint64_t key = key_of(fid, pg);
-    if (resident(key)) {
+    if (find(fid, pg) != kNil) {
       ++stats_.hits;
       insert(fid, pg, /*dirty=*/true);  // marks dirty + LRU touch
       continue;
@@ -186,7 +228,7 @@ sim::Task<void> PageCache::write(std::uint64_t fid, std::uint64_t off,
       ++stats_.misses;
     }
     insert(fid, pg, /*dirty=*/true);
-    co_await ensure_room();
+    if (resident_bytes() > p_.capacity_bytes) co_await ensure_room();
   }
   co_await mem_->transfer(len);
 }
@@ -216,7 +258,8 @@ sim::Task<void> PageCache::flush_all() {
 }
 
 void PageCache::drop_all() {
-  pages_.clear();
+  std::fill(index_.begin(), index_.end(), kNil);
+  npages_ = 0;
   pool_.clear();   // capacity retained: steady state stays allocation-free
   free_.clear();
   head_ = tail_ = kNil;

@@ -16,16 +16,19 @@
 //    cache" between the initial-write and overwrite phases.
 //
 // Hot-path layout: pages live in a slot pool (std::vector<Page>) threaded
-// into an intrusive doubly-linked LRU by 32-bit slot indices, with an
-// unordered_map from page key to slot. Insert/touch/evict move no memory and
+// into an intrusive doubly-linked LRU by 32-bit slot indices. A flat
+// open-addressing table of slot indices finds a page by (file, page): linear
+// probing over a power-of-two table kept at most half full, keys read back
+// from the pool, deletion by backward shift (no tombstones, so probe chains
+// never rot under eviction churn). Insert/touch/evict move no memory and
 // allocate nothing in steady state (slots recycle through a free list; the
-// map's bucket array is pre-reserved and only rehashes on real growth).
+// table only doubles on real growth and drop_all() clears it in place).
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -50,8 +53,12 @@ class PageCache {
   /// the moved bytes.
   PageCache(sim::Simulation& sim, Disk& disk, sim::BandwidthServer& mem,
             const CacheParams& params)
-      : sim_(&sim), disk_(&disk), mem_(&mem), p_(params) {
-    pages_.reserve(kInitialReserve);
+      : sim_(&sim),
+        disk_(&disk),
+        mem_(&mem),
+        p_(params),
+        index_(2 * kInitialReserve, kNil),
+        shift_(64 - std::countr_zero(index_.size())) {
     pool_.reserve(kInitialReserve);
   }
   PageCache(const PageCache&) = delete;
@@ -106,7 +113,7 @@ class PageCache {
   const Stats& stats() const { return stats_; }
 
   std::uint64_t resident_bytes() const {
-    return static_cast<std::uint64_t>(pages_.size()) * p_.page_size;
+    return static_cast<std::uint64_t>(npages_) * p_.page_size;
   }
   std::uint64_t dirty_pages() const { return dirty_count_; }
   const CacheParams& params() const { return p_; }
@@ -157,26 +164,42 @@ class PageCache {
     std::uint32_t next;  // toward MRU end
   };
 
-  static std::uint64_t key_of(std::uint64_t fid, std::uint64_t page) {
-    return fid * 0x100000000ULL ^ page;
+  // --- page index (open addressing over pool slots) ---
+  /// Home bucket of (fid, page): Fibonacci hashing, top bits of the product.
+  std::size_t home(std::uint64_t fid, std::uint64_t page) const {
+    return static_cast<std::size_t>(
+        ((fid << 32 ^ page) * 0x9E3779B97F4A7C15ULL) >> shift_);
   }
+  /// Slot of the resident page (fid, page), or kNil.
+  std::uint32_t find(std::uint64_t fid, std::uint64_t page) const;
+  /// Store `slot` in the first free bucket of its probe chain.
+  void index_place(std::uint32_t slot);
+  void index_insert(std::uint32_t slot);
+  /// Remove `slot` from the index, back-shifting its probe chain.
+  void index_erase(std::uint32_t slot);
+  void index_grow();
 
-  bool resident(std::uint64_t key) const { return pages_.contains(key); }
   // --- intrusive LRU plumbing (head_ = LRU victim, tail_ = most recent) ---
   void lru_unlink(std::uint32_t s);
   void lru_push_back(std::uint32_t s);
-  void touch(std::uint64_t key);
+  void touch(std::uint32_t s) {
+    lru_unlink(s);
+    lru_push_back(s);
+  }
   void insert(std::uint64_t fid, std::uint64_t page, bool dirty);
-  /// Evict LRU pages until under capacity; dirty victims are written to disk
-  /// in address-sorted, coalesced runs.
+  /// Evict LRU pages until a batch below capacity; dirty victims are written
+  /// to disk in address-sorted, coalesced runs. Callers enter only when
+  /// resident_bytes() exceeds the capacity.
   sim::Task<void> ensure_room();
 
   sim::Simulation* sim_;
   Disk* disk_;
   sim::BandwidthServer* mem_;
   CacheParams p_;
-  std::unordered_map<std::uint64_t, std::uint32_t> pages_;  // key -> slot
   std::vector<Page> pool_;
+  std::vector<std::uint32_t> index_;  // pool slot per bucket, kNil = empty
+  int shift_;                         // 64 - log2(index_.size())
+  std::uint32_t npages_ = 0;          // resident (indexed) pages
   std::vector<std::uint32_t> free_;
   std::uint32_t head_ = kNil;  // least recently used
   std::uint32_t tail_ = kNil;  // most recently used

@@ -7,8 +7,8 @@
 // run dumps byte-identical CSV/JSON. Percentiles are bucketed — p(q) is the
 // upper bound of the bucket containing rank ceil(q*count) (the recorded
 // maximum for the overflow bucket) — which trades fidelity for determinism
-// and O(1) memory, exactly like sim::LatencyHistogram but with caller-fixed
-// bounds so the obs_test can pin the semantics against a brute-force sort.
+// and O(1) memory; the bounds are caller-fixed so the obs_test can pin the
+// semantics against a brute-force sort.
 #pragma once
 
 #include <cassert>

@@ -173,7 +173,7 @@ sim::Task<Result<void>> Client::remove(std::string name) {
 }
 
 sim::Task<Response> Client::rpc(std::uint32_t s, Request r) {
-  co_return co_await rpc(s, std::move(r), policy_);
+  return rpc(s, std::move(r), policy_);
 }
 
 sim::Task<Response> Client::rpc(std::uint32_t s, Request r, RpcPolicy policy) {
@@ -275,7 +275,7 @@ sim::Task<Response> Client::rpc_attempts(
 
 sim::Task<std::vector<Response>> Client::rpc_batch(std::uint32_t s,
                                                    std::vector<Request> subs) {
-  co_return co_await rpc_batch(s, std::move(subs), policy_);
+  return rpc_batch(s, std::move(subs), policy_);
 }
 
 sim::Task<std::vector<Response>> Client::rpc_batch(std::uint32_t s,
@@ -386,10 +386,7 @@ Buffer Client::gather_for_server(const StripeLayout& layout,
                                  std::uint32_t s) {
   // Per-unit pieces of one server appear in increasing local (and global)
   // order and tile the server's merged extent exactly.
-  std::uint64_t total = 0;
-  for (const auto& e : layout.decompose(off, data.size())) {
-    if (e.server == s) total += e.len;
-  }
+  const std::uint64_t total = layout.server_bytes(off, data.size(), s);
   if (!data.materialized()) return Buffer::phantom(total);
   Buffer out = Buffer::real(total);
   std::uint64_t pos = 0;

@@ -17,6 +17,7 @@
 // stripe, an integral run of full stripes and a trailing partial stripe.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <vector>
@@ -80,6 +81,25 @@ struct StripeLayout {
     const std::uint64_t k = local / stripe_unit;
     const std::uint64_t r = (server + dn - base % dn) % dn;
     return (k * dn + r) * stripe_unit + local % stripe_unit;
+  }
+
+  /// Bytes of the global range [off, off+len) stored on `server`: the sum
+  /// of decompose()'s extents for that server, in closed form.
+  std::uint64_t server_bytes(std::uint64_t off, std::uint64_t len,
+                             std::uint32_t server) const {
+    const std::uint64_t dn = data_servers();
+    if (server >= dn) return 0;
+    // Offset of `server`'s unit within each row of dn consecutive units.
+    const std::uint64_t start = (server + dn - base % dn) % dn * stripe_unit;
+    const std::uint64_t row = dn * stripe_unit;
+    // Bytes of `server` in the global prefix [0, x).
+    auto prefix = [&](std::uint64_t x) {
+      const std::uint64_t rem = x % row;
+      const std::uint64_t part =
+          rem > start ? std::min<std::uint64_t>(rem - start, stripe_unit) : 0;
+      return x / row * stripe_unit + part;
+    };
+    return prefix(off + len) - prefix(off);
   }
 
   // --- parity group math ---

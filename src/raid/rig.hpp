@@ -145,7 +145,8 @@ class Rig {
   // --- observability ---
   /// Attach a tracer and/or metrics registry to the whole deployment: the
   /// tracer is attached to the simulation clock, gets one trace process per
-  /// node (manager, server N, client N), observes named simulator tasks,
+  /// node (manager, server N, client N, and the repair client if it already
+  /// exists — one created later maps itself), observes named simulator tasks,
   /// and is installed on the fabric, every client and every server. Either
   /// argument may be nullptr; call with both null to detach.
   void set_obs(obs::Tracer* tracer, obs::Registry* metrics) {
@@ -161,6 +162,9 @@ class Rig {
       for (std::uint32_t c = 0; c < clients.size(); ++c) {
         tracer->map_node(clients[c]->node_id(),
                          tracer->process("client " + std::to_string(c)));
+      }
+      if (repair_client_) {
+        tracer->map_node(repair_client_->node_id(), tracer->process("repair"));
       }
       sim.set_task_observer(tracer);
     } else {

@@ -10,7 +10,6 @@
 #include <cstdint>
 
 #include "sim/simulation.hpp"
-#include "sim/task.hpp"
 #include "sim/time.hpp"
 
 namespace csar::sim {
@@ -24,21 +23,24 @@ class BandwidthServer {
   BandwidthServer(const BandwidthServer&) = delete;
   BandwidthServer& operator=(const BandwidthServer&) = delete;
 
-  /// Occupy the resource for `bytes`; completes when the transfer finishes.
-  Task<void> transfer(std::uint64_t bytes) {
-    bytes_total_ += bytes;
-    co_await occupy(per_op_ + transfer_time(bytes, bytes_per_sec_));
-  }
-
   /// Occupy the resource for an explicit service duration (used for compute
   /// charges whose rate differs from the byte rate, e.g. XOR vs memcpy).
-  Task<void> occupy(Duration dur) {
+  /// Booked at the call; the returned awaitable resumes the caller when the
+  /// service finishes. No coroutine frame: callers co_await the result at
+  /// once, so booking and suspension happen at the same simulated instant.
+  [[nodiscard]] auto occupy(Duration dur) {
     const Time start =
         sim_->now() > busy_until_ ? sim_->now() : busy_until_;
     busy_until_ = start + dur;
     busy_time_ += dur;
     ++ops_total_;
-    co_await sim_->sleep_until(busy_until_);
+    return sim_->sleep_until(busy_until_);
+  }
+
+  /// Occupy the resource for `bytes`; booked and awaited like occupy().
+  [[nodiscard]] auto transfer(std::uint64_t bytes) {
+    bytes_total_ += bytes;
+    return occupy(per_op_ + transfer_time(bytes, bytes_per_sec_));
   }
 
   /// Earliest time a new transfer could start.

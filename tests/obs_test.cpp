@@ -22,8 +22,10 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "pvfs/io_server.hpp"
+#include "raid/rig.hpp"
 #include "sim/simulation.hpp"
 #include "sim/task.hpp"
+#include "test_util.hpp"
 
 namespace csar::obs {
 namespace {
@@ -377,6 +379,44 @@ TEST(ObsStorm, AttachingTracerLeavesFingerprintUntouched) {
   EXPECT_EQ(traced.events_executed, plain.events_executed);
   EXPECT_EQ(traced.finished_at, plain.finished_at);
   EXPECT_EQ(traced.fingerprint, plain.fingerprint);
+}
+
+// A repair client that exists before the tracer is attached still gets its
+// own trace process: its RPC spans land there, never on the unmapped pid 0.
+TEST(ObsRig, RepairClientCreatedBeforeSetObsIsMapped) {
+  if (!kEnabled) GTEST_SKIP() << "hooks compiled out (CSAR_OBS=0)";
+  Tracer tracer;  // outlives the rig, which drains its simulation on exit
+  raid::RigParams p;
+  p.scheme = raid::Scheme::hybrid;
+  p.nservers = 3;
+  raid::Rig rig(p);
+  pvfs::Client& repair = rig.repair_client();
+  rig.set_obs(&tracer, nullptr);
+
+  const std::uint32_t pid = tracer.node_pid(repair.node_id());
+  ASSERT_NE(pid, 0u);
+  EXPECT_NE(pid, tracer.node_pid(rig.client().node_id()));
+
+  test::run_sim_void(rig, [](pvfs::Client& c) -> sim::Task<void> {
+    pvfs::Request w;
+    w.op = pvfs::Op::write_data;
+    w.handle = 7;
+    w.su = 4096;
+    w.payload = Buffer::pattern(4096, 1);
+    const pvfs::Response r = co_await c.rpc(0, std::move(w));
+    EXPECT_TRUE(r.ok);
+  }(repair));
+
+  std::size_t rpc_spans = 0;
+  for (const auto& e : tracer.events()) {
+    EXPECT_NE(e.pid, 0u) << e.name;
+    if (std::string(e.cat) == "rpc") {
+      EXPECT_EQ(e.pid, pid);
+      ++rpc_spans;
+    }
+  }
+  EXPECT_EQ(rpc_spans, 1u);
+  rig.set_obs(nullptr, nullptr);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "common/rng.hpp"
 
@@ -190,6 +191,25 @@ TEST(Layout, DecomposeMergedOneExtentPerServer) {
         pos += e.len;
       }
       ASSERT_EQ(pos, m.local_off + m.len);
+    }
+  }
+}
+
+TEST(Layout, ServerBytesMatchesDecompose) {
+  Rng rng(35);
+  for (int trial = 0; trial < 400; ++trial) {
+    StripeLayout l{static_cast<std::uint32_t>(1 + rng.below(700)),
+                   static_cast<std::uint32_t>(2 + rng.below(6)),
+                   rng.chance(0.5) ? ParityPlacement::rotating
+                                   : ParityPlacement::fixed,
+                   static_cast<std::uint32_t>(rng.below(9))};
+    const std::uint64_t off = rng.below(20000);
+    const std::uint64_t len = rng.below(12000);
+    std::vector<std::uint64_t> want(l.n(), 0);
+    for (const auto& e : l.decompose(off, len)) want[e.server] += e.len;
+    for (std::uint32_t s = 0; s < l.n(); ++s) {
+      ASSERT_EQ(l.server_bytes(off, len, s), want[s])
+          << "trial " << trial << " server " << s;
     }
   }
 }

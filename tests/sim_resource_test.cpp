@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "sim/simulation.hpp"
-#include "sim/stats.hpp"
 #include "sim/sync.hpp"
 #include "sim/time.hpp"
 
@@ -83,41 +82,6 @@ TEST(BandwidthServer, PipelinedSaturationReachesLineRate) {
   for (int i = 0; i < kN; ++i) sim.spawn(proc(link));
   const Time end = sim.run();
   EXPECT_EQ(end, ms(100));  // 100 MB at 1 GB/s
-}
-
-TEST(Accumulator, Basics) {
-  Accumulator a;
-  EXPECT_EQ(a.count(), 0u);
-  EXPECT_EQ(a.mean(), 0.0);
-  a.add(1.0);
-  a.add(3.0);
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_DOUBLE_EQ(a.mean(), 2.0);
-  EXPECT_DOUBLE_EQ(a.min(), 1.0);
-  EXPECT_DOUBLE_EQ(a.max(), 3.0);
-}
-
-TEST(BandwidthMeter, ComputesRate) {
-  BandwidthMeter m;
-  m.start(sec(1));
-  m.add_bytes(50'000'000);
-  m.stop(sec(2));
-  EXPECT_DOUBLE_EQ(m.bytes_per_sec(), 50e6);
-}
-
-TEST(BandwidthMeter, EmptyWindowIsZero) {
-  BandwidthMeter m;
-  m.add_bytes(100);
-  EXPECT_EQ(m.bytes_per_sec(), 0.0);
-}
-
-TEST(LatencyHistogram, PercentileAndSummary) {
-  LatencyHistogram h;
-  for (int i = 0; i < 100; ++i) h.add(us(10));
-  h.add(ms(10));
-  EXPECT_EQ(h.summary().count(), 101u);
-  EXPECT_LE(h.percentile(0.5), 16384u);  // log2-bucket upper bound of 10us
-  EXPECT_GT(h.percentile(1.0), us(100));
 }
 
 }  // namespace
