@@ -10,12 +10,15 @@
 // Usage:
 //   bench_sim_scale [--quick] [--out=FILE.json]
 // --quick runs the single pinned small config the CI perf-smoke job uses.
+// A full sweep rewrites the output's "rows" and keeps its committed "quick"
+// row and "trajectory".
 #include <sys/resource.h>
 
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -106,8 +109,55 @@ void print_row(const Row& r) {
               r.wall_per_sim_sec(), r.rss_kib / 1024.0);
 }
 
+/// The raw JSON text of top-level member `key` of `doc`, or "" when absent.
+/// Top-level members sit at two-space indentation, as write_json lays them
+/// out; the value runs to its matching close bracket (strings skipped).
+std::string json_member(const std::string& doc, const std::string& key) {
+  const std::size_t at = doc.find("\n  \"" + key + "\": ");
+  if (at == std::string::npos) return "";
+  const std::size_t begin = at + key.size() + 7;
+  int depth = 0;
+  bool in_str = false;
+  for (std::size_t i = begin; i < doc.size(); ++i) {
+    const char c = doc[i];
+    if (in_str) {
+      if (c == '\\') ++i;
+      else if (c == '"') in_str = false;
+    } else if (c == '"') {
+      in_str = true;
+    } else if (c == '{' || c == '[') {
+      ++depth;
+    } else if ((c == '}' || c == ']') && --depth == 0) {
+      return doc.substr(begin, i + 1 - begin);
+    }
+  }
+  return "";
+}
+
+std::string read_file(const std::string& path) {
+  std::string text;
+  if (std::FILE* f = std::fopen(path.c_str(), "r")) {
+    char buf[4096];
+    for (std::size_t n; (n = std::fread(buf, 1, sizeof buf, f)) > 0;) {
+      text.append(buf, n);
+    }
+    std::fclose(f);
+  }
+  return text;
+}
+
 void write_json(const std::string& path, const std::vector<Row>& rows,
                 bool quick) {
+  // A full sweep replaces the rows but keeps the file's committed "quick"
+  // baseline row and its "trajectory", which it does not measure.
+  std::vector<std::pair<std::string, std::string>> kept;
+  if (!quick) {
+    const std::string old = read_file(path);
+    for (const char* key : {"quick", "trajectory"}) {
+      std::string v = json_member(old, key);
+      if (!v.empty()) kept.emplace_back(key, std::move(v));
+    }
+  }
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::perror("bench_sim_scale: fopen");
@@ -130,7 +180,11 @@ void write_json(const std::string& path, const std::vector<Row>& rows,
         static_cast<unsigned long long>(r.fingerprint),
         i + 1 < rows.size() ? "," : "");
   }
-  std::fprintf(f, "  ]\n}\n");
+  std::fprintf(f, "  ]");
+  for (const auto& [key, value] : kept) {
+    std::fprintf(f, ",\n  \"%s\": %s", key.c_str(), value.c_str());
+  }
+  std::fprintf(f, "\n}\n");
   std::fclose(f);
   std::printf("wrote %s\n", path.c_str());
 }

@@ -5,6 +5,7 @@
 #include <cassert>
 #include <cstring>
 #include <utility>
+#include <vector>
 
 #if defined(__x86_64__) && defined(__GNUC__)
 #include <immintrin.h>
@@ -14,14 +15,29 @@
 
 namespace csar {
 
+namespace {
+
+std::shared_ptr<std::byte[]> alloc_for_overwrite(std::uint64_t size) {
+  return std::make_shared_for_overwrite<std::byte[]>(
+      static_cast<std::size_t>(size));
+}
+
+}  // namespace
+
 Buffer Buffer::real(std::uint64_t size) {
   Buffer b;
   b.size_ = size;
   b.materialized_ = true;
   if (size > 0) {
-    b.data_ = std::make_shared<std::vector<std::byte>>(
-        static_cast<std::size_t>(size), std::byte{0});
+    b.data_ = std::make_shared<std::byte[]>(static_cast<std::size_t>(size));
   }
+  return b;
+}
+
+Buffer Buffer::for_overwrite(std::uint64_t size) {
+  Buffer b;
+  b.size_ = size;
+  if (size > 0) b.data_ = alloc_for_overwrite(size);
   return b;
 }
 
@@ -37,15 +53,43 @@ Buffer Buffer::from_bytes(std::vector<std::byte> bytes) {
   b.size_ = bytes.size();
   b.materialized_ = true;
   if (!bytes.empty()) {
-    b.data_ = std::make_shared<std::vector<std::byte>>(std::move(bytes));
+    // Adopt the vector's storage: the control block owns the vector and
+    // data_ aliases its bytes, so no copy is made.
+    auto owner = std::make_shared<std::vector<std::byte>>(std::move(bytes));
+    b.data_ = std::shared_ptr<std::byte[]>(owner, owner->data());
+  }
+  return b;
+}
+
+Buffer Buffer::concat(std::span<const Buffer> pieces) {
+  if (pieces.size() == 1) return pieces.front();
+  std::uint64_t total = 0;
+  bool any_phantom = false;
+  for (const Buffer& p : pieces) {
+    total += p.size_;
+    any_phantom |= !p.materialized_;
+  }
+  if (any_phantom) {
+    assert(std::none_of(pieces.begin(), pieces.end(),
+                        [](const Buffer& p) { return p.materialized_; }));
+    return phantom(total);
+  }
+  Buffer b = for_overwrite(total);
+  std::byte* out = b.data_.get();
+  for (const Buffer& p : pieces) {
+    if (p.size_ == 0) continue;
+    std::memcpy(out, p.data_.get() + p.off_, static_cast<std::size_t>(p.size_));
+    out += p.size_;
   }
   return b;
 }
 
 void Buffer::ensure_unique() {
   if (data_ && data_.use_count() > 1) {
-    const std::byte* p = data_->data() + off_;
-    data_ = std::make_shared<std::vector<std::byte>>(p, p + size_);
+    auto copy = alloc_for_overwrite(size_);
+    std::memcpy(copy.get(), data_.get() + off_,
+                static_cast<std::size_t>(size_));
+    data_ = std::move(copy);
     off_ = 0;
   }
 }
@@ -176,25 +220,25 @@ void pattern_fill(std::byte* out, std::uint64_t size, std::uint64_t x) {
 }  // namespace
 
 Buffer Buffer::pattern(std::uint64_t size, std::uint64_t seed) {
-  Buffer b = real(size);
+  Buffer b = for_overwrite(size);
   // Cheap per-byte mix; distinct seeds give distinct, reproducible content.
   const std::uint64_t x0 =
       seed * 0x9E3779B97F4A7C15ULL + 0xD1B54A32D192ED03ULL;
-  if (size > 0) pattern_fill(b.data_->data(), size, x0);
+  if (size > 0) pattern_fill(b.data_.get(), size, x0);
   return b;
 }
 
 std::span<const std::byte> Buffer::bytes() const {
   assert(materialized_);
   if (!data_) return {};
-  return {data_->data() + off_, static_cast<std::size_t>(size_)};
+  return {data_.get() + off_, static_cast<std::size_t>(size_)};
 }
 
 std::span<std::byte> Buffer::mutable_bytes() {
   assert(materialized_);
   if (!data_) return {};
   ensure_unique();
-  return {data_->data() + off_, static_cast<std::size_t>(size_)};
+  return {data_.get() + off_, static_cast<std::size_t>(size_)};
 }
 
 Buffer Buffer::slice(std::uint64_t off, std::uint64_t len) const {
@@ -219,7 +263,7 @@ void Buffer::write_at(std::uint64_t off, const Buffer& src) {
   // *this buffer itself* (a shared slice would have forced a fresh copy),
   // and memmove handles that exactly like the old copy-the-slice-first
   // representation did.
-  std::memmove(data_->data() + off_ + off, src.data_->data() + src.off_,
+  std::memmove(data_.get() + off_ + off, src.data_.get() + src.off_,
                static_cast<std::size_t>(src.size_));
 }
 
@@ -231,8 +275,8 @@ void Buffer::xor_with(const Buffer& other) {
   const std::uint64_t n = std::min(size_, other.size_);
   if (n == 0) return;
   ensure_unique();
-  xor_words({data_->data() + off_, static_cast<std::size_t>(n)},
-            {other.data_->data() + other.off_, static_cast<std::size_t>(n)});
+  xor_words({data_.get() + off_, static_cast<std::size_t>(n)},
+            {other.data_.get() + other.off_, static_cast<std::size_t>(n)});
 }
 
 void Buffer::xor_at(std::uint64_t off, const Buffer& src) {
@@ -240,8 +284,8 @@ void Buffer::xor_at(std::uint64_t off, const Buffer& src) {
   assert(materialized_ == src.materialized_);
   if (!materialized_ || src.size_ == 0) return;
   ensure_unique();
-  xor_words({data_->data() + off_ + off, static_cast<std::size_t>(src.size_)},
-            {src.data_->data() + src.off_, static_cast<std::size_t>(src.size_)});
+  xor_words({data_.get() + off_ + off, static_cast<std::size_t>(src.size_)},
+            {src.data_.get() + src.off_, static_cast<std::size_t>(src.size_)});
 }
 
 void Buffer::resize(std::uint64_t size) {
@@ -258,13 +302,13 @@ void Buffer::resize(std::uint64_t size) {
     }
     return;
   }
-  // Grow: zero-extend into exclusively-owned, exactly-sized backing.
-  auto nv = std::make_shared<std::vector<std::byte>>(
-      static_cast<std::size_t>(size), std::byte{0});
+  // Grow: copy the view into exclusively-owned, exactly-sized backing and
+  // zero only the extension.
+  auto nv = alloc_for_overwrite(size);
   if (data_ && size_ > 0) {
-    std::memcpy(nv->data(), data_->data() + off_,
-                static_cast<std::size_t>(size_));
+    std::memcpy(nv.get(), data_.get() + off_, static_cast<std::size_t>(size_));
   }
+  std::memset(nv.get() + size_, 0, static_cast<std::size_t>(size - size_));
   data_ = std::move(nv);
   off_ = 0;
   size_ = size;
@@ -276,7 +320,7 @@ bool Buffer::operator==(const Buffer& other) const {
     return materialized_ == other.materialized_;
   }
   if (size_ == 0) return true;
-  return std::memcmp(data_->data() + off_, other.data_->data() + other.off_,
+  return std::memcmp(data_.get() + off_, other.data_.get() + other.off_,
                      static_cast<std::size_t>(size_)) == 0;
 }
 

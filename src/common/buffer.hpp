@@ -14,6 +14,12 @@
 // its view, so two buffers can never observe each other's writes. Value
 // semantics are exactly those of the old deep-copy representation, minus the
 // copies.
+//
+// Backing bytes are one allocation (control block included; from_bytes
+// instead adopts its vector without copying). Only real() and
+// resize()'s extension are zero-filled; producers that write every byte
+// (pattern, concat, for_overwrite callers, copy-on-write copies) skip the
+// zero pass, so a payload byte costs one write per hop.
 #pragma once
 
 #include <cstddef>
@@ -35,8 +41,19 @@ class Buffer {
   /// Phantom buffer: size only, no storage.
   static Buffer phantom(std::uint64_t size);
 
-  /// Materialized buffer taking ownership of `bytes`.
+  /// Materialized buffer whose `size` bytes are indeterminate. The caller
+  /// must overwrite every byte before any is read (e.g. as the destination
+  /// of gf_mul_region); use real() when some bytes may stay unwritten.
+  static Buffer for_overwrite(std::uint64_t size);
+
+  /// Materialized buffer taking ownership of `bytes` (no copy).
   static Buffer from_bytes(std::vector<std::byte> bytes);
+
+  /// `pieces` joined in order. A single piece comes back as a shared view
+  /// (no copy); all-phantom pieces give a phantom of the summed size;
+  /// otherwise one allocation and one memcpy per piece. Mixing phantom and
+  /// materialized pieces is a programming error (assert).
+  static Buffer concat(std::span<const Buffer> pieces);
 
   /// Materialized buffer filled with a deterministic pattern derived from
   /// `seed` (used by tests to make every file region distinguishable).
@@ -85,7 +102,7 @@ class Buffer {
   std::uint64_t off_ = 0;  ///< view start within *data_
   /// Backing bytes; null for phantom and for empty buffers. May be larger
   /// than the view and shared with other buffers (see ensure_unique).
-  std::shared_ptr<std::vector<std::byte>> data_;
+  std::shared_ptr<std::byte[]> data_;
 };
 
 }  // namespace csar

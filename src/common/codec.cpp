@@ -38,37 +38,6 @@ void xor_words_single(std::span<std::byte> dst,
   for (; i < n; ++i) dst[i] ^= src[i];
 }
 
-void xor_words(std::span<std::byte> dst, std::span<const std::byte> src) {
-  assert(src.size() <= dst.size());
-  const std::size_t n = src.size();
-  std::size_t i = 0;
-  constexpr std::size_t W = sizeof(std::uint64_t);
-  // 32-byte blocks (4 independent words per iteration) measure fastest
-  // here: wide enough to keep multiple XORs in flight, narrow enough that
-  // GCC still vectorizes the block instead of spilling the local arrays.
-  constexpr std::size_t B = 4 * W;
-  for (; i + B <= n; i += B) {
-    std::uint64_t a[4];
-    std::uint64_t b[4];
-    std::memcpy(a, dst.data() + i, B);
-    std::memcpy(b, src.data() + i, B);
-    a[0] ^= b[0];
-    a[1] ^= b[1];
-    a[2] ^= b[2];
-    a[3] ^= b[3];
-    std::memcpy(dst.data() + i, a, B);
-  }
-  for (; i + W <= n; i += W) {
-    std::uint64_t a;
-    std::uint64_t b;
-    std::memcpy(&a, dst.data() + i, W);
-    std::memcpy(&b, src.data() + i, W);
-    a ^= b;
-    std::memcpy(dst.data() + i, &a, W);
-  }
-  for (; i < n; ++i) dst[i] ^= src[i];
-}
-
 void xor_accumulate(std::span<std::byte> dst,
                     std::span<const std::span<const std::byte>> sources) {
   for (const auto& s : sources) {
@@ -76,9 +45,39 @@ void xor_accumulate(std::span<std::byte> dst,
   }
 }
 
-// --- GF(2^8) region kernels ---
+// --- Region kernels: XOR and GF(2^8) ---
 
 namespace {
+
+/// Portable XOR kernel (the dispatch fallback and the AVX2 kernel's tail).
+void xor_portable(std::byte* dst, const std::byte* src, std::size_t n) {
+  std::size_t i = 0;
+  constexpr std::size_t W = sizeof(std::uint64_t);
+  // 32-byte blocks (4 independent words per iteration): wide enough to keep
+  // multiple XORs in flight, narrow enough that GCC keeps the block in
+  // registers instead of spilling the local arrays.
+  constexpr std::size_t B = 4 * W;
+  for (; i + B <= n; i += B) {
+    std::uint64_t a[4];
+    std::uint64_t b[4];
+    std::memcpy(a, dst + i, B);
+    std::memcpy(b, src + i, B);
+    a[0] ^= b[0];
+    a[1] ^= b[1];
+    a[2] ^= b[2];
+    a[3] ^= b[3];
+    std::memcpy(dst + i, a, B);
+  }
+  for (; i + W <= n; i += W) {
+    std::uint64_t a;
+    std::uint64_t b;
+    std::memcpy(&a, dst + i, W);
+    std::memcpy(&b, src + i, W);
+    a ^= b;
+    std::memcpy(dst + i, &a, W);
+  }
+  for (; i < n; ++i) dst[i] ^= src[i];
+}
 
 /// One 256-entry product row for a fixed constant c: row[b] = c * b.
 /// Building it costs 256 table walks; the scalar region loop then does one
@@ -98,20 +97,16 @@ struct MulRow {
   }
 };
 
-void muladd_scalar(std::byte* dst, const std::byte* src, std::size_t n,
+/// dst[i] = c*src[i] (kAcc false) or dst[i] ^= c*src[i] (kAcc true). Every
+/// region kernel below has this shape, so mul and muladd share one body.
+template <bool kAcc>
+void region_scalar(std::byte* dst, const std::byte* src, std::size_t n,
                    std::uint8_t c) {
   const MulRow t(c);
   for (std::size_t i = 0; i < n; ++i) {
-    dst[i] ^= static_cast<std::byte>(
-        t.row[static_cast<std::uint8_t>(src[i])]);
-  }
-}
-
-void mul_scalar(std::byte* dst, const std::byte* src, std::size_t n,
-                std::uint8_t c) {
-  const MulRow t(c);
-  for (std::size_t i = 0; i < n; ++i) {
-    dst[i] = static_cast<std::byte>(t.row[static_cast<std::uint8_t>(src[i])]);
+    const auto p =
+        static_cast<std::byte>(t.row[static_cast<std::uint8_t>(src[i])]);
+    dst[i] = kAcc ? dst[i] ^ p : p;
   }
 }
 
@@ -131,7 +126,8 @@ struct NibbleTables {
   }
 };
 
-__attribute__((target("ssse3"))) void muladd_ssse3(std::byte* dst,
+template <bool kAcc>
+__attribute__((target("ssse3"))) void region_ssse3(std::byte* dst,
                                                    const std::byte* src,
                                                    std::size_t n,
                                                    std::uint8_t c) {
@@ -143,18 +139,21 @@ __attribute__((target("ssse3"))) void muladd_ssse3(std::byte* dst,
   for (; i + 16 <= n; i += 16) {
     const __m128i s =
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + i));
-    const __m128i d = _mm_loadu_si128(reinterpret_cast<const __m128i*>(dst + i));
     const __m128i pl = _mm_shuffle_epi8(lo, _mm_and_si128(s, mask));
     const __m128i ph =
         _mm_shuffle_epi8(hi, _mm_and_si128(_mm_srli_epi64(s, 4), mask));
-    const __m128i prod = _mm_xor_si128(pl, ph);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i),
-                     _mm_xor_si128(d, prod));
+    __m128i out = _mm_xor_si128(pl, ph);
+    if constexpr (kAcc) {
+      out = _mm_xor_si128(
+          out, _mm_loadu_si128(reinterpret_cast<const __m128i*>(dst + i)));
+    }
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i), out);
   }
-  if (i < n) muladd_scalar(dst + i, src + i, n - i, c);
+  if (i < n) region_scalar<kAcc>(dst + i, src + i, n - i, c);
 }
 
-__attribute__((target("avx2"))) void muladd_avx2(std::byte* dst,
+template <bool kAcc>
+__attribute__((target("avx2"))) void region_avx2(std::byte* dst,
                                                  const std::byte* src,
                                                  std::size_t n,
                                                  std::uint8_t c) {
@@ -168,25 +167,61 @@ __attribute__((target("avx2"))) void muladd_avx2(std::byte* dst,
   for (; i + 32 <= n; i += 32) {
     const __m256i s =
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-    const __m256i d =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
     const __m256i pl = _mm256_shuffle_epi8(lo, _mm256_and_si256(s, mask));
     const __m256i ph = _mm256_shuffle_epi8(
         hi, _mm256_and_si256(_mm256_srli_epi64(s, 4), mask));
-    const __m256i prod = _mm256_xor_si256(pl, ph);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                        _mm256_xor_si256(d, prod));
+    __m256i out = _mm256_xor_si256(pl, ph);
+    if constexpr (kAcc) {
+      out = _mm256_xor_si256(
+          out, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i)));
+    }
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), out);
   }
-  if (i < n) muladd_scalar(dst + i, src + i, n - i, c);
+  if (i < n) region_scalar<kAcc>(dst + i, src + i, n - i, c);
+}
+
+/// dst[i] ^= src[i] over 128-byte blocks of four independent ymm XORs, then
+/// 32-byte blocks; the sub-32-byte tail goes to the portable kernel.
+__attribute__((target("avx2"))) void xor_avx2(std::byte* dst,
+                                              const std::byte* src,
+                                              std::size_t n) {
+  std::size_t i = 0;
+  for (; i + 128 <= n; i += 128) {
+    auto* d = reinterpret_cast<__m256i*>(dst + i);
+    const auto* s = reinterpret_cast<const __m256i*>(src + i);
+    const __m256i x0 =
+        _mm256_xor_si256(_mm256_loadu_si256(d + 0), _mm256_loadu_si256(s + 0));
+    const __m256i x1 =
+        _mm256_xor_si256(_mm256_loadu_si256(d + 1), _mm256_loadu_si256(s + 1));
+    const __m256i x2 =
+        _mm256_xor_si256(_mm256_loadu_si256(d + 2), _mm256_loadu_si256(s + 2));
+    const __m256i x3 =
+        _mm256_xor_si256(_mm256_loadu_si256(d + 3), _mm256_loadu_si256(s + 3));
+    _mm256_storeu_si256(d + 0, x0);
+    _mm256_storeu_si256(d + 1, x1);
+    _mm256_storeu_si256(d + 2, x2);
+    _mm256_storeu_si256(d + 3, x3);
+  }
+  for (; i + 32 <= n; i += 32) {
+    auto* d = reinterpret_cast<__m256i*>(dst + i);
+    _mm256_storeu_si256(
+        d, _mm256_xor_si256(
+               _mm256_loadu_si256(d),
+               _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i))));
+  }
+  if (i < n) xor_portable(dst + i, src + i, n - i);
 }
 
 #endif  // CSAR_CODEC_X86
 
-using MulAddFn = void (*)(std::byte*, const std::byte*, std::size_t,
+using RegionFn = void (*)(std::byte*, const std::byte*, std::size_t,
                           std::uint8_t);
+using XorFn = void (*)(std::byte*, const std::byte*, std::size_t);
 
 struct Dispatch {
-  MulAddFn muladd = &muladd_scalar;
+  XorFn xor_region = &xor_portable;
+  RegionFn muladd = &region_scalar<true>;
+  RegionFn mul = &region_scalar<false>;
   const char* name = "scalar";
 };
 
@@ -198,10 +233,13 @@ const Dispatch& dispatch() {
     Dispatch r;
 #if CSAR_CODEC_X86
     if (__builtin_cpu_supports("avx2")) {
-      r.muladd = &muladd_avx2;
+      r.xor_region = &xor_avx2;
+      r.muladd = &region_avx2<true>;
+      r.mul = &region_avx2<false>;
       r.name = "avx2";
     } else if (__builtin_cpu_supports("ssse3")) {
-      r.muladd = &muladd_ssse3;
+      r.muladd = &region_ssse3<true>;
+      r.mul = &region_ssse3<false>;
       r.name = "ssse3";
     }
 #endif
@@ -213,6 +251,11 @@ const Dispatch& dispatch() {
 }  // namespace
 
 const char* codec_dispatch_name() { return dispatch().name; }
+
+void xor_words(std::span<std::byte> dst, std::span<const std::byte> src) {
+  assert(src.size() <= dst.size());
+  dispatch().xor_region(dst.data(), src.data(), src.size());
+}
 
 void gf_muladd_region(std::span<std::byte> dst, std::span<const std::byte> src,
                       std::uint8_t c) {
@@ -233,26 +276,23 @@ void gf_mul_region(std::span<std::byte> dst, std::span<const std::byte> src,
     return;
   }
   if (c == 1) {
-    std::memcpy(dst.data(), src.data(), src.size());
+    std::memmove(dst.data(), src.data(), src.size());
     return;
   }
-  // dst = c*src as muladd into a zeroed destination keeps one dispatch
-  // point; the memset is cheap next to the multiply.
-  std::memset(dst.data(), 0, src.size());
-  dispatch().muladd(dst.data(), src.data(), src.size(), c);
+  dispatch().mul(dst.data(), src.data(), src.size(), c);
 }
 
 void gf_muladd_region_scalar(std::span<std::byte> dst,
                              std::span<const std::byte> src, std::uint8_t c) {
   assert(src.size() <= dst.size());
   if (c == 0) return;
-  muladd_scalar(dst.data(), src.data(), src.size(), c);
+  region_scalar<true>(dst.data(), src.data(), src.size(), c);
 }
 
 void gf_mul_region_scalar(std::span<std::byte> dst,
                           std::span<const std::byte> src, std::uint8_t c) {
   assert(src.size() <= dst.size());
-  mul_scalar(dst.data(), src.data(), src.size(), c);
+  region_scalar<false>(dst.data(), src.data(), src.size(), c);
 }
 
 // --- Reed-Solomon coefficients ---

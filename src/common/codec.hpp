@@ -10,13 +10,13 @@
 // and every classic scheme is a special case of the code (RAID1 ≈ RS(1,1),
 // RAID4/5 ≈ RS(k,1)).
 //
-// Region kernels (gf_mul_region / gf_muladd_region) follow the same layout
-// discipline as xor_words: a 32-byte-block main loop over unaligned-safe
-// memcpy loads, then word and byte tails. The SIMD variant (PSHUFB over
-// split nibble tables, SSSE3/AVX2) and the scalar table walk are
-// bit-identical by construction — GF arithmetic is exact — so runtime
-// dispatch never perturbs simulated results. Dispatch is resolved once, at
-// the first region call, for both the XOR and GF kernels (codec_dispatch()).
+// Region kernels (xor_words, gf_mul_region, gf_muladd_region) each have a
+// SIMD variant (AVX2 XOR; PSHUFB over split nibble tables, SSSE3/AVX2, for
+// GF) and a portable one over unaligned-safe loads. The variants are
+// bit-identical by construction — XOR and GF arithmetic are exact — so
+// runtime dispatch never perturbs simulated results. Dispatch is resolved
+// once, at the first region call, for both the XOR and GF kernels
+// (dispatch() in codec.cpp).
 #pragma once
 
 #include <cstddef>
@@ -36,10 +36,11 @@ void xor_bytes(std::span<std::byte> dst, std::span<const std::byte> src);
 /// pre-blocking kernel, kept for the ablation benchmark).
 void xor_words_single(std::span<std::byte> dst, std::span<const std::byte> src);
 
-/// dst[i] ^= src[i], 32-byte blocks of four independent 64-bit words per
-/// iteration (autovectorizer-friendly at the default -O2), then a word tail
-/// and a byte tail. Handles unaligned buffers via memcpy word loads, which
-/// GCC lowers to plain loads on x86.
+/// dst[i] ^= src[i]. Runtime-dispatched (see codec_dispatch_name()): on
+/// AVX2 CPUs 128-byte blocks of four ymm XORs; otherwise, and for the tail,
+/// the portable kernel of 32-byte blocks of four 64-bit words, then a word
+/// tail and a byte tail. Any alignment; memcpy word loads lower to plain
+/// loads on x86.
 void xor_words(std::span<std::byte> dst, std::span<const std::byte> src);
 
 /// Parity of `sources` accumulated into `dst` (dst must be zero-filled or
@@ -95,7 +96,8 @@ constexpr std::uint8_t gf_inv(std::uint8_t a) {
 void gf_muladd_region(std::span<std::byte> dst, std::span<const std::byte> src,
                       std::uint8_t c);
 
-/// dst[i] = c * src[i] over GF(2^8) (no accumulate).
+/// dst[i] = c * src[i] over GF(2^8) (no accumulate): one pass that writes
+/// every byte of dst[0, src.size()), so dst need not be initialized.
 void gf_mul_region(std::span<std::byte> dst, std::span<const std::byte> src,
                    std::uint8_t c);
 
@@ -107,7 +109,8 @@ void gf_mul_region_scalar(std::span<std::byte> dst,
                           std::span<const std::byte> src, std::uint8_t c);
 
 /// The instruction set the region kernels resolved to at runtime:
-/// "avx2", "ssse3" or "scalar". Resolved once per process.
+/// "avx2" (XOR and GF kernels), "ssse3" (GF kernels; XOR stays portable) or
+/// "scalar". Resolved once per process.
 const char* codec_dispatch_name();
 
 // --- Reed-Solomon code over the fragments of one group ---

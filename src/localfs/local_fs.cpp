@@ -118,26 +118,12 @@ sim::Task<LocalFs::ReadOutcome> LocalFs::read_checked(const std::string& name,
       co_await cache_->read(f.fid, off, len, has_content) ==
       hw::IoStatus::media_error;
 
-  // Assemble content; if any stored chunk is phantom, the result is phantom.
-  const auto chunks = f.content.query(off, off + len);
-  bool phantom = !materialized_hint;
-  for (const auto& c : chunks) {
-    if (!c.value->materialized()) phantom = true;
-  }
-  if (phantom) co_return ReadOutcome{Buffer::phantom(len), media_error};
-  if (chunks.size() == 1 && chunks[0].start == off &&
-      chunks[0].end == off + len) {
-    // One stored run covers the whole request: hand out a zero-copy view
-    // (the common case for block-aligned rereads of buffered writes).
-    co_return ReadOutcome{
-        chunks[0].value->slice(off - chunks[0].entry_start, len),
-        media_error};
-  }
-  Buffer out = Buffer::real(len);
-  for (const auto& c : chunks) {
-    out.write_at(c.start - off,
-                 c.value->slice(c.start - c.entry_start, c.end - c.start));
-  }
+  // Stored runs joined in one pass (holes read as zeros); a run covering
+  // the whole request comes back as a zero-copy view (the common case for
+  // block-aligned rereads of buffered writes). Any phantom run makes the
+  // result phantom.
+  Buffer out = materialized_hint ? read_range(f.content, off, off + len)
+                                 : Buffer::phantom(len);
   co_return ReadOutcome{std::move(out), media_error};
 }
 

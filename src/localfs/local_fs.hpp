@@ -25,7 +25,7 @@
 #include <utility>
 
 #include "common/buffer.hpp"
-#include "common/interval_map.hpp"
+#include "common/buffer_map.hpp"
 #include "common/interval_set.hpp"
 #include "hw/page_cache.hpp"
 #include "sim/simulation.hpp"
@@ -155,15 +155,9 @@ class LocalFs {
   const LocalFsParams& params() const { return p_; }
 
  private:
-  struct BufferSlicer {
-    Buffer operator()(const Buffer& b, std::uint64_t off,
-                      std::uint64_t len) const {
-      return b.slice(off, len);
-    }
-  };
   struct File {
     std::uint64_t fid;  ///< page-cache file id
-    IntervalMap<Buffer, BufferSlicer> content;
+    BufferMap content;
   };
 
   File& get_or_create(const std::string& name);

@@ -81,7 +81,7 @@ sim::Task<Result<void>> CollectiveFile::write_at_all_v(
     // Phase 1+2 for this aggregator: pull overlapping bytes from their
     // owner ranks over the fabric, then issue large contiguous writes.
     const Interval range = aggregator_range(lo, hi, rank);
-    IntervalMap<Buffer, BufferSlicer> content;
+    BufferMap content;
     for (std::uint32_t src = 0; src < nprocs_; ++src) {
       const auto& w = writes_[src];
       if (!w.present) continue;
@@ -113,22 +113,8 @@ sim::Task<Result<void>> CollectiveFile::write_at_all_v(
       for (std::uint64_t pos = run.start; pos < run.end;
            pos += p_.cb_buffer) {
         const std::uint64_t n = std::min(p_.cb_buffer, run.end - pos);
-        // Assemble the piece from the gathered chunks.
-        const auto chunks = content.query(pos, pos + n);
-        bool phantom = false;
-        for (const auto& c : chunks) {
-          if (!c.value->materialized()) phantom = true;
-        }
-        Buffer piece = phantom ? Buffer::phantom(n) : Buffer::real(n);
-        if (!phantom) {
-          for (const auto& c : chunks) {
-            piece.write_at(c.start - pos,
-                           c.value->slice(c.start - c.entry_start,
-                                          c.end - c.start));
-          }
-        }
-        auto wr = co_await rig_->client_fs(rank).write(file_, pos,
-                                                       std::move(piece));
+        auto wr = co_await rig_->client_fs(rank).write(
+            file_, pos, read_range(content, pos, pos + n));
         if (!wr.ok()) {
           write_status_[rank] = wr;
           failed_ = true;
@@ -161,7 +147,7 @@ sim::Task<Result<Buffer>> CollectiveFile::read_at_all(std::uint32_t rank,
   }
 
   // Aggregators read their partition; results land in the shared member.
-  IntervalMap<Buffer, BufferSlicer>* content = &read_content_;
+  BufferMap* content = &read_content_;
 
   if (hi > 0 && rank < p_.cb_nodes) {
     const Interval range = aggregator_range(lo, hi, rank);
@@ -182,10 +168,7 @@ sim::Task<Result<Buffer>> CollectiveFile::read_at_all(std::uint32_t rank,
     out = Error{Errc::io_error, "collective read failed"};
   } else if (len > 0) {
     // Pull this rank's bytes back from the aggregators over the fabric.
-    bool phantom = false;
-    const auto chunks = content->query(off, off + len);
-    for (const auto& c : chunks) {
-      if (!c.value->materialized()) phantom = true;
+    for (const auto& c : content->query(off, off + len)) {
       const std::uint32_t agg = [&] {
         for (std::uint32_t a = 0; a < p_.cb_nodes; ++a) {
           const Interval range = aggregator_range(lo, hi, a);
@@ -198,15 +181,7 @@ sim::Task<Result<Buffer>> CollectiveFile::read_at_all(std::uint32_t rank,
                                        c.end - c.start);
       }
     }
-    Buffer mine = phantom ? Buffer::phantom(len) : Buffer::real(len);
-    if (!phantom) {
-      for (const auto& c : chunks) {
-        mine.write_at(c.start - off,
-                      c.value->slice(c.start - c.entry_start,
-                                     c.end - c.start));
-      }
-    }
-    out = std::move(mine);
+    out = read_range(*content, off, off + len);
   }
 
   co_await barrier_.arrive_and_wait();  // everyone done extracting

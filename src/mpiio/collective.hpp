@@ -16,7 +16,7 @@
 #include <optional>
 #include <vector>
 
-#include "common/interval_map.hpp"
+#include "common/buffer_map.hpp"
 #include "common/interval_set.hpp"
 #include "raid/rig.hpp"
 #include "sim/sync.hpp"
@@ -76,12 +76,6 @@ class CollectiveFile {
   sim::Task<void> barrier(std::uint32_t rank);
 
  private:
-  struct BufferSlicer {
-    Buffer operator()(const Buffer& b, std::uint64_t off,
-                      std::uint64_t len) const {
-      return b.slice(off, len);
-    }
-  };
   struct PendingWrite {
     std::vector<Piece> pieces;
     bool present = false;
@@ -108,7 +102,7 @@ class CollectiveFile {
   std::vector<PendingWrite> writes_;
   std::vector<PendingRead> reads_;
   std::vector<Result<void>> write_status_;
-  IntervalMap<Buffer, BufferSlicer> read_content_;
+  BufferMap read_content_;
   bool failed_ = false;
 };
 

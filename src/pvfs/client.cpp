@@ -386,16 +386,14 @@ Buffer Client::gather_for_server(const StripeLayout& layout,
                                  std::uint32_t s) {
   // Per-unit pieces of one server appear in increasing local (and global)
   // order and tile the server's merged extent exactly.
-  const std::uint64_t total = layout.server_bytes(off, data.size(), s);
-  if (!data.materialized()) return Buffer::phantom(total);
-  Buffer out = Buffer::real(total);
-  std::uint64_t pos = 0;
-  for (const auto& e : layout.decompose(off, data.size())) {
-    if (e.server != s) continue;
-    out.write_at(pos, data.slice(e.global_off - off, e.len));
-    pos += e.len;
+  if (!data.materialized()) {
+    return Buffer::phantom(layout.server_bytes(off, data.size(), s));
   }
-  return out;
+  std::vector<Buffer> pieces;
+  for (const auto& e : layout.decompose(off, data.size())) {
+    if (e.server == s) pieces.push_back(data.slice(e.global_off - off, e.len));
+  }
+  return Buffer::concat(pieces);
 }
 
 sim::Task<Result<void>> Client::write_striped(const OpenFile& f,
@@ -444,18 +442,21 @@ sim::Task<Result<Buffer>> Client::read(const OpenFile& f, std::uint64_t off,
     // Single-server read: the reply already is the file-order bytes.
     co_return std::move(resps[0].data);
   }
-  // Scatter each server's locally-contiguous reply back into file order.
-  Buffer out = Buffer::real(len);
+  // Scatter each server's locally-contiguous reply back into file order:
+  // walk the per-unit pieces in file order, each cut from the next unread
+  // position of its server's reply.
+  std::vector<std::size_t> reply_of(f.layout.n(), merged.size());
   for (std::size_t i = 0; i < merged.size(); ++i) {
-    const std::uint32_t s = merged[i].server;
-    std::uint64_t pos = 0;
-    for (const auto& e : f.layout.decompose(off, len)) {
-      if (e.server != s) continue;
-      out.write_at(e.global_off - off, resps[i].data.slice(pos, e.len));
-      pos += e.len;
-    }
+    reply_of[merged[i].server] = i;
   }
-  co_return out;
+  std::vector<std::uint64_t> pos(merged.size(), 0);
+  std::vector<Buffer> pieces;
+  for (const auto& e : f.layout.decompose(off, len)) {
+    const std::size_t i = reply_of[e.server];
+    pieces.push_back(resps[i].data.slice(pos[i], e.len));
+    pos[i] += e.len;
+  }
+  co_return Buffer::concat(pieces);
 }
 
 sim::Task<Result<void>> Client::flush(const OpenFile& f) {

@@ -109,19 +109,6 @@ sim::Task<void> CsarFs::charge_xor(Scheme sch, std::uint64_t bytes) {
   co_await node.tx().occupy(sim::transfer_time(bytes, rate));
 }
 
-Buffer CsarFs::full_group_parity(const StripeLayout& layout, std::uint64_t g,
-                                 std::uint64_t off,
-                                 const Buffer& data) const {
-  const std::uint64_t su = layout.su();
-  if (!data.materialized()) return Buffer::phantom(su);
-  Buffer parity = Buffer::real(su);
-  for (std::uint64_t pos = layout.group_start(g); pos < layout.group_end(g);
-       pos += su) {
-    parity.xor_with(data.slice(pos - off, su));
-  }
-  return parity;
-}
-
 void CsarFs::build_full_parity_writes(
     const pvfs::OpenFile& f, std::uint64_t off, const Buffer& data,
     std::uint64_t g0, std::uint64_t g1, bool /*hybrid_invalidate*/,
@@ -138,15 +125,21 @@ void CsarFs::build_full_parity_writes(
     buckets[layout.parity_server(g)].push_back(g);
   }
   for (auto& [server, groups] : buckets) {
-    Buffer payload = data.materialized()
-                         ? Buffer::real(groups.size() * su)
-                         : Buffer::phantom(groups.size() * su);
+    // Parity is built in the request payload itself: each group's first
+    // data unit is copied into its slot and the rest XORed on top.
+    std::vector<Buffer> first_units;
+    first_units.reserve(groups.size());
     for (std::size_t i = 0; i < groups.size(); ++i) {
       assert(i == 0 || layout.parity_local_unit(groups[i]) ==
                            layout.parity_local_unit(groups[i - 1]) + 1);
-      if (data.materialized()) {
-        payload.write_at(i * su,
-                         full_group_parity(layout, groups[i], off, data));
+      first_units.push_back(
+          data.slice(layout.group_start(groups[i]) - off, su));
+    }
+    Buffer payload = Buffer::concat(first_units);
+    for (std::size_t i = 0; i < groups.size(); ++i) {
+      for (std::uint64_t pos = layout.group_start(groups[i]) + su;
+           pos < layout.group_end(groups[i]); pos += su) {
+        payload.xor_at(i * su, data.slice(pos - off, su));
       }
       xor_bytes += layout.stripe_width();
     }
@@ -167,8 +160,11 @@ sim::Task<Result<void>> CsarFs::write(const pvfs::OpenFile& f,
   {
     // Telemetry for the adaptive engine: the full/partial-stripe byte split
     // the layout computes anyway, attributed to the file's current scheme.
-    const auto ws = f.layout.split_write(off, data.size());
-    const std::uint64_t full = ws.full_end - ws.full_start;
+    std::uint64_t full = 0;
+    if (f.layout.n() >= 2) {  // a 1-server layout has no stripe groups
+      const auto ws = f.layout.split_write(off, data.size());
+      full = ws.full_end - ws.full_start;
+    }
     p_.policy->note_write(f, p_.policy->scheme_of(f), full,
                           data.size() - full);
   }
@@ -880,15 +876,20 @@ sim::Task<Result<void>> CsarFs::write_rs(const pvfs::OpenFile& f,
   if (ws.full_end > ws.full_start) {
     for (std::uint64_t g = ws.full_start / W; g < ws.full_end / W; ++g) {
       for (std::uint32_t j = 0; j < m; ++j) {
-        Buffer coding = data.materialized() ? Buffer::real(su)
+        Buffer coding = data.materialized() ? Buffer::for_overwrite(su)
                                             : Buffer::phantom(su);
         if (data.materialized()) {
+          // The first data unit's product initializes every coding byte.
           auto dst = coding.mutable_bytes();
           for (std::uint32_t i = 0; i < k; ++i) {
             const std::uint64_t pos =
                 layout.rs_group_start(g, k) + std::uint64_t{i} * su;
-            gf_muladd_region(dst, data.slice(pos - off, su).bytes(),
-                             rs_coeff(spec, j, i));
+            const auto src = data.slice(pos - off, su).bytes();
+            if (i == 0) {
+              gf_mul_region(dst, src, rs_coeff(spec, j, i));
+            } else {
+              gf_muladd_region(dst, src, rs_coeff(spec, j, i));
+            }
           }
         }
         xor_bytes += W;
@@ -1087,10 +1088,11 @@ sim::Task<Result<Buffer>> CsarFs::read_balanced(const pvfs::OpenFile& f,
     if (!resp.data.materialized()) phantom = true;
   }
   if (phantom) co_return Buffer::phantom(len);
-  Buffer out = Buffer::real(len);
-  for (std::size_t i = 0; i < pieces.size(); ++i) {
-    out.write_at(pieces[i].global_off - off, resps[i].data);
-  }
+  std::vector<Buffer> replies;
+  replies.reserve(resps.size());
+  for (auto& resp : resps) replies.push_back(std::move(resp.data));
+  Buffer out = Buffer::concat(replies);
+  assert(out.size() == len);
   co_return out;
 }
 

@@ -210,10 +210,6 @@ class CsarFs {
   /// Charge the client CPU for XOR-ing `bytes` (skipped for RAID5-npc).
   sim::Task<void> charge_xor(Scheme sch, std::uint64_t bytes);
 
-  /// Parity unit content for a group fully covered by this write.
-  Buffer full_group_parity(const pvfs::StripeLayout& layout, std::uint64_t g,
-                           std::uint64_t off, const Buffer& data) const;
-
   /// Append per-server merged parity writes for the fully covered groups
   /// [g0, g1) to `reqs`, targeting redundancy generation `red_gen`.
   /// `hybrid_invalidate` attaches overflow invalidations.

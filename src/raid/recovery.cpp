@@ -198,11 +198,17 @@ sim::Task<Result<Buffer>> Recovery::reconstruct_rs(
     if (!resp.ok) co_return Error{resp.err, "rs fragment read", resp.server};
     if (!resp.data.materialized()) phantom = true;
   }
-  Buffer out = phantom ? Buffer::phantom(len) : Buffer::real(len);
+  Buffer out = phantom ? Buffer::phantom(len) : Buffer::for_overwrite(len);
   if (!phantom) {
+    // The first fragment's product initializes every output byte.
     auto dst = out.mutable_bytes();
     for (std::size_t r = 0; r < resps.size(); ++r) {
-      gf_muladd_region(dst, resps[r].data.bytes(), coeffs[r]);
+      assert(resps[r].data.size() == len);
+      if (r == 0) {
+        gf_mul_region(dst, resps[r].data.bytes(), coeffs[r]);
+      } else {
+        gf_muladd_region(dst, resps[r].data.bytes(), coeffs[r]);
+      }
     }
   }
   // Decode cost: k fragment-sized inputs through the GF kernel on the
@@ -276,17 +282,17 @@ sim::Task<Result<Buffer>> Recovery::degraded_read(const pvfs::OpenFile& f,
     co_return co_await degraded_read_rs(f, sch, off, len, std::move(down));
   }
   if (len == 0) co_return Buffer::real(0);
-  Buffer out = Buffer::real(len);
+  const auto extents = f.layout.decompose(off, len);
+  std::vector<Buffer> pieces(extents.size());
   bool phantom = false;
   bool error = false;
   Error first_error;
   std::vector<sim::Task<void>> tasks;
-  for (const auto& e : f.layout.decompose(off, len)) {
+  for (std::size_t i = 0; i < extents.size(); ++i) {
     tasks.push_back(
         [](Recovery* self, const pvfs::OpenFile* file,
-           StripeLayout::Extent ext, std::uint32_t fsrv, std::uint64_t base,
-           Buffer* sink, bool* phant, bool* err,
-           Error* ferr) -> sim::Task<void> {
+           StripeLayout::Extent ext, std::uint32_t fsrv, Buffer* sink,
+           bool* phant, bool* err, Error* ferr) -> sim::Task<void> {
           Result<Buffer> piece = Buffer::real(0);
           if (ext.server == fsrv) {
             piece = co_await self->reconstruct_piece(*file, fsrv,
@@ -307,17 +313,16 @@ sim::Task<Result<Buffer>> Recovery::degraded_read(const pvfs::OpenFile& f,
             *err = true;
             co_return;
           }
-          if (!piece.value().materialized()) {
-            *phant = true;
-          } else if (sink->materialized()) {
-            sink->write_at(ext.global_off - base, piece.value());
-          }
-        }(this, &f, e, failed, off, &out, &phantom, &error, &first_error));
+          assert(piece.value().size() == ext.len);
+          if (!piece.value().materialized()) *phant = true;
+          *sink = std::move(piece.value());
+        }(this, &f, extents[i], failed, &pieces[i], &phantom, &error,
+          &first_error));
   }
   co_await sim::when_all(client_->cluster().sim(), std::move(tasks));
   if (error) co_return first_error;
   if (phantom) co_return Buffer::phantom(len);
-  co_return out;
+  co_return Buffer::concat(pieces);
 }
 
 sim::Task<Result<Buffer>> Recovery::degraded_read(
@@ -344,16 +349,17 @@ sim::Task<Result<Buffer>> Recovery::degraded_read_rs(
     co_return Error{Errc::server_failed,
                     "rs: more concurrent failures than coding fragments"};
   }
-  Buffer out = Buffer::real(len);
+  const auto extents = f.layout.decompose(off, len);
+  std::vector<Buffer> pieces(extents.size());
   bool phantom = false;
   bool error = false;
   Error first_error;
   std::vector<sim::Task<void>> tasks;
-  for (const auto& e : f.layout.decompose(off, len)) {
+  for (std::size_t i = 0; i < extents.size(); ++i) {
     tasks.push_back(
         [](Recovery* self, const pvfs::OpenFile* file, Scheme sch,
            StripeLayout::Extent ext, const std::vector<std::uint32_t>* down,
-           std::uint64_t base, Buffer* sink, bool* phant, bool* err,
+           Buffer* sink, bool* phant, bool* err,
            Error* ferr) -> sim::Task<void> {
           Result<Buffer> piece = Buffer::real(0);
           if (contains(*down, ext.server)) {
@@ -375,18 +381,16 @@ sim::Task<Result<Buffer>> Recovery::degraded_read_rs(
             *err = true;
             co_return;
           }
-          if (!piece.value().materialized()) {
-            *phant = true;
-          } else if (sink->materialized()) {
-            sink->write_at(ext.global_off - base, piece.value());
-          }
-        }(this, &f, sch, e, &failed, off, &out, &phantom, &error,
+          assert(piece.value().size() == ext.len);
+          if (!piece.value().materialized()) *phant = true;
+          *sink = std::move(piece.value());
+        }(this, &f, sch, extents[i], &failed, &pieces[i], &phantom, &error,
           &first_error));
   }
   co_await sim::when_all(client_->cluster().sim(), std::move(tasks));
   if (error) co_return first_error;
   if (phantom) co_return Buffer::phantom(len);
-  co_return out;
+  co_return Buffer::concat(pieces);
 }
 
 namespace {

@@ -3,7 +3,7 @@
 #include <utility>
 #include <vector>
 
-#include "common/interval_map.hpp"
+#include "common/buffer_map.hpp"
 #include "common/units.hpp"
 
 namespace csar::raid {
@@ -12,13 +12,6 @@ namespace {
 using pvfs::Op;
 using pvfs::Request;
 using pvfs::StripeLayout;
-
-struct BufferSlicer {
-  Buffer operator()(const Buffer& b, std::uint64_t off,
-                    std::uint64_t len) const {
-    return b.slice(off, len);
-  }
-};
 }  // namespace
 
 sim::Task<Result<Scrubber::Report>> Scrubber::run(const pvfs::OpenFile& f,
@@ -483,7 +476,7 @@ sim::Task<Result<void>> Scrubber::scrub_overflow(const pvfs::OpenFile& f,
       co_return Error{mirror.err, "scrub mirror-table read", mirror.server};
     }
 
-    IntervalMap<Buffer, BufferSlicer> mirror_map;
+    BufferMap mirror_map;
     bool mirror_materialized = true;
     for (auto& piece : mirror.pieces) {
       if (!piece.data.materialized()) mirror_materialized = false;
@@ -500,16 +493,12 @@ sim::Task<Result<void>> Scrubber::scrub_overflow(const pvfs::OpenFile& f,
         match = mirror_map.covered_bytes() > 0 || mirror_map.intersects(
                                                       start, end);
       } else {
-        Buffer assembled = Buffer::real(end - start);
         std::uint64_t covered = 0;
         for (const auto& chunk : mirror_map.query(start, end)) {
-          assembled.write_at(
-              chunk.start - start,
-              chunk.value->slice(chunk.start - chunk.entry_start,
-                                 chunk.end - chunk.start));
           covered += chunk.end - chunk.start;
         }
-        match = covered == end - start && assembled == piece.data;
+        match = covered == end - start &&
+                read_range(mirror_map, start, end) == piece.data;
       }
       if (match) continue;
       ++report.overflow_mismatches;

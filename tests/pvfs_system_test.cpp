@@ -2,6 +2,10 @@
 // visibility, flush, storage accounting, and failure error propagation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "common/rng.hpp"
 #include "pvfs/io_server.hpp"
 #include "raid/rig.hpp"
 #include "test_util.hpp"
@@ -212,6 +216,66 @@ TEST(System, ReadOfUnwrittenRegionIsZeros) {
     CO_ASSERT_TRUE(rd.ok());
     EXPECT_EQ(*rd, Buffer::real(777));
   }(rig));
+}
+
+// gather_for_server (write side) and Client::read's scatter (read side)
+// against a reference built from decompose(): per-unit pieces in file order,
+// each on server e.server at local offset e.local_off.
+TEST(System, GatherAndScatterRoundTripMatchDecompose) {
+  Rng rng(2718);
+  for (int trial = 0; trial < 24; ++trial) {
+    RigParams p = raid0_rig();
+    p.nservers = static_cast<std::uint32_t>(1 + rng.below(6));
+    const auto su = static_cast<std::uint32_t>(1 + rng.below(6000));
+    const std::uint64_t off = rng.below(20000);
+    const std::uint64_t len = 1 + rng.below(30000);
+    Rig rig(p);
+    const StripeLayout layout = rig.layout(su);
+    const Buffer data = Buffer::pattern(len, 100 + trial);
+    for (std::uint32_t s = 0; s < layout.n(); ++s) {
+      std::vector<std::byte> want;
+      for (const auto& e : layout.decompose(off, len)) {
+        if (e.server != s) continue;
+        const auto first = data.bytes().begin() +
+                           static_cast<std::ptrdiff_t>(e.global_off - off);
+        want.insert(want.end(), first,
+                    first + static_cast<std::ptrdiff_t>(e.len));
+      }
+      const Buffer got = Client::gather_for_server(layout, off, data, s);
+      ASSERT_EQ(std::vector<std::byte>(got.bytes().begin(), got.bytes().end()),
+                want)
+          << "trial " << trial << " server " << s;
+      EXPECT_EQ(Client::gather_for_server(layout, off, Buffer::phantom(len), s),
+                Buffer::phantom(want.size()));
+    }
+    run_sim_void(rig, [](Rig& r, StripeLayout lay, std::uint64_t off,
+                         Buffer data, Rng* rng, int trial) -> sim::Task<void> {
+      auto f = co_await r.client().create("f", lay);
+      CO_ASSERT_TRUE(f.ok());
+      auto wr = co_await r.client().write_striped(*f, off, data);
+      CO_ASSERT_TRUE(wr.ok());
+      // Whole range, then random sub-ranges that cross unit boundaries and
+      // reach into the unwritten (zero) bytes on either side.
+      auto rd = co_await r.client().read(*f, off, data.size());
+      CO_ASSERT_TRUE(rd.ok());
+      EXPECT_EQ(*rd, data) << "trial " << trial;
+      std::vector<std::byte> ref(off + data.size() + 4096, std::byte{0});
+      std::copy(data.bytes().begin(), data.bytes().end(),
+                ref.begin() + static_cast<std::ptrdiff_t>(off));
+      for (int k = 0; k < 8; ++k) {
+        const std::uint64_t a = rng->below(ref.size());
+        const std::uint64_t n = rng->below(ref.size() - a + 1);
+        auto part = co_await r.client().read(*f, a, n);
+        CO_ASSERT_TRUE(part.ok());
+        const std::vector<std::byte> got(part->bytes().begin(),
+                                         part->bytes().end());
+        const auto first = ref.begin() + static_cast<std::ptrdiff_t>(a);
+        EXPECT_TRUE(std::equal(got.begin(), got.end(), first,
+                               first + static_cast<std::ptrdiff_t>(n)))
+            << "trial " << trial << " read [" << a << ", " << a + n << ")";
+      }
+    }(rig, layout, off, data, &rng, trial));
+  }
 }
 
 }  // namespace
