@@ -3,7 +3,10 @@
 
 Compares a fresh `bench_sim_scale --quick` run against the committed
 perf-trajectory baseline (BENCH_sim_throughput.json) and fails if
-events/sec regressed by more than the allowed fraction.
+events/sec regressed by more than the allowed fraction, or if the run is
+not the committed simulation: its `fingerprint` and `events_executed`
+must equal the committed "quick" row's (the DES is bit-deterministic, so
+any difference is a behaviour change, not noise).
 
 The quick config (8 servers x 64 tenants) is not part of the full sweep,
 so the baseline file carries its own "quick" row, measured with the same
@@ -115,6 +118,16 @@ def gate(quick_path, base_path, max_regress):
     if (ref["servers"], ref["tenants"]) != (row["servers"], row["tenants"]):
         fail(f"quick run is {config} but the committed quick row is "
              f"{ref['servers']}x{ref['tenants']}")
+
+    for key in ("fingerprint", "events_executed"):
+        if key not in row or key not in ref:
+            fail(f'{key} missing from the quick run or the committed '
+                 f'"quick" row')
+        if row[key] != ref[key]:
+            fail(f"determinism: quick {config} {key} = {row[key]} but the "
+                 f'committed "quick" row has {ref[key]}')
+    print(f"perf-smoke: quick {config} fingerprint={row['fingerprint']} "
+          f"events={row['events_executed']} [deterministic]")
 
     got = row["events_per_sec"]
     want = ref["events_per_sec"]

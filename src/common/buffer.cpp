@@ -11,7 +11,7 @@
 #include <immintrin.h>
 #endif
 
-#include "parity.hpp"
+#include "codec.hpp"
 
 namespace csar {
 
@@ -24,10 +24,79 @@ std::shared_ptr<std::byte[]> alloc_for_overwrite(std::uint64_t size) {
 
 }  // namespace
 
+/// Walks the bytes of a buffer from a position, one contiguous piece at a
+/// time: the rest of the current run (or of a flat buffer's view).
+class Buffer::Cursor {
+ public:
+  Cursor(const Buffer& b, std::uint64_t pos) {
+    if (b.kind_ == Kind::runs) {
+      run_ = b.runs() + b.run_at(pos);
+      end_ = b.runs() + b.run_count();
+      enter(pos - run_->pos);
+    } else if (b.size_ > pos) {
+      p_ = b.base() + b.off_ + pos;
+      left_ = static_cast<std::size_t>(b.size_ - pos);
+    }
+  }
+
+  /// The contiguous bytes at the cursor; empty only at the end.
+  const std::byte* data() const { return p_; }
+  std::size_t left() const { return left_; }
+
+  /// Step over `n` <= left() bytes.
+  void advance(std::size_t n) {
+    p_ += n;
+    left_ -= n;
+    if (left_ == 0 && run_ != end_ && ++run_ != end_) enter(0);
+  }
+
+ private:
+  void enter(std::uint64_t skip) {
+    p_ = static_cast<const std::byte*>(run_->data.get()) + run_->off + skip;
+    left_ = static_cast<std::size_t>(run_->len - skip);
+  }
+
+  const Run* run_ = nullptr;
+  const Run* end_ = nullptr;
+  const std::byte* p_ = nullptr;
+  std::size_t left_ = 0;
+};
+
+namespace {
+
+/// Calls fn(pos, ptr, n) over the contiguous pieces of the `len` bytes from
+/// a cursor; pos counts from the cursor's start.
+template <class Cursor, class Fn>
+void walk(Cursor c, std::uint64_t len, Fn&& fn) {
+  for (std::uint64_t done = 0; done < len;) {
+    const std::size_t n = static_cast<std::size_t>(
+        std::min<std::uint64_t>(c.left(), len - done));
+    fn(done, c.data(), n);
+    c.advance(n);
+    done += n;
+  }
+}
+
+/// Calls fn(pos, a_ptr, b_ptr, n) over the pieces where two cursors' runs
+/// overlap, for `len` bytes.
+template <class Cursor, class Fn>
+void zip(Cursor a, Cursor b, std::uint64_t len, Fn&& fn) {
+  std::uint64_t done = 0;
+  while (done < len) {
+    const std::size_t n = static_cast<std::size_t>(
+        std::min<std::uint64_t>({a.left(), b.left(), len - done}));
+    fn(done, a.data(), b.data(), n);
+    a.advance(n);
+    b.advance(n);
+    done += n;
+  }
+}
+
+}  // namespace
+
 Buffer Buffer::real(std::uint64_t size) {
   Buffer b;
   b.size_ = size;
-  b.materialized_ = true;
   if (size > 0) {
     b.data_ = std::make_shared<std::byte[]>(static_cast<std::size_t>(size));
   }
@@ -44,19 +113,33 @@ Buffer Buffer::for_overwrite(std::uint64_t size) {
 Buffer Buffer::phantom(std::uint64_t size) {
   Buffer b;
   b.size_ = size;
-  b.materialized_ = false;
+  b.kind_ = Kind::phantom;
   return b;
 }
 
 Buffer Buffer::from_bytes(std::vector<std::byte> bytes) {
   Buffer b;
   b.size_ = bytes.size();
-  b.materialized_ = true;
   if (!bytes.empty()) {
     // Adopt the vector's storage: the control block owns the vector and
     // data_ aliases its bytes, so no copy is made.
     auto owner = std::make_shared<std::vector<std::byte>>(std::move(bytes));
-    b.data_ = std::shared_ptr<std::byte[]>(owner, owner->data());
+    b.data_ = std::shared_ptr<void>(owner, owner->data());
+  }
+  return b;
+}
+
+Buffer Buffer::from_runs(std::shared_ptr<Run[]> runs, std::size_t n,
+                         std::uint64_t size) {
+  Buffer b;
+  b.size_ = size;
+  if (n == 1) {  // a single run is a plain view
+    b.off_ = runs[0].off;
+    b.data_ = std::move(runs[0].data);
+  } else if (n > 1) {
+    b.kind_ = Kind::runs;
+    b.off_ = n;
+    b.data_ = std::shared_ptr<void>(runs, runs.get());
   }
   return b;
 }
@@ -64,34 +147,71 @@ Buffer Buffer::from_bytes(std::vector<std::byte> bytes) {
 Buffer Buffer::concat(std::span<const Buffer> pieces) {
   if (pieces.size() == 1) return pieces.front();
   std::uint64_t total = 0;
+  std::size_t max_runs = 0;
   bool any_phantom = false;
   for (const Buffer& p : pieces) {
     total += p.size_;
-    any_phantom |= !p.materialized_;
+    any_phantom |= p.kind_ == Kind::phantom;
+    max_runs += p.kind_ == Kind::runs ? p.run_count() : (p.size_ > 0 ? 1 : 0);
   }
   if (any_phantom) {
     assert(std::none_of(pieces.begin(), pieces.end(),
-                        [](const Buffer& p) { return p.materialized_; }));
+                        [](const Buffer& p) { return p.materialized(); }));
     return phantom(total);
   }
-  Buffer b = for_overwrite(total);
-  std::byte* out = b.data_.get();
+  // Append every piece's runs, merging a run into its predecessor when it
+  // continues the same backing.
+  auto runs = std::make_shared<Run[]>(max_runs);
+  std::size_t n = 0;
+  std::uint64_t pos = 0;
+  auto append = [&](const std::shared_ptr<void>& data, std::uint64_t off,
+                    std::uint64_t len) {
+    if (n > 0) {
+      Run& last = runs[n - 1];
+      if (last.data == data && last.off + last.len == off) {
+        last.len += len;
+        pos += len;
+        return;
+      }
+    }
+    runs[n++] = Run{data, off, len, pos};
+    pos += len;
+  };
   for (const Buffer& p : pieces) {
-    if (p.size_ == 0) continue;
-    std::memcpy(out, p.data_.get() + p.off_, static_cast<std::size_t>(p.size_));
-    out += p.size_;
+    if (p.kind_ == Kind::runs) {
+      const Run* r = p.runs();
+      for (std::size_t i = 0; i < p.run_count(); ++i) {
+        append(r[i].data, r[i].off, r[i].len);
+      }
+    } else if (p.size_ > 0) {
+      append(p.data_, p.off_, p.size_);
+    }
   }
-  return b;
+  return from_runs(std::move(runs), n, total);
 }
 
-void Buffer::ensure_unique() {
-  if (data_ && data_.use_count() > 1) {
-    auto copy = alloc_for_overwrite(size_);
-    std::memcpy(copy.get(), data_.get() + off_,
-                static_cast<std::size_t>(size_));
-    data_ = std::move(copy);
-    off_ = 0;
-  }
+std::size_t Buffer::run_at(std::uint64_t pos) const {
+  const Run* r = runs();
+  const Run* it = std::upper_bound(
+      r + 1, r + run_count(), pos,
+      [](std::uint64_t p, const Run& run) { return p < run.pos; });
+  return static_cast<std::size_t>(it - r) - 1;
+}
+
+void Buffer::reallocate() const {
+  auto out = alloc_for_overwrite(size_);
+  copy_to(out.get(), 0, size_);
+  data_ = std::move(out);
+  off_ = 0;
+  kind_ = Kind::flat;
+}
+
+void Buffer::copy_to(std::byte* dst, std::uint64_t off,
+                     std::uint64_t len) const {
+  walk(Cursor(*this, off), len,
+       [&](std::uint64_t pos, const std::byte* p, std::size_t n) {
+         std::memcpy(dst + pos, p, n);
+       });
 }
 
 namespace {
@@ -224,104 +344,169 @@ Buffer Buffer::pattern(std::uint64_t size, std::uint64_t seed) {
   // Cheap per-byte mix; distinct seeds give distinct, reproducible content.
   const std::uint64_t x0 =
       seed * 0x9E3779B97F4A7C15ULL + 0xD1B54A32D192ED03ULL;
-  if (size > 0) pattern_fill(b.data_.get(), size, x0);
+  if (size > 0) pattern_fill(b.base(), size, x0);
   return b;
 }
 
+
 std::span<const std::byte> Buffer::bytes() const {
-  assert(materialized_);
-  if (!data_) return {};
-  return {data_.get() + off_, static_cast<std::size_t>(size_)};
+  assert(materialized());
+  if (size_ == 0) return {};
+  if (kind_ == Kind::runs) reallocate();
+  return {base() + off_, static_cast<std::size_t>(size_)};
 }
 
 std::span<std::byte> Buffer::mutable_bytes() {
-  assert(materialized_);
-  if (!data_) return {};
-  ensure_unique();
-  return {data_.get() + off_, static_cast<std::size_t>(size_)};
+  assert(materialized());
+  if (size_ == 0) return {};
+  if (!unique_flat()) reallocate();
+  return {base() + off_, static_cast<std::size_t>(size_)};
 }
 
 Buffer Buffer::slice(std::uint64_t off, std::uint64_t len) const {
   assert(off + len <= size_);
-  if (!materialized_) return phantom(len);
+  if (kind_ == Kind::runs) return slice_runs(off, len);
   Buffer b;
   b.size_ = len;
-  b.materialized_ = true;
-  if (len > 0) {
+  b.kind_ = kind_;
+  if (kind_ == Kind::flat && len > 0) {
     b.data_ = data_;
     b.off_ = off_ + off;
   }
   return b;
 }
 
+Buffer Buffer::slice_runs(std::uint64_t off, std::uint64_t len) const {
+  if (len == 0) return Buffer();
+  if (off == 0 && len == size_) return *this;
+  const Run* r = runs();
+  const std::size_t first = run_at(off);
+  const std::size_t last = run_at(off + len - 1);
+  if (first == last) {  // inside one run: a plain view
+    Buffer b;
+    b.size_ = len;
+    b.data_ = r[first].data;
+    b.off_ = r[first].off + (off - r[first].pos);
+    return b;
+  }
+  const std::size_t n = last - first + 1;
+  auto sub = std::make_shared<Run[]>(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const Run& src = r[first + i];
+    const std::uint64_t lo = std::max(src.pos, off);
+    const std::uint64_t hi = std::min(src.pos + src.len, off + len);
+    sub[i] = Run{src.data, src.off + (lo - src.pos), hi - lo, lo - off};
+  }
+  return from_runs(std::move(sub), n, len);
+}
+
+void Buffer::apply(Op op, std::uint64_t off, const Buffer& src,
+                   std::uint64_t len) {
+  if (unique_flat()) {
+    // In place. memmove: an overlap is only possible when `src` is *this
+    // buffer itself (any other holder of the backing makes it shared).
+    std::byte* d = base() + off_ + off;
+    walk(Cursor(src, 0), len,
+         [&](std::uint64_t pos, const std::byte* s, std::size_t n) {
+           if (op == Op::copy) {
+             std::memmove(d + pos, s, n);
+           } else {
+             xor_words({d + pos, n}, {s, n});
+           }
+         });
+    return;
+  }
+  // Copy-on-write fused with the mutation: the fresh allocation receives
+  // the untouched bytes and old-op-src for the range, each written once.
+  auto out = alloc_for_overwrite(size_);
+  std::byte* o = out.get();
+  copy_to(o, 0, off);
+  if (op == Op::copy) {
+    src.copy_to(o + off, 0, len);
+  } else {
+    zip(Cursor(*this, off), Cursor(src, 0), len,
+        [&](std::uint64_t pos, const std::byte* a, const std::byte* b,
+            std::size_t n) { xor_into({o + off + pos, n}, {a, n}, {b, n}); });
+  }
+  copy_to(o + off + len, off + len, size_ - off - len);
+  data_ = std::move(out);
+  off_ = 0;
+  kind_ = Kind::flat;
+}
+
 void Buffer::write_at(std::uint64_t off, const Buffer& src) {
   assert(off + src.size_ <= size_);
-  assert(materialized_ == src.materialized_);
-  if (!materialized_ || src.size_ == 0) return;
-  ensure_unique();
-  // memmove: after ensure_unique an overlap is only possible when `src` is
-  // *this buffer itself* (a shared slice would have forced a fresh copy),
-  // and memmove handles that exactly like the old copy-the-slice-first
-  // representation did.
-  std::memmove(data_.get() + off_ + off, src.data_.get() + src.off_,
-               static_cast<std::size_t>(src.size_));
+  assert(materialized() == src.materialized());
+  if (!materialized() || src.size_ == 0) return;
+  apply(Op::copy, off, src, src.size_);
 }
 
 void Buffer::xor_with(const Buffer& other) {
-  if (!materialized_ || !other.materialized_) {
-    assert(materialized_ == other.materialized_);
+  if (!materialized() || !other.materialized()) {
+    assert(materialized() == other.materialized());
     return;
   }
   const std::uint64_t n = std::min(size_, other.size_);
-  if (n == 0) return;
-  ensure_unique();
-  xor_words({data_.get() + off_, static_cast<std::size_t>(n)},
-            {other.data_.get() + other.off_, static_cast<std::size_t>(n)});
+  if (n > 0) apply(Op::xor_in, 0, other, n);
 }
 
 void Buffer::xor_at(std::uint64_t off, const Buffer& src) {
   assert(off + src.size_ <= size_);
-  assert(materialized_ == src.materialized_);
-  if (!materialized_ || src.size_ == 0) return;
-  ensure_unique();
-  xor_words({data_.get() + off_ + off, static_cast<std::size_t>(src.size_)},
-            {src.data_.get() + src.off_, static_cast<std::size_t>(src.size_)});
+  assert(materialized() == src.materialized());
+  if (!materialized() || src.size_ == 0) return;
+  apply(Op::xor_in, off, src, src.size_);
 }
 
 void Buffer::resize(std::uint64_t size) {
-  if (!materialized_) {
+  if (kind_ == Kind::phantom || size == size_) {
     size_ = size;
     return;
   }
-  if (size == size_) return;
   if (size < size_) {
-    size_ = size;  // shrink the view; excess backing stays shared
-    if (size == 0) {
-      data_.reset();
-      off_ = 0;
-    }
+    *this = slice(0, size);  // the excess backing stays shared
     return;
   }
-  // Grow: copy the view into exclusively-owned, exactly-sized backing and
-  // zero only the extension.
-  auto nv = alloc_for_overwrite(size);
-  if (data_ && size_ > 0) {
-    std::memcpy(nv.get(), data_.get() + off_, static_cast<std::size_t>(size_));
-  }
-  std::memset(nv.get() + size_, 0, static_cast<std::size_t>(size - size_));
-  data_ = std::move(nv);
+  // Grow: copy into exclusively-owned, exactly-sized backing and zero only
+  // the extension.
+  auto out = alloc_for_overwrite(size);
+  copy_to(out.get(), 0, size_);
+  std::memset(out.get() + size_, 0, static_cast<std::size_t>(size - size_));
+  data_ = std::move(out);
   off_ = 0;
+  kind_ = Kind::flat;
   size_ = size;
 }
 
 bool Buffer::operator==(const Buffer& other) const {
   if (size_ != other.size_) return false;
-  if (!materialized_ || !other.materialized_) {
-    return materialized_ == other.materialized_;
+  if (!materialized() || !other.materialized()) {
+    return materialized() == other.materialized();
   }
   if (size_ == 0) return true;
-  return std::memcmp(data_.get() + off_, other.data_.get() + other.off_,
-                     static_cast<std::size_t>(size_)) == 0;
+  bool equal = true;
+  zip(Cursor(*this, 0), Cursor(other, 0), size_,
+      [&](std::uint64_t, const std::byte* a, const std::byte* b,
+          std::size_t n) {
+        equal = equal && (a == b || std::memcmp(a, b, n) == 0);
+      });
+  return equal;
+}
+
+void gf_mul_region(std::span<std::byte> dst, const Buffer& src,
+                   std::uint8_t c) {
+  assert(src.size() <= dst.size());
+  src.for_each_run([&](std::uint64_t pos, std::span<const std::byte> s) {
+    gf_mul_region(dst.subspan(static_cast<std::size_t>(pos), s.size()), s, c);
+  });
+}
+
+void gf_muladd_region(std::span<std::byte> dst, const Buffer& src,
+                      std::uint8_t c) {
+  assert(src.size() <= dst.size());
+  src.for_each_run([&](std::uint64_t pos, std::span<const std::byte> s) {
+    gf_muladd_region(dst.subspan(static_cast<std::size_t>(pos), s.size()), s,
+                     c);
+  });
 }
 
 }  // namespace csar

@@ -1,6 +1,6 @@
 // BufferMap: sparse byte content as an IntervalMap of Buffers. Overwrites
 // slice the surviving entries by view (no byte copies), and read_range()
-// assembles any range in one pass. Used for a LocalFs file's content, the
+// assembles any range as a run list over the stored bytes (no copies). Used for a LocalFs file's content, the
 // collective-I/O staging maps and the scrubber's mirror map.
 #pragma once
 
@@ -20,10 +20,10 @@ struct BufferSlicer {
 
 using BufferMap = IntervalMap<Buffer, BufferSlicer>;
 
-/// The bytes of [start, end): the stored runs joined by Buffer::concat, with
-/// unmapped holes read as zeros (the only bytes zero-filled). A range inside
-/// one stored run comes back as a shared view. Phantom if any overlapping
-/// entry is phantom.
+/// The bytes of [start, end): the stored runs joined by Buffer::concat
+/// (shared, not copied), with unmapped holes read as zeros (the only bytes
+/// written). A range inside one stored run comes back as a plain view.
+/// Phantom if any overlapping entry is phantom.
 Buffer read_range(const BufferMap& m, std::uint64_t start, std::uint64_t end);
 
 }  // namespace csar

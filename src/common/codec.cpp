@@ -49,8 +49,11 @@ void xor_accumulate(std::span<std::byte> dst,
 
 namespace {
 
-/// Portable XOR kernel (the dispatch fallback and the AVX2 kernel's tail).
-void xor_portable(std::byte* dst, const std::byte* src, std::size_t n) {
+/// Portable XOR kernel, dst[i] = a[i] ^ b[i] (the dispatch fallback and the
+/// AVX2 kernel's tail). dst may alias a or b exactly: each block is loaded
+/// before it is stored.
+void xor_portable(std::byte* dst, const std::byte* a, const std::byte* b,
+                  std::size_t n) {
   std::size_t i = 0;
   constexpr std::size_t W = sizeof(std::uint64_t);
   // 32-byte blocks (4 independent words per iteration): wide enough to keep
@@ -58,25 +61,25 @@ void xor_portable(std::byte* dst, const std::byte* src, std::size_t n) {
   // registers instead of spilling the local arrays.
   constexpr std::size_t B = 4 * W;
   for (; i + B <= n; i += B) {
-    std::uint64_t a[4];
-    std::uint64_t b[4];
-    std::memcpy(a, dst + i, B);
-    std::memcpy(b, src + i, B);
-    a[0] ^= b[0];
-    a[1] ^= b[1];
-    a[2] ^= b[2];
-    a[3] ^= b[3];
-    std::memcpy(dst + i, a, B);
+    std::uint64_t x[4];
+    std::uint64_t y[4];
+    std::memcpy(x, a + i, B);
+    std::memcpy(y, b + i, B);
+    x[0] ^= y[0];
+    x[1] ^= y[1];
+    x[2] ^= y[2];
+    x[3] ^= y[3];
+    std::memcpy(dst + i, x, B);
   }
   for (; i + W <= n; i += W) {
-    std::uint64_t a;
-    std::uint64_t b;
-    std::memcpy(&a, dst + i, W);
-    std::memcpy(&b, src + i, W);
-    a ^= b;
-    std::memcpy(dst + i, &a, W);
+    std::uint64_t x;
+    std::uint64_t y;
+    std::memcpy(&x, a + i, W);
+    std::memcpy(&y, b + i, W);
+    x ^= y;
+    std::memcpy(dst + i, &x, W);
   }
-  for (; i < n; ++i) dst[i] ^= src[i];
+  for (; i < n; ++i) dst[i] = a[i] ^ b[i];
 }
 
 /// One 256-entry product row for a fixed constant c: row[b] = c * b.
@@ -180,43 +183,46 @@ __attribute__((target("avx2"))) void region_avx2(std::byte* dst,
   if (i < n) region_scalar<kAcc>(dst + i, src + i, n - i, c);
 }
 
-/// dst[i] ^= src[i] over 128-byte blocks of four independent ymm XORs, then
-/// 32-byte blocks; the sub-32-byte tail goes to the portable kernel.
+/// dst[i] = a[i] ^ b[i] over 128-byte blocks of four independent ymm XORs,
+/// then 32-byte blocks; the sub-32-byte tail goes to the portable kernel.
 __attribute__((target("avx2"))) void xor_avx2(std::byte* dst,
-                                              const std::byte* src,
+                                              const std::byte* a,
+                                              const std::byte* b,
                                               std::size_t n) {
   std::size_t i = 0;
   for (; i + 128 <= n; i += 128) {
     auto* d = reinterpret_cast<__m256i*>(dst + i);
-    const auto* s = reinterpret_cast<const __m256i*>(src + i);
+    const auto* x = reinterpret_cast<const __m256i*>(a + i);
+    const auto* y = reinterpret_cast<const __m256i*>(b + i);
     const __m256i x0 =
-        _mm256_xor_si256(_mm256_loadu_si256(d + 0), _mm256_loadu_si256(s + 0));
+        _mm256_xor_si256(_mm256_loadu_si256(x + 0), _mm256_loadu_si256(y + 0));
     const __m256i x1 =
-        _mm256_xor_si256(_mm256_loadu_si256(d + 1), _mm256_loadu_si256(s + 1));
+        _mm256_xor_si256(_mm256_loadu_si256(x + 1), _mm256_loadu_si256(y + 1));
     const __m256i x2 =
-        _mm256_xor_si256(_mm256_loadu_si256(d + 2), _mm256_loadu_si256(s + 2));
+        _mm256_xor_si256(_mm256_loadu_si256(x + 2), _mm256_loadu_si256(y + 2));
     const __m256i x3 =
-        _mm256_xor_si256(_mm256_loadu_si256(d + 3), _mm256_loadu_si256(s + 3));
+        _mm256_xor_si256(_mm256_loadu_si256(x + 3), _mm256_loadu_si256(y + 3));
     _mm256_storeu_si256(d + 0, x0);
     _mm256_storeu_si256(d + 1, x1);
     _mm256_storeu_si256(d + 2, x2);
     _mm256_storeu_si256(d + 3, x3);
   }
   for (; i + 32 <= n; i += 32) {
-    auto* d = reinterpret_cast<__m256i*>(dst + i);
     _mm256_storeu_si256(
-        d, _mm256_xor_si256(
-               _mm256_loadu_si256(d),
-               _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i))));
+        reinterpret_cast<__m256i*>(dst + i),
+        _mm256_xor_si256(
+            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i)),
+            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i))));
   }
-  if (i < n) xor_portable(dst + i, src + i, n - i);
+  if (i < n) xor_portable(dst + i, a + i, b + i, n - i);
 }
 
 #endif  // CSAR_CODEC_X86
 
 using RegionFn = void (*)(std::byte*, const std::byte*, std::size_t,
                           std::uint8_t);
-using XorFn = void (*)(std::byte*, const std::byte*, std::size_t);
+using XorFn = void (*)(std::byte*, const std::byte*, const std::byte*,
+                      std::size_t);
 
 struct Dispatch {
   XorFn xor_region = &xor_portable;
@@ -254,7 +260,13 @@ const char* codec_dispatch_name() { return dispatch().name; }
 
 void xor_words(std::span<std::byte> dst, std::span<const std::byte> src) {
   assert(src.size() <= dst.size());
-  dispatch().xor_region(dst.data(), src.data(), src.size());
+  dispatch().xor_region(dst.data(), dst.data(), src.data(), src.size());
+}
+
+void xor_into(std::span<std::byte> dst, std::span<const std::byte> a,
+              std::span<const std::byte> b) {
+  assert(a.size() == b.size() && a.size() <= dst.size());
+  dispatch().xor_region(dst.data(), a.data(), b.data(), a.size());
 }
 
 void gf_muladd_region(std::span<std::byte> dst, std::span<const std::byte> src,

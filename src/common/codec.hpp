@@ -10,12 +10,12 @@
 // and every classic scheme is a special case of the code (RAID1 ≈ RS(1,1),
 // RAID4/5 ≈ RS(k,1)).
 //
-// Region kernels (xor_words, gf_mul_region, gf_muladd_region) each have a
-// SIMD variant (AVX2 XOR; PSHUFB over split nibble tables, SSSE3/AVX2, for
-// GF) and a portable one over unaligned-safe loads. The variants are
-// bit-identical by construction — XOR and GF arithmetic are exact — so
-// runtime dispatch never perturbs simulated results. Dispatch is resolved
-// once, at the first region call, for both the XOR and GF kernels
+// Region kernels (xor_words/xor_into, gf_mul_region, gf_muladd_region)
+// each have a SIMD variant (AVX2 XOR; PSHUFB over split nibble tables,
+// SSSE3/AVX2, for GF) and a portable one over unaligned-safe loads. The
+// variants are bit-identical by construction — XOR and GF arithmetic are
+// exact — so runtime dispatch never perturbs simulated results. Dispatch is
+// resolved once, at the first region call, for both the XOR and GF kernels
 // (dispatch() in codec.cpp).
 #pragma once
 
@@ -42,6 +42,13 @@ void xor_words_single(std::span<std::byte> dst, std::span<const std::byte> src);
 /// tail and a byte tail. Any alignment; memcpy word loads lower to plain
 /// loads on x86.
 void xor_words(std::span<std::byte> dst, std::span<const std::byte> src);
+
+/// dst[i] = a[i] ^ b[i] for i < a.size() (== b.size()): the same
+/// dispatched kernel as xor_words with a separate destination, so a
+/// copy-on-write copy and its XOR are one pass. dst may alias a or b
+/// exactly, not partially.
+void xor_into(std::span<std::byte> dst, std::span<const std::byte> a,
+              std::span<const std::byte> b);
 
 /// Parity of `sources` accumulated into `dst` (dst must be zero-filled or
 /// hold the first source). Sources shorter than dst contribute only their

@@ -118,10 +118,10 @@ sim::Task<LocalFs::ReadOutcome> LocalFs::read_checked(const std::string& name,
       co_await cache_->read(f.fid, off, len, has_content) ==
       hw::IoStatus::media_error;
 
-  // Stored runs joined in one pass (holes read as zeros); a run covering
-  // the whole request comes back as a zero-copy view (the common case for
-  // block-aligned rereads of buffered writes). Any phantom run makes the
-  // result phantom.
+  // Stored runs joined without copying (holes read as zeros); a run
+  // covering the whole request comes back as a plain view (the common case
+  // for block-aligned rereads of buffered writes). Any phantom run makes
+  // the result phantom.
   Buffer out = materialized_hint ? read_range(f.content, off, off + len)
                                  : Buffer::phantom(len);
   co_return ReadOutcome{std::move(out), media_error};

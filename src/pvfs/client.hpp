@@ -181,7 +181,8 @@ class Client {
   sim::Task<StorageInfo> storage(const OpenFile& f);
 
   /// Gather the bytes of `data` (placed at file offset `off`) that land on
-  /// server `s`, in server-local order — the payload of one merged write.
+  /// server `s`, in server-local order — the payload of one merged write,
+  /// as runs over `data`'s bytes (nothing is copied).
   static Buffer gather_for_server(const StripeLayout& layout,
                                   std::uint64_t off, const Buffer& data,
                                   std::uint32_t s);

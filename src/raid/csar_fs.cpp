@@ -125,24 +125,24 @@ void CsarFs::build_full_parity_writes(
     buckets[layout.parity_server(g)].push_back(g);
   }
   for (auto& [server, groups] : buckets) {
-    // Parity is built in the request payload itself: each group's first
-    // data unit is copied into its slot and the rest XORed on top.
-    std::vector<Buffer> first_units;
-    first_units.reserve(groups.size());
+    // Each group's parity starts as a view of its first data unit; the
+    // first XOR writes unit0 ^ unit1 straight into the parity's own bytes
+    // (copy-on-write fused with the XOR), the rest XOR in place. The
+    // payload joins the groups' parity units without copying them.
+    std::vector<Buffer> parity;
+    parity.reserve(groups.size());
     for (std::size_t i = 0; i < groups.size(); ++i) {
       assert(i == 0 || layout.parity_local_unit(groups[i]) ==
                            layout.parity_local_unit(groups[i - 1]) + 1);
-      first_units.push_back(
-          data.slice(layout.group_start(groups[i]) - off, su));
-    }
-    Buffer payload = Buffer::concat(first_units);
-    for (std::size_t i = 0; i < groups.size(); ++i) {
+      Buffer p = data.slice(layout.group_start(groups[i]) - off, su);
       for (std::uint64_t pos = layout.group_start(groups[i]) + su;
            pos < layout.group_end(groups[i]); pos += su) {
-        payload.xor_at(i * su, data.slice(pos - off, su));
+        p.xor_with(data.slice(pos - off, su));
       }
+      parity.push_back(std::move(p));
       xor_bytes += layout.stripe_width();
     }
+    Buffer payload = Buffer::concat(parity);
     Request r;
     r.op = Op::write_red;
     r.handle = f.handle;
@@ -826,7 +826,7 @@ sim::Task<Result<void>> CsarFs::write_rs(const pvfs::OpenFile& f,
       if (ctx[i].coding[j].materialized() && shared.deltas[x].materialized()) {
         gf_muladd_region(
             ctx[i].coding[j].mutable_bytes().subspan(colofs, e.len),
-            shared.deltas[x].bytes(), rs_coeff(spec, j, frag));
+            shared.deltas[x], rs_coeff(spec, j, frag));
       }
       xor_bytes += e.len;
     }
@@ -884,7 +884,7 @@ sim::Task<Result<void>> CsarFs::write_rs(const pvfs::OpenFile& f,
           for (std::uint32_t i = 0; i < k; ++i) {
             const std::uint64_t pos =
                 layout.rs_group_start(g, k) + std::uint64_t{i} * su;
-            const auto src = data.slice(pos - off, su).bytes();
+            const Buffer src = data.slice(pos - off, su);
             if (i == 0) {
               gf_mul_region(dst, src, rs_coeff(spec, j, i));
             } else {

@@ -205,9 +205,9 @@ sim::Task<Result<Buffer>> Recovery::reconstruct_rs(
     for (std::size_t r = 0; r < resps.size(); ++r) {
       assert(resps[r].data.size() == len);
       if (r == 0) {
-        gf_mul_region(dst, resps[r].data.bytes(), coeffs[r]);
+        gf_mul_region(dst, resps[r].data, coeffs[r]);
       } else {
-        gf_muladd_region(dst, resps[r].data.bytes(), coeffs[r]);
+        gf_muladd_region(dst, resps[r].data, coeffs[r]);
       }
     }
   }
@@ -499,11 +499,11 @@ sim::Task<Result<void>> Recovery::degraded_write(const pvfs::OpenFile& f,
          g < ws.full_end / layout.stripe_width(); ++g) {
       const std::uint32_t ps = layout.parity_server(g);
       if (ps != failed) {
-        Buffer parity = data.materialized() ? Buffer::real(su)
-                                            : Buffer::phantom(su);
-        for (std::uint64_t pos = layout.group_start(g);
+        // A view of the first unit; the first XOR fuses its copy-on-write.
+        Buffer parity = data.slice(layout.group_start(g) - off, su);
+        for (std::uint64_t pos = layout.group_start(g) + su;
              pos < layout.group_end(g); pos += su) {
-          if (data.materialized()) parity.xor_with(data.slice(pos - off, su));
+          parity.xor_with(data.slice(pos - off, su));
         }
         Request w;
         w.op = Op::write_red;
@@ -834,7 +834,7 @@ sim::Task<Result<void>> Recovery::degraded_write_rs(
           for (std::uint32_t i = 0; i < k; ++i) {
             const std::uint64_t pos =
                 layout.rs_group_start(g, k) + std::uint64_t{i} * su;
-            gf_muladd_region(dst, data.slice(pos - off, su).bytes(),
+            gf_muladd_region(dst, data.slice(pos - off, su),
                              rs_coeff(spec, j, i));
           }
         }
@@ -1024,7 +1024,7 @@ sim::Task<Result<void>> Recovery::degraded_write_rs(
                        : coding_old[std::find(live_j.begin(), live_j.end(),
                                               frag - k) -
                                     live_j.begin()];
-          gf_muladd_region(dst, src.bytes(), coeffs[r]);
+          gf_muladd_region(dst, src, coeffs[r]);
         }
         gf_bytes += std::uint64_t{k} * (c1 - c0);
         after[i] = std::move(lost_old);
@@ -1036,7 +1036,7 @@ sim::Task<Result<void>> Recovery::degraded_write_rs(
         coding_new[x] = Buffer::real(c1 - c0);
         auto dst = coding_new[x].mutable_bytes();
         for (std::uint32_t i = 0; i < k; ++i) {
-          gf_muladd_region(dst, after[i].bytes(),
+          gf_muladd_region(dst, after[i],
                            rs_coeff(spec, live_j[x], i));
         }
         gf_bytes += std::uint64_t{k} * (c1 - c0);
@@ -1395,7 +1395,16 @@ sim::Task<Result<void>> Recovery::rebuild_server(const pvfs::OpenFile& f,
     // order across windows (the rebuilt table's allocation order must
     // match piece order; in-order batch execution guarantees it per
     // window, ascending windows guarantee it across them).
-    constexpr std::uint64_t kOverflowWindow = 64ull << 20;
+    //
+    // The survivor's iod dispatch loop is charged the whole window span,
+    // and every request behind it — health probes included — waits for
+    // it. A window must therefore stay well inside the monitor's probe
+    // deadline (HealthParams::probe_timeout, 200 ms): 16 MiB is ~110 ms
+    // of iod time on the experimental-2003 profile. A 64 MiB window
+    // (~440 ms) outlasts both probe attempts to a healthy survivor during
+    // an online rebuild: the monitor marks it down beside the fenced
+    // rejoiner, and foreground writes fail with two servers "down".
+    constexpr std::uint64_t kOverflowWindow = 16ull << 20;
     for (std::uint64_t w0 = 0; w0 < file_size; w0 += kOverflowWindow) {
       Request rm;
       rm.op = Op::read_mirror;
@@ -1736,7 +1745,7 @@ sim::Task<Result<void>> Recovery::build_redundancy(const pvfs::OpenFile& f,
                 if (mat) {
                   auto dst = coding.mutable_bytes();
                   for (std::uint32_t i = 0; i < sp.k; ++i) {
-                    gf_muladd_region(dst, resps[i].data.bytes(),
+                    gf_muladd_region(dst, resps[i].data,
                                      rs_coeff(sp, j, i));
                   }
                 }

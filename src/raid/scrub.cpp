@@ -254,7 +254,7 @@ sim::Task<Result<void>> Scrubber::scrub_rs(const pvfs::OpenFile& f,
           const auto coeffs = rs_reconstruct_coeffs(spec, present, bad);
           auto dst = rebuilt.mutable_bytes();
           for (std::size_t r = 0; r < present.size(); ++r) {
-            gf_muladd_region(dst, resps[present[r]].data.bytes(), coeffs[r]);
+            gf_muladd_region(dst, resps[present[r]].data, coeffs[r]);
           }
           auto& node = client_->cluster().node(client_->node_id());
           co_await node.tx().occupy(sim::transfer_time(
@@ -286,7 +286,7 @@ sim::Task<Result<void>> Scrubber::scrub_rs(const pvfs::OpenFile& f,
       Buffer expect = Buffer::real(su);
       auto dst = expect.mutable_bytes();
       for (std::uint32_t i = 0; i < k; ++i) {
-        gf_muladd_region(dst, resps[i].data.bytes(), rs_coeff(spec, j, i));
+        gf_muladd_region(dst, resps[i].data, rs_coeff(spec, j, i));
       }
       auto& node = client_->cluster().node(client_->node_id());
       co_await node.tx().occupy(sim::transfer_time(

@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <initializer_list>
 #include <memory>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "common/buffer_map.hpp"
+#include "common/codec.hpp"
 #include "pvfs/client.hpp"
 
 namespace csar {
@@ -199,6 +203,265 @@ TEST(BufferConcat, SlicesOfOneBackingInAnyOrder) {
   EXPECT_EQ(a, Buffer::pattern(100, 4));
 }
 
+// --- Segmented buffers: run lists over shared backings ---
+
+Buffer cat(std::vector<Buffer> pieces) { return Buffer::concat(pieces); }
+
+/// The buffer's runs as (pointer, length) pairs, in order.
+std::vector<std::pair<const std::byte*, std::size_t>> runs_of(const Buffer& b) {
+  std::vector<std::pair<const std::byte*, std::size_t>> out;
+  std::uint64_t expect_pos = 0;
+  b.for_each_run([&](std::uint64_t pos, std::span<const std::byte> s) {
+    EXPECT_EQ(pos, expect_pos);
+    expect_pos += s.size();
+    out.emplace_back(s.data(), s.size());
+  });
+  EXPECT_EQ(expect_pos, b.size());
+  return out;
+}
+
+/// Bytes of `parts` (slices of one reference vector) joined.
+std::vector<std::byte> join(const std::vector<std::byte>& ref,
+                            std::initializer_list<std::pair<int, int>> parts) {
+  std::vector<std::byte> out;
+  for (auto [off, len] : parts) {
+    out.insert(out.end(), ref.begin() + off, ref.begin() + off + len);
+  }
+  return out;
+}
+
+TEST(BufferSegmented, SizeIsUnchanged) {
+  // size, tag, offset and one shared pointer: five words on 64-bit hosts.
+  EXPECT_EQ(sizeof(Buffer), 3 * sizeof(std::uint64_t) + 2 * sizeof(void*));
+}
+
+TEST(BufferSegmented, ConcatSharesPiecesWithoutCopying) {
+  const Buffer a = Buffer::pattern(100, 1);
+  const Buffer b = Buffer::pattern(50, 2);
+  const Buffer joined = cat({a.slice(10, 20), b, a.slice(80, 5)});
+  const auto runs = runs_of(joined);
+  ASSERT_EQ(runs.size(), 3u);
+  EXPECT_EQ(runs[0].first, a.bytes().data() + 10);
+  EXPECT_EQ(runs[1].first, b.bytes().data());
+  EXPECT_EQ(runs[2].first, a.bytes().data() + 80);
+  std::vector<std::byte> want = join(to_vec(a), {{10, 20}});
+  const auto bv = to_vec(b);
+  want.insert(want.end(), bv.begin(), bv.end());
+  const auto tail = join(to_vec(a), {{80, 5}});
+  want.insert(want.end(), tail.begin(), tail.end());
+  EXPECT_EQ(joined.size(), want.size());
+  EXPECT_EQ(joined, Buffer::from_bytes(want));
+}
+
+TEST(BufferSegmented, NestedConcatFlattensRunLists) {
+  const Buffer a = Buffer::pattern(64, 3);
+  const Buffer b = Buffer::pattern(64, 4);
+  const Buffer ab = cat({a.slice(0, 8), b.slice(0, 8)});
+  const Buffer ba = cat({b.slice(32, 8), a.slice(32, 8)});
+  const Buffer all = cat({ab, ba, ab});
+  // Runs never nest: six leaf runs, each pointing at a flat backing.
+  const auto runs = runs_of(all);
+  ASSERT_EQ(runs.size(), 6u);
+  EXPECT_EQ(runs[2].first, b.bytes().data() + 32);
+  const auto av = to_vec(a);
+  const auto bv = to_vec(b);
+  const auto ab_bytes = join(av, {{0, 8}});
+  std::vector<std::byte> want = ab_bytes;
+  for (const auto& v : {join(bv, {{0, 8}}), join(bv, {{32, 8}}),
+                        join(av, {{32, 8}}), ab_bytes, join(bv, {{0, 8}})}) {
+    want.insert(want.end(), v.begin(), v.end());
+  }
+  EXPECT_EQ(to_vec(Buffer(all)), want);
+}
+
+TEST(BufferSegmented, AdjacentRunsOfOneBackingMerge) {
+  const Buffer a = Buffer::pattern(100, 5);
+  // Consecutive slices of one backing collapse into one plain view.
+  const Buffer whole = cat({a.slice(0, 30), a.slice(30, 40), a.slice(70, 30)});
+  const auto runs = runs_of(whole);
+  ASSERT_EQ(runs.size(), 1u);
+  EXPECT_EQ(runs[0].first, a.bytes().data());
+  EXPECT_EQ(whole, a);
+  // A gap or a different backing keeps runs apart; the merge also applies
+  // across a nested segmented piece's boundary.
+  const Buffer b = Buffer::pattern(10, 6);
+  const Buffer left = cat({b, a.slice(0, 10)});
+  const Buffer merged = cat({left, a.slice(10, 10), a.slice(25, 5)});
+  EXPECT_EQ(runs_of(merged).size(), 3u);  // b | a[0,20) | a[25,30)
+  EXPECT_EQ(runs_of(merged)[1].second, 20u);
+}
+
+TEST(BufferSegmented, SliceAcrossRunsAndInsideOne) {
+  const Buffer a = Buffer::pattern(100, 7);
+  const Buffer b = Buffer::pattern(100, 8);
+  const Buffer c = Buffer::pattern(100, 9);
+  const Buffer seg = cat({a.slice(0, 40), b.slice(50, 30), c.slice(10, 50)});
+  std::vector<std::byte> ref = join(to_vec(a), {{0, 40}});
+  for (auto v : {join(to_vec(b), {{50, 30}}), join(to_vec(c), {{10, 50}})}) {
+    ref.insert(ref.end(), v.begin(), v.end());
+  }
+  // Every (off, len) over the 120 bytes matches the reference.
+  for (std::size_t off = 0; off <= ref.size(); off += 7) {
+    for (std::size_t len = 0; off + len <= ref.size(); len += 11) {
+      const Buffer s = seg.slice(off, len);
+      EXPECT_EQ(to_vec(Buffer(s)),
+                std::vector<std::byte>(ref.begin() + off,
+                                       ref.begin() + off + len))
+          << off << "+" << len;
+    }
+  }
+  // Crossing a boundary keeps only the covered runs, trimmed.
+  const auto cross = runs_of(seg.slice(30, 50));
+  ASSERT_EQ(cross.size(), 3u);
+  EXPECT_EQ(cross[0].first, a.bytes().data() + 30);
+  EXPECT_EQ(cross[0].second, 10u);
+  EXPECT_EQ(cross[2].first, c.bytes().data() + 10);
+  EXPECT_EQ(cross[2].second, 10u);
+  // Inside one run: a plain view of the backing, no run list.
+  const Buffer inside = seg.slice(45, 20);
+  const auto one = runs_of(inside);
+  ASSERT_EQ(one.size(), 1u);
+  EXPECT_EQ(one[0].first, b.bytes().data() + 55);
+  EXPECT_EQ(inside.bytes().data(), b.bytes().data() + 55);  // no flatten copy
+}
+
+TEST(BufferSegmented, EqualityAcrossRepresentations) {
+  const Buffer a = Buffer::pattern(64, 10);
+  const Buffer flat = a.slice(0, 64);
+  const Buffer a2 = Buffer::pattern(64, 10);  // same bytes, another backing
+  const Buffer seg = cat({a.slice(0, 10), a2.slice(10, 54)});
+  const Buffer seg2 = cat({a2.slice(0, 33), a.slice(33, 31)});
+  const Buffer ph = Buffer::phantom(64);
+  ASSERT_EQ(runs_of(seg).size(), 2u);
+  EXPECT_TRUE(flat == seg);
+  EXPECT_TRUE(seg == flat);
+  EXPECT_TRUE(seg == seg2);
+  EXPECT_TRUE(seg == seg);
+  EXPECT_TRUE(ph == Buffer::phantom(64));
+  EXPECT_FALSE(ph == flat);
+  EXPECT_FALSE(flat == ph);
+  EXPECT_FALSE(ph == seg);
+  EXPECT_FALSE(seg == ph);
+  // One differing byte, in either run, on either side.
+  for (std::uint64_t at : {3u, 40u}) {
+    Buffer other = seg2;
+    other.xor_at(at, Buffer::from_bytes({std::byte{1}}));
+    EXPECT_FALSE(seg == other) << at;
+    EXPECT_FALSE(other == flat) << at;
+  }
+  EXPECT_FALSE(seg == seg.slice(0, 63));
+}
+
+TEST(BufferSegmented, RepeatedBytesReturnsSameSpan) {
+  const Buffer seg = cat({Buffer::pattern(100, 11), Buffer::pattern(100, 12)});
+  ASSERT_EQ(runs_of(seg).size(), 2u);
+  const auto first = seg.bytes();
+  const auto second = seg.bytes();
+  EXPECT_EQ(first.data(), second.data());
+  EXPECT_EQ(first.size(), 200u);
+  EXPECT_EQ(runs_of(seg).size(), 1u);  // the flat copy replaced the runs
+  const Buffer copy = seg;
+  EXPECT_EQ(copy.bytes().data(), first.data());
+}
+
+/// Each mutation applied to a segmented or shared target, with a segmented
+/// or flat source, must match a byte-wise reference and leave every other
+/// holder of the old bytes untouched.
+TEST(BufferSegmented, MutationsAreCopyOnWrite) {
+  const Buffer a = Buffer::pattern(80, 13);
+  const Buffer b = Buffer::pattern(80, 14);
+  const auto av = to_vec(a);
+  const auto bv = to_vec(b);
+  const Buffer seg_src = cat({b.slice(0, 7), a.slice(60, 13)});
+  const Buffer flat_src = b.slice(20, 20);
+  for (const Buffer* src : {&seg_src, &flat_src}) {
+    const auto sv = to_vec(Buffer(*src));
+    for (bool segmented_target : {true, false}) {
+      const Buffer base = segmented_target
+                              ? cat({a.slice(0, 30), b.slice(30, 50)})
+                              : a.slice(0, 80);
+      const auto ref = to_vec(Buffer(base));
+      for (int op = 0; op < 4; ++op) {
+        Buffer t = base;  // shares the backing (and run list) with base
+        std::vector<std::byte> want = ref;
+        switch (op) {
+          case 0:
+            t.write_at(25, *src);
+            for (std::size_t i = 0; i < sv.size(); ++i) want[25 + i] = sv[i];
+            break;
+          case 1:
+            t.xor_at(25, *src);
+            for (std::size_t i = 0; i < sv.size(); ++i) want[25 + i] ^= sv[i];
+            break;
+          case 2:
+            t.xor_with(*src);
+            for (std::size_t i = 0; i < sv.size(); ++i) want[i] ^= sv[i];
+            break;
+          case 3:
+            t.resize(100);
+            want.resize(100, std::byte{0});
+            break;
+        }
+        EXPECT_EQ(to_vec(t), want) << "op " << op;
+        EXPECT_EQ(to_vec(Buffer(base)), ref) << "op " << op;
+        EXPECT_EQ(to_vec(a), av);
+        EXPECT_EQ(to_vec(b), bv);
+        // A second mutation on the now-owned bytes stays private too.
+        t.xor_at(0, Buffer::pattern(5, 15));
+        EXPECT_EQ(to_vec(Buffer(base)), ref);
+      }
+    }
+  }
+  // Shrinking a segmented buffer keeps its runs (op 3 above grows one).
+  Buffer seg = cat({a.slice(0, 30), b.slice(0, 30)});
+  seg.resize(35);
+  EXPECT_EQ(runs_of(seg).size(), 2u);
+  std::vector<std::byte> shrunk = join(av, {{0, 30}});
+  for (std::size_t i = 0; i < 5; ++i) shrunk.push_back(bv[i]);
+  EXPECT_EQ(to_vec(seg), shrunk);
+  // A buffer writing or XORing itself (the only legal overlap).
+  Buffer self = cat({a.slice(0, 40), b.slice(0, 40)});
+  self.xor_with(self);
+  EXPECT_EQ(self, Buffer::real(80));
+  Buffer flat_self = Buffer::pattern(40, 16);
+  flat_self.write_at(0, flat_self);
+  EXPECT_EQ(flat_self, Buffer::pattern(40, 16));
+}
+
+TEST(BufferSegmented, GfRegionsReadRunByRun) {
+  const Buffer a = Buffer::pattern(300, 17);
+  const Buffer seg =
+      cat({a.slice(0, 100), Buffer::pattern(37, 18), a.slice(150, 150)});
+  const auto flat = to_vec(Buffer(seg));
+  ASSERT_EQ(runs_of(seg).size(), 3u);
+  for (std::uint8_t c : {0, 1, 2, 0x53}) {
+    std::vector<std::byte> want(flat.size());
+    std::vector<std::byte> got(flat.size());
+    gf_mul_region(want, flat, c);
+    gf_mul_region(got, seg, c);
+    EXPECT_EQ(got, want);
+    gf_muladd_region(want, flat, 0x1d);
+    gf_muladd_region(got, seg, 0x1d);
+    EXPECT_EQ(got, want);
+  }
+  EXPECT_EQ(runs_of(seg).size(), 3u);  // never flattened
+}
+
+TEST(BufferSegmented, GatherSharesTheUserBuffer) {
+  const pvfs::StripeLayout layout{4096, 3};
+  const Buffer user = Buffer::pattern(50000, 19);
+  const std::byte* lo = user.bytes().data();
+  const std::byte* hi = lo + user.size();
+  for (std::uint32_t s = 0; s < layout.n(); ++s) {
+    const Buffer g = pvfs::Client::gather_for_server(layout, 100, user, s);
+    const auto runs = runs_of(g);
+    EXPECT_GT(runs.size(), 1u);
+    for (const auto& [p, n] : runs) {
+      EXPECT_TRUE(p >= lo && p + n <= hi) << "run outside the user buffer";
+    }
+  }
+}
+
 TEST(BufferMap, ReadRangeJoinsRunsAndZeroesHoles) {
   BufferMap m;
   m.insert(10, 20, Buffer::pattern(10, 1));
@@ -275,6 +538,24 @@ TEST_P(GarbageHeap, ProducersWriteEveryByte) {
   }
   dirty_heap(n);
   EXPECT_EQ(to_vec(read_range(m, 0, n)), want);
+
+  // Fused copy-on-write XOR: the target shares its bytes (flat) or is a
+  // run list, so the result is written straight into a fresh allocation.
+  const Buffer key = Buffer::pattern(n, 78);
+  const auto kv = to_vec(key);
+  std::vector<std::byte> xored = ref;
+  for (std::size_t i = n / 4; i < n; ++i) xored[i] ^= kv[i - n / 4];
+  // Two runs over two backings holding the same bytes (adjacent slices of
+  // one backing would merge into a plain view).
+  const Buffer halves = cat({src.slice(0, n / 3),
+                             Buffer::pattern(n, 77).slice(n / 3, n - n / 3)});
+  for (const Buffer* base : {&src, &halves}) {
+    Buffer t = *base;
+    dirty_heap(n);
+    t.xor_at(n / 4, key.slice(0, n - n / 4));
+    EXPECT_EQ(to_vec(t), xored);
+  }
+  EXPECT_EQ(to_vec(src), ref);
 
   dirty_heap(n);
   Buffer grown = src.slice(0, n / 2);

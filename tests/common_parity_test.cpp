@@ -76,6 +76,39 @@ TEST(Parity, DispatchedXorMatchesBytesAtEveryLengthAndAlignment) {
   }
 }
 
+// The three-operand form (the fused copy-on-write XOR) writes a ^ b into a
+// separate destination: it must match the byte loop at every length and
+// misalignment of each operand, and never write past the length.
+TEST(Parity, DispatchedXorIntoMatchesBytesAtEveryLengthAndAlignment) {
+  constexpr std::size_t kMaxLen = 600;
+  constexpr std::size_t kMaxMis = 31;
+  constexpr std::size_t kGuard = 64;
+  Rng rng(4343);
+  const auto a_pool = random_bytes(rng, kMaxLen + kMaxMis);
+  const auto b_pool = random_bytes(rng, kMaxLen + kMaxMis);
+  const auto garbage = random_bytes(rng, kMaxLen + kMaxMis + kGuard);
+  std::vector<std::byte> out(garbage.size());
+  for (std::size_t n = 0; n <= kMaxLen; ++n) {
+    for (std::size_t m = 0; m <= kMaxMis; ++m) {
+      // Misalign a, b and dst differently in each combination.
+      const std::span<const std::byte> a(a_pool.data() + m, n);
+      const std::span<const std::byte> b(b_pool.data() + (m * 7) % 32, n);
+      const std::size_t dm = (m * 13) % 32;
+      out = garbage;
+      xor_into({out.data() + dm, n}, a, b);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(out[dm + i], a[i] ^ b[i])
+            << "len " << n << " at " << i << " (" << codec_dispatch_name()
+            << ")";
+      }
+      ASSERT_EQ(std::memcmp(out.data() + dm + n, garbage.data() + dm + n,
+                            kGuard),
+                0)
+          << "len " << n << " wrote past the end";
+    }
+  }
+}
+
 TEST(Parity, SelfInverse) {
   Rng rng(99);
   auto src = random_bytes(rng, 257);

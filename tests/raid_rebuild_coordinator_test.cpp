@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "hw/node.hpp"
 #include "raid/health.hpp"
 #include "raid/rig.hpp"
 #include "test_util.hpp"
@@ -282,6 +283,62 @@ TEST(RebuildCoordinator, RateCapBoundsRebuildDeterministically) {
   EXPECT_EQ(a.stats.passes, b.stats.passes);
   EXPECT_EQ(a.stats.first_admit_at, b.stats.first_admit_at);
   EXPECT_EQ(a.stats.last_rebuild_time, b.stats.last_rebuild_time);
+}
+
+// A large hybrid file's overflow tables are rebuilt window by window from
+// the survivors. Each window occupies the survivor's iod dispatch loop, and
+// health probes queue behind it, so a window longer than the probe deadline
+// made the monitor mark a healthy survivor down while the rejoiner was still
+// fenced: two servers "down" under a one-failure scheme, and foreground
+// writes failed. No survivor may flap during the rebuild.
+TEST(RebuildCoordinator, OverflowRebuildDoesNotStarveSurvivorProbes) {
+  RigParams p = rig_params();
+  p.nservers = 6;
+  p.profile = hw::profile_experimental2003();
+  Rig rig(p);
+  HealthParams hp;
+  hp.interval = sim::ms(50);
+  HealthMonitor mon(rig.client(), hp);
+  std::uint32_t survivor_downs = 0;
+  mon.add_listener([&](std::uint32_t s, bool alive, sim::Time) {
+    if (s != 1 && !alive) ++survivor_downs;
+  });
+  rig.client_fs().enable_failover(&mon);
+  RebuildCoordinator coord(rig, mon, RebuildParams{});
+
+  run_sim_void(rig, [](Rig& r, HealthMonitor& m,
+                       RebuildCoordinator& co) -> sim::Task<void> {
+    constexpr std::uint64_t kBig = 128 * 1024 * 1024;
+    constexpr std::uint64_t kUnit = 64 * 1024;
+    auto& fs = r.client_fs();
+    auto f = co_await fs.create("big", r.layout(kUnit));
+    CO_ASSERT_TRUE(f.ok());
+    co.track(*f, kBig);
+    CO_ASSERT_TRUE((co_await fs.write(*f, 0, Buffer::phantom(kBig))).ok());
+    CO_ASSERT_TRUE((co_await fs.flush(*f)).ok());
+    m.start();
+    co.start();
+    r.server(1).crash();
+    co_await r.sim.sleep(sim::ms(200));
+    r.server(1).restart(/*wipe_disk=*/true);
+    // Sub-stripe writes keep the overflow tables growing during the rebuild.
+    // (No early return on failure: the monitor and coordinator must be
+    // stopped below or the simulation never drains.)
+    std::uint32_t failed_writes = 0;
+    for (std::uint64_t i = 0; i < 200; ++i) {
+      const std::uint64_t off = (i * 7 % (kBig / kUnit)) * kUnit;
+      auto w = co_await fs.write(*f, off, Buffer::phantom(kUnit));
+      if (!w.ok()) ++failed_writes;
+      co_await r.sim.sleep(sim::ms(2));
+    }
+    EXPECT_EQ(failed_writes, 0u);
+    co_await await_idle(r, co, sim::sec(300));
+    EXPECT_FALSE(r.server(1).fenced());
+    EXPECT_GE(co.stats().rebuilds_completed, 1u);
+    m.stop();
+    co.stop();
+  }(rig, mon, coord));
+  EXPECT_EQ(survivor_downs, 0u);
 }
 
 }  // namespace
