@@ -3,13 +3,16 @@
 // Hybrid schemes" — the Swift/RAID lesson the paper repeats. Measured with
 // google-benchmark on the real kernels. Extended with the GF(2^8)
 // multiply-accumulate rows behind the rs(k,m) paths: the scalar table walk
-// vs the runtime-dispatched kernel (PSHUFB nibble tables on SSSE3/AVX2),
-// plus a full rs(4,2) group encode.
+// vs the runtime-dispatched kernel (GFNI affine, else PSHUFB nibble tables
+// on SSSE3/AVX2), plus a full rs(4,2) group encode; and with the other
+// per-byte kernel on the real-byte path, Buffer::pattern's generator. The
+// dispatched rows are labelled with codec_dispatch_name().
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <vector>
 
+#include "common/buffer.hpp"
 #include "common/codec.hpp"
 #include "common/parity.hpp"
 #include "common/rng.hpp"
@@ -96,12 +99,13 @@ void BM_ParityOfStripe(benchmark::State& state) {
 }
 
 void BM_GfMulAddScalar(benchmark::State& state) {
-  // Per-byte log/exp table walk — the portable baseline of the GF kernel.
+  // Per-byte table walk — the portable baseline of the GF kernel.
+  const auto& scalar = csar::codec_detail::gf_kernels().front();
   const auto n = static_cast<std::size_t>(state.range(0));
   auto dst = random_bytes(n, 1);
   const auto src = random_bytes(n, 2);
   for (auto _ : state) {
-    csar::gf_muladd_region_scalar(dst, src, 0x1d);
+    scalar.muladd(dst.data(), src.data(), n, 0x1d);
     benchmark::DoNotOptimize(dst.data());
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -109,8 +113,9 @@ void BM_GfMulAddScalar(benchmark::State& state) {
 }
 
 void BM_GfMulAddDispatch(benchmark::State& state) {
-  // Runtime-dispatched kernel (split nibble tables via PSHUFB when the host
-  // has SSSE3/AVX2; bit-identical to the scalar walk by construction).
+  // Runtime-dispatched kernel (vgf2p8affineqb on GFNI hosts, split nibble
+  // tables via PSHUFB on SSSE3/AVX2; bit-identical to the scalar walk by
+  // construction).
   const auto n = static_cast<std::size_t>(state.range(0));
   auto dst = random_bytes(n, 1);
   const auto src = random_bytes(n, 2);
@@ -150,6 +155,21 @@ void BM_RsEncodeGroup(benchmark::State& state) {
   state.SetLabel(csar::codec_dispatch_name());
 }
 
+void BM_Pattern(benchmark::State& state) {
+  // Buffer::pattern at the given size: the real-byte benchmark's input
+  // generator, run once per write chunk and again to verify each read.
+  const auto n = static_cast<std::uint64_t>(state.range(0));
+  std::uint64_t seed = 1;
+  for (auto _ : state) {
+    const csar::Buffer b = csar::Buffer::pattern(n, seed++);
+    benchmark::DoNotOptimize(b.bytes().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+  state.SetLabel(csar::codec_dispatch_name());
+}
+
 BENCHMARK(BM_XorBytes)->Arg(4096)->Arg(65536)->Arg(1 << 20);
 BENCHMARK(BM_XorWordsSingle)->Arg(4096)->Arg(65536)->Arg(1 << 20);
 BENCHMARK(BM_XorWords)->Arg(4096)->Arg(65536)->Arg(1 << 20);
@@ -158,6 +178,8 @@ BENCHMARK(BM_ParityOfStripe)->Arg(16 * 1024)->Arg(64 * 1024);
 BENCHMARK(BM_GfMulAddScalar)->Arg(4096)->Arg(65536)->Arg(1 << 20);
 BENCHMARK(BM_GfMulAddDispatch)->Arg(4096)->Arg(65536)->Arg(1 << 20);
 BENCHMARK(BM_RsEncodeGroup)->Arg(16 * 1024)->Arg(64 * 1024);
+// 1.875 MiB: one stream_parity chunk (120 stripe units of 16 KiB).
+BENCHMARK(BM_Pattern)->Arg(1920 * 1024);
 
 }  // namespace
 

@@ -8,14 +8,19 @@
 // perf-trajectory JSON (BENCH_sim_throughput.json).
 //
 // Usage:
-//   bench_sim_scale [--quick] [--out=FILE.json]
+//   bench_sim_scale [--quick] [--reps=N] [--out=FILE.json]
 // --quick runs the single pinned small config the CI perf-smoke job uses.
-// A full sweep rewrites the output's "rows" and keeps its committed "quick"
-// row and "trajectory".
+// --reps=N (default 1) runs each config N times: the simulated results must
+// be identical every time, and the row reports the median and the minimum
+// events/sec over the N runs ("events_per_sec" is the median). A full
+// sweep rewrites the output's "rows" and keeps its committed "quick" row
+// and "trajectory".
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <utility>
@@ -46,12 +51,19 @@ struct Row {
   std::uint64_t shed = 0;
   std::uint64_t fingerprint = 0;
   double sim_elapsed_s = 0;
-  double wall_s = 0;
+  double wall_s = 0;  ///< median over the reps
+  double min_events_per_sec = 0;
+  std::uint32_t reps = 1;
   long rss_kib = 0;
 
   double events_per_sec() const { return wall_s > 0 ? events / wall_s : 0; }
   double wall_per_sim_sec() const {
     return sim_elapsed_s > 0 ? wall_s / sim_elapsed_s : 0;
+  }
+  bool same_sim(const Row& o) const {
+    return events == o.events && arrivals == o.arrivals &&
+           completed == o.completed && shed == o.shed &&
+           fingerprint == o.fingerprint && sim_elapsed_s == o.sim_elapsed_s;
   }
 };
 
@@ -92,6 +104,28 @@ Row run_config(const Config& cfg) {
   return row;
 }
 
+/// run_config `reps` times. The simulated fields come from the first run
+/// (every run must match them); wall time is the median over the runs.
+/// Returns false if a run simulated something different.
+bool run_reps(const Config& cfg, std::uint32_t reps, Row* out) {
+  std::vector<Row> runs;
+  for (std::uint32_t i = 0; i < reps; ++i) {
+    runs.push_back(run_config(cfg));
+    if (!runs.back().same_sim(runs.front())) return false;
+  }
+  std::vector<double> walls;
+  for (const Row& r : runs) walls.push_back(r.wall_s);
+  std::sort(walls.begin(), walls.end());
+  const std::size_t mid = walls.size() / 2;
+  *out = runs.front();
+  out->reps = reps;
+  out->wall_s = walls.size() % 2 ? walls[mid]
+                                 : (walls[mid - 1] + walls[mid]) / 2;
+  out->min_events_per_sec = walls.back() > 0 ? out->events / walls.back() : 0;
+  out->rss_kib = peak_rss_kib();
+  return true;
+}
+
 void print_row(const Row& r) {
   // Deterministic line first (run-twice diffs key on "SIM " lines only:
   // nothing wall-clock-dependent may appear on them).
@@ -104,9 +138,13 @@ void print_row(const Row& r) {
               static_cast<unsigned long long>(r.shed),
               static_cast<unsigned long long>(r.fingerprint));
   std::printf("PERF servers=%3u tenants=%4u events/sec=%.3e "
-              "wall_per_sim_sec=%.3f peak_rss_mib=%.1f\n",
+              "wall_per_sim_sec=%.3f peak_rss_mib=%.1f",
               r.cfg.nservers, r.cfg.ntenants, r.events_per_sec(),
               r.wall_per_sim_sec(), r.rss_kib / 1024.0);
+  if (r.reps > 1) {
+    std::printf(" reps=%u events/sec_min=%.3e", r.reps, r.min_events_per_sec);
+  }
+  std::printf("\n");
 }
 
 /// The raw JSON text of top-level member `key` of `doc`, or "" when absent.
@@ -173,12 +211,13 @@ void write_json(const std::string& path, const std::vector<Row>& rows,
         "    {\"servers\": %u, \"tenants\": %u, \"events_executed\": %llu, "
         "\"events_per_sec\": %.1f, \"wall_seconds\": %.4f, "
         "\"sim_seconds\": %.4f, \"wall_per_sim_sec\": %.4f, "
-        "\"peak_rss_kib\": %ld, \"fingerprint\": \"0x%016llx\"}%s\n",
+        "\"peak_rss_kib\": %ld, \"fingerprint\": \"0x%016llx\", "
+        "\"reps\": %u, \"events_per_sec_min\": %.1f}%s\n",
         r.cfg.nservers, r.cfg.ntenants,
         static_cast<unsigned long long>(r.events), r.events_per_sec(),
         r.wall_s, r.sim_elapsed_s, r.wall_per_sim_sec(), r.rss_kib,
-        static_cast<unsigned long long>(r.fingerprint),
-        i + 1 < rows.size() ? "," : "");
+        static_cast<unsigned long long>(r.fingerprint), r.reps,
+        r.min_events_per_sec, i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]");
   for (const auto& [key, value] : kept) {
@@ -193,14 +232,19 @@ void write_json(const std::string& path, const std::vector<Row>& rows,
 
 int main(int argc, char** argv) {
   bool quick = false;
+  std::uint32_t reps = 1;
   std::string out = "BENCH_sim_throughput.json";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       quick = true;
+    } else if (std::strncmp(argv[i], "--reps=", 7) == 0 &&
+               std::atoi(argv[i] + 7) > 0) {
+      reps = static_cast<std::uint32_t>(std::atoi(argv[i] + 7));
     } else if (std::strncmp(argv[i], "--out=", 6) == 0) {
       out = argv[i] + 6;
     } else {
-      std::fprintf(stderr, "usage: %s [--quick] [--out=FILE.json]\n",
+      std::fprintf(stderr,
+                   "usage: %s [--quick] [--reps=N] [--out=FILE.json]\n",
                    argv[0]);
       return 2;
     }
@@ -222,7 +266,15 @@ int main(int argc, char** argv) {
               quick ? "quick" : "full");
   std::vector<Row> rows;
   for (const Config& cfg : configs) {
-    rows.push_back(run_config(cfg));
+    Row row;
+    if (!run_reps(cfg, reps, &row)) {
+      std::fprintf(stderr,
+                   "bench_sim_scale: servers=%u tenants=%u simulated "
+                   "differently across reps (nondeterminism)\n",
+                   cfg.nservers, cfg.ntenants);
+      return 1;
+    }
+    rows.push_back(row);
     print_row(rows.back());
   }
   write_json(out, rows, quick);

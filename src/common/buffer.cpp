@@ -7,7 +7,7 @@
 #include <utility>
 #include <vector>
 
-#if defined(__x86_64__) && defined(__GNUC__)
+#if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
 #endif
 
@@ -214,15 +214,29 @@ void Buffer::copy_to(std::byte* dst, std::uint64_t off,
        });
 }
 
+// Buffer::pattern's byte stream: byte[i] = bits 33..40 of the (i+1)th state
+// of the LCG x' = A*x + C (mod 2^64) started from the mixed seed. Storm
+// shadows, scrub checksums and run fingerprints all depend on these exact
+// bytes, and every kernel below emits the identical sequence (dispatch()
+// in codec.cpp picks one per CPU).
+//
+// The recurrence is a serial latency chain, so the fast paths run K
+// jump-ahead lanes in parallel: lane j holds state i+1+j, and stepping a
+// lane by K is x' = A_K*x + C_K with A_K = A^K, C_K = (A^{K-1}+...+A+1)*C.
+//
+// The IFMA kernel keeps only 52 bits of state. That is exact: bits 0..b of
+// an LCG mod 2^64 depend only on bits 0..b of the previous state (carries
+// run upward), and the output needs bits up to 40, so the state mod any
+// 2^n with n > 40 suffices. The kernel carries y = x*2^7 mod 2^52 (that
+// is, x mod 2^45, shifted) instead of x. That is still an LCG:
+// A_K*y + C_K*2^7 = 2^7*(A_K*x + C_K) = 2^7*x' (mod 2^52), so
+// y' = A_K*y + (C_K<<7) — one vpmadd52luq per lane, which adds the low 52
+// bits of A_K*y to C_K<<7. (The addition can carry into bits 52..63 of the
+// lane; vpmadd52luq reads only bits 0..51 of its multiplicand, so that
+// garbage never feeds back.) The shift puts output bits 33..40 of x at bits
+// 40..47 of y: byte 5 of the lane, which one vpermb gathers.
 namespace {
 
-// Buffer::pattern's byte stream: byte[i] = bits 33..40 of the (i+1)th state
-// of the LCG x' = A*x + C started from the mixed seed. The recurrence is a
-// serial latency chain, so the fast paths run K jump-ahead lanes in
-// parallel: lane j holds state i+1+j and stepping a lane by K is
-// x' = A_K*x + C_K with A_K = A^K, C_K = (A^{K-1}+...+A+1)*C (mod 2^64).
-// Every path emits the identical byte sequence — storm shadows, scrub
-// checksums and run fingerprints all depend on the exact bytes.
 constexpr std::uint64_t kLcgA = 6364136223846793005ULL;
 constexpr std::uint64_t kLcgC = 1442695040888963407ULL;
 
@@ -241,7 +255,10 @@ std::pair<std::uint64_t, std::uint64_t> lcg_lanes(std::uint64_t x,
   return {aK, cK};
 }
 
-void pattern_fill_scalar(std::byte* out, std::uint64_t size, std::uint64_t x) {
+}  // namespace
+
+void codec_detail::pattern_fill_scalar(std::byte* out, std::uint64_t size,
+                                       std::uint64_t x) {
   std::uint64_t i = 0;
   if (size >= 8) {
     std::uint64_t lane[8];
@@ -276,18 +293,24 @@ void pattern_fill_scalar(std::byte* out, std::uint64_t size, std::uint64_t x) {
   }
 }
 
-#if defined(__x86_64__) && defined(__GNUC__)
-/// AVX-512 fill: 32 lanes in four zmm registers (enough independent chains
-/// to hide vpmullq latency). vpsrlq extracts bits 33.., vpmovqb truncates
-/// eight qwords to eight bytes in one instruction. Same bytes as the
-/// scalar path; selected at runtime only when the CPU has AVX512DQ.
-// GCC-12's unmasked srli intrinsic passes an undefined register as the
-// merge operand, tripping -Wmaybe-uninitialized; it is by-design dead.
+#if defined(__x86_64__) || defined(__i386__)
+// Both AVX-512 kernels run 64 lanes in eight zmm chains (enough independent
+// chains to hide the multiply latency) and hand sizes below 64 to the
+// scalar kernel.
+constexpr int kPatternLanes = 64;
+
+// GCC-12's unmasked srli, vpermb and 512-to-128 cast intrinsics pass an
+// undefined register as the merge operand, tripping -Wmaybe-uninitialized;
+// it is by-design dead.
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-__attribute__((target("avx512f,avx512dq")))
-void pattern_fill_avx512(std::byte* out, std::uint64_t size, std::uint64_t x) {
-  constexpr int K = 32;
+
+/// AVX512DQ fill over full 64-bit states: vpmullq steps a chain,
+/// vpsrlq + vpmovqb extract its eight bytes.
+__attribute__((target("avx512f,avx512dq"))) void
+codec_detail::pattern_fill_avx512dq(std::byte* out, std::uint64_t size,
+                                    std::uint64_t x) {
+  constexpr int K = kPatternLanes;
   if (size < K) {
     pattern_fill_scalar(out, size, x);
     return;
@@ -296,55 +319,75 @@ void pattern_fill_avx512(std::byte* out, std::uint64_t size, std::uint64_t x) {
   const auto [aK, cK] = lcg_lanes<K>(x, lane);
   const __m512i va = _mm512_set1_epi64(static_cast<long long>(aK));
   const __m512i vc = _mm512_set1_epi64(static_cast<long long>(cK));
-  __m512i v0 = _mm512_load_si512(lane + 0);
-  __m512i v1 = _mm512_load_si512(lane + 8);
-  __m512i v2 = _mm512_load_si512(lane + 16);
-  __m512i v3 = _mm512_load_si512(lane + 24);
+  __m512i v[K / 8];
+#pragma GCC unroll 8
+  for (int r = 0; r < K / 8; ++r) v[r] = _mm512_load_si512(lane + 8 * r);
   std::uint64_t i = 0;
   for (; i + K <= size; i += K) {
-    _mm_storel_epi64(reinterpret_cast<__m128i*>(out + i + 0),
-                     _mm512_maskz_cvtepi64_epi8(0xFF, _mm512_srli_epi64(v0, 33)));
-    _mm_storel_epi64(reinterpret_cast<__m128i*>(out + i + 8),
-                     _mm512_maskz_cvtepi64_epi8(0xFF, _mm512_srli_epi64(v1, 33)));
-    _mm_storel_epi64(reinterpret_cast<__m128i*>(out + i + 16),
-                     _mm512_maskz_cvtepi64_epi8(0xFF, _mm512_srli_epi64(v2, 33)));
-    _mm_storel_epi64(reinterpret_cast<__m128i*>(out + i + 24),
-                     _mm512_maskz_cvtepi64_epi8(0xFF, _mm512_srli_epi64(v3, 33)));
-    v0 = _mm512_add_epi64(_mm512_mullo_epi64(v0, va), vc);
-    v1 = _mm512_add_epi64(_mm512_mullo_epi64(v1, va), vc);
-    v2 = _mm512_add_epi64(_mm512_mullo_epi64(v2, va), vc);
-    v3 = _mm512_add_epi64(_mm512_mullo_epi64(v3, va), vc);
+#pragma GCC unroll 8
+    for (int r = 0; r < K / 8; ++r) {
+      _mm_storel_epi64(
+          reinterpret_cast<__m128i*>(out + i + 8 * r),
+          _mm512_maskz_cvtepi64_epi8(0xFF, _mm512_srli_epi64(v[r], 33)));
+      v[r] = _mm512_add_epi64(_mm512_mullo_epi64(v[r], va), vc);
+    }
   }
-  _mm512_store_si512(lane + 0, v0);
-  _mm512_store_si512(lane + 8, v1);
-  _mm512_store_si512(lane + 16, v2);
-  _mm512_store_si512(lane + 24, v3);
+#pragma GCC unroll 8
+  for (int r = 0; r < K / 8; ++r) _mm512_store_si512(lane + 8 * r, v[r]);
   for (std::uint64_t j = 0; i < size; ++i, ++j) {
     out[i] = static_cast<std::byte>((lane[j] >> 33) & 0xFF);
   }
 }
-#pragma GCC diagnostic pop
-#endif  // __x86_64__ && __GNUC__
 
-void pattern_fill(std::byte* out, std::uint64_t size, std::uint64_t x) {
-#if defined(__x86_64__) && defined(__GNUC__)
-  static const bool kHasAvx512 = __builtin_cpu_supports("avx512dq") != 0;
-  if (kHasAvx512) {
-    pattern_fill_avx512(out, size, x);
+/// AVX512-IFMA fill over pre-shifted 52-bit states (see the top of this
+/// section): one vpmadd52luq steps a chain, one vpermb gathers byte 5 of
+/// its eight lanes into the low eight bytes for a single 8-byte store.
+__attribute__((target("avx512f,avx512ifma,avx512vbmi"))) void
+codec_detail::pattern_fill_ifma(std::byte* out, std::uint64_t size,
+                                std::uint64_t x) {
+  constexpr int K = kPatternLanes;
+  if (size < K) {
+    pattern_fill_scalar(out, size, x);
     return;
   }
-#endif
-  pattern_fill_scalar(out, size, x);
+  constexpr std::uint64_t kMask52 = (std::uint64_t{1} << 52) - 1;
+  alignas(64) std::uint64_t lane[K];
+  const auto [aK, cK] = lcg_lanes<K>(x, lane);
+  for (std::uint64_t& y : lane) y = (y << 7) & kMask52;
+  const __m512i va = _mm512_set1_epi64(static_cast<long long>(aK & kMask52));
+  const __m512i vc =
+      _mm512_set1_epi64(static_cast<long long>((cK << 7) & kMask52));
+  // Byte 5 of each qword (bytes 5, 13, ..., 61) into bytes 0..7.
+  const __m512i pick = _mm512_set_epi64(0, 0, 0, 0, 0, 0, 0,
+                                        0x3D352D251D150D05LL);
+  __m512i v[K / 8];
+#pragma GCC unroll 8
+  for (int r = 0; r < K / 8; ++r) v[r] = _mm512_load_si512(lane + 8 * r);
+  std::uint64_t i = 0;
+  for (; i + K <= size; i += K) {
+#pragma GCC unroll 8
+    for (int r = 0; r < K / 8; ++r) {
+      _mm_storel_epi64(
+          reinterpret_cast<__m128i*>(out + i + 8 * r),
+          _mm512_castsi512_si128(_mm512_permutexvar_epi8(pick, v[r])));
+      v[r] = _mm512_madd52lo_epu64(vc, v[r], va);
+    }
+  }
+#pragma GCC unroll 8
+  for (int r = 0; r < K / 8; ++r) _mm512_store_si512(lane + 8 * r, v[r]);
+  for (std::uint64_t j = 0; i < size; ++i, ++j) {
+    out[i] = static_cast<std::byte>((lane[j] >> 40) & 0xFF);
+  }
 }
-
-}  // namespace
+#pragma GCC diagnostic pop
+#endif  // __x86_64__ || __i386__
 
 Buffer Buffer::pattern(std::uint64_t size, std::uint64_t seed) {
   Buffer b = for_overwrite(size);
   // Cheap per-byte mix; distinct seeds give distinct, reproducible content.
   const std::uint64_t x0 =
       seed * 0x9E3779B97F4A7C15ULL + 0xD1B54A32D192ED03ULL;
-  if (size > 0) pattern_fill(b.base(), size, x0);
+  if (size > 0) pattern_fill({b.base(), static_cast<std::size_t>(size)}, x0);
   return b;
 }
 

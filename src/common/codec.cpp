@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstdlib>
 #include <cstring>
+#include <string>
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
@@ -183,6 +184,62 @@ __attribute__((target("avx2"))) void region_avx2(std::byte* dst,
   if (i < n) region_scalar<kAcc>(dst + i, src + i, n - i, c);
 }
 
+/// The 8x8 GF(2) matrix of multiply-by-c over 0x11d for every c, laid out
+/// for vgf2p8affineqb: output bit i is the parity of (src & byte[7-i]),
+/// and column j of multiply-by-c is the product c * 2^j. Built at compile
+/// time, so a region call costs one load, not 64 table walks.
+struct AffineMatrices {
+  std::uint64_t m[256] = {};
+};
+constexpr AffineMatrices make_affine_matrices() {
+  AffineMatrices t{};
+  for (std::uint32_t c = 0; c < 256; ++c) {
+    for (std::uint32_t i = 0; i < 8; ++i) {
+      std::uint64_t row = 0;
+      for (std::uint32_t j = 0; j < 8; ++j) {
+        const std::uint8_t p = gf_mul(static_cast<std::uint8_t>(c),
+                                      static_cast<std::uint8_t>(1u << j));
+        row |= static_cast<std::uint64_t>((p >> i) & 1u) << j;
+      }
+      t.m[c] |= row << (8 * (7 - i));
+    }
+  }
+  return t;
+}
+constexpr AffineMatrices kAffine = make_affine_matrices();
+
+/// dst[i] = c*src[i] (or ^=) for the bytes of one zmm selected by `k`;
+/// masked-out bytes are neither read nor written.
+template <bool kAcc>
+__attribute__((target("avx512f,avx512bw,gfni"), always_inline)) inline void
+gfni_block(std::byte* dst, const std::byte* src, __m512i m, __mmask64 k) {
+  __m512i out =
+      _mm512_gf2p8affine_epi64_epi8(_mm512_maskz_loadu_epi8(k, src), m, 0);
+  if constexpr (kAcc) {
+    out = _mm512_xor_si512(out, _mm512_maskz_loadu_epi8(k, dst));
+  }
+  _mm512_mask_storeu_epi8(dst, k, out);
+}
+
+/// One vgf2p8affineqb per 64 bytes (plus a zmm XOR with dst for muladd),
+/// four independent blocks per iteration, then single blocks; the
+/// sub-64-byte tail is one masked pass, so no byte past n is touched.
+template <bool kAcc>
+__attribute__((target("avx512f,avx512bw,gfni"))) void region_gfni(
+    std::byte* dst, const std::byte* src, std::size_t n, std::uint8_t c) {
+  const __m512i m = _mm512_set1_epi64(static_cast<long long>(kAffine.m[c]));
+  constexpr __mmask64 kAll = ~__mmask64{0};
+  std::size_t i = 0;
+  for (; i + 256 <= n; i += 256) {
+    gfni_block<kAcc>(dst + i, src + i, m, kAll);
+    gfni_block<kAcc>(dst + i + 64, src + i + 64, m, kAll);
+    gfni_block<kAcc>(dst + i + 128, src + i + 128, m, kAll);
+    gfni_block<kAcc>(dst + i + 192, src + i + 192, m, kAll);
+  }
+  for (; i + 64 <= n; i += 64) gfni_block<kAcc>(dst + i, src + i, m, kAll);
+  if (i < n) gfni_block<kAcc>(dst + i, src + i, m, kAll >> (64 - (n - i)));
+}
+
 /// dst[i] = a[i] ^ b[i] over 128-byte blocks of four independent ymm XORs,
 /// then 32-byte blocks; the sub-32-byte tail goes to the portable kernel.
 __attribute__((target("avx2"))) void xor_avx2(std::byte* dst,
@@ -219,36 +276,61 @@ __attribute__((target("avx2"))) void xor_avx2(std::byte* dst,
 
 #endif  // CSAR_CODEC_X86
 
-using RegionFn = void (*)(std::byte*, const std::byte*, std::size_t,
-                          std::uint8_t);
+using codec_detail::GfKernel;
+using codec_detail::PatternKernel;
 using XorFn = void (*)(std::byte*, const std::byte*, const std::byte*,
                       std::size_t);
 
+/// Every per-byte kernel the CPU supports, and the one each call dispatches
+/// to (the best: the last of each list).
 struct Dispatch {
+  std::vector<GfKernel> gf;
+  std::vector<PatternKernel> pattern;
   XorFn xor_region = &xor_portable;
-  RegionFn muladd = &region_scalar<true>;
-  RegionFn mul = &region_scalar<false>;
-  const char* name = "scalar";
+  codec_detail::RegionFn muladd = nullptr;
+  codec_detail::RegionFn mul = nullptr;
+  codec_detail::PatternFn fill = nullptr;
+  std::string name;
 };
 
-/// Single runtime-dispatch point for the codec: resolved once, at first
-/// use, from CPU feature bits. All variants are bit-identical (GF and XOR
-/// arithmetic are exact), so the choice never affects simulated results.
+/// Single runtime-dispatch point for every per-byte kernel: resolved once,
+/// at first use, from CPU feature bits. All variants are bit-identical
+/// (GF and XOR arithmetic and the LCG are exact), so the choice never
+/// affects simulated results.
 const Dispatch& dispatch() {
   static const Dispatch d = [] {
     Dispatch r;
+    const char* xor_name = "portable";
+    r.gf.push_back({"scalar", &region_scalar<false>, &region_scalar<true>});
+    r.pattern.push_back({"scalar", &codec_detail::pattern_fill_scalar});
 #if CSAR_CODEC_X86
+    if (__builtin_cpu_supports("ssse3")) {
+      r.gf.push_back({"ssse3", &region_ssse3<false>, &region_ssse3<true>});
+    }
     if (__builtin_cpu_supports("avx2")) {
       r.xor_region = &xor_avx2;
-      r.muladd = &region_avx2<true>;
-      r.mul = &region_avx2<false>;
-      r.name = "avx2";
-    } else if (__builtin_cpu_supports("ssse3")) {
-      r.muladd = &region_ssse3<true>;
-      r.mul = &region_ssse3<false>;
-      r.name = "ssse3";
+      xor_name = "avx2";
+      r.gf.push_back({"avx2", &region_avx2<false>, &region_avx2<true>});
+    }
+    const bool avx512bw = __builtin_cpu_supports("avx512f") &&
+                          __builtin_cpu_supports("avx512bw");
+    if (avx512bw && __builtin_cpu_supports("gfni")) {
+      r.gf.push_back({"gfni", &region_gfni<false>, &region_gfni<true>});
+    }
+    if (__builtin_cpu_supports("avx512dq")) {
+      r.pattern.push_back(
+          {"avx512dq", &codec_detail::pattern_fill_avx512dq});
+    }
+    if (__builtin_cpu_supports("avx512ifma") &&
+        __builtin_cpu_supports("avx512vbmi")) {
+      r.pattern.push_back({"ifma", &codec_detail::pattern_fill_ifma});
     }
 #endif
+    r.mul = r.gf.back().mul;
+    r.muladd = r.gf.back().muladd;
+    r.fill = r.pattern.back().fill;
+    r.name = std::string("gf=") + r.gf.back().name + " xor=" + xor_name +
+             " pattern=" + r.pattern.back().name;
     return r;
   }();
   return d;
@@ -256,7 +338,17 @@ const Dispatch& dispatch() {
 
 }  // namespace
 
-const char* codec_dispatch_name() { return dispatch().name; }
+const char* codec_dispatch_name() { return dispatch().name.c_str(); }
+
+std::span<const GfKernel> codec_detail::gf_kernels() { return dispatch().gf; }
+
+std::span<const PatternKernel> codec_detail::pattern_kernels() {
+  return dispatch().pattern;
+}
+
+void pattern_fill(std::span<std::byte> out, std::uint64_t x0) {
+  dispatch().fill(out.data(), out.size(), x0);
+}
 
 void xor_words(std::span<std::byte> dst, std::span<const std::byte> src) {
   assert(src.size() <= dst.size());
@@ -292,19 +384,6 @@ void gf_mul_region(std::span<std::byte> dst, std::span<const std::byte> src,
     return;
   }
   dispatch().mul(dst.data(), src.data(), src.size(), c);
-}
-
-void gf_muladd_region_scalar(std::span<std::byte> dst,
-                             std::span<const std::byte> src, std::uint8_t c) {
-  assert(src.size() <= dst.size());
-  if (c == 0) return;
-  region_scalar<true>(dst.data(), src.data(), src.size(), c);
-}
-
-void gf_mul_region_scalar(std::span<std::byte> dst,
-                          std::span<const std::byte> src, std::uint8_t c) {
-  assert(src.size() <= dst.size());
-  region_scalar<false>(dst.data(), src.data(), src.size(), c);
 }
 
 // --- Reed-Solomon coefficients ---

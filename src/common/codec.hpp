@@ -10,13 +10,21 @@
 // and every classic scheme is a special case of the code (RAID1 ≈ RS(1,1),
 // RAID4/5 ≈ RS(k,1)).
 //
-// Region kernels (xor_words/xor_into, gf_mul_region, gf_muladd_region)
-// each have a SIMD variant (AVX2 XOR; PSHUFB over split nibble tables,
-// SSSE3/AVX2, for GF) and a portable one over unaligned-safe loads. The
-// variants are bit-identical by construction — XOR and GF arithmetic are
-// exact — so runtime dispatch never perturbs simulated results. Dispatch is
-// resolved once, at the first region call, for both the XOR and GF kernels
-// (dispatch() in codec.cpp).
+// Every per-byte kernel of the simulator is picked in one place, dispatch()
+// in codec.cpp, once per process from the CPU feature bits:
+//   - XOR (xor_words/xor_into): "avx2" (four ymm XORs per 128-byte block)
+//     or "portable" (32-byte blocks of 64-bit words).
+//   - GF(2^8) regions (gf_mul_region, gf_muladd_region), best first:
+//     "gfni" (vgf2p8affineqb with the 8x8 GF(2) matrix of multiply-by-c
+//     from a compile-time table, 64 bytes per zmm, masked tail), "avx2"
+//     and "ssse3" (PSHUFB over split nibble tables), "scalar" (a 256-entry
+//     product row per call).
+//   - Buffer::pattern's generator (pattern_fill, kernels in buffer.cpp):
+//     "ifma" (52-bit vpmadd52luq over pre-shifted states, vpermb output),
+//     "avx512dq" (vpmullq) or "scalar".
+// All variants are bit-identical by construction — XOR, GF arithmetic and
+// the LCG are exact — so dispatch never perturbs simulated results;
+// codec_detail exposes every supported kernel so tests can check each one.
 #pragma once
 
 #include <cstddef>
@@ -99,7 +107,7 @@ constexpr std::uint8_t gf_inv(std::uint8_t a) {
 // --- GF(2^8) region kernels ---
 
 /// dst[i] ^= c * src[i] over GF(2^8). c == 0 is a no-op; c == 1 degrades to
-/// xor_words. Runtime-dispatched (see codec_dispatch()).
+/// xor_words. Runtime-dispatched (see codec_dispatch_name()).
 void gf_muladd_region(std::span<std::byte> dst, std::span<const std::byte> src,
                       std::uint8_t c);
 
@@ -108,17 +116,51 @@ void gf_muladd_region(std::span<std::byte> dst, std::span<const std::byte> src,
 void gf_mul_region(std::span<std::byte> dst, std::span<const std::byte> src,
                    std::uint8_t c);
 
-/// Scalar (per-byte table walk) variants, exposed for the parity-kernel
-/// ablation benchmark and for bit-identity tests against the SIMD path.
-void gf_muladd_region_scalar(std::span<std::byte> dst,
-                             std::span<const std::byte> src, std::uint8_t c);
-void gf_mul_region_scalar(std::span<std::byte> dst,
-                          std::span<const std::byte> src, std::uint8_t c);
+/// Fill `out` with Buffer::pattern's byte stream from LCG state `x0` (see
+/// buffer.cpp). Runtime-dispatched.
+void pattern_fill(std::span<std::byte> out, std::uint64_t x0);
 
-/// The instruction set the region kernels resolved to at runtime:
-/// "avx2" (XOR and GF kernels), "ssse3" (GF kernels; XOR stays portable) or
-/// "scalar". Resolved once per process.
+/// The kernels dispatch resolved to, e.g. "gf=gfni xor=avx2 pattern=ifma".
+/// Resolved once per process.
 const char* codec_dispatch_name();
+
+namespace codec_detail {
+
+/// Raw region kernel: dst[i] = c*src[i], or dst[i] ^= c*src[i] for the
+/// muladd form, for i < n. Handles every c, including 0 and 1.
+using RegionFn = void (*)(std::byte* dst, const std::byte* src,
+                          std::size_t n, std::uint8_t c);
+using PatternFn = void (*)(std::byte* out, std::uint64_t size,
+                           std::uint64_t x0);
+
+struct GfKernel {
+  const char* name;
+  RegionFn mul;
+  RegionFn muladd;
+};
+
+struct PatternKernel {
+  const char* name;
+  PatternFn fill;
+};
+
+/// Every GF(2^8) region kernel this CPU can run, scalar (the per-byte
+/// table walk) first; the last one is what gf_mul_region/gf_muladd_region
+/// dispatch to.
+std::span<const GfKernel> gf_kernels();
+
+/// Every pattern kernel this CPU can run, scalar first; the last one is
+/// what pattern_fill dispatches to.
+std::span<const PatternKernel> pattern_kernels();
+
+// Pattern kernels, defined in buffer.cpp; only those the CPU supports may
+// be called (pattern_kernels() lists them).
+void pattern_fill_scalar(std::byte* out, std::uint64_t size, std::uint64_t x0);
+void pattern_fill_avx512dq(std::byte* out, std::uint64_t size,
+                           std::uint64_t x0);
+void pattern_fill_ifma(std::byte* out, std::uint64_t size, std::uint64_t x0);
+
+}  // namespace codec_detail
 
 // --- Reed-Solomon code over the fragments of one group ---
 

@@ -171,7 +171,7 @@ sim::Task<void> FleetController::persist_rgroup(std::string name,
 void FleetController::start() {
   if (running_) return;
   running_ = true;
-  ++gen_;
+  stopped_ = std::make_shared<bool>(false);
   if (p_.transition_budget_bps > 0.0) {
     if (!bucket_) {
       bucket_ = std::make_unique<sim::TokenBucket>(
@@ -179,20 +179,23 @@ void FleetController::start() {
     }
     migrator_->set_shared_bucket(bucket_.get());
   }
-  rig_->sim.spawn(decision_loop(gen_), "fleet_decisions");
+  rig_->sim.spawn(decision_loop(stopped_), "fleet_decisions");
 }
 
 void FleetController::stop() {
   if (!running_) return;
   running_ = false;
-  ++gen_;
+  *stopped_ = true;
   // Detach the budget for future migrations; bucket_ itself stays alive
   // (in-flight copy passes still hold the pointer) until destruction.
   migrator_->set_shared_bucket(nullptr);
 }
 
-sim::Task<void> FleetController::decision_loop(std::uint64_t my_gen) {
-  while (running_ && gen_ == my_gen) {
+sim::Task<void> FleetController::decision_loop(
+    std::shared_ptr<const bool> stopped) {
+  // The flag, not a member, is checked after each sleep: the controller
+  // may have been stopped and destroyed while this frame slept.
+  while (!*stopped) {
     tick();
     co_await rig_->sim.sleep(p_.decision_interval);
   }

@@ -274,7 +274,7 @@ class FleetController {
     raid::Scheme to;
   };
 
-  sim::Task<void> decision_loop(std::uint64_t my_gen);
+  sim::Task<void> decision_loop(std::shared_ptr<const bool> stopped);
   void tick();
   sim::Task<void> persist_rgroup(std::string name, std::uint8_t rgroup);
 
@@ -288,7 +288,9 @@ class FleetController {
   std::unique_ptr<sim::TokenBucket> bucket_;
   raid::Scheme initial_scheme_;
   std::uint64_t backlog_ = 0;
-  std::uint64_t gen_ = 0;
+  /// The running decision loop's stop flag, shared with its frame so it
+  /// can see the stop after this controller is gone.
+  std::shared_ptr<bool> stopped_;
   bool running_ = false;
 };
 

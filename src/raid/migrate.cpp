@@ -25,7 +25,7 @@ void SchemeMigrator::track(std::string name, const pvfs::OpenFile& f,
 void SchemeMigrator::start() {
   if (running_) return;
   running_ = true;
-  ++gen_;
+  stopped_ = std::make_shared<bool>(false);
   if (!attached_) {
     attached_ = true;
     for (auto& fs : rig_->fs) fs->set_write_listener(this);
@@ -33,12 +33,12 @@ void SchemeMigrator::start() {
   // Migration copies ride the rig's dedicated repair client; give it real
   // deadlines (a coexisting RebuildCoordinator installs the same defaults).
   rig_->repair_client().set_rpc_policy(p_.rpc);
-  sim().spawn(supervisor(gen_), "migrate_supervisor");
+  sim().spawn(supervisor(stopped_), "migrate_supervisor");
 }
 
 void SchemeMigrator::stop() {
   running_ = false;
-  ++gen_;
+  if (stopped_) *stopped_ = true;
   if (attached_) {
     attached_ = false;
     for (auto& fs : rig_->fs) fs->set_write_listener(nullptr);
@@ -76,8 +76,11 @@ void SchemeMigrator::on_write_end(const pvfs::OpenFile& f, std::uint64_t off,
   if (off + len > t.size) t.size = off + len;
 }
 
-sim::Task<void> SchemeMigrator::supervisor(std::uint64_t my_gen) {
-  while (gen_ == my_gen) {
+sim::Task<void> SchemeMigrator::supervisor(
+    std::shared_ptr<const bool> stopped) {
+  // The flag, not a member, is checked after each sleep: the migrator may
+  // have been stopped and destroyed while this frame slept.
+  while (!*stopped) {
     // Feed the adaptive engine the clients' cumulative RPC pressure
     // (timeouts + fabric resets), as a delta since the last sample.
     std::uint64_t total = 0;

@@ -32,6 +32,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 
 #include "common/interval_set.hpp"
@@ -158,14 +159,16 @@ class SchemeMigrator final : public CsarFs::WriteListener {
 
   sim::Simulation& sim() const { return rig_->sim; }
 
-  sim::Task<void> supervisor(std::uint64_t my_gen);
+  sim::Task<void> supervisor(std::shared_ptr<const bool> stopped);
   sim::Task<void> migrate_task(std::uint64_t handle, Scheme to);
 
   Rig* rig_;
   MigrateParams p_;
   std::map<std::uint64_t, Tracked> files_;
   MigrateStats stats_;
-  std::uint64_t gen_ = 0;
+  /// The running supervisor's stop flag, shared with its frame so it can
+  /// see the stop after this migrator is gone.
+  std::shared_ptr<bool> stopped_;
   std::uint32_t active_ = 0;
   std::uint64_t rpc_pressure_seen_ = 0;  ///< last sampled timeouts+resets
   sim::TokenBucket* shared_bucket_ = nullptr;  ///< see set_shared_bucket

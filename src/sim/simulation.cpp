@@ -1,6 +1,7 @@
 #include "sim/simulation.hpp"
 
 #include <cassert>
+#include <utility>
 
 namespace csar::sim {
 
@@ -8,6 +9,13 @@ Simulation::RootCoro Simulation::run_root(Task<void> t, Simulation* sim,
                                           std::uint32_t idx) {
   co_await std::move(t);
   sim->finish_proc(idx);
+}
+
+Simulation::~Simulation() {
+  // Index loop: a destructor run by a frame may still touch procs_.
+  for (std::size_t i = 0; i < procs_.size(); ++i) {
+    if (auto root = std::exchange(procs_[i].root, {})) root.destroy();
+  }
 }
 
 std::uint32_t Simulation::alloc_proc() {
@@ -24,6 +32,7 @@ std::uint32_t Simulation::alloc_proc() {
 void Simulation::finish_proc(std::uint32_t idx) {
   ProcessState& st = procs_[idx];
   st.done = true;
+  st.root = {};
   --live_processes_;
   if (st.joiner0) {
     schedule_now(st.joiner0);
@@ -41,9 +50,11 @@ ProcessHandle Simulation::spawn(Task<void> t) {
   const std::uint32_t idx = alloc_proc();
   const std::uint32_t gen = procs_[idx].gen;
   ++live_processes_;
-  run_root(std::move(t), this, idx);
-  // If the body completed without suspending, the slot has already been
-  // recycled; the stale generation in the handle reads as done.
+  const std::coroutine_handle<> frame = run_root(std::move(t), this, idx).frame;
+  // If the body completed without suspending, its frame is gone and the
+  // slot has already been recycled; the stale generation in the handle
+  // reads as done. Otherwise remember the frame for the destructor.
+  if (!proc_done(idx, gen)) procs_[idx].root = frame;
   return ProcessHandle{this, idx, gen};
 }
 

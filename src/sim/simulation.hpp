@@ -47,6 +47,7 @@ class TaskObserver {
 struct ProcessState {
   std::uint32_t gen = 0;
   bool done = false;
+  std::coroutine_handle<> root;  ///< the live process's root frame
   std::coroutine_handle<> joiner0;  ///< inline single-joiner slot
   std::vector<std::coroutine_handle<>> extra_joiners;
 };
@@ -99,9 +100,19 @@ class ProcessHandle {
   std::uint32_t gen_ = 0;
 };
 
+/// Destroying a Simulation destroys the coroutine frames of processes that
+/// are still live (deadlocked, or parked forever on a channel), so none
+/// leaks. That runs the destructors of their locals — and of every Task
+/// they are awaiting — which may touch the objects those processes use: a
+/// sync::Mutex a Guard releases, a Tracer a Span ends into. Owner order:
+/// such objects must outlive the Simulation (declare them before it), or
+/// the owner must drain the processes before destroying them (Rig's
+/// destructor stops its daemons and runs the queue dry). Locals that only
+/// own memory (Buffers, results, awaiter slots) need neither.
 class Simulation {
  public:
   Simulation() = default;
+  ~Simulation();
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
 
@@ -158,7 +169,8 @@ class Simulation {
   bool step();
 
   /// Number of spawned processes that have not yet finished. Nonzero after
-  /// run() indicates a deadlock (process blocked forever).
+  /// run() indicates a deadlock (process blocked forever); the destructor
+  /// frees their frames.
   std::size_t live_processes() const { return live_processes_; }
 
   /// Total events executed (diagnostics).
@@ -178,9 +190,14 @@ class Simulation {
   };
 
   // Detached, self-destroying wrapper that runs a Task as a root process.
+  // Its frame owns the Task, so destroying a suspended root frame frees the
+  // whole chain of frames below it.
   struct RootCoro {
+    std::coroutine_handle<> frame;
     struct promise_type {
-      RootCoro get_return_object() const noexcept { return {}; }
+      RootCoro get_return_object() noexcept {
+        return {std::coroutine_handle<promise_type>::from_promise(*this)};
+      }
       std::suspend_never initial_suspend() const noexcept { return {}; }
       std::suspend_never final_suspend() const noexcept { return {}; }
       void return_void() const noexcept {}

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <initializer_list>
 #include <memory>
@@ -142,6 +143,102 @@ TEST(Buffer, PatternZeroLength) {
   Buffer a = Buffer::pattern(0, 77);
   EXPECT_TRUE(a.empty());
   EXPECT_TRUE(a.materialized());
+}
+
+std::uint64_t fnv1a(std::span<const std::byte> bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (std::byte b : bytes) {
+    h ^= static_cast<std::uint8_t>(b);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// The pattern byte stream is a contract: storm shadows, scrub checksums and
+// run fingerprints are built from it. These FNV-1a hashes were taken from
+// the original scalar generator; Buffer::pattern and every pattern kernel
+// the CPU supports must reproduce them.
+TEST(Buffer, PatternBytesArePinned) {
+  constexpr std::uint64_t kSizes[] = {0,  1,  7,   8,    31,     63,
+                                      64, 65, 511, 4099, 1966080};
+  struct Golden {
+    std::uint64_t seed;
+    std::uint64_t fnv[std::size(kSizes)];
+  };
+  constexpr Golden kGolden[] = {
+      {0,
+       {0xcbf29ce484222325ULL, 0xaf63db4c8601ead9ULL, 0x67102fbe45efe746ULL,
+        0x10688150d6a629d3ULL, 0x3fa3d78965960088ULL, 0xcd32ff513fae88d9ULL,
+        0x5c30060f359167ddULL, 0x370243d80613aa68ULL, 0x16c03ab021ce8b6cULL,
+        0x1b1e88f6bcfe85e0ULL, 0xd491b1d88f1e6df9ULL}},
+      {1,
+       {0xcbf29ce484222325ULL, 0xaf64354c860283c7ULL, 0x29298b388ce65586ULL,
+        0xd7ecc6176b62c90fULL, 0xd52e41a0413d9cabULL, 0xe46901eef5dddea2ULL,
+        0xfc4d0a0bc80181f3ULL, 0xb86a0d04da8fdd81ULL, 0xa1ef70150f763807ULL,
+        0x2e1c27838450f270ULL, 0xcc44275db9110f11ULL}},
+      {42,
+       {0xcbf29ce484222325ULL, 0xaf647c4c8602fc6cULL, 0x39e802271b514e69ULL,
+        0xb68a0e736b283752ULL, 0x1e57dcbf8b261ce8ULL, 0x704c600c52723b54ULL,
+        0x4402b5f0181b1c33ULL, 0xabb792f8f6114b84ULL, 0x8c9a4c37cce1ceb6ULL,
+        0x6d11c5abe7799f41ULL, 0xc0e0e36479882c5aULL}},
+      {0xDEADBEEFCAFEF00DULL,
+       {0xcbf29ce484222325ULL, 0xaf64334c86028061ULL, 0x589151f4576e4723ULL,
+        0xed35b33090636503ULL, 0x381d839919824998ULL, 0xb28fc3177b744d53ULL,
+        0xde95cbe6c69f5671ULL, 0xd7e01b2380c03546ULL, 0xe79d2ed92b52f7e1ULL,
+        0xbb3ab2e625304f32ULL, 0x59996d206bfb92acULL}},
+  };
+  std::vector<std::byte> out;
+  for (const Golden& g : kGolden) {
+    // Buffer::pattern's seed mix, so each kernel sees the same state.
+    const std::uint64_t x0 = g.seed * 0x9E3779B97F4A7C15ULL +
+                             0xD1B54A32D192ED03ULL;
+    for (std::size_t s = 0; s < std::size(kSizes); ++s) {
+      const std::uint64_t n = kSizes[s];
+      const Buffer b = Buffer::pattern(n, g.seed);
+      EXPECT_EQ(fnv1a(b.bytes()), g.fnv[s])
+          << "Buffer::pattern size " << n << " seed " << g.seed;
+      for (const auto& k : codec_detail::pattern_kernels()) {
+        out.assign(n, std::byte{0});
+        k.fill(out.data(), n, x0);
+        EXPECT_EQ(fnv1a(out), g.fnv[s])
+            << k.name << " size " << n << " seed " << g.seed;
+      }
+    }
+  }
+}
+
+// Every pattern kernel the CPU supports against the scalar one, at every
+// length through several 64-lane blocks and every output misalignment
+// within a cache line, with guard bytes on both sides of the output.
+TEST(Buffer, PatternKernelsMatchScalarAtEveryLengthAndAlignment) {
+  constexpr std::size_t kMaxLen = 1100;
+  constexpr std::size_t kMaxMis = 63;
+  constexpr std::size_t kGuard = 64;
+  constexpr auto kFill = std::byte{0xA5};
+  const auto kernels = codec_detail::pattern_kernels();
+  ASSERT_FALSE(kernels.empty());
+  ASSERT_STREQ(kernels.front().name, "scalar");
+  std::vector<std::byte> want(kMaxLen);
+  std::vector<std::byte> got(kGuard + kMaxMis + kMaxLen + kGuard);
+  for (std::size_t n = 0; n <= kMaxLen; ++n) {
+    const std::uint64_t x0 = 0x9E3779B97F4A7C15ULL * (n + 1);
+    codec_detail::pattern_fill_scalar(want.data(), n, x0);
+    for (const auto& k : kernels.subspan(1)) {
+      for (std::size_t mis = 0; mis <= kMaxMis; ++mis) {
+        std::fill(got.begin(), got.end(), kFill);
+        std::byte* out = got.data() + kGuard + mis;
+        k.fill(out, n, x0);
+        ASSERT_EQ(std::memcmp(out, want.data(), n), 0)
+            << k.name << " len " << n << " misalign " << mis;
+        ASSERT_TRUE(std::all_of(got.data(), out,
+                                [&](std::byte b) { return b == kFill; }))
+            << k.name << " wrote before the output, len " << n;
+        ASSERT_TRUE(std::all_of(out + n, got.data() + got.size(),
+                                [&](std::byte b) { return b == kFill; }))
+            << k.name << " wrote past the output, len " << n;
+      }
+    }
+  }
 }
 
 std::vector<std::byte> to_vec(const Buffer& b) {

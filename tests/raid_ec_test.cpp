@@ -48,6 +48,7 @@ TEST(GfField, InverseAndIdentity) {
 }
 
 TEST(GfField, RegionKernelsBitIdenticalToScalar) {
+  const auto& scalar = codec_detail::gf_kernels().front();
   Rng rng(4242);
   for (const std::size_t len : {std::size_t{1}, std::size_t{31},
                                 std::size_t{1000}, std::size_t{4096},
@@ -60,12 +61,57 @@ TEST(GfField, RegionKernelsBitIdenticalToScalar) {
     for (const std::uint8_t c : {0, 1, 2, 0x1d, 0x80, 0xff}) {
       std::vector<std::byte> am = a, bm = b;
       gf_muladd_region(am, src, c);
-      gf_muladd_region_scalar(bm, src, c);
+      scalar.muladd(bm.data(), src.data(), len, c);
       EXPECT_EQ(am, bm) << "muladd len=" << len << " c=" << int(c)
                         << " dispatch=" << codec_dispatch_name();
       gf_mul_region(am, src, c);
-      gf_mul_region_scalar(bm, src, c);
+      scalar.mul(bm.data(), src.data(), len, c);
       EXPECT_EQ(am, bm) << "mul len=" << len << " c=" << int(c);
+    }
+  }
+}
+
+// Every GF kernel the CPU supports (scalar, SSSE3, AVX2, GFNI), mul and
+// muladd, against the per-byte log/exp table walk: all 256 constants, every
+// length 0..300, and every src/dst misalignment within a cache line (the
+// (len, c) sweep steps the pair through all 64x64 combinations), with guard
+// bytes on both sides of dst.
+TEST(GfField, EveryKernelMatchesTableWalk) {
+  constexpr std::size_t kMaxLen = 300;
+  constexpr std::size_t kMis = 64;
+  constexpr std::size_t kGuard = 64;
+  const auto kernels = codec_detail::gf_kernels();
+  ASSERT_STREQ(kernels.front().name, "scalar");
+  Rng rng(7331);
+  std::vector<std::byte> src_pool(kMis + kMaxLen);
+  std::vector<std::byte> dst_pool(kGuard + kMis + kMaxLen + kGuard);
+  for (auto& b : src_pool) b = static_cast<std::byte>(rng.next());
+  for (auto& b : dst_pool) b = static_cast<std::byte>(rng.next());
+  std::vector<std::byte> mul_want(dst_pool.size());
+  std::vector<std::byte> add_want(dst_pool.size());
+  std::vector<std::byte> got(dst_pool.size());
+  for (std::size_t n = 0; n <= kMaxLen; ++n) {
+    for (std::uint32_t c = 0; c < 256; ++c) {
+      const auto cb = static_cast<std::uint8_t>(c);
+      const std::byte* src = src_pool.data() + (n + c) % kMis;
+      const std::size_t dm = kGuard + c % kMis;
+      mul_want = dst_pool;
+      add_want = dst_pool;
+      for (std::size_t i = 0; i < n; ++i) {
+        const auto p = static_cast<std::byte>(
+            gf_mul(cb, static_cast<std::uint8_t>(src[i])));
+        mul_want[dm + i] = p;
+        add_want[dm + i] ^= p;
+      }
+      for (const auto& k : kernels) {
+        got = dst_pool;
+        k.mul(got.data() + dm, src, n, cb);
+        ASSERT_EQ(got, mul_want) << k.name << " mul len " << n << " c " << c;
+        got = dst_pool;
+        k.muladd(got.data() + dm, src, n, cb);
+        ASSERT_EQ(got, add_want)
+            << k.name << " muladd len " << n << " c " << c;
+      }
     }
   }
 }
