@@ -28,7 +28,7 @@ int main() {
   for (std::uint32_t n = 1; n <= 7; ++n) {
     std::vector<std::string> row = {TextTable::num(std::uint64_t{n})};
     for (raid::Scheme s : schemes) {
-      if (raid::uses_parity(s) && n < 2) {
+      if (raid::uses_group_coding(s) && n < 2) {
         row.push_back("-");
         continue;
       }

@@ -70,12 +70,13 @@ RunResult run(raid::Scheme scheme) {
     // White-box parity audit: XOR the stripe's data units straight out of
     // the server file systems and compare with the stored parity unit.
     out.parity_consistent = true;
-    if (raid::uses_parity(r.p.scheme)) {
+    if (raid::uses_group_coding(r.p.scheme)) {
       const auto& layout = file->layout;
-      Buffer parity = co_await r.server(layout.parity_server(0))
+      const std::uint32_t k = layout.n() - 1;  // parity: rs(N-1,1)
+      Buffer parity = co_await r.server(layout.coding_server(0, k, 0))
                           .fs()
                           .peek(pvfs::IoServer::red_name(file->handle),
-                                layout.parity_local_off(0), kSu);
+                                layout.coding_off(0, k, 1, 0), kSu);
       Buffer expect = Buffer::real(kSu);
       for (std::uint64_t u = 0; u < kServers - 1; ++u) {
         Buffer unit = co_await r.server(layout.server_of_unit(u))
@@ -103,7 +104,7 @@ int main() {
     const RunResult r = run(s);
     std::printf("%-11s %8.3f s %12llu %18s\n", raid::scheme_name(s).c_str(), r.secs,
                 static_cast<unsigned long long>(r.lock_waits),
-                !raid::uses_parity(s)  ? "n/a"
+                !raid::uses_group_coding(s)  ? "n/a"
                 : r.parity_consistent ? "yes"
                                       : "NO (corrupted!)");
   }

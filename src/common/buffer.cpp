@@ -552,4 +552,29 @@ void gf_muladd_region(std::span<std::byte> dst, const Buffer& src,
   });
 }
 
+Buffer gf_combine(std::span<const Buffer> srcs,
+                  std::span<const std::uint8_t> coeffs) {
+  assert(!srcs.empty() && srcs.size() == coeffs.size());
+  const std::uint64_t size = srcs[0].size();
+  for (const Buffer& s : srcs) {
+    assert(s.size() == size);
+    if (!s.materialized()) return Buffer::phantom(size);
+  }
+  Buffer out;
+  if (coeffs[0] == 1) {
+    out = srcs[0];
+  } else {
+    out = Buffer::for_overwrite(size);
+    gf_mul_region(out.mutable_bytes(), srcs[0], coeffs[0]);
+  }
+  for (std::size_t r = 1; r < srcs.size(); ++r) {
+    if (coeffs[r] == 1) {
+      out.xor_with(srcs[r]);
+    } else if (coeffs[r] != 0) {
+      gf_muladd_region(out.mutable_bytes(), srcs[r], coeffs[r]);
+    }
+  }
+  return out;
+}
+
 }  // namespace csar

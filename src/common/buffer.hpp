@@ -196,4 +196,13 @@ void gf_mul_region(std::span<std::byte> dst, const Buffer& src,
 void gf_muladd_region(std::span<std::byte> dst, const Buffer& src,
                       std::uint8_t c);
 
+/// sum_r coeffs[r] * srcs[r] over GF(2^8), the one encode/decode step of
+/// every k+m code. The sources must be equally sized; the result is a
+/// phantom of that size when any source is phantom. Unit coefficients take
+/// the XOR path — a unit first coefficient starts from a view of its
+/// source, so the first XOR fuses the copy-on-write — so RS(k,1) parity
+/// costs exactly what plain XOR parity does.
+Buffer gf_combine(std::span<const Buffer> srcs,
+                  std::span<const std::uint8_t> coeffs);
+
 }  // namespace csar

@@ -401,6 +401,12 @@ std::uint8_t rs_coeff(CodeSpec spec, std::uint32_t j, std::uint32_t i) {
   return gf_mul(cauchy, scale);
 }
 
+std::vector<std::uint8_t> rs_row(CodeSpec spec, std::uint32_t j) {
+  std::vector<std::uint8_t> row(spec.k);
+  for (std::uint32_t i = 0; i < spec.k; ++i) row[i] = rs_coeff(spec, j, i);
+  return row;
+}
+
 std::vector<std::uint8_t> rs_reconstruct_coeffs(
     CodeSpec spec, std::span<const std::uint32_t> present,
     std::uint32_t target) {
@@ -414,6 +420,16 @@ std::vector<std::uint8_t> rs_reconstruct_coeffs(
       sel[r] = 1;
       return sel;
     }
+  }
+
+  // RS(k,1) is XOR parity: any fragment is the XOR of the other k.
+  if (spec.m == 1) {
+    std::vector<bool> seen(spec.fragments(), false);
+    for (const std::uint32_t f : present) {
+      if (f >= spec.fragments() || seen[f]) std::abort();
+      seen[f] = true;
+    }
+    return std::vector<std::uint8_t>(k, 1);
   }
 
   // Row r of A is the [I; G] row of fragment present[r], restricted to the

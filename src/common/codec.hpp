@@ -187,6 +187,10 @@ inline constexpr std::uint32_t kMaxCodeFragments = 255;
 /// spec.fragments() <= kMaxCodeFragments.
 std::uint8_t rs_coeff(CodeSpec spec, std::uint32_t j, std::uint32_t i);
 
+/// Generator row j: rs_coeff(spec, j, i) for every data fragment i, so
+/// coding fragment j = sum_i row[i] * data_i (all ones for j = 0).
+std::vector<std::uint8_t> rs_row(CodeSpec spec, std::uint32_t j);
+
 /// Coefficients reconstructing fragment `target` from the k fragments
 /// listed in `present` (distinct indices in [0, k+m), any order; exactly k
 /// of them). Returns one coefficient per present fragment:

@@ -199,13 +199,11 @@ sim::Task<void> driver(const StormParams& p, raid::Rig& rig,
         // migration may have landed mid-storm); mirror/striped-only writes
         // tear at most their own range.
         const raid::Scheme sch = rig.policy().scheme_of(files[fi]);
-        if (sch != raid::Scheme::raid0 && sch != raid::Scheme::raid1) {
-          // rs groups are k units wide; every parity scheme's group is the
-          // full stripe. A torn write can desynchronize the whole group.
+        if (raid::uses_group_coding(sch)) {
+          // A coded group is k units wide (the full stripe for parity). A
+          // torn write can desynchronize the whole group.
           const std::uint64_t w =
-              sch.kind == raid::SchemeKind::rs
-                  ? files[fi].layout.rs_group_width(sch.k)
-                  : files[fi].layout.stripe_width();
+              files[fi].layout.group_width(sch.code(files[fi].layout).k);
           lo = lo / w * w;
           hi = std::min<std::uint64_t>(p.file_size, (hi + w - 1) / w * w);
         }

@@ -10,7 +10,8 @@
 // parity unit in its redundancy file, and it rotates group by group
 // (for group g the parity server is ((g+1)*(N-1)) mod N). Every parity
 // group is therefore recoverable from a single server failure, while the
-// data layout stays byte-identical to plain PVFS.
+// data layout stays byte-identical to plain PVFS. Parity is the k = N-1,
+// m = 1 case of the coded-group geometry below, which also places rs(k,m).
 //
 // A "full stripe" is W = (N-1)*su consecutive bytes aligned on a multiple of
 // W. The Hybrid write rule decomposes every write into a leading partial
@@ -20,6 +21,9 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <numeric>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/units.hpp"
@@ -102,7 +106,7 @@ struct StripeLayout {
     return prefix(off + len) - prefix(off);
   }
 
-  // --- parity group math ---
+  // --- full-stripe (parity group) math: groups of N-1 units ---
   std::uint64_t group_of_unit(std::uint64_t u) const {
     return u / (nservers - 1);
   }
@@ -116,70 +120,89 @@ struct StripeLayout {
   std::uint64_t group_end(std::uint64_t g) const {
     return (g + 1) * stripe_width();
   }
-  /// The server holding group g's parity unit — the one server with none of
-  /// the group's data (rotating), or the dedicated server N-1 (fixed).
-  std::uint32_t parity_server(std::uint64_t g) const {
-    if (placement == ParityPlacement::fixed) return nservers - 1;
-    // The one server holding none of group g's data, shifted by `base`
-    // exactly like the data placement.
-    return static_cast<std::uint32_t>(
-        (base + (g + 1) * (nservers - 1)) % nservers);
-  }
-  /// Local unit index of group g's parity inside the parity server's
-  /// redundancy file: every N-th group per server when rotating, every
-  /// group when fixed.
-  std::uint64_t parity_local_unit(std::uint64_t g) const {
-    return placement == ParityPlacement::fixed ? g : g / nservers;
-  }
-  /// Server-local byte offset of group g's parity unit.
-  std::uint64_t parity_local_off(std::uint64_t g) const {
-    return parity_local_unit(g) * stripe_unit;
-  }
 
-  // --- rs (k+m) group math ---
-  // Reed-Solomon generalizes the parity geometry: an rs group is k
-  // *consecutive* stripe units (occupying k distinct servers under the
-  // rotating data layout, which rs always uses — data placement stays
-  // byte-identical to plain PVFS), and the group's m coding fragments go to
-  // the next m servers after the group's data in rotation order, so the
-  // k+m fragments of a group sit on k+m distinct servers (requires
-  // k+m <= N). With k = N-1 and m = 1 this reduces exactly to the rotating
-  // parity placement above. Coding fragment j of group g lives in server
-  // rs_coding_server(g,k,j)'s redundancy file at a slot-per-group offset
-  // (one unit-sized slot per group index, like RAID4's fixed placement) —
-  // sparse per server, but collision-free without closed-form density math.
-  std::uint64_t rs_group_of_unit(std::uint64_t u, std::uint32_t k) const {
-    return u / k;
-  }
-  std::uint64_t rs_group_of_off(std::uint64_t off, std::uint32_t k) const {
-    return rs_group_of_unit(unit_of(off), k);
-  }
-  std::uint64_t rs_group_width(std::uint32_t k) const {
+  // --- coded groups: k data units + m coding units ---
+  // One geometry serves every scheme that keeps group coding: RAID4, the
+  // RAID5 variants and Hybrid's full stripes are k = N-1, m = 1; rs(k,m)
+  // is the general case. A group is k consecutive stripe units, so its data
+  // sits on k distinct servers and the data layout stays plain PVFS. The
+  // group's m coding units live in the servers' redundancy files:
+  //  - rotating: coding unit j of group g goes to the j-th server after the
+  //    group's data in rotation order, (base + (g+1)*k + j) mod N, so the
+  //    k+m units of a group sit on k+m distinct servers (needs k+m <= N).
+  //    With d = gcd(k, N) the coding servers repeat every N/d groups, and in
+  //    one such period a server receives at most ceil(m/d) coding units,
+  //    all with the same j mod d. Slot (period * ceil(m/d) + j/d) packs
+  //    them densely: at most one unused slot per server per period. For
+  //    k = N-1, m = 1 this is the paper's rotating parity (Figure 2): group
+  //    g's parity goes to the one server holding none of its data, in slot
+  //    g/N.
+  //  - fixed (RAID4, k = N-1, m = 1): data on servers 0..N-2, every group's
+  //    coding unit on server N-1, in slot g.
+  std::uint64_t group_width(std::uint32_t k) const {
     return static_cast<std::uint64_t>(k) * stripe_unit;
   }
-  /// Global byte range [start, end) covered by rs group g.
-  std::uint64_t rs_group_start(std::uint64_t g, std::uint32_t k) const {
-    return g * rs_group_width(k);
+  std::uint64_t group_of_unit(std::uint64_t u, std::uint32_t k) const {
+    return u / k;
   }
-  std::uint64_t rs_group_end(std::uint64_t g, std::uint32_t k) const {
-    return (g + 1) * rs_group_width(k);
+  std::uint64_t group_of_off(std::uint64_t off, std::uint32_t k) const {
+    return group_of_unit(unit_of(off), k);
   }
-  /// Server holding coding fragment j of rs group g.
-  std::uint32_t rs_coding_server(std::uint64_t g, std::uint32_t k,
-                                 std::uint32_t j) const {
-    assert(placement == ParityPlacement::rotating);
-    return static_cast<std::uint32_t>((base + g * k + k + j) % nservers);
+  std::uint64_t group_start(std::uint64_t g, std::uint32_t k) const {
+    return g * group_width(k);
   }
-  /// Server-local byte offset of group g's coding fragment inside the
-  /// holder's redundancy file (at most one fragment per (server, group), so
-  /// the group index is the slot).
-  std::uint64_t rs_coding_local_off(std::uint64_t g) const {
-    return g * stripe_unit;
+  std::uint64_t group_end(std::uint64_t g, std::uint32_t k) const {
+    return (g + 1) * group_width(k);
   }
-  /// Server holding data fragment i (unit g*k + i) of rs group g.
-  std::uint32_t rs_data_server(std::uint64_t g, std::uint32_t k,
-                               std::uint32_t i) const {
+  /// Server holding data unit i (unit g*k + i) of group g.
+  std::uint32_t data_server(std::uint64_t g, std::uint32_t k,
+                            std::uint32_t i) const {
     return server_of_unit(g * k + i);
+  }
+  /// Server holding coding unit j of group g.
+  std::uint32_t coding_server(std::uint64_t g, std::uint32_t k,
+                              std::uint32_t j) const {
+    if (placement == ParityPlacement::fixed) {
+      assert(k == nservers - 1 && j == 0);
+      return nservers - 1;
+    }
+    return static_cast<std::uint32_t>((base + (g + 1) * k + j) % nservers);
+  }
+  /// Unit-sized slot of group g's coding unit j in its server's redundancy
+  /// file (an rs(k,m) file's layout needs m as well as k).
+  std::uint64_t coding_slot(std::uint64_t g, std::uint32_t k, std::uint32_t m,
+                            std::uint32_t j) const {
+    if (placement == ParityPlacement::fixed) return g;
+    const std::uint32_t d = std::gcd(k, nservers);
+    return g / (nservers / d) * ((m + d - 1) / d) + j / d;
+  }
+  /// Server-local byte offset of group g's coding unit j.
+  std::uint64_t coding_off(std::uint64_t g, std::uint32_t k, std::uint32_t m,
+                           std::uint32_t j) const {
+    return coding_slot(g, k, m, j) * stripe_unit;
+  }
+  /// Inverse of (coding_server, coding_slot): the (group, j) whose coding
+  /// unit `server` stores in `slot`, or nullopt for an unused slot.
+  std::optional<std::pair<std::uint64_t, std::uint32_t>> coding_at(
+      std::uint32_t server, std::uint64_t slot, std::uint32_t k,
+      std::uint32_t m) const {
+    if (placement == ParityPlacement::fixed) {
+      if (server != nservers - 1) return std::nullopt;
+      return std::pair<std::uint64_t, std::uint32_t>{slot, 0};
+    }
+    const std::uint32_t d = std::gcd(k, nservers);
+    const std::uint32_t per = (m + d - 1) / d;  // slots per period
+    const std::uint64_t period = nservers / d;  // groups per period
+    const std::uint32_t j0 = static_cast<std::uint32_t>(slot % per) * d;
+    for (std::uint64_t g = slot / per * period; g < (slot / per + 1) * period;
+         ++g) {
+      for (std::uint32_t j = j0; j < std::min(m, j0 + d); ++j) {
+        if (coding_server(g, k, j) == server) {
+          return std::pair<std::uint64_t, std::uint32_t>{g, j};
+        }
+      }
+    }
+    return std::nullopt;
   }
 
   // --- request decomposition ---
@@ -208,8 +231,8 @@ struct StripeLayout {
   };
   WriteSplit split_write(std::uint64_t off, std::uint64_t len) const;
 
-  /// split_write generalized to an arbitrary group width `w` — the rs(k,m)
-  /// paths pass w = rs_group_width(k); split_write(off, len) is exactly
+  /// split_write generalized to an arbitrary group width `w` — the coded
+  /// paths pass w = group_width(k); split_write(off, len) is exactly
   /// split_write_w(off, len, stripe_width()).
   WriteSplit split_write_w(std::uint64_t off, std::uint64_t len,
                            std::uint64_t w) const {

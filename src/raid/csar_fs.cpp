@@ -34,30 +34,32 @@ using pvfs::Op;
 using pvfs::Request;
 using pvfs::StripeLayout;
 
-/// A partial-stripe segment of a write (the head or tail of the split).
+/// A partial-group segment of a write (the head or tail of the split).
 struct PartialSeg {
   std::uint64_t start;
   std::uint64_t end;
   std::uint64_t group;
 };
 
+/// The head and tail of `ws` as segments of k-unit groups. Head group <
+/// tail group, so this is already ascending — the ordered lock
+/// acquisition the paper uses to avoid deadlock (§5.1).
 std::vector<PartialSeg> partial_segments(const StripeLayout& layout,
-                                         const StripeLayout::WriteSplit& ws) {
+                                         const StripeLayout::WriteSplit& ws,
+                                         std::uint32_t k) {
   std::vector<PartialSeg> out;
   if (ws.head_end > ws.head_start) {
     out.push_back(
-        {ws.head_start, ws.head_end, layout.group_of_off(ws.head_start)});
+        {ws.head_start, ws.head_end, layout.group_of_off(ws.head_start, k)});
   }
   if (ws.tail_end > ws.tail_start) {
     out.push_back(
-        {ws.tail_start, ws.tail_end, layout.group_of_off(ws.tail_start)});
+        {ws.tail_start, ws.tail_end, layout.group_of_off(ws.tail_start, k)});
   }
-  // Head group < tail group, so this is already ascending — the ordered
-  // parity-lock acquisition the paper uses to avoid deadlock (§5.1).
   return out;
 }
 
-/// Byte columns of the parity unit touched by a partial segment. With more
+/// Byte columns of the coding units touched by a partial segment. With more
 /// than one touched unit the union of per-unit column ranges may have a gap;
 /// we read/write the covering range, which is what "reads the corresponding
 /// parity region" amounts to.
@@ -80,6 +82,54 @@ Buffer match_materialization(Buffer b, bool materialized) {
   if (b.materialized() == materialized) return b;
   assert(!materialized && "cannot materialize a phantom buffer");
   return Buffer::phantom(b.size());
+}
+
+/// Fresh coding writes for the full groups [g0, g1) of `data` (which starts
+/// at file offset `off`), appended to `reqs`: one write per run of
+/// consecutive slots on a server, servers in ascending order. With k = N-1
+/// and m = 1 every server's parity units are consecutive, so each server
+/// gets one merged write. Returns the bytes pushed through the encoder.
+std::uint64_t full_coding_writes(
+    const pvfs::OpenFile& f, CodeSpec spec, std::uint64_t off,
+    const Buffer& data, std::uint64_t g0, std::uint64_t g1,
+    std::uint32_t red_gen,
+    std::vector<std::pair<std::uint32_t, pvfs::Request>>& reqs) {
+  const StripeLayout& layout = f.layout;
+  const std::uint64_t su = layout.su();
+  const std::uint32_t k = spec.k;
+  std::vector<std::vector<std::uint8_t>> rows;
+  for (std::uint32_t j = 0; j < spec.m; ++j) {
+    rows.push_back(rs_row(spec, j));
+  }
+  std::map<std::uint32_t, std::map<std::uint64_t, Buffer>> by_server;
+  std::vector<Buffer> units(k);
+  for (std::uint64_t g = g0; g < g1; ++g) {
+    for (std::uint32_t i = 0; i < k; ++i) {
+      units[i] = data.slice(layout.group_start(g, k) + i * su - off, su);
+    }
+    for (std::uint32_t j = 0; j < spec.m; ++j) {
+      by_server[layout.coding_server(g, k, j)].emplace(
+          layout.coding_slot(g, k, spec.m, j), gf_combine(units, rows[j]));
+    }
+  }
+  for (auto& [server, slots] : by_server) {
+    for (auto it = slots.begin(); it != slots.end();) {
+      const std::uint64_t first = it->first;
+      std::vector<Buffer> run;
+      for (; it != slots.end() && it->first == first + run.size(); ++it) {
+        run.push_back(std::move(it->second));
+      }
+      Request r;
+      r.op = Op::write_red;
+      r.handle = f.handle;
+      r.off = first * su;
+      r.payload = Buffer::concat(run);
+      r.su = layout.stripe_unit;
+      r.red_gen = red_gen;
+      reqs.emplace_back(server, std::move(r));
+    }
+  }
+  return (g1 - g0) * spec.m * layout.group_width(k);
 }
 
 }  // namespace
@@ -107,51 +157,6 @@ sim::Task<void> CsarFs::charge_xor(Scheme sch, std::uint64_t bytes) {
   // paper measures it as a ~8% hit on streaming writes (RAID5 vs
   // RAID5-npc, Figure 4a).
   co_await node.tx().occupy(sim::transfer_time(bytes, rate));
-}
-
-void CsarFs::build_full_parity_writes(
-    const pvfs::OpenFile& f, std::uint64_t off, const Buffer& data,
-    std::uint64_t g0, std::uint64_t g1, bool /*hybrid_invalidate*/,
-    std::uint32_t red_gen,
-    std::vector<std::pair<std::uint32_t, pvfs::Request>>& reqs,
-    std::uint64_t& xor_bytes) {
-  const StripeLayout& layout = f.layout;
-  const std::uint64_t su = layout.su();
-  // Bucket groups by parity server; each bucket's parity units are
-  // contiguous in that server's redundancy file (every N-th group), so one
-  // merged write per server suffices.
-  std::map<std::uint32_t, std::vector<std::uint64_t>> buckets;
-  for (std::uint64_t g = g0; g < g1; ++g) {
-    buckets[layout.parity_server(g)].push_back(g);
-  }
-  for (auto& [server, groups] : buckets) {
-    // Each group's parity starts as a view of its first data unit; the
-    // first XOR writes unit0 ^ unit1 straight into the parity's own bytes
-    // (copy-on-write fused with the XOR), the rest XOR in place. The
-    // payload joins the groups' parity units without copying them.
-    std::vector<Buffer> parity;
-    parity.reserve(groups.size());
-    for (std::size_t i = 0; i < groups.size(); ++i) {
-      assert(i == 0 || layout.parity_local_unit(groups[i]) ==
-                           layout.parity_local_unit(groups[i - 1]) + 1);
-      Buffer p = data.slice(layout.group_start(groups[i]) - off, su);
-      for (std::uint64_t pos = layout.group_start(groups[i]) + su;
-           pos < layout.group_end(groups[i]); pos += su) {
-        p.xor_with(data.slice(pos - off, su));
-      }
-      parity.push_back(std::move(p));
-      xor_bytes += layout.stripe_width();
-    }
-    Buffer payload = Buffer::concat(parity);
-    Request r;
-    r.op = Op::write_red;
-    r.handle = f.handle;
-    r.off = layout.parity_local_off(groups.front());
-    r.payload = std::move(payload);
-    r.su = layout.stripe_unit;
-    r.red_gen = red_gen;
-    reqs.emplace_back(server, std::move(r));
-  }
 }
 
 sim::Task<Result<void>> CsarFs::write(const pvfs::OpenFile& f,
@@ -293,11 +298,10 @@ sim::Task<Result<void>> CsarFs::dispatch_write(const pvfs::OpenFile& f,
     case SchemeKind::raid5:
     case SchemeKind::raid5_nolock:
     case SchemeKind::raid5_npc:
-      co_return co_await write_raid5(f, off, data, sch);
+    case SchemeKind::rs:
+      co_return co_await write_coded(f, off, data, sch);
     case SchemeKind::hybrid:
       co_return co_await write_hybrid(f, off, data);
-    case SchemeKind::rs:
-      co_return co_await write_rs(f, off, data, sch);
   }
   co_return Error{Errc::invalid_argument, "unknown scheme"};
 }
@@ -346,34 +350,44 @@ sim::Task<Result<void>> CsarFs::write_raid1(const pvfs::OpenFile& f,
   co_return Result<void>::success();
 }
 
-sim::Task<Result<void>> CsarFs::write_raid5(const pvfs::OpenFile& f,
+sim::Task<Result<void>> CsarFs::write_coded(const pvfs::OpenFile& f,
                                             std::uint64_t off,
                                             const Buffer& data, Scheme sch) {
+  // One path for every k+m code: RAID4 and the RAID5 variants are
+  // rs(N-1,1). Full groups compute their m coding units fresh; each partial
+  // group runs the batched RMW: lock and read its coding columns, read the
+  // old data, and fold coding_j ^= coeff(j,i) * (old ^ new) for a write to
+  // data unit i (plain XOR for the all-ones row 0, i.e. for parity).
   const StripeLayout& layout = f.layout;
   const std::uint64_t su = layout.su();
   const std::uint64_t len = data.size();
-  const auto ws = layout.split_write(off, len);
-  const auto segs = partial_segments(layout, ws);
+  const CodeSpec spec = sch.code(layout);
+  const std::uint32_t k = spec.k;
+  const std::uint32_t m = spec.m;
+  if (spec.fragments() > layout.n()) {
+    co_return Error{Errc::invalid_argument, "coded placement needs k+m <= N"};
+  }
+  const std::uint64_t W = layout.group_width(k);
+  const auto ws = layout.split_write_w(off, len, W);
+  const auto segs = partial_segments(layout, ws, k);
   const bool locking = sch != Scheme::raid5_nolock;
   const std::uint32_t gen = p_.policy->red_gen_of(f);
   std::uint64_t xor_bytes = 0;
 
-  // 1. For each partially-written group the client needs the old parity
-  //    (taking the parity-block lock) and the old contents of the regions
+  // 1. For each partially-written group the client needs the old coding
+  //    columns (taking their locks) and the old contents of the regions
   //    being overwritten. The old-data reads are lock-free and proceed in
-  //    parallel with the parity reads — parity deltas of disjoint regions
-  //    commute, so only the parity read->write pair must be atomic (§5.1).
-  //    The parity reads themselves are ordered lowest-group-first, the
-  //    paper's deadlock-avoidance rule.
+  //    parallel with the coding reads — deltas of disjoint regions commute,
+  //    so only each coding read->write pair must be atomic (§5.1).
   struct SegCtx {
     PartialSeg seg;
     ColRange cols;
-    Buffer parity;  // old parity, updated in place to the new parity
+    std::vector<Buffer> coding;  // old coding columns, updated in place
   };
   std::vector<SegCtx> ctx;
   ctx.reserve(segs.size());
   for (const auto& seg : segs) {
-    ctx.push_back({seg, col_range(layout, seg), Buffer{}});
+    ctx.push_back({seg, col_range(layout, seg), std::vector<Buffer>(m)});
   }
 
   std::vector<std::pair<std::uint32_t, Request>> reads;
@@ -392,9 +406,9 @@ sim::Task<Result<void>> CsarFs::write_raid5(const pvfs::OpenFile& f,
   }
 
   // Shared state between this frame and the old-data reader tasks. The
-  // readers stream the delta half of the parity update: each computes
-  // old ^ new per response *as it arrives* (overlapping the XOR with the
-  // parity-lock phase below) instead of after a global join.
+  // readers stream the delta half of the update: each computes old ^ new
+  // per response *as it arrives* (overlapping the XOR with the lock phase
+  // below) instead of after a global join.
   struct OldReadShared {
     CsarFs* self;
     const std::vector<std::pair<std::size_t, StripeLayout::Extent>>* meta;
@@ -414,291 +428,7 @@ sim::Task<Result<void>> CsarFs::write_raid5(const pvfs::OpenFile& f,
 
   // One reader per extent: bulk old-data responses pipeline best as
   // independent messages (the server overlaps their disk reads, and each
-  // response streams back as soon as it is done). Each reader folds its
-  // extent into a delta the moment the response lands.
-  auto read_one = [](OldReadShared* sh, std::uint32_t srv, Request req,
-                     std::size_t k) -> sim::Task<void> {
-    auto resp = co_await sh->self->client_->rpc(srv, std::move(req));
-    if (!resp.ok) {
-      if (!sh->failed) {
-        sh->failed = true;
-        sh->errc = resp.err;
-        sh->err_server = resp.server;
-      }
-      co_return;
-    }
-    const auto& e = (*sh->meta)[k].second;
-    Buffer delta =
-        match_materialization(std::move(resp.data), sh->materialized);
-    delta.xor_with(sh->data->slice(e.global_off - sh->off, e.len));
-    sh->deltas[k] = std::move(delta);
-    co_await sh->self->charge_xor(sh->sch, e.len);
-  };
-  std::vector<sim::ProcessHandle> readers;
-  readers.reserve(reads.size());
-  for (std::size_t k = 0; k < reads.size(); ++k) {
-    readers.push_back(client_->cluster().sim().spawn(
-        read_one(&shared, reads[k].first, std::move(reads[k].second), k)));
-  }
-
-  // 2. Parity-lock phase: one batched lock+read RPC per parity server. The
-  //    server acquires every lock of the batch atomically (ascending key
-  //    order) before answering; servers are visited sequentially in
-  //    ascending min-group order, which preserves the paper's ordered-
-  //    acquisition deadlock-avoidance rule across writers (§5.1). ctx is
-  //    ascending by group, so first-seen bucket order is exactly that.
-  struct LockBucket {
-    std::uint32_t server;
-    std::vector<std::size_t> cs;  // ctx indexes, ascending group order
-  };
-  // One token identifies this whole RMW to the lock protocol: a retried
-  // lock read re-enters its own grant, and the paired (or abandon-time)
-  // release cannot be confused with a later RMW's lock.
-  const std::uint64_t rmw_token = locking ? client_->next_rmw_token() : 0;
-  std::vector<LockBucket> lbuckets;
-  for (std::size_t i = 0; i < ctx.size(); ++i) {
-    const std::uint32_t srv = layout.parity_server(ctx[i].seg.group);
-    LockBucket* b = nullptr;
-    for (auto& cand : lbuckets) {
-      if (cand.server == srv) {
-        b = &cand;
-        break;
-      }
-    }
-    if (b == nullptr) {
-      lbuckets.push_back({srv, {}});
-      b = &lbuckets.back();
-    }
-    b->cs.push_back(i);
-  }
-
-  bool parity_error = false;
-  Errc parity_errc = Errc::ok;
-  int parity_err_server = -1;
-  // Locks whose acquisition request went out; on abort each gets an
-  // explicit owner-checked release (safe even when the grant is unknown —
-  // a timed-out envelope may or may not have taken them server-side).
-  std::vector<char> lock_sent(ctx.size(), 0);
-  for (auto& b : lbuckets) {
-    std::vector<Request> subs;
-    subs.reserve(b.cs.size());
-    for (const std::size_t i : b.cs) {
-      const ColRange cr = ctx[i].cols;
-      Request r;
-      r.op = Op::read_red;
-      r.handle = f.handle;
-      r.off = layout.parity_local_off(ctx[i].seg.group) + cr.lo;
-      r.len = cr.hi - cr.lo;
-      r.lock = locking;
-      r.rmw_token = rmw_token;
-      r.su = layout.stripe_unit;
-      r.red_gen = gen;
-      subs.push_back(std::move(r));
-      if (locking) lock_sent[i] = 1;
-    }
-    auto resps = co_await client_->rpc_batch(b.server, std::move(subs));
-    for (std::size_t k = 0; k < resps.size(); ++k) {
-      if (!resps[k].ok) {
-        if (!parity_error) {
-          parity_error = true;
-          parity_errc = resps[k].err;
-          parity_err_server = resps[k].server;
-        }
-        continue;
-      }
-      ctx[b.cs[k]].parity = match_materialization(std::move(resps[k].data),
-                                                  data.materialized());
-    }
-    if (parity_error) break;
-  }
-  for (auto& h : readers) co_await h.join();
-
-  if (parity_error || shared.failed) {
-    // Abandoning the RMW with lock requests in flight: explicitly release
-    // every lock we may hold so the stripe is not wedged until the lease
-    // reaper fires. unlock_red is owner-checked and writes nothing, so it
-    // is safe to send for locks that failed their read (media error — the
-    // lock was still taken) and for grants lost to a timeout alike.
-    if (locking) {
-      std::vector<std::pair<std::uint32_t, Request>> rel;
-      for (std::size_t i = 0; i < ctx.size(); ++i) {
-        if (lock_sent[i] == 0) continue;
-        Request u;
-        u.op = Op::unlock_red;
-        u.handle = f.handle;
-        u.off = layout.parity_local_off(ctx[i].seg.group) + ctx[i].cols.lo;
-        u.rmw_token = rmw_token;
-        u.su = layout.stripe_unit;
-        u.red_gen = gen;
-        rel.emplace_back(layout.parity_server(ctx[i].seg.group),
-                         std::move(u));
-      }
-      (void)co_await client_->rpc_all(std::move(rel));
-    }
-    if (parity_error) {
-      co_return Error{parity_errc, "raid5 parity read", parity_err_server};
-    }
-    co_return Error{shared.errc, "raid5 old data", shared.err_server};
-  }
-
-  // 3. Fold the streamed deltas into the old parity: new_p = old_p ^ delta.
-  //    The old ^ new half was computed (and its XOR charged) per response
-  //    as it arrived.
-  for (std::size_t k = 0; k < read_meta.size(); ++k) {
-    const std::size_t i = read_meta[k].first;
-    const auto& e = read_meta[k].second;
-    ctx[i].parity.xor_at(e.global_off % su - ctx[i].cols.lo,
-                         shared.deltas[k]);
-    xor_bytes += e.len;
-  }
-
-  // 4. Issue every write in parallel: the updated parity for partial groups
-  //    *first* (their transfer releases the parity-block locks — sending
-  //    them ahead of the bulk data keeps the critical section short), then
-  //    the full data range (in place), then fresh parity for fully covered
-  //    groups.
-  std::vector<std::pair<std::uint32_t, Request>> writes;
-  for (auto& c : ctx) {
-    Request w;
-    w.op = Op::write_red;
-    w.handle = f.handle;
-    w.off = layout.parity_local_off(c.seg.group) + c.cols.lo;
-    w.payload = std::move(c.parity);
-    w.unlock = locking;
-    w.rmw_token = rmw_token;
-    w.su = layout.stripe_unit;
-    w.red_gen = gen;
-    writes.emplace_back(layout.parity_server(c.seg.group), std::move(w));
-  }
-  const bool inval = p_.policy->overflow_possible(f);
-  for (const auto& e : layout.decompose_merged(off, len)) {
-    Request w;
-    w.op = Op::write_data;
-    w.handle = f.handle;
-    w.off = e.local_off;
-    w.payload = pvfs::Client::gather_for_server(layout, off, data, e.server);
-    w.su = layout.stripe_unit;
-    if (inval) {
-      // An ex-Hybrid file migrated to RAID5 keeps its overflow overlay
-      // live; in-place writes must kill overlapping entries or reads would
-      // keep returning the superseded overflow bytes. The owner entry dies
-      // on the data write itself; the mirror entry lives on the successor,
-      // which gets a zero-payload invalidation-only write below. Files that
-      // were never Hybrid skip all of this and keep their exact pre-policy
-      // message traffic.
-      w.inval_own = Interval{e.local_off, e.local_off + e.len};
-      Request inv;
-      inv.op = Op::write_data;
-      inv.handle = f.handle;
-      inv.off = e.local_off;
-      inv.su = layout.stripe_unit;
-      inv.inval_mirror = Interval{e.local_off, e.local_off + e.len};
-      writes.emplace_back((e.server + 1) % layout.n(), std::move(inv));
-    }
-    writes.emplace_back(e.server, std::move(w));
-  }
-  if (ws.full_end > ws.full_start) {
-    build_full_parity_writes(f, off, data, ws.full_start / layout.stripe_width(),
-                             ws.full_end / layout.stripe_width(),
-                             /*hybrid_invalidate=*/false, gen, writes,
-                             xor_bytes);
-  }
-  if (!ctx.empty()) p_.policy->note_rmw(sch, ctx.size());
-  co_await charge_xor(sch, xor_bytes);
-  auto resps = co_await client_->rpc_all(std::move(writes));
-  for (const auto& resp : resps) {
-    if (!resp.ok) co_return Error{resp.err, "raid5 write", resp.server};
-  }
-  co_return Result<void>::success();
-}
-
-sim::Task<Result<void>> CsarFs::write_rs(const pvfs::OpenFile& f,
-                                         std::uint64_t off, const Buffer& data,
-                                         Scheme sch) {
-  // rs(k,m) generalizes the RAID5 path: a group is k consecutive units with
-  // m coding fragments on the next m servers in rotation. Full groups
-  // compute all m fragments fresh; partial groups run the same batched RMW
-  // protocol with one locked read+update per (group, coding fragment) — the
-  // XOR delta becomes m GF-scaled deltas, one per fragment (coding_j ^=
-  // coeff(j,i) * (old ^ new) for a write to data fragment i).
-  const StripeLayout& layout = f.layout;
-  const std::uint64_t su = layout.su();
-  const std::uint64_t len = data.size();
-  const CodeSpec spec = sch.code(layout);
-  const std::uint32_t k = spec.k;
-  const std::uint32_t m = spec.m;
-  if (std::uint64_t{k} + m > layout.n()) {
-    co_return Error{Errc::invalid_argument, "rs placement needs k+m <= N"};
-  }
-  const std::uint64_t W = layout.rs_group_width(k);
-  const auto ws = layout.split_write_w(off, len, W);
-  const std::uint32_t gen = p_.policy->red_gen_of(f);
-  std::uint64_t xor_bytes = 0;
-
-  // Partial segments in ascending group order (head group < tail group):
-  // the §5.1 ordered-acquisition rule, applied to coding-server visits.
-  std::vector<PartialSeg> segs;
-  if (ws.head_end > ws.head_start) {
-    segs.push_back({ws.head_start, ws.head_end,
-                    layout.rs_group_of_off(ws.head_start, k)});
-  }
-  if (ws.tail_end > ws.tail_start) {
-    segs.push_back({ws.tail_start, ws.tail_end,
-                    layout.rs_group_of_off(ws.tail_start, k)});
-  }
-
-  struct SegCtx {
-    PartialSeg seg;
-    ColRange cols;
-    std::vector<Buffer> coding;  // old fragment columns, updated in place
-  };
-  std::vector<SegCtx> ctx;
-  ctx.reserve(segs.size());
-  for (const auto& seg : segs) {
-    ColRange cr;
-    const std::uint64_t u0 = layout.unit_of(seg.start);
-    const std::uint64_t u1 = layout.unit_of(seg.end - 1);
-    if (u0 == u1) {
-      cr = {seg.start % su, (seg.end - 1) % su + 1};
-    } else {
-      cr = {0, su};
-    }
-    ctx.push_back({seg, cr, std::vector<Buffer>(m)});
-  }
-
-  // Old-data readers: one per extent, each folding old ^ new the moment its
-  // response lands (identical streaming shape to the RAID5 path; the
-  // GF-scaled fold into each coding fragment happens after the join).
-  std::vector<std::pair<std::uint32_t, Request>> reads;
-  std::vector<std::pair<std::size_t, StripeLayout::Extent>> read_meta;
-  for (std::size_t i = 0; i < ctx.size(); ++i) {
-    const auto& seg = ctx[i].seg;
-    for (const auto& e : layout.decompose(seg.start, seg.end - seg.start)) {
-      Request r;
-      r.op = Op::read_data_raw;
-      r.handle = f.handle;
-      r.off = e.local_off;
-      r.len = e.len;
-      reads.emplace_back(e.server, std::move(r));
-      read_meta.emplace_back(i, e);
-    }
-  }
-  struct OldReadShared {
-    CsarFs* self;
-    const std::vector<std::pair<std::size_t, StripeLayout::Extent>>* meta;
-    const Buffer* data;
-    std::uint64_t off;
-    bool materialized;
-    Scheme sch;
-    std::vector<Buffer> deltas;
-    bool failed = false;
-    Errc errc = Errc::ok;
-    int err_server = -1;
-  };
-  OldReadShared shared{this,          &read_meta, &data, off,
-                       data.materialized(), sch,   {},    false, Errc::ok,
-                       -1};
-  shared.deltas.resize(read_meta.size());
+  // response streams back as soon as it is done).
   auto read_one = [](OldReadShared* sh, std::uint32_t srv, Request req,
                      std::size_t x) -> sim::Task<void> {
     auto resp = co_await sh->self->client_->rpc(srv, std::move(req));
@@ -724,20 +454,24 @@ sim::Task<Result<void>> CsarFs::write_rs(const pvfs::OpenFile& f,
         read_one(&shared, reads[x].first, std::move(reads[x].second), x)));
   }
 
-  // Coding-lock phase: one batched lock+read RPC per coding server, servers
-  // visited sequentially in first-seen (ascending group, ascending fragment)
-  // order — the deadlock-avoidance rule across writers.
+  // 2. Lock phase: one batched lock+read RPC per coding server. The server
+  //    acquires every lock of the batch atomically (ascending key order)
+  //    before answering; servers are visited sequentially in first-seen
+  //    (ascending group, ascending j) order, which preserves the paper's
+  //    ordered-acquisition deadlock-avoidance rule across writers (§5.1).
   struct LockBucket {
     std::uint32_t server;
     std::vector<std::pair<std::size_t, std::uint32_t>> cs;  // (ctx, j)
   };
+  // One token identifies this whole RMW to the lock protocol: a retried
+  // lock read re-enters its own grant, and the paired (or abandon-time)
+  // release cannot be confused with a later RMW's lock.
   const std::uint64_t rmw_token =
-      ctx.empty() ? 0 : client_->next_rmw_token();
+      locking && !ctx.empty() ? client_->next_rmw_token() : 0;
   std::vector<LockBucket> lbuckets;
   for (std::size_t i = 0; i < ctx.size(); ++i) {
     for (std::uint32_t j = 0; j < m; ++j) {
-      const std::uint32_t srv =
-          layout.rs_coding_server(ctx[i].seg.group, k, j);
+      const std::uint32_t srv = layout.coding_server(ctx[i].seg.group, k, j);
       LockBucket* b = nullptr;
       for (auto& cand : lbuckets) {
         if (cand.server == srv) {
@@ -752,27 +486,32 @@ sim::Task<Result<void>> CsarFs::write_rs(const pvfs::OpenFile& f,
       b->cs.emplace_back(i, j);
     }
   }
+  auto coding_col = [&](const SegCtx& c, std::uint32_t j) {
+    return layout.coding_off(c.seg.group, k, m, j) + c.cols.lo;
+  };
 
   bool coding_error = false;
   Errc coding_errc = Errc::ok;
   int coding_err_server = -1;
+  // Locks whose acquisition request went out; on abort each gets an
+  // explicit owner-checked release (safe even when the grant is unknown —
+  // a timed-out envelope may or may not have taken them server-side).
   std::vector<char> lock_sent(ctx.size() * m, 0);
   for (auto& b : lbuckets) {
     std::vector<Request> subs;
     subs.reserve(b.cs.size());
     for (const auto& [i, j] : b.cs) {
-      const ColRange cr = ctx[i].cols;
       Request r;
       r.op = Op::read_red;
       r.handle = f.handle;
-      r.off = layout.rs_coding_local_off(ctx[i].seg.group) + cr.lo;
-      r.len = cr.hi - cr.lo;
-      r.lock = true;
+      r.off = coding_col(ctx[i], j);
+      r.len = ctx[i].cols.hi - ctx[i].cols.lo;
+      r.lock = locking;
       r.rmw_token = rmw_token;
       r.su = layout.stripe_unit;
       r.red_gen = gen;
       subs.push_back(std::move(r));
-      lock_sent[i * m + j] = 1;
+      if (locking) lock_sent[i * m + j] = 1;
     }
     auto resps = co_await client_->rpc_batch(b.server, std::move(subs));
     for (std::size_t x = 0; x < resps.size(); ++x) {
@@ -792,30 +531,38 @@ sim::Task<Result<void>> CsarFs::write_rs(const pvfs::OpenFile& f,
   for (auto& h : readers) co_await h.join();
 
   if (coding_error || shared.failed) {
-    std::vector<std::pair<std::uint32_t, Request>> rel;
-    for (std::size_t i = 0; i < ctx.size(); ++i) {
-      for (std::uint32_t j = 0; j < m; ++j) {
-        if (lock_sent[i * m + j] == 0) continue;
-        Request u;
-        u.op = Op::unlock_red;
-        u.handle = f.handle;
-        u.off = layout.rs_coding_local_off(ctx[i].seg.group) + ctx[i].cols.lo;
-        u.rmw_token = rmw_token;
-        u.su = layout.stripe_unit;
-        u.red_gen = gen;
-        rel.emplace_back(layout.rs_coding_server(ctx[i].seg.group, k, j),
-                         std::move(u));
+    // Abandoning the RMW with lock requests in flight: explicitly release
+    // every lock we may hold so the group is not wedged until the lease
+    // reaper fires. unlock_red is owner-checked and writes nothing, so it
+    // is safe to send for locks that failed their read (media error — the
+    // lock was still taken) and for grants lost to a timeout alike.
+    if (locking) {
+      std::vector<std::pair<std::uint32_t, Request>> rel;
+      for (std::size_t i = 0; i < ctx.size(); ++i) {
+        for (std::uint32_t j = 0; j < m; ++j) {
+          if (lock_sent[i * m + j] == 0) continue;
+          Request u;
+          u.op = Op::unlock_red;
+          u.handle = f.handle;
+          u.off = coding_col(ctx[i], j);
+          u.rmw_token = rmw_token;
+          u.su = layout.stripe_unit;
+          u.red_gen = gen;
+          rel.emplace_back(layout.coding_server(ctx[i].seg.group, k, j),
+                           std::move(u));
+        }
       }
+      (void)co_await client_->rpc_all(std::move(rel));
     }
-    (void)co_await client_->rpc_all(std::move(rel));
     if (coding_error) {
-      co_return Error{coding_errc, "rs coding read", coding_err_server};
+      co_return Error{coding_errc, "coding read", coding_err_server};
     }
-    co_return Error{shared.errc, "rs old data", shared.err_server};
+    co_return Error{shared.errc, "old data read", shared.err_server};
   }
 
-  // Fold the streamed deltas: coding_j ^= coeff(j, i) * delta, at the
-  // extent's column offset.
+  // 3. Fold the streamed deltas into the old coding columns at each
+  //    extent's column offset: coding_j ^= coeff(j, i) * delta. The
+  //    old ^ new half was computed (and its XOR charged) per response.
   for (std::size_t x = 0; x < read_meta.size(); ++x) {
     const std::size_t i = read_meta[x].first;
     const auto& e = read_meta[x].second;
@@ -823,33 +570,36 @@ sim::Task<Result<void>> CsarFs::write_rs(const pvfs::OpenFile& f,
         static_cast<std::uint32_t>(layout.unit_of(e.global_off) % k);
     const std::uint64_t colofs = e.global_off % su - ctx[i].cols.lo;
     for (std::uint32_t j = 0; j < m; ++j) {
-      if (ctx[i].coding[j].materialized() && shared.deltas[x].materialized()) {
-        gf_muladd_region(
-            ctx[i].coding[j].mutable_bytes().subspan(colofs, e.len),
-            shared.deltas[x], rs_coeff(spec, j, frag));
+      Buffer& coding = ctx[i].coding[j];
+      const std::uint8_t c = rs_coeff(spec, j, frag);
+      if (c == 1) {
+        coding.xor_at(colofs, shared.deltas[x]);
+      } else if (coding.materialized() && shared.deltas[x].materialized()) {
+        gf_muladd_region(coding.mutable_bytes().subspan(colofs, e.len),
+                         shared.deltas[x], c);
       }
       xor_bytes += e.len;
     }
   }
 
-  // Writes: updated coding fragments first (their transfer releases the
-  // locks), then the data range in place, then fresh coding for fully
-  // covered groups. rs coding slots are one unit per (server, group) and
-  // consecutive groups rotate servers, so full-group coding writes go out
-  // per group rather than merged per server.
+  // 4. Issue every write in parallel: the updated coding columns of
+  //    partial groups *first* (their transfer releases the locks — sending
+  //    them ahead of the bulk data keeps the critical section short), then
+  //    the full data range (in place), then fresh coding for fully covered
+  //    groups.
   std::vector<std::pair<std::uint32_t, Request>> writes;
   for (auto& c : ctx) {
     for (std::uint32_t j = 0; j < m; ++j) {
       Request w;
       w.op = Op::write_red;
       w.handle = f.handle;
-      w.off = layout.rs_coding_local_off(c.seg.group) + c.cols.lo;
+      w.off = coding_col(c, j);
       w.payload = std::move(c.coding[j]);
-      w.unlock = true;
+      w.unlock = locking;
       w.rmw_token = rmw_token;
       w.su = layout.stripe_unit;
       w.red_gen = gen;
-      writes.emplace_back(layout.rs_coding_server(c.seg.group, k, j),
+      writes.emplace_back(layout.coding_server(c.seg.group, k, j),
                           std::move(w));
     }
   }
@@ -862,6 +612,12 @@ sim::Task<Result<void>> CsarFs::write_rs(const pvfs::OpenFile& f,
     w.payload = pvfs::Client::gather_for_server(layout, off, data, e.server);
     w.su = layout.stripe_unit;
     if (inval) {
+      // An ex-Hybrid file keeps its overflow overlay live; in-place writes
+      // must kill overlapping entries or reads would keep returning the
+      // superseded overflow bytes. The owner entry dies on the data write
+      // itself; the mirror entry lives on the successor, which gets a
+      // zero-payload invalidation-only write. Files that were never Hybrid
+      // skip all of this.
       w.inval_own = Interval{e.local_off, e.local_off + e.len};
       Request inv;
       inv.op = Op::write_data;
@@ -874,42 +630,15 @@ sim::Task<Result<void>> CsarFs::write_rs(const pvfs::OpenFile& f,
     writes.emplace_back(e.server, std::move(w));
   }
   if (ws.full_end > ws.full_start) {
-    for (std::uint64_t g = ws.full_start / W; g < ws.full_end / W; ++g) {
-      for (std::uint32_t j = 0; j < m; ++j) {
-        Buffer coding = data.materialized() ? Buffer::for_overwrite(su)
-                                            : Buffer::phantom(su);
-        if (data.materialized()) {
-          // The first data unit's product initializes every coding byte.
-          auto dst = coding.mutable_bytes();
-          for (std::uint32_t i = 0; i < k; ++i) {
-            const std::uint64_t pos =
-                layout.rs_group_start(g, k) + std::uint64_t{i} * su;
-            const Buffer src = data.slice(pos - off, su);
-            if (i == 0) {
-              gf_mul_region(dst, src, rs_coeff(spec, j, i));
-            } else {
-              gf_muladd_region(dst, src, rs_coeff(spec, j, i));
-            }
-          }
-        }
-        xor_bytes += W;
-        Request w;
-        w.op = Op::write_red;
-        w.handle = f.handle;
-        w.off = layout.rs_coding_local_off(g);
-        w.payload = std::move(coding);
-        w.su = layout.stripe_unit;
-        w.red_gen = gen;
-        writes.emplace_back(layout.rs_coding_server(g, k, j), std::move(w));
-      }
-    }
+    xor_bytes += full_coding_writes(f, spec, off, data, ws.full_start / W,
+                                    ws.full_end / W, gen, writes);
   }
   if (!ctx.empty()) p_.policy->note_rmw(sch, ctx.size());
-  p_.policy->note_ec_encode(xor_bytes);
+  if (sch.kind == SchemeKind::rs) p_.policy->note_ec_encode(xor_bytes);
   co_await charge_xor(sch, xor_bytes);
   auto resps = co_await client_->rpc_all(std::move(writes));
   for (const auto& resp : resps) {
-    if (!resp.ok) co_return Error{resp.err, "rs write", resp.server};
+    if (!resp.ok) co_return Error{resp.err, "coded write", resp.server};
   }
   co_return Result<void>::success();
 }
@@ -921,14 +650,15 @@ sim::Task<Result<void>> CsarFs::write_hybrid(const pvfs::OpenFile& f,
   const std::uint32_t n = layout.n();
   const std::uint64_t len = data.size();
   const auto ws = layout.split_write(off, len);
-  const auto segs = partial_segments(layout, ws);
+  const auto segs = partial_segments(layout, ws, n - 1);
   const std::uint32_t gen = p_.policy->red_gen_of(f);
   std::uint64_t xor_bytes = 0;
 
   std::vector<std::pair<std::uint32_t, Request>> writes;
 
-  // Full-stripe run: RAID5 fast path — in-place data + fresh parity, plus
-  // invalidation of any overflow entries the new stripes supersede.
+  // Full-stripe run: the coded fast path, rs(N-1,1) — in-place data +
+  // fresh parity, plus invalidation of any overflow entries the new
+  // stripes supersede.
   if (ws.full_end > ws.full_start) {
     const std::uint64_t span = ws.full_end - ws.full_start;
     const auto merged = layout.decompose_merged(ws.full_start, span);
@@ -954,11 +684,10 @@ sim::Task<Result<void>> CsarFs::write_hybrid(const pvfs::OpenFile& f,
       writes.emplace_back(e.server, std::move(w));
     }
     const std::size_t parity_first = writes.size();
-    build_full_parity_writes(f, off, data,
-                             ws.full_start / layout.stripe_width(),
-                             ws.full_end / layout.stripe_width(),
-                             /*hybrid_invalidate=*/true, gen, writes,
-                             xor_bytes);
+    xor_bytes += full_coding_writes(
+        f, Scheme::hybrid.code(layout), off, data,
+        ws.full_start / layout.stripe_width(),
+        ws.full_end / layout.stripe_width(), gen, writes);
     // A server that holds no data unit in the span (possible when the span
     // is shorter than N groups) still receives its parity write; attach the
     // invalidations there so its stale mirror entries die too.

@@ -11,8 +11,10 @@
 //          old data + old parity (taking the parity-block lock, §5.1),
 //          XORs the delta, and writes data + new parity (releasing the
 //          lock). Full groups skip the reads — parity is computed fresh.
+//          RAID4 and the RAID5 variants are rs(N-1,1), and the one coded
+//          path serves them and rs(k,m) alike (write_coded).
 //  Hybrid  the write is split (§4) into [partial | full stripes | partial]:
-//          the full-stripe run takes the RAID5 fast path (and invalidates
+//          the full-stripe run takes the coded fast path (and invalidates
 //          overlapping overflow entries); the partial edges are written
 //          twice into overflow regions (owner server + its successor),
 //          never updating the data file in place, so the stale parity still
@@ -194,31 +196,20 @@ class CsarFs {
 
   sim::Task<Result<void>> write_raid1(const pvfs::OpenFile& f,
                                       std::uint64_t off, const Buffer& data);
-  /// `sch` distinguishes the RAID5 variants (locking, parity-cost charging)
-  /// and doubles as the in-place parity path for RAID4 and Hybrid full runs.
-  sim::Task<Result<void>> write_raid5(const pvfs::OpenFile& f,
-                                      std::uint64_t off, const Buffer& data,
-                                      Scheme sch);
   sim::Task<Result<void>> write_hybrid(const pvfs::OpenFile& f,
                                        std::uint64_t off, const Buffer& data);
-  /// rs(k,m) write path: full groups compute all m coding fragments fresh;
-  /// partial groups run the batched RMW protocol (one locked read+update per
-  /// touched coding server, ascending order) folding per-fragment GF deltas.
-  sim::Task<Result<void>> write_rs(const pvfs::OpenFile& f, std::uint64_t off,
-                                   const Buffer& data, Scheme sch);
+  /// The coded write path for every k+m code (RAID4 and the RAID5 variants
+  /// are rs(N-1,1)): full groups compute their m coding units fresh;
+  /// partial groups run the batched RMW protocol (one locked read+update
+  /// per touched coding server, ascending order) folding per-unit GF
+  /// deltas. `sch` carries the variant flags: R5-NO-LOCK takes no locks,
+  /// RAID5-npc charges no coding CPU time.
+  sim::Task<Result<void>> write_coded(const pvfs::OpenFile& f,
+                                      std::uint64_t off, const Buffer& data,
+                                      Scheme sch);
 
   /// Charge the client CPU for XOR-ing `bytes` (skipped for RAID5-npc).
   sim::Task<void> charge_xor(Scheme sch, std::uint64_t bytes);
-
-  /// Append per-server merged parity writes for the fully covered groups
-  /// [g0, g1) to `reqs`, targeting redundancy generation `red_gen`.
-  /// `hybrid_invalidate` attaches overflow invalidations.
-  void build_full_parity_writes(
-      const pvfs::OpenFile& f, std::uint64_t off, const Buffer& data,
-      std::uint64_t g0, std::uint64_t g1, bool hybrid_invalidate,
-      std::uint32_t red_gen,
-      std::vector<std::pair<std::uint32_t, pvfs::Request>>& reqs,
-      std::uint64_t& xor_bytes);
 
   pvfs::Client* client_;
   CsarParams p_;

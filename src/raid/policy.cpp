@@ -51,7 +51,7 @@ std::optional<RedundancyPolicy::Transition> RedundancyPolicy::recommend()
     if (stats_.down_transitions >= a.multi_fault_threshold &&
         a.multi_fault_target.kind == SchemeKind::rs &&
         cur != a.multi_fault_target && cur.kind != SchemeKind::rs &&
-        cur != Scheme::raid1 && uses_parity(cur)) {
+        cur != Scheme::raid1) {
       return Transition{h, cur, a.multi_fault_target};
     }
   }

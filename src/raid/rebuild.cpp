@@ -197,8 +197,9 @@ sim::Task<void> RebuildCoordinator::handle_rejoin(std::uint32_t s,
       ok = false;
       break;
     }
-    // Other servers still out while this one rebuilds: rs(k,m) files decode
-    // around them (any k live fragments); classic schemes ignore the list.
+    // Other servers still out while this one rebuilds: coded files decode
+    // around them while k fragments remain (rs(k,m) with m >= 2); single
+    // redundancy reads through them.
     // Recomputed per pass — a concurrent outage may heal or appear between
     // passes.
     std::vector<std::uint32_t> also_down;
@@ -314,7 +315,7 @@ void RebuildCoordinator::merge_crash_losses(std::uint32_t s) {
     }
 
     // Redundancy file: mirror rows map through the predecessor (RAID1);
-    // parity rows dirty their whole group (parity schemes). Only the file's
+    // coding rows dirty their whole group (coded schemes). Only the file's
     // *current* generation matters — losses in a superseded generation are
     // garbage awaiting drop_red, never read again.
     if (auto it = losses.find(pvfs::IoServer::red_name(t.f.handle, gen));
@@ -330,42 +331,17 @@ void RebuildCoordinator::merge_crash_losses(std::uint32_t s) {
             o.stale[t.f.handle].insert(g0, g0 + (row_end - lo));
             lo = row_end;
           }
-        } else if (uses_parity(sch)) {
-          for (std::uint64_t k = iv.start / su; k * su < iv.end; ++k) {
-            // Groups whose parity lands in local unit k of this server:
-            // g == k under fixed placement, one of [k*n, (k+1)*n) rotating.
-            const std::uint64_t g_lo =
-                lay.placement == pvfs::ParityPlacement::fixed ? k
-                                                              : k * lay.n();
-            const std::uint64_t g_hi =
-                lay.placement == pvfs::ParityPlacement::fixed
-                    ? k + 1
-                    : (k + 1) * lay.n();
-            for (std::uint64_t g = g_lo; g < g_hi; ++g) {
-              if (lay.parity_server(g) != s) continue;
-              if (lay.parity_local_unit(g) != k) continue;
-              const std::uint64_t gs = lay.group_start(g);
-              if (gs >= t.size) continue;
-              o.stale[t.f.handle].insert(gs,
-                                         std::min(lay.group_end(g), t.size));
-            }
-          }
-        } else if (sch.kind == SchemeKind::rs) {
-          // rs coding slots: group g's fragments live at local offset g*su
-          // (rs_coding_local_off), so local unit q ↔ group q. The server
-          // may hold several of group q's m fragments only when fragments
-          // wrap, which rs placement forbids (k+m <= N), so one hit per j
-          // suffices: taint the whole group span.
+        } else if (uses_group_coding(sch)) {
+          // Coding slots map back through the placement's inverse: a lost
+          // slot taints the whole span of the group whose unit it held.
+          const CodeSpec spec = sch.code(lay);
           for (std::uint64_t q = iv.start / su; q * su < iv.end; ++q) {
-            bool holds = false;
-            for (std::uint32_t j = 0; j < sch.m && !holds; ++j) {
-              holds = lay.rs_coding_server(q, sch.k, j) == s;
-            }
-            if (!holds) continue;
-            const std::uint64_t gs = lay.rs_group_start(q, sch.k);
+            const auto at = lay.coding_at(s, q, spec.k, spec.m);
+            if (!at) continue;
+            const std::uint64_t gs = lay.group_start(at->first, spec.k);
             if (gs >= t.size) continue;
             o.stale[t.f.handle].insert(
-                gs, std::min(lay.rs_group_end(q, sch.k), t.size));
+                gs, std::min(lay.group_end(at->first, spec.k), t.size));
           }
         }
       }

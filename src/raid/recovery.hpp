@@ -4,9 +4,11 @@
 //
 //  RAID1   a failed server's data is served from (and rebuilt out of) the
 //          mirror blocks on its successor's redundancy file.
-//  RAID5   a lost data unit is the XOR of its group's surviving N-2 data
-//          units and the group's parity unit.
-//  Hybrid  RAID5 reconstruction yields the *base* stripe content (parity is
+//  coded   RAID4, the RAID5 variants, Hybrid's full stripes (rs(N-1,1)) and
+//          rs(k,m) share one engine: a lost unit is decoded from k live
+//          fragments of its group. For parity that is the XOR of the
+//          group's surviving N-2 data units and its parity unit.
+//  Hybrid  parity reconstruction yields the *base* stripe content (parity is
 //          computed only against the data files, which partial writes never
 //          touch); the newest partial-stripe data is then overlaid from the
 //          mirrored overflow copies on the failed server's successor. This
@@ -15,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/buffer.hpp"
@@ -46,9 +49,10 @@ struct RebuildOptions {
   /// e.g. lost dirty pages under the overflow file).
   bool restore_all_overflow = false;
   /// Other servers that are *also* unavailable while this one rebuilds
-  /// (concurrent outages). rs(k,m) files decode around them — any k live
-  /// fragments suffice; the classic single-redundancy schemes ignore the
-  /// list (their survivor reads fail loudly if one is actually needed).
+  /// (concurrent outages). Coded files decode around them while k live
+  /// fragments remain — rs(k,m) rides out up to m-1 of them — and read
+  /// through them otherwise (single redundancy needs every survivor);
+  /// RAID1's mirror reads fail loudly if they need one.
   std::vector<std::uint32_t> also_down;
 };
 
@@ -65,43 +69,41 @@ class Recovery {
   Recovery(pvfs::Client& client, const RedundancyPolicy* policy)
       : client_(&client), policy_(policy) {}
 
-  /// Read [off, off+len) of `f` while server `failed` is down; data on
-  /// surviving servers is read normally, lost pieces are reconstructed.
-  sim::Task<Result<Buffer>> degraded_read(const pvfs::OpenFile& f,
-                                          std::uint64_t off,
-                                          std::uint64_t len,
-                                          std::uint32_t failed);
-
-  /// Multi-failure degraded read: `failed` lists every server currently
-  /// down (ascending, at least one). rs(k,m) files tolerate up to m
+  /// Read [off, off+len) of `f` while the servers in `failed` are down
+  /// (ascending, at least one); data on surviving servers is read normally,
+  /// lost pieces are reconstructed. rs(k,m) files tolerate up to m
   /// concurrent victims — each lost piece is decoded client-side from the
-  /// minimal k-subset of live fragments; the classic schemes delegate to
-  /// the single-failure path when exactly one server is down and error
-  /// beyond their single-redundancy budget.
+  /// minimal k-subset of live fragments; every other scheme tolerates one.
   sim::Task<Result<Buffer>> degraded_read(const pvfs::OpenFile& f,
                                           std::uint64_t off, std::uint64_t len,
                                           std::vector<std::uint32_t> failed);
+  sim::Task<Result<Buffer>> degraded_read(const pvfs::OpenFile& f,
+                                          std::uint64_t off,
+                                          std::uint64_t len,
+                                          std::uint32_t failed) {
+    return degraded_read(f, off, len, std::vector<std::uint32_t>{failed});
+  }
 
-  /// Write [off, off+data.size()) of `f` while server `failed` is down —
-  /// continued operation in degraded mode. Redundancy is maintained so the
-  /// write survives: RAID1 updates whichever of the two copies is alive;
-  /// RAID5 records writes to lost units *in the parity* (reconstruct-write)
-  /// and skips parity updates for groups whose parity server is down (the
+  /// Write [off, off+data.size()) of `f` while the servers in `failed` are
+  /// down — continued operation in degraded mode. Redundancy is maintained
+  /// so the write survives: RAID1 updates whichever of the two copies is
+  /// alive; coded schemes record writes to lost units *in the coding*
+  /// (reconstruct-write) and skip coding units whose server is down (the
   /// rebuild recomputes those); Hybrid routes partial-stripe copies to
-  /// whichever of the owner/successor pair survives.
-  sim::Task<Result<void>> degraded_write(const pvfs::OpenFile& f,
-                                         std::uint64_t off, Buffer data,
-                                         std::uint32_t failed);
-
-  /// Multi-failure degraded write (see the degraded_read overload): rs
-  /// files keep all live coding fragments consistent as long as at most m
-  /// servers are down; classic schemes accept exactly one victim.
+  /// whichever of the owner/successor pair survives. Budgets as for
+  /// degraded_read.
   sim::Task<Result<void>> degraded_write(const pvfs::OpenFile& f,
                                          std::uint64_t off, Buffer data,
                                          std::vector<std::uint32_t> failed);
+  sim::Task<Result<void>> degraded_write(const pvfs::OpenFile& f,
+                                         std::uint64_t off, Buffer data,
+                                         std::uint32_t failed) {
+    return degraded_write(f, off, std::move(data),
+                          std::vector<std::uint32_t>{failed});
+  }
 
   /// Rebuild everything server `failed` stored for `f` — its data file,
-  /// its redundancy file (mirror blocks or parity units), its own overflow
+  /// its redundancy file (mirror blocks or coding units), its own overflow
   /// entries (from the mirrors on its successor) and the mirror entries it
   /// held for its predecessor. The server must already be back online
   /// (recover()ed onto a blank disk); `file_size` bounds the scan. `opt`
@@ -118,7 +120,7 @@ class Recovery {
   /// (re-copy passes over regions dirtied by concurrent writes) and
   /// `throttle` paces the copy traffic. No locks are taken: until the flip
   /// only the migrator writes generation `red_gen`, and data reads are raw.
-  /// RAID1, the parity-rotating schemes and rs(k,m) are buildable targets.
+  /// RAID1, the rotating-parity schemes and rs(k,m) are buildable targets.
   sim::Task<Result<void>> build_redundancy(const pvfs::OpenFile& f, Scheme to,
                                            std::uint32_t red_gen,
                                            std::uint64_t file_size,
@@ -140,48 +142,23 @@ class Recovery {
                               : fixed_ == Scheme::hybrid;
   }
 
-  /// Reconstruct the bytes of one lost piece (within a single stripe unit
-  /// of the failed server), including the Hybrid overflow overlay.
-  sim::Task<Result<Buffer>> reconstruct_piece(const pvfs::OpenFile& f,
-                                              std::uint32_t failed,
-                                              std::uint64_t global_off,
-                                              std::uint64_t len);
+  /// Fragment `target` (data fragments [0,k), coding fragments [k,k+m))
+  /// of group `g` over unit columns [c0, c0+len), decoded from exactly k
+  /// fragments — data fragments first, then coding, both ascending,
+  /// skipping every server in `down` while k others remain.
+  sim::Task<Result<Buffer>> reconstruct(const pvfs::OpenFile& f, Scheme sch,
+                                        std::uint64_t g, std::uint32_t target,
+                                        std::uint64_t c0, std::uint64_t len,
+                                        const std::vector<std::uint32_t>& down,
+                                        bool for_rebuild);
 
-  /// RAID5/Hybrid base reconstruction: XOR of survivors + parity, without
-  /// the overflow overlay.
-  sim::Task<Result<Buffer>> reconstruct_base(const pvfs::OpenFile& f,
-                                             std::uint32_t failed,
-                                             std::uint64_t global_off,
-                                             std::uint64_t len);
-
-  /// rs(k,m): rebuild fragment `target` (data fragments [0,k), coding
-  /// fragments [k,k+m)) of group `g` over unit columns [c0, c0+len) by
-  /// fetching exactly k live fragments — data fragments first, then coding,
-  /// both ascending, skipping every server in `down` — and combining them
-  /// with rs_reconstruct_coeffs. Errors if fewer than k fragments are live.
-  sim::Task<Result<Buffer>> reconstruct_rs(
-      const pvfs::OpenFile& f, Scheme sch, std::uint64_t g,
-      std::uint32_t target, std::uint64_t c0, std::uint64_t len,
-      const std::vector<std::uint32_t>& down, bool for_rebuild);
-
-  /// reconstruct_rs for the lost *data* piece at `global_off`, plus the
-  /// overflow overlay an ex-Hybrid rs file still carries.
-  sim::Task<Result<Buffer>> reconstruct_rs_piece(
+  /// The bytes of one lost piece (within a single stripe unit of a down
+  /// server): RAID1's mirror or the coded decode, plus the overflow overlay
+  /// a Hybrid or ex-Hybrid file carries.
+  sim::Task<Result<Buffer>> reconstruct_piece(
       const pvfs::OpenFile& f, Scheme sch,
       const std::vector<std::uint32_t>& down, std::uint64_t global_off,
       std::uint64_t len);
-
-  /// The rs branches of degraded_read / degraded_write / rebuild_server.
-  sim::Task<Result<Buffer>> degraded_read_rs(
-      const pvfs::OpenFile& f, Scheme sch, std::uint64_t off,
-      std::uint64_t len, std::vector<std::uint32_t> failed);
-  sim::Task<Result<void>> degraded_write_rs(
-      const pvfs::OpenFile& f, Scheme sch, std::uint64_t off, Buffer data,
-      std::vector<std::uint32_t> failed);
-  sim::Task<Result<void>> rebuild_server_rs(const pvfs::OpenFile& f,
-                                            Scheme sch, std::uint32_t failed,
-                                            std::uint64_t file_size,
-                                            const RebuildOptions& opt);
 
   pvfs::Client* client_;
   const RedundancyPolicy* policy_ = nullptr;

@@ -1,12 +1,17 @@
 // Redundancy schemes studied in the paper (§4) plus the two ablations used
 // in its evaluation (§5.1, §6.2), generalized to k+m erasure codes.
 //
-// A Scheme is now a small value type: a kind plus, for Reed-Solomon, the
-// CodeSpec parameters (k data + m coding fragments per group). The classic
-// schemes are special cases of the code — RAID1 ≈ RS(1,1), RAID4/5 ≈
-// RS(k,1) with fixed/rotated placement — but keep their dedicated kinds
-// (and I/O paths) so the paper's original experiments stay byte-identical.
-// `Scheme::raid5`-style spellings keep working via inline static constants.
+// A Scheme is a small value type: a kind plus, for Reed-Solomon, the
+// CodeSpec parameters (k data + m coding fragments per group). The parity
+// schemes *are* the code: RAID4, the RAID5 variants and Hybrid's full
+// stripes are rs(N-1,1) with fixed or rotating placement, and one
+// redundancy engine (the coded paths in csar_fs.cpp, recovery.cpp and
+// scrub.cpp) serves them and rs(k,m) alike, parameterised by code(), the
+// layout's placement and two flags: R5-NO-LOCK skips the coding locks
+// (Fig. 3) and RAID5-npc charges no coding CPU time (Fig. 4a). The kinds
+// stay distinct because the paper's figures name them. RAID1 (mirroring)
+// and RAID0 keep their own paths. `Scheme::raid5`-style spellings keep
+// working via inline static constants.
 #pragma once
 
 #include <cassert>
@@ -124,35 +129,28 @@ inline std::string scheme_name(Scheme s) {
   std::abort();
 }
 
-/// True for the schemes that store block parity (RAID4, all RAID5 variants
-/// and the Hybrid full-stripe path). rs is *not* in this set: its coding
-/// units live in the redundancy file too, but at rs-specific offsets, and
-/// every rs path resolves geometry through the rs_* layout helpers.
-inline bool uses_parity(Scheme s) {
+/// True when the scheme keeps k+m group coding in the per-server redundancy
+/// files — every scheme the coded engine serves: RAID4, the RAID5
+/// variants, Hybrid (its full stripes) and rs(k,m).
+inline bool uses_group_coding(Scheme s) {
   switch (s.kind) {
     case SchemeKind::raid0:
     case SchemeKind::raid1:
-    case SchemeKind::rs:
       return false;
     case SchemeKind::raid4:
     case SchemeKind::raid5:
     case SchemeKind::raid5_nolock:
     case SchemeKind::raid5_npc:
     case SchemeKind::hybrid:
+    case SchemeKind::rs:
       return true;
   }
   std::abort();
 }
 
-/// True when the scheme stores redundancy in the per-server redundancy
-/// files keyed by group (parity schemes and rs alike).
-inline bool uses_group_coding(Scheme s) {
-  return uses_parity(s) || s.kind == SchemeKind::rs;
-}
-
-/// The parity placement a scheme's files should be created with. rs keeps
-/// the rotating data layout (data striped over all N servers, identical to
-/// plain PVFS); its coding placement is computed by the rs_* helpers.
+/// The parity placement a scheme's files should be created with: RAID4's
+/// dedicated parity server, the rotating layout for everything else (data
+/// striped over all N servers, identical to plain PVFS).
 inline pvfs::ParityPlacement placement_for(Scheme s) {
   switch (s.kind) {
     case SchemeKind::raid4:

@@ -1,5 +1,6 @@
 #include "raid/scrub.hpp"
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -32,13 +33,9 @@ sim::Task<Result<Scrubber::Report>> Scrubber::run(const pvfs::OpenFile& f,
     case SchemeKind::raid5:
     case SchemeKind::raid5_nolock:
     case SchemeKind::raid5_npc:
-    case SchemeKind::hybrid: {
-      auto r = co_await scrub_parity(f, file_size, repair, report);
-      if (!r.ok()) co_return r.error();
-      break;
-    }
+    case SchemeKind::hybrid:
     case SchemeKind::rs: {
-      auto r = co_await scrub_rs(f, file_size, repair, report);
+      auto r = co_await scrub_coded(f, file_size, repair, report);
       if (!r.ok()) co_return r.error();
       break;
     }
@@ -67,137 +64,22 @@ sim::Task<Result<Scrubber::Report>> Scrubber::run(const pvfs::OpenFile& f,
   co_return report;
 }
 
-sim::Task<Result<void>> Scrubber::scrub_parity(const pvfs::OpenFile& f,
-                                               std::uint64_t file_size,
-                                               bool repair, Report& report) {
+sim::Task<Result<void>> Scrubber::scrub_coded(const pvfs::OpenFile& f,
+                                              std::uint64_t file_size,
+                                              bool repair, Report& report) {
+  // Per group, read the k data units and all m coding units; recompute
+  // each coding unit and compare. Up to m latent-sector losses per group
+  // decode from k live fragments; more is unrepairable.
   const StripeLayout& layout = f.layout;
   const std::uint64_t su = layout.su();
   const std::uint32_t gen = red_gen_of(f);
-  const std::uint64_t ngroups = div_ceil(file_size, layout.stripe_width());
-  for (std::uint64_t g = 0; g < ngroups; ++g) {
-    // Gather the group's data units and its stored parity.
-    std::vector<std::pair<std::uint32_t, Request>> reads;
-    for (std::uint64_t u = g * (layout.n() - 1);
-         u < (g + 1) * (layout.n() - 1); ++u) {
-      Request r;
-      r.op = Op::read_data_raw;
-      r.handle = f.handle;
-      r.off = layout.local_unit(u) * su;
-      r.len = su;
-      reads.emplace_back(layout.server_of_unit(u), std::move(r));
-    }
-    {
-      Request r;
-      r.op = Op::read_red;
-      r.handle = f.handle;
-      r.off = layout.parity_local_off(g);
-      r.len = su;
-      r.su = layout.stripe_unit;
-      r.red_gen = gen;
-      reads.emplace_back(layout.parity_server(g), std::move(r));
-    }
-    auto resps = co_await client_->rpc_all(std::move(reads));
-    const std::size_t parity_idx = resps.size() - 1;
-    std::vector<std::size_t> lost;  // responses lost to latent sector errors
-    for (std::size_t i = 0; i < resps.size(); ++i) {
-      if (resps[i].ok) continue;
-      if (resps[i].err == Errc::media_error) {
-        // A latent sector error is a per-range finding, not a dead server.
-        ++report.media_errors;
-        lost.push_back(i);
-        continue;
-      }
-      co_return Error{resps[i].err, "scrub read", resps[i].server};
-    }
-    ++report.groups_checked;
-    bool materialized = true;
-    for (std::size_t i = 0; i < resps.size(); ++i) {
-      if (resps[i].ok && !resps[i].data.materialized()) materialized = false;
-    }
-    if (lost.size() > 1) {
-      // Single redundancy cannot rebuild two lost units of one group.
-      report.unrepairable += lost.size();
-      continue;
-    }
-    if (lost.size() == 1) {
-      if (!repair) continue;  // verify-only: the finding is recorded
-      // Rebuild the unreadable unit by XOR-ing the surviving n-1 units of
-      // the group; rewriting it clears the bad sectors underneath.
-      const std::size_t bad = lost.front();
-      Buffer rebuilt =
-          materialized ? Buffer::real(su) : Buffer::phantom(su);
-      if (materialized) {
-        for (std::size_t i = 0; i < resps.size(); ++i) {
-          if (i != bad) rebuilt.xor_with(resps[i].data);
-        }
-        auto& node = client_->cluster().node(client_->node_id());
-        co_await node.tx().occupy(sim::transfer_time(
-            su * layout.n(), node.params().xor_bytes_per_sec));
-      }
-      Request w;
-      w.handle = f.handle;
-      w.payload = std::move(rebuilt);
-      w.su = layout.stripe_unit;
-      std::uint32_t target;
-      if (bad == parity_idx) {
-        w.op = Op::write_red;
-        w.off = layout.parity_local_off(g);
-        w.red_gen = gen;
-        target = layout.parity_server(g);
-      } else {
-        const std::uint64_t u = g * (layout.n() - 1) + bad;
-        w.op = Op::write_data;
-        w.off = layout.local_unit(u) * su;
-        target = layout.server_of_unit(u);
-      }
-      auto wr = co_await client_->rpc(target, std::move(w));
-      if (!wr.ok) co_return Error{wr.err, "scrub media rewrite", wr.server};
-      ++report.repaired;
-      continue;
-    }
-    Buffer expect;
-    if (!materialized) continue;  // phantom content: nothing to compare
-    expect = Buffer::real(su);
-    for (std::size_t i = 0; i + 1 < resps.size(); ++i) {
-      expect.xor_with(resps[i].data);
-    }
-    // Charge the audit XOR on the scrubbing client.
-    auto& node = client_->cluster().node(client_->node_id());
-    co_await node.tx().occupy(sim::transfer_time(
-        su * layout.n(), node.params().xor_bytes_per_sec));
-    if (resps.back().data == expect) continue;
-    ++report.parity_mismatches;
-    if (repair) {
-      Request w;
-      w.op = Op::write_red;
-      w.handle = f.handle;
-      w.off = layout.parity_local_off(g);
-      w.payload = std::move(expect);
-      w.su = layout.stripe_unit;
-      w.red_gen = gen;
-      auto wr = co_await client_->rpc(layout.parity_server(g), std::move(w));
-      if (!wr.ok) co_return Error{wr.err, "scrub parity rewrite"};
-      ++report.repaired;
-    }
-  }
-  co_return Result<void>::success();
-}
-
-sim::Task<Result<void>> Scrubber::scrub_rs(const pvfs::OpenFile& f,
-                                           std::uint64_t file_size,
-                                           bool repair, Report& report) {
-  // The parity audit generalized to rs(k,m): per group, read the k data
-  // units and all m coding fragments; recompute each fragment and compare.
-  // Up to m latent-sector losses per group decode from the k live
-  // fragments; more is unrepairable.
-  const StripeLayout& layout = f.layout;
-  const std::uint64_t su = layout.su();
-  const std::uint32_t gen = red_gen_of(f);
-  const Scheme sch = scheme_of(f);
-  const CodeSpec spec = sch.code(layout);
+  const CodeSpec spec = scheme_of(f).code(layout);
   const std::uint32_t k = spec.k;
   const std::uint32_t m = spec.m;
-  const std::uint64_t ngroups = div_ceil(file_size, layout.rs_group_width(k));
+  auto& node = client_->cluster().node(client_->node_id());
+  const sim::Duration encode_time = sim::transfer_time(
+      su * (k + 1), node.params().xor_bytes_per_sec);
+  const std::uint64_t ngroups = div_ceil(file_size, layout.group_width(k));
   for (std::uint64_t g = 0; g < ngroups; ++g) {
     std::vector<std::pair<std::uint32_t, Request>> reads;
     for (std::uint32_t i = 0; i < k; ++i) {
@@ -206,28 +88,29 @@ sim::Task<Result<void>> Scrubber::scrub_rs(const pvfs::OpenFile& f,
       r.handle = f.handle;
       r.off = layout.local_unit(g * k + i) * su;
       r.len = su;
-      reads.emplace_back(layout.rs_data_server(g, k, i), std::move(r));
+      reads.emplace_back(layout.data_server(g, k, i), std::move(r));
     }
     for (std::uint32_t j = 0; j < m; ++j) {
       Request r;
       r.op = Op::read_red;
       r.handle = f.handle;
-      r.off = layout.rs_coding_local_off(g);
+      r.off = layout.coding_off(g, k, m, j);
       r.len = su;
       r.su = layout.stripe_unit;
       r.red_gen = gen;
-      reads.emplace_back(layout.rs_coding_server(g, k, j), std::move(r));
+      reads.emplace_back(layout.coding_server(g, k, j), std::move(r));
     }
     auto resps = co_await client_->rpc_all(std::move(reads));
     std::vector<std::uint32_t> lost;  // fragment indexes, data then coding
     for (std::size_t i = 0; i < resps.size(); ++i) {
       if (resps[i].ok) continue;
       if (resps[i].err == Errc::media_error) {
+        // A latent sector error is a per-range finding, not a dead server.
         ++report.media_errors;
         lost.push_back(static_cast<std::uint32_t>(i));
         continue;
       }
-      co_return Error{resps[i].err, "scrub rs read", resps[i].server};
+      co_return Error{resps[i].err, "scrub read", resps[i].server};
     }
     ++report.groups_checked;
     bool materialized = true;
@@ -240,25 +123,21 @@ sim::Task<Result<void>> Scrubber::scrub_rs(const pvfs::OpenFile& f,
     }
     if (!lost.empty()) {
       if (!repair) continue;  // verify-only: the findings are recorded
-      // Decode each lost fragment from the first k live fragments.
+      // Decode each lost fragment from the first k live fragments and
+      // rewrite it in place, which clears the bad sectors underneath.
       std::vector<std::uint32_t> present;
-      for (std::uint32_t frag = 0; frag < spec.fragments() && present.size() < k;
-           ++frag) {
-        bool is_lost = false;
-        for (const std::uint32_t l : lost) is_lost = is_lost || l == frag;
-        if (!is_lost) present.push_back(frag);
+      std::vector<Buffer> srcs;
+      for (std::uint32_t frag = 0;
+           frag < spec.fragments() && present.size() < k; ++frag) {
+        if (std::find(lost.begin(), lost.end(), frag) != lost.end()) continue;
+        present.push_back(frag);
+        srcs.push_back(resps[frag].data);
       }
       for (const std::uint32_t bad : lost) {
-        Buffer rebuilt = materialized ? Buffer::real(su) : Buffer::phantom(su);
+        Buffer rebuilt = Buffer::phantom(su);
         if (materialized) {
-          const auto coeffs = rs_reconstruct_coeffs(spec, present, bad);
-          auto dst = rebuilt.mutable_bytes();
-          for (std::size_t r = 0; r < present.size(); ++r) {
-            gf_muladd_region(dst, resps[present[r]].data, coeffs[r]);
-          }
-          auto& node = client_->cluster().node(client_->node_id());
-          co_await node.tx().occupy(sim::transfer_time(
-              su * (k + 1), node.params().xor_bytes_per_sec));
+          rebuilt = gf_combine(srcs, rs_reconstruct_coeffs(spec, present, bad));
+          co_await node.tx().occupy(encode_time);
         }
         Request w;
         w.handle = f.handle;
@@ -267,43 +146,40 @@ sim::Task<Result<void>> Scrubber::scrub_rs(const pvfs::OpenFile& f,
         std::uint32_t target;
         if (bad >= k) {
           w.op = Op::write_red;
-          w.off = layout.rs_coding_local_off(g);
+          w.off = layout.coding_off(g, k, m, bad - k);
           w.red_gen = gen;
-          target = layout.rs_coding_server(g, k, bad - k);
+          target = layout.coding_server(g, k, bad - k);
         } else {
           w.op = Op::write_data;
           w.off = layout.local_unit(g * k + bad) * su;
-          target = layout.rs_data_server(g, k, bad);
+          target = layout.data_server(g, k, bad);
         }
         auto wr = co_await client_->rpc(target, std::move(w));
-        if (!wr.ok) co_return Error{wr.err, "scrub rs rewrite", wr.server};
+        if (!wr.ok) co_return Error{wr.err, "scrub media rewrite", wr.server};
         ++report.repaired;
       }
       continue;
     }
     if (!materialized) continue;  // phantom content: nothing to compare
+    std::vector<Buffer> units;
+    for (std::uint32_t i = 0; i < k; ++i) units.push_back(resps[i].data);
     for (std::uint32_t j = 0; j < m; ++j) {
-      Buffer expect = Buffer::real(su);
-      auto dst = expect.mutable_bytes();
-      for (std::uint32_t i = 0; i < k; ++i) {
-        gf_muladd_region(dst, resps[i].data, rs_coeff(spec, j, i));
-      }
-      auto& node = client_->cluster().node(client_->node_id());
-      co_await node.tx().occupy(sim::transfer_time(
-          su * (k + 1), node.params().xor_bytes_per_sec));
+      Buffer expect = gf_combine(units, rs_row(spec, j));
+      // Charge the audit encode on the scrubbing client.
+      co_await node.tx().occupy(encode_time);
       if (resps[k + j].data == expect) continue;
       ++report.parity_mismatches;
       if (repair) {
         Request w;
         w.op = Op::write_red;
         w.handle = f.handle;
-        w.off = layout.rs_coding_local_off(g);
+        w.off = layout.coding_off(g, k, m, j);
         w.payload = std::move(expect);
         w.su = layout.stripe_unit;
         w.red_gen = gen;
-        auto wr = co_await client_->rpc(layout.rs_coding_server(g, k, j),
+        auto wr = co_await client_->rpc(layout.coding_server(g, k, j),
                                         std::move(w));
-        if (!wr.ok) co_return Error{wr.err, "scrub rs coding rewrite"};
+        if (!wr.ok) co_return Error{wr.err, "scrub coding rewrite"};
         ++report.repaired;
       }
     }

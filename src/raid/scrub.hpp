@@ -4,9 +4,10 @@
 // inconsistent by concurrent writers without the locking protocol (§5.1),
 // by a crash between the data and parity writes, or by the NO-LOCK ablation
 // — and a stale parity group turns a later disk failure into data loss.
-// The scrubber walks every parity group (or mirror pair, for RAID1),
-// recomputes what the redundancy should be from the data files, reports
-// mismatches, and optionally rewrites the redundancy in place.
+// The scrubber walks every coded group (parity or rs(k,m) coding units) or
+// mirror pair (RAID1), recomputes what the redundancy should be from the
+// data files, reports mismatches, and optionally rewrites the redundancy in
+// place.
 //
 // For the Hybrid scheme the base invariant is identical to RAID5's: parity
 // covers the *data files* only, because partial-stripe writes go to
@@ -76,12 +77,11 @@ class Scrubber {
  private:
   sim::Task<Result<Report>> run(const pvfs::OpenFile& f,
                                 std::uint64_t file_size, bool repair);
-  sim::Task<Result<void>> scrub_parity(const pvfs::OpenFile& f,
-                                       std::uint64_t file_size, bool repair,
-                                       Report& report);
-  sim::Task<Result<void>> scrub_rs(const pvfs::OpenFile& f,
-                                   std::uint64_t file_size, bool repair,
-                                   Report& report);
+  /// The coded audit (RAID4, the RAID5 variants, Hybrid, rs(k,m)): every
+  /// group's coding units recomputed from its data units.
+  sim::Task<Result<void>> scrub_coded(const pvfs::OpenFile& f,
+                                      std::uint64_t file_size, bool repair,
+                                      Report& report);
   sim::Task<Result<void>> scrub_mirrors(const pvfs::OpenFile& f,
                                         std::uint64_t file_size, bool repair,
                                         Report& report);

@@ -2,13 +2,24 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
+#include <optional>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
 
 namespace csar::pvfs {
 namespace {
+
+// RAID5 parity is the k = N-1, m = 1 case of the coded-group geometry.
+std::uint32_t parity_server(const StripeLayout& l, std::uint64_t g) {
+  return l.coding_server(g, l.n() - 1, 0);
+}
+std::uint64_t parity_slot(const StripeLayout& l, std::uint64_t g) {
+  return l.coding_slot(g, l.n() - 1, 1, 0);
+}
 
 TEST(Layout, UnitAndServerMath) {
   StripeLayout l{1024, 4};
@@ -41,9 +52,9 @@ TEST(Layout, Figure2ParityPlacement) {
   EXPECT_EQ(l.group_of_unit(0), 0u);
   EXPECT_EQ(l.group_of_unit(1), 0u);
   EXPECT_EQ(l.group_of_unit(2), 1u);
-  EXPECT_EQ(l.parity_server(0), 2u);  // D0 on s0, D1 on s1 -> parity on s2
-  EXPECT_EQ(l.parity_server(1), 1u);  // D2 on s2, D3 on s0 -> parity on s1
-  EXPECT_EQ(l.parity_server(2), 0u);  // D4 on s1, D5 on s2 -> parity on s0
+  EXPECT_EQ(parity_server(l, 0), 2u);  // D0 on s0, D1 on s1 -> parity on s2
+  EXPECT_EQ(parity_server(l, 1), 1u);  // D2 on s2, D3 on s0 -> parity on s1
+  EXPECT_EQ(parity_server(l, 2), 0u);  // D4 on s1, D5 on s2 -> parity on s0
 }
 
 // Structural invariant: the parity server of a group never holds any of the
@@ -55,7 +66,7 @@ TEST_P(ParityPlacementProperty, ParityServerHoldsNoGroupData) {
   const std::uint32_t n = GetParam();
   StripeLayout l{4096, n};
   for (std::uint64_t g = 0; g < 200; ++g) {
-    const std::uint32_t ps = l.parity_server(g);
+    const std::uint32_t ps = parity_server(l, g);
     for (std::uint64_t u = g * (n - 1); u < (g + 1) * (n - 1); ++u) {
       ASSERT_NE(l.server_of_unit(u), ps)
           << "group " << g << " unit " << u << " collides with parity";
@@ -70,8 +81,8 @@ TEST_P(ParityPlacementProperty, ParityLocalUnitsAreDense) {
   StripeLayout l{4096, n};
   std::vector<std::uint64_t> next(n, 0);
   for (std::uint64_t g = 0; g < 500; ++g) {
-    const std::uint32_t ps = l.parity_server(g);
-    ASSERT_EQ(l.parity_local_unit(g), next[ps]) << "group " << g;
+    const std::uint32_t ps = parity_server(l, g);
+    ASSERT_EQ(parity_slot(l, g), next[ps]) << "group " << g;
     ++next[ps];
   }
 }
@@ -92,7 +103,7 @@ TEST_P(BaseOffsetProperty, PlacementInvariantsHoldForEveryBase) {
   // Unit 0 starts at the base server.
   EXPECT_EQ(l.server_of_unit(0), base % n);
   for (std::uint64_t g = 0; g < 100; ++g) {
-    const std::uint32_t ps = l.parity_server(g);
+    const std::uint32_t ps = parity_server(l, g);
     for (std::uint64_t u = g * (n - 1); u < (g + 1) * (n - 1); ++u) {
       ASSERT_NE(l.server_of_unit(u), ps)
           << "base " << base << " group " << g;
@@ -101,8 +112,8 @@ TEST_P(BaseOffsetProperty, PlacementInvariantsHoldForEveryBase) {
   // Parity files stay dense per server.
   std::vector<std::uint64_t> next(n, 0);
   for (std::uint64_t g = 0; g < 300; ++g) {
-    const std::uint32_t ps = l.parity_server(g);
-    ASSERT_EQ(l.parity_local_unit(g), next[ps]);
+    const std::uint32_t ps = parity_server(l, g);
+    ASSERT_EQ(parity_slot(l, g), next[ps]);
     ++next[ps];
   }
   // Decomposition still covers exactly.
@@ -288,8 +299,91 @@ TEST(Layout, TwoServerDegenerateParity) {
   // N=2: groups are single units; parity is effectively a rotated mirror.
   StripeLayout l{1024, 2};
   EXPECT_EQ(l.stripe_width(), 1024u);
-  EXPECT_EQ(l.parity_server(0), 1u);  // unit 0 on s0 -> parity on s1
-  EXPECT_EQ(l.parity_server(1), 0u);  // unit 1 on s1 -> parity on s0
+  EXPECT_EQ(parity_server(l, 0), 1u);  // unit 0 on s0 -> parity on s1
+  EXPECT_EQ(parity_server(l, 1), 0u);  // unit 1 on s1 -> parity on s0
+}
+
+// The dense coding-slot map, for every N <= 16, k+m <= N and base < N:
+// collision-free, at most one unused slot per server per period, and
+// inverted exactly by coding_at (what merge_crash_losses relies on).
+TEST(CodingSlotMap, DenseCollisionFreeAndInvertible) {
+  constexpr std::uint64_t kPeriods = 3;
+  for (std::uint32_t n = 2; n <= 16; ++n) {
+    for (std::uint32_t base = 0; base < n; ++base) {
+      const StripeLayout l{4096, n, ParityPlacement::rotating, base};
+      for (std::uint32_t k = 1; k < n; ++k) {
+        for (std::uint32_t m = 1; k + m <= n; ++m) {
+          const std::uint32_t d = std::gcd(k, n);
+          const std::uint64_t period = n / d;        // groups per period
+          const std::uint64_t per = (m + d - 1) / d;  // slots per period
+          // owner[s][q]: the (g, j) stored in slot q of server s.
+          std::vector<std::vector<std::optional<std::pair<std::uint64_t,
+                                                          std::uint32_t>>>>
+              owner(n, std::vector<std::optional<
+                           std::pair<std::uint64_t, std::uint32_t>>>(
+                           kPeriods * per));
+          for (std::uint64_t g = 0; g < kPeriods * period; ++g) {
+            std::set<std::uint32_t> group_servers;
+            for (std::uint32_t i = 0; i < k; ++i) {
+              group_servers.insert(l.data_server(g, k, i));
+            }
+            for (std::uint32_t j = 0; j < m; ++j) {
+              const std::uint32_t s = l.coding_server(g, k, j);
+              const std::uint64_t q = l.coding_slot(g, k, m, j);
+              ASSERT_TRUE(group_servers.insert(s).second)
+                  << "n=" << n << " k=" << k << " m=" << m << " g=" << g;
+              ASSERT_LT(q, kPeriods * per);
+              ASSERT_FALSE(owner[s][q].has_value())
+                  << "slot collision n=" << n << " base=" << base
+                  << " k=" << k << " m=" << m << " g=" << g << " j=" << j;
+              owner[s][q] = std::pair<std::uint64_t, std::uint32_t>{g, j};
+            }
+          }
+          for (std::uint32_t s = 0; s < n; ++s) {
+            for (std::uint64_t p = 0; p < kPeriods; ++p) {
+              std::uint64_t unused = 0;
+              for (std::uint64_t q = p * per; q < (p + 1) * per; ++q) {
+                if (!owner[s][q]) ++unused;
+              }
+              ASSERT_LE(unused, 1u) << "n=" << n << " k=" << k << " m=" << m
+                                    << " server " << s << " period " << p;
+            }
+            for (std::uint64_t q = 0; q < kPeriods * per; ++q) {
+              ASSERT_EQ(l.coding_at(s, q, k, m), owner[s][q])
+                  << "n=" << n << " base=" << base << " k=" << k
+                  << " m=" << m << " server " << s << " slot " << q;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// With k = N-1, m = 1 the map is the paper's parity placement: rotating
+// parity on the one server without group data, dense slot g/N; RAID4's
+// fixed parity server N-1, slot g.
+TEST(CodingSlotMap, ParityCaseIsTheClassicPlacement) {
+  for (std::uint32_t n = 2; n <= 16; ++n) {
+    for (std::uint32_t base = 0; base < n; ++base) {
+      const StripeLayout rot{4096, n, ParityPlacement::rotating, base};
+      const StripeLayout fixed{4096, n, ParityPlacement::fixed, base};
+      for (std::uint64_t g = 0; g < 4 * n; ++g) {
+        ASSERT_EQ(rot.coding_server(g, n - 1, 0),
+                  (base + (g + 1) * (n - 1)) % n);
+        ASSERT_EQ(rot.coding_slot(g, n - 1, 1, 0), g / n);
+        ASSERT_EQ(fixed.coding_server(g, n - 1, 0), n - 1);
+        ASSERT_EQ(fixed.coding_slot(g, n - 1, 1, 0), g);
+        const auto at = fixed.coding_at(n - 1, g, n - 1, 1);
+        ASSERT_TRUE(at.has_value());
+        EXPECT_EQ(at->first, g);
+        EXPECT_EQ(at->second, 0u);
+        for (std::uint32_t s = 0; s + 1 < n; ++s) {
+          ASSERT_FALSE(fixed.coding_at(s, g, n - 1, 1).has_value());
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

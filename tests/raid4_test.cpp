@@ -34,8 +34,8 @@ TEST(Raid4Layout, DataNeverLandsOnParityServer) {
     EXPECT_LT(l.server_of_unit(u), 4u);
   }
   for (std::uint64_t g = 0; g < 100; ++g) {
-    EXPECT_EQ(l.parity_server(g), 4u);
-    EXPECT_EQ(l.parity_local_unit(g), g);  // dense in the parity file
+    EXPECT_EQ(l.coding_server(g, 4, 0), 4u);
+    EXPECT_EQ(l.coding_slot(g, 4, 1, 0), g);  // dense in the parity file
   }
 }
 

@@ -152,7 +152,7 @@ TEST(DegradedWrite, Raid5LostParityAndLostUnitIsRejected) {
     auto f = co_await fs.create("f", r.layout(kSu));
     CO_ASSERT_TRUE(f.ok());
     // Group 0 (units 0..3) has parity on server 4.
-    CO_ASSERT_EQ(f->layout.parity_server(0), 4u);
+    CO_ASSERT_EQ(f->layout.coding_server(0, 4, 0), 4u);
     r.server(4).fail();
     Recovery rec = r.recovery();
     // Partial write to unit 0 (on surviving server 0): fine.

@@ -300,21 +300,22 @@ sim::Task<bool> rs_consistent(Rig& rig, const pvfs::OpenFile& f,
   const auto& lay = f.layout;
   const std::uint64_t su = lay.su();
   const CodeSpec spec{sch.k, sch.m};
-  const std::uint64_t ngroups = div_ceil(file_size, lay.rs_group_width(sch.k));
+  const std::uint64_t ngroups = div_ceil(file_size, lay.group_width(sch.k));
   bool ok = true;
   for (std::uint64_t g = 0; g < ngroups; ++g) {
     std::vector<Buffer> data;
     for (std::uint32_t i = 0; i < spec.k; ++i) {
-      auto& ds = rig.server(lay.rs_data_server(g, spec.k, i));
+      auto& ds = rig.server(lay.data_server(g, spec.k, i));
       const std::uint64_t u = g * spec.k + i;
       Buffer unit = co_await ds.fs().peek(IoServer::data_name(f.handle),
                                           lay.local_unit(u) * su, su);
       data.push_back(std::move(unit));
     }
     for (std::uint32_t j = 0; j < spec.m; ++j) {
-      auto& cs = rig.server(lay.rs_coding_server(g, spec.k, j));
+      auto& cs = rig.server(lay.coding_server(g, spec.k, j));
       Buffer coding = co_await cs.fs().peek(
-          IoServer::red_name(f.handle, gen), lay.rs_coding_local_off(g), su);
+          IoServer::red_name(f.handle, gen), lay.coding_off(g, sch.k, sch.m, j),
+          su);
       Buffer expect = Buffer::real(su);
       for (std::uint32_t i = 0; i < spec.k; ++i) {
         gf_muladd_region(expect.mutable_bytes(), data[i].bytes(),
@@ -346,7 +347,7 @@ TEST(RsEndToEnd, RoundTripAndCodingInvariant) {
     auto f = co_await fs.create("f", r.layout(kSu));
     CO_ASSERT_TRUE(f.ok());
     const Scheme sch = Scheme::rs(4, 2);
-    const std::uint64_t w = f->layout.rs_group_width(4);
+    const std::uint64_t w = f->layout.group_width(4);
     RefFile ref;
     Rng rng(90210);
     // Full-group writes, then a mix of unaligned and sub-unit RMW writes.
@@ -381,7 +382,7 @@ TEST(RsEndToEnd, DegradedReadSurvivesTwoFailures) {
     auto& fs = r.client_fs();
     auto f = co_await fs.create("f", r.layout(kSu));
     CO_ASSERT_TRUE(f.ok());
-    const std::uint64_t w = f->layout.rs_group_width(4);
+    const std::uint64_t w = f->layout.group_width(4);
     RefFile ref;
     Rng rng(31337);
     for (int i = 0; i < 20; ++i) {
@@ -435,7 +436,7 @@ TEST(RsEndToEnd, DegradedWriteKeepsLiveCodingConsistent) {
     auto f = co_await fs.create("f", r.layout(kSu));
     CO_ASSERT_TRUE(f.ok());
     const Scheme sch = Scheme::rs(4, 2);
-    const std::uint64_t w = f->layout.rs_group_width(4);
+    const std::uint64_t w = f->layout.group_width(4);
     RefFile ref;
     {
       Buffer data = Buffer::pattern(3 * w, 5);
@@ -491,7 +492,7 @@ TEST(RsEndToEnd, RebuildTwoWipedServersFromAnyKSurvivors) {
     auto& fs = r.client_fs();
     auto f = co_await fs.create("f", r.layout(kSu));
     CO_ASSERT_TRUE(f.ok());
-    const std::uint64_t w = f->layout.rs_group_width(4);
+    const std::uint64_t w = f->layout.group_width(4);
     RefFile ref;
     Rng rng(2026);
     for (int i = 0; i < 20; ++i) {
@@ -621,7 +622,7 @@ TEST(RsEndToEnd, ScrubRepairsUpToMLatentErrorsPerGroup) {
     auto& fs = r.client_fs();
     auto f = co_await fs.create("f", r.layout(kSu));
     CO_ASSERT_TRUE(f.ok());
-    const std::uint64_t w = f->layout.rs_group_width(4);
+    const std::uint64_t w = f->layout.group_width(4);
     Buffer data = Buffer::pattern(2 * w, 9);
     auto wr = co_await fs.write(*f, 0, data.slice(0, 2 * w));
     CO_ASSERT_TRUE(wr.ok());
@@ -640,9 +641,9 @@ TEST(RsEndToEnd, ScrubRepairsUpToMLatentErrorsPerGroup) {
       hw::Disk* disk = r.cluster.node(srv.node_id()).disk();
       disk->plant_media_error(hw::PageCache::page_addr(fid, 0, 1) + off, len);
     };
-    plant(f->layout.rs_data_server(0, 4, 1), IoServer::data_name(f->handle),
+    plant(f->layout.data_server(0, 4, 1), IoServer::data_name(f->handle),
           0, kSu);
-    plant(f->layout.rs_coding_server(0, 4, 0), IoServer::red_name(f->handle),
+    plant(f->layout.coding_server(0, 4, 0), IoServer::red_name(f->handle),
           0, kSu);
     Scrubber scrub(r.client(), &r.policy());
     auto rep = co_await scrub.repair(*f, 2 * w);
@@ -657,6 +658,82 @@ TEST(RsEndToEnd, ScrubRepairsUpToMLatentErrorsPerGroup) {
     auto rep2 = co_await scrub.verify(*f, 2 * w);
     CO_ASSERT_TRUE(rep2.ok());
     EXPECT_TRUE(rep2->clean());
+  }(rig));
+}
+
+// ---------- one engine: parity is rs(N-1,1) on disk ----------
+
+/// Run the same write sequence (full stripes, unaligned partial writes and
+/// a degraded write) against `scheme` on 5 servers with file base `base`,
+/// and return every server's data and redundancy file contents.
+std::vector<Buffer> on_disk_image(Scheme scheme, std::uint32_t base) {
+  Rig rig(rs_rig(scheme, 5));
+  std::vector<Buffer> image;
+  run_sim_void(rig, [](Rig& r, std::uint32_t bs,
+                       std::vector<Buffer>* out) -> sim::Task<void> {
+    auto& fs = r.client_fs();
+    pvfs::StripeLayout layout = r.layout(kSu);
+    layout.base = bs;
+    auto f = co_await fs.create("f", layout);
+    CO_ASSERT_TRUE(f.ok());
+    const std::uint64_t w = f->layout.stripe_width();
+    Rng rng(515);
+    auto full = co_await fs.write(*f, 0, Buffer::pattern(7 * w, 1));
+    CO_ASSERT_TRUE(full.ok());
+    for (int i = 0; i < 20; ++i) {
+      const std::uint64_t off = rng.below(8 * w);
+      const std::uint64_t len = 1 + rng.below(2 * w);
+      auto wr = co_await fs.write(*f, off, Buffer::pattern(len, rng.next()));
+      CO_ASSERT_TRUE(wr.ok());
+    }
+    r.server(2).fail();
+    Recovery rec = r.recovery();
+    auto dw = co_await rec.degraded_write(*f, w / 2, Buffer::pattern(w, 9), 2);
+    CO_ASSERT_TRUE(dw.ok());
+    r.server(2).recover();
+    for (std::uint32_t s = 0; s < r.p.nservers; ++s) {
+      for (const std::string& name :
+           {IoServer::data_name(f->handle), IoServer::red_name(f->handle)}) {
+        auto& lfs = r.server(s).fs();
+        out->push_back(co_await lfs.peek(name, 0, lfs.size(name)));
+      }
+    }
+  }(rig, base, &image));
+  return image;
+}
+
+TEST(OneEngine, Raid5AndRsN1LeaveIdenticalServerFiles) {
+  for (const std::uint32_t base : {0u, 2u}) {
+    const auto raid5 = on_disk_image(Scheme::raid5, base);
+    const auto rs41 = on_disk_image(Scheme::rs(4, 1), base);
+    ASSERT_EQ(raid5.size(), rs41.size());
+    for (std::size_t i = 0; i < raid5.size(); ++i) {
+      EXPECT_EQ(raid5[i].size(), rs41[i].size())
+          << "base " << base << " server " << i / 2
+          << (i % 2 == 0 ? " data" : " redundancy");
+      EXPECT_TRUE(raid5[i] == rs41[i])
+          << "base " << base << " server " << i / 2
+          << (i % 2 == 0 ? " data" : " redundancy");
+    }
+  }
+}
+
+TEST(OneEngine, RsRedundancyIsDense) {
+  // rs(4,2) on 6 servers stores (k+m)/k = 1.5x its data, to within one
+  // unit per server: every server's coding slots are packed.
+  Rig rig(rs_rig(Scheme::rs(4, 2), 6));
+  run_sim_void(rig, [](Rig& r) -> sim::Task<void> {
+    auto& fs = r.client_fs();
+    auto f = co_await fs.create("f", r.layout(kSu));
+    CO_ASSERT_TRUE(f.ok());
+    const std::uint64_t bytes = 25 * f->layout.group_width(4);
+    auto wr = co_await fs.write(*f, 0, Buffer::phantom(bytes));
+    CO_ASSERT_TRUE(wr.ok());
+    const pvfs::StorageInfo st = co_await fs.storage(*f);
+    EXPECT_EQ(st.data_bytes, bytes);
+    const std::uint64_t slack = r.p.nservers * kSu;
+    EXPECT_LE(st.red_bytes, bytes / 2 + slack);
+    EXPECT_GE(st.red_bytes + slack, bytes / 2);
   }(rig));
 }
 

@@ -180,11 +180,12 @@ TEST(ParityLock, LeaseReclaimsAbandonedLock) {
     auto wr = co_await r.client_fs().write(*f, 0, Buffer::pattern(2 * w, 7));
     CO_ASSERT_TRUE(wr.ok());
     // Take group 0's parity lock by hand and abandon it.
-    const std::uint32_t ps = f->layout.parity_server(0);
+    const std::uint32_t k = f->layout.n() - 1;
+    const std::uint32_t ps = f->layout.coding_server(0, k, 0);
     pvfs::Request lr;
     lr.op = pvfs::Op::read_red;
     lr.handle = f->handle;
-    lr.off = f->layout.parity_local_off(0);
+    lr.off = f->layout.coding_off(0, k, 1, 0);
     lr.len = kSu;
     lr.su = f->layout.stripe_unit;
     lr.lock = true;

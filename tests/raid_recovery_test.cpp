@@ -7,6 +7,7 @@
 #include "pvfs/io_server.hpp"
 #include "raid/recovery.hpp"
 #include "raid/rig.hpp"
+#include "raid/scrub.hpp"
 #include "test_util.hpp"
 
 namespace csar::raid {
@@ -154,58 +155,74 @@ TEST(DegradedRead, NonzeroBaseStillRecovers) {
   }
 }
 
-/// Full rebuild: write, snapshot, fail + wipe a server, rebuild, then verify
-/// normal reads, parity/mirror integrity, and a *second* failure of a
-/// different server (exercising the rebuilt redundancy).
+/// Full rebuild, for every victim and for file bases 0 and 3: write, fail
+/// + wipe the victim, rebuild it, then verify normal reads, a clean scrub
+/// of the rebuilt redundancy, a *second* failure of a different server and
+/// a failure of the rebuilt server itself (exercising the rebuilt
+/// redundancy).
 void rebuild_roundtrip(Scheme scheme, std::uint64_t seed) {
-  Rig rig(rig_params(scheme));
-  run_sim_void(rig, [](Rig& r, std::uint64_t sd) -> sim::Task<void> {
-    auto& fs = r.client_fs();
-    auto f = co_await fs.create("f", r.layout(kSu));
-    CO_ASSERT_TRUE(f.ok());
-    const std::uint64_t w = f->layout.stripe_width();
-    RefFile ref;
-    Rng rng(sd);
-    for (int i = 0; i < 25; ++i) {
-      const std::uint64_t off = rng.below(4 * w);
-      const std::uint64_t len = 1 + rng.below(2 * w);
-      Buffer data = Buffer::pattern(len, rng.next());
-      ref.write(off, data);
-      auto wr = co_await fs.write(*f, off, std::move(data));
-      CO_ASSERT_TRUE(wr.ok());
+  for (const std::uint32_t base : {0u, 3u}) {
+    for (std::uint32_t victim = 0; victim < 5; ++victim) {
+      SCOPED_TRACE(scheme_name(scheme) + " base " + std::to_string(base) +
+                   " victim " + std::to_string(victim));
+      Rig rig(rig_params(scheme));
+      run_sim_void(rig, [](Rig& r, std::uint64_t sd, std::uint32_t bs,
+                           std::uint32_t vic) -> sim::Task<void> {
+        auto& fs = r.client_fs();
+        pvfs::StripeLayout layout = r.layout(kSu);
+        layout.base = bs;
+        auto f = co_await fs.create("f", layout);
+        CO_ASSERT_TRUE(f.ok());
+        const std::uint64_t w = f->layout.stripe_width();
+        RefFile ref;
+        Rng rng(sd);
+        for (int i = 0; i < 25; ++i) {
+          const std::uint64_t off = rng.below(4 * w);
+          const std::uint64_t len = 1 + rng.below(2 * w);
+          Buffer data = Buffer::pattern(len, rng.next());
+          ref.write(off, data);
+          auto wr = co_await fs.write(*f, off, std::move(data));
+          CO_ASSERT_TRUE(wr.ok());
+        }
+        r.server(vic).fail();
+        r.server(vic).wipe();  // disk replaced with a blank one
+        r.server(vic).recover();
+        Recovery rec = r.recovery();
+        auto rb = co_await rec.rebuild_server(*f, vic, ref.size());
+        CO_ASSERT_TRUE(rb.ok());
+
+        // Normal reads are correct again, and the redundancy is consistent.
+        auto rd = co_await fs.read(*f, 0, ref.size());
+        CO_ASSERT_TRUE(rd.ok());
+        EXPECT_EQ(*rd, ref.expect(0, ref.size()));
+        Scrubber scrub(r.client(), &r.policy());
+        auto rep = co_await scrub.verify(*f, ref.size());
+        CO_ASSERT_TRUE(rep.ok());
+        EXPECT_TRUE(rep->clean());
+
+        // The rebuilt redundancy tolerates a *different* failure.
+        const std::uint32_t second = (vic + 2) % r.p.nservers;
+        r.server(second).fail();
+        auto rd2 = co_await rec.degraded_read(*f, 0, ref.size(), second);
+        CO_ASSERT_TRUE(rd2.ok());
+        EXPECT_EQ(*rd2, ref.expect(0, ref.size()));
+        r.server(second).recover();
+
+        // And a failure of the rebuilt server itself.
+        r.server(vic).fail();
+        auto rd3 = co_await rec.degraded_read(*f, 0, ref.size(), vic);
+        CO_ASSERT_TRUE(rd3.ok());
+        EXPECT_EQ(*rd3, ref.expect(0, ref.size()));
+      }(rig, seed, base, victim));
     }
-    const std::uint32_t victim = 1;
-    r.server(victim).fail();
-    r.server(victim).wipe();  // disk replaced with a blank one
-    r.server(victim).recover();
-    Recovery rec = r.recovery();
-    auto rb = co_await rec.rebuild_server(*f, victim, ref.size());
-    CO_ASSERT_TRUE(rb.ok());
-
-    // Normal reads are correct again.
-    auto rd = co_await fs.read(*f, 0, ref.size());
-    CO_ASSERT_TRUE(rd.ok());
-    EXPECT_EQ(*rd, ref.expect(0, ref.size()));
-
-    // The rebuilt redundancy tolerates a *different* failure.
-    const std::uint32_t second = 2;
-    r.server(second).fail();
-    auto rd2 = co_await rec.degraded_read(*f, 0, ref.size(), second);
-    CO_ASSERT_TRUE(rd2.ok());
-    EXPECT_EQ(*rd2, ref.expect(0, ref.size()));
-    r.server(second).recover();
-
-    // And a failure of the rebuilt server itself.
-    r.server(victim).fail();
-    auto rd3 = co_await rec.degraded_read(*f, 0, ref.size(), victim);
-    CO_ASSERT_TRUE(rd3.ok());
-    EXPECT_EQ(*rd3, ref.expect(0, ref.size()));
-  }(rig, seed));
+  }
 }
 
 TEST(Rebuild, Raid1) { rebuild_roundtrip(Scheme::raid1, 21); }
+TEST(Rebuild, Raid4) { rebuild_roundtrip(Scheme::raid4, 24); }
 TEST(Rebuild, Raid5) { rebuild_roundtrip(Scheme::raid5, 22); }
 TEST(Rebuild, Hybrid) { rebuild_roundtrip(Scheme::hybrid, 23); }
+TEST(Rebuild, Rs32) { rebuild_roundtrip(Scheme::rs(3, 2), 25); }
 
 // Property sweep: random write traces with failure injected at a random
 // point; degraded reads must match the reference at every failure point.

@@ -439,7 +439,7 @@ TEST_P(ChunkingEquivalence, ChunkedWritesMatchOneBigWrite) {
           EXPECT_TRUE(wr.ok());
           auto rd = co_await r.client_fs().read(*f, 0, d->size());
           EXPECT_TRUE(rd.ok());
-          if (csar::raid::uses_parity(r.p.scheme)) {
+          if (csar::raid::uses_group_coding(r.p.scheme)) {
             EXPECT_TRUE(
                 co_await csar::test::parity_consistent(r, *f, d->size()));
           }

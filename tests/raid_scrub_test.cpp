@@ -47,7 +47,7 @@ void clean_after_writes(Scheme scheme) {
     auto report = co_await scrub.verify(*f, ref.size());
     CO_ASSERT_TRUE(report.ok());
     EXPECT_TRUE(report->clean());
-    if (uses_parity(r.p.scheme)) {
+    if (uses_group_coding(r.p.scheme)) {
       EXPECT_GT(report->groups_checked, 0u);
     }
     if (r.p.scheme == Scheme::raid1) {

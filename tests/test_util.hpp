@@ -94,9 +94,11 @@ inline sim::Task<bool> parity_consistent(raid::Rig& rig,
   const std::uint64_t ngroups = div_ceil(file_size, layout.stripe_width());
   bool ok = true;
   for (std::uint64_t g = 0; g < ngroups; ++g) {
-    auto& pserver = rig.server(layout.parity_server(g));
+    // Parity is the k = N-1, m = 1 coded group.
+    const std::uint32_t k = layout.n() - 1;
+    auto& pserver = rig.server(layout.coding_server(g, k, 0));
     Buffer parity = co_await pserver.fs().peek(
-        pvfs::IoServer::red_name(f.handle), layout.parity_local_off(g), su);
+        pvfs::IoServer::red_name(f.handle), layout.coding_off(g, k, 1, 0), su);
     Buffer expect = Buffer::real(su);
     for (std::uint64_t u = g * (layout.n() - 1);
          u < (g + 1) * (layout.n() - 1); ++u) {
