@@ -90,11 +90,9 @@ sim::Task<Result<Buffer>> Recovery::reconstruct(
   // reads spread over the group's own servers and most coefficients are
   // cheap), then coding fragments, both ascending. Exactly k fragments are
   // fetched — never more — which is the degraded-read cost the A14 ablation
-  // measures.
-  // When the servers in `down` leave fewer than k fragments, read through
-  // them instead: a suspected server may still answer (its read fails
-  // loudly if not). With single redundancy every other fragment is needed
-  // anyway.
+  // measures. When the servers in `down` leave fewer than k fragments, read
+  // through them instead: a suspected server may still answer (its read
+  // fails loudly if not), and single redundancy needs every survivor.
   std::vector<std::uint32_t> present;
   for (const bool skip_down : {true, false}) {
     present.clear();
@@ -108,22 +106,15 @@ sim::Task<Result<Buffer>> Recovery::reconstruct(
     }
     if (present.size() == k) break;
   }
-  const auto coeffs = rs_reconstruct_coeffs(spec, present, target);
   // The reads go out coding fragments first, then data.
-  std::vector<std::size_t> order;
-  for (std::size_t r = 0; r < present.size(); ++r) {
-    if (present[r] >= k) order.push_back(r);
-  }
-  for (std::size_t r = 0; r < present.size(); ++r) {
-    if (present[r] < k) order.push_back(r);
-  }
+  std::stable_partition(present.begin(), present.end(),
+                        [k](std::uint32_t frag) { return frag >= k; });
+  const auto coeffs = rs_reconstruct_coeffs(spec, present, target);
   std::vector<std::pair<std::uint32_t, Request>> reads;
-  std::vector<std::uint8_t> ordered_coeffs;
   reads.reserve(k);
-  for (const std::size_t r : order) {
-    reads.emplace_back(fragment_server(layout, spec, g, present[r]),
-                       fragment_read(f, spec, gen, g, present[r], c0, len));
-    ordered_coeffs.push_back(coeffs[r]);
+  for (const std::uint32_t frag : present) {
+    reads.emplace_back(fragment_server(layout, spec, g, frag),
+                       fragment_read(f, spec, gen, g, frag, c0, len));
   }
   auto resps = co_await client_->rpc_all(std::move(reads));
   std::vector<Buffer> srcs;
@@ -132,7 +123,7 @@ sim::Task<Result<Buffer>> Recovery::reconstruct(
     if (!resp.ok) co_return Error{resp.err, "fragment read", resp.server};
     srcs.push_back(std::move(resp.data));
   }
-  Buffer out = gf_combine(srcs, ordered_coeffs);
+  Buffer out = gf_combine(srcs, coeffs);
   // Decode cost: k fragment-sized inputs through the kernel on the
   // recovering client. A rebuilt coding unit is a fresh encode of its
   // group and is not charged.
@@ -461,10 +452,10 @@ sim::Task<Result<void>> Recovery::degraded_write(
   if (ws.head_end > ws.head_start) segs.push_back({ws.head_start, ws.head_end});
   if (ws.tail_end > ws.tail_start) segs.push_back({ws.tail_start, ws.tail_end});
 
-  if (sch == Scheme::hybrid) {
-    // Partial stripes: primary + mirror overflow copies; write whichever of
-    // the pair is alive.
-    for (const auto& seg : segs) {
+  for (const auto& seg : segs) {
+    if (sch == Scheme::hybrid) {
+      // Hybrid partial stripes: primary + mirror overflow copies; write
+      // whichever of the pair is alive.
       for (const auto& e : layout.decompose(seg.start, seg.end - seg.start)) {
         Buffer piece = data.slice(e.global_off - off, e.len);
         if (!contains(failed, e.server)) {
@@ -490,15 +481,13 @@ sim::Task<Result<void>> Recovery::degraded_write(
           writes.emplace_back(mirror_srv, std::move(mirror));
         }
       }
+      continue;
     }
-    segs.clear();
-  }
 
-  // In place: reconstruct-write. Lock and read every live coding unit's
-  // columns, read the live data units' old columns, decode any lost unit's
-  // old content from k live fragments, overlay the new bytes, and
-  // re-encode every live coding unit outright.
-  for (const auto& seg : segs) {
+    // In place: reconstruct-write. Lock and read every live coding unit's
+    // columns, read the live data units' old columns, decode any lost
+    // unit's old content from k live fragments, overlay the new bytes, and
+    // re-encode every live coding unit outright.
     const std::uint64_t g = layout.group_of_off(seg.start, k);
     std::vector<std::uint32_t> live_j;
     for (std::uint32_t j = 0; j < m; ++j) {
@@ -1134,14 +1123,7 @@ sim::Task<Result<void>> Recovery::build_redundancy(const pvfs::OpenFile& f,
                 self->policy_->note_ec_encode(std::uint64_t{sp.k} * lay.su() *
                                               sp.m);
               }
-              // A lone coding unit goes out as a plain RPC.
-              std::vector<pvfs::Response> wrs;
-              if (writes.size() == 1) {
-                wrs.push_back(co_await self->client_->rpc(
-                    writes[0].first, std::move(writes[0].second)));
-              } else {
-                wrs = co_await self->client_->rpc_all(std::move(writes));
-              }
+              auto wrs = co_await self->client_->rpc_all(std::move(writes));
               for (const auto& wr : wrs) {
                 if (!wr.ok) {
                   p->fail(Error{wr.err, "migrate coding write"});
