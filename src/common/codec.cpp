@@ -393,7 +393,7 @@ std::uint8_t rs_coeff(CodeSpec spec, std::uint32_t j, std::uint32_t i) {
   assert(j < spec.m && i < spec.k);
   // Cauchy matrix over the disjoint index sets x_j = k+j, y_i = i, with
   // column i scaled by (x_0 ^ y_i) so row 0 is all ones (coding fragment 0
-  // == XOR parity; RS(k,1) is byte-identical to the RAID5 parity path).
+  // == XOR parity, so RS(k,1) is exactly RAID5 parity).
   const std::uint8_t xj = static_cast<std::uint8_t>(spec.k + j);
   const std::uint8_t yi = static_cast<std::uint8_t>(i);
   const std::uint8_t cauchy = gf_inv(xj ^ yi);

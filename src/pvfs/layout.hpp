@@ -106,21 +106,6 @@ struct StripeLayout {
     return prefix(off + len) - prefix(off);
   }
 
-  // --- full-stripe (parity group) math: groups of N-1 units ---
-  std::uint64_t group_of_unit(std::uint64_t u) const {
-    return u / (nservers - 1);
-  }
-  std::uint64_t group_of_off(std::uint64_t off) const {
-    return group_of_unit(unit_of(off));
-  }
-  /// Global byte range [start, end) covered by group g.
-  std::uint64_t group_start(std::uint64_t g) const {
-    return g * stripe_width();
-  }
-  std::uint64_t group_end(std::uint64_t g) const {
-    return (g + 1) * stripe_width();
-  }
-
   // --- coded groups: k data units + m coding units ---
   // One geometry serves every scheme that keeps group coding: RAID4, the
   // RAID5 variants and Hybrid's full stripes are k = N-1, m = 1; rs(k,m)
@@ -229,11 +214,12 @@ struct StripeLayout {
     std::uint64_t full_start = 0, full_end = 0;  ///< whole groups
     std::uint64_t tail_start = 0, tail_end = 0;  ///< partial group at end
   };
-  WriteSplit split_write(std::uint64_t off, std::uint64_t len) const;
+  WriteSplit split_write(std::uint64_t off, std::uint64_t len) const {
+    return split_write_w(off, len, stripe_width());
+  }
 
-  /// split_write generalized to an arbitrary group width `w` — the coded
-  /// paths pass w = group_width(k); split_write(off, len) is exactly
-  /// split_write_w(off, len, stripe_width()).
+  /// split_write for groups of width `w` (the coded paths pass
+  /// group_width(k)).
   WriteSplit split_write_w(std::uint64_t off, std::uint64_t len,
                            std::uint64_t w) const {
     WriteSplit ws;

@@ -49,9 +49,9 @@ TEST(Layout, Figure2ParityPlacement) {
   // The paper's Figure 2: three servers; P[0-1] (parity of D0, D1) is on
   // I/O server 2. Groups of N-1=2 consecutive units.
   StripeLayout l{1024, 3};
-  EXPECT_EQ(l.group_of_unit(0), 0u);
-  EXPECT_EQ(l.group_of_unit(1), 0u);
-  EXPECT_EQ(l.group_of_unit(2), 1u);
+  EXPECT_EQ(l.group_of_unit(0, 2), 0u);
+  EXPECT_EQ(l.group_of_unit(1, 2), 0u);
+  EXPECT_EQ(l.group_of_unit(2, 2), 1u);
   EXPECT_EQ(parity_server(l, 0), 2u);  // D0 on s0, D1 on s1 -> parity on s2
   EXPECT_EQ(parity_server(l, 1), 1u);  // D2 on s2, D3 on s0 -> parity on s1
   EXPECT_EQ(parity_server(l, 2), 0u);  // D4 on s1, D5 on s2 -> parity on s0

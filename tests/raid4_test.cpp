@@ -52,7 +52,7 @@ TEST(Raid4Layout, GroupIsOneLocalRow) {
   StripeLayout l{kSu, 5, ParityPlacement::fixed};
   for (std::uint64_t g = 0; g < 50; ++g) {
     for (std::uint64_t u = g * 4; u < (g + 1) * 4; ++u) {
-      EXPECT_EQ(l.group_of_unit(u), g);
+      EXPECT_EQ(l.group_of_unit(u, 4), g);
       EXPECT_EQ(l.local_unit(u), g);
     }
   }
