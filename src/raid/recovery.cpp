@@ -106,9 +106,12 @@ sim::Task<Result<Buffer>> Recovery::reconstruct(
     }
     if (present.size() == k) break;
   }
-  // The reads go out coding fragments first, then data.
-  std::stable_partition(present.begin(), present.end(),
-                        [k](std::uint32_t frag) { return frag >= k; });
+  // The reads go out coding fragments first, then data (`present` is
+  // ascending, so that is a rotation).
+  std::rotate(present.begin(),
+              std::find_if(present.begin(), present.end(),
+                           [k](std::uint32_t frag) { return frag >= k; }),
+              present.end());
   const auto coeffs = rs_reconstruct_coeffs(spec, present, target);
   std::vector<std::pair<std::uint32_t, Request>> reads;
   reads.reserve(k);
