@@ -422,16 +422,6 @@ std::vector<std::uint8_t> rs_reconstruct_coeffs(
     }
   }
 
-  // RS(k,1) is XOR parity: any fragment is the XOR of the other k.
-  if (spec.m == 1) {
-    std::vector<bool> seen(spec.fragments(), false);
-    for (const std::uint32_t f : present) {
-      if (f >= spec.fragments() || seen[f]) std::abort();
-      seen[f] = true;
-    }
-    return std::vector<std::uint8_t>(k, 1);
-  }
-
   // Row r of A is the [I; G] row of fragment present[r], restricted to the
   // k data columns; invert A by Gauss-Jordan with the identity augmented.
   std::vector<std::uint8_t> a(k * k, 0);

@@ -634,7 +634,7 @@ sim::Task<Result<void>> CsarFs::write_coded(const pvfs::OpenFile& f,
                                     ws.full_end / W, gen, writes);
   }
   if (!ctx.empty()) p_.policy->note_rmw(sch, ctx.size());
-  if (sch.kind == SchemeKind::rs) p_.policy->note_ec_encode(xor_bytes);
+  p_.policy->note_ec_encode(sch, xor_bytes);
   co_await charge_xor(sch, xor_bytes);
   auto resps = co_await client_->rpc_all(std::move(writes));
   for (const auto& resp : resps) {

@@ -192,19 +192,25 @@ class RedundancyPolicy {
   // --- erasure-coding telemetry ---
   // const (with mutable storage): Recovery instances hold the policy const —
   // they only ever *account* through it, never change routing state.
-  void note_ec_degraded_read(std::uint64_t fragments,
+  // RAID4/RAID5/Hybrid parity runs through the same coded engine as
+  // rs(N-1,1), but these counters count only files whose scheme is rs.
+  void note_ec_degraded_read(Scheme s, std::uint64_t fragments,
                              std::uint64_t bytes) const {
+    if (s.kind != SchemeKind::rs) return;
     ++ec_.degraded_reads;
     ec_.fragments_fetched += fragments;
     ec_.decode_bytes += bytes;
   }
-  void note_ec_rebuild_decode(std::uint64_t fragments,
+  void note_ec_rebuild_decode(Scheme s, std::uint64_t fragments,
                               std::uint64_t bytes) const {
+    if (s.kind != SchemeKind::rs) return;
     ++ec_.rebuild_decodes;
     ec_.fragments_fetched += fragments;
     ec_.decode_bytes += bytes;
   }
-  void note_ec_encode(std::uint64_t bytes) const { ec_.encode_bytes += bytes; }
+  void note_ec_encode(Scheme s, std::uint64_t bytes) const {
+    if (s.kind == SchemeKind::rs) ec_.encode_bytes += bytes;
+  }
   const EcStats& ec_stats() const { return ec_; }
 
   // --- migration bookkeeping (SchemeMigrator) ---

@@ -135,11 +135,11 @@ sim::Task<Result<Buffer>> Recovery::reconstruct(
     co_await node.mem().occupy(
         sim::transfer_time(len * k, node.params().xor_bytes_per_sec));
   }
-  if (policy_ != nullptr && sch.kind == SchemeKind::rs) {
+  if (policy_ != nullptr) {
     if (for_rebuild) {
-      policy_->note_ec_rebuild_decode(k, len * k);
+      policy_->note_ec_rebuild_decode(sch, k, len * k);
     } else {
-      policy_->note_ec_degraded_read(k, len * k);
+      policy_->note_ec_degraded_read(sch, k, len * k);
     }
   }
   co_return out;
@@ -641,9 +641,7 @@ sim::Task<Result<void>> Recovery::degraded_write(
     write_live_data(seg);
   }
 
-  if (policy_ != nullptr && sch.kind == SchemeKind::rs && gf_bytes > 0) {
-    policy_->note_ec_encode(gf_bytes);
-  }
+  if (policy_ != nullptr) policy_->note_ec_encode(sch, gf_bytes);
   auto resps = co_await client_->rpc_all(std::move(writes));
   for (const auto& resp : resps) {
     if (!resp.ok) co_return Error{resp.err, "degraded write"};
@@ -1122,9 +1120,9 @@ sim::Task<Result<void>> Recovery::build_redundancy(const pvfs::OpenFile& f,
                 writes.emplace_back(lay.coding_server(group, sp.k, j),
                                     std::move(w));
               }
-              if (self->policy_ != nullptr && scheme.kind == SchemeKind::rs) {
-                self->policy_->note_ec_encode(std::uint64_t{sp.k} * lay.su() *
-                                              sp.m);
+              if (self->policy_ != nullptr) {
+                self->policy_->note_ec_encode(
+                    scheme, std::uint64_t{sp.k} * lay.su() * sp.m);
               }
               auto wrs = co_await self->client_->rpc_all(std::move(writes));
               for (const auto& wr : wrs) {
