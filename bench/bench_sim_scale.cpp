@@ -7,6 +7,14 @@
 // run-twice diff catches nondeterminism; wall-clock numbers go to the
 // perf-trajectory JSON (BENCH_sim_throughput.json).
 //
+// The PERF line also counts heap allocations (every global operator new,
+// through bench/alloc_counter.cpp) per completed request, setup and
+// teardown of the first run included. Unlike a rate, that count is the
+// same on every host built with the same toolchain, so CI gates it
+// against the committed "quick" row (scripts/check_perf_smoke.py). It is
+// meant for the default build: with CSAR_SIM_SLAB=OFF coroutine frames
+// are counted too.
+//
 // Usage:
 //   bench_sim_scale [--quick] [--reps=N] [--out=FILE.json]
 // --quick runs the single pinned small config the CI perf-smoke job uses.
@@ -26,6 +34,7 @@
 #include <utility>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "bench_common.hpp"
 #include "workloads/open_loop.hpp"
 
@@ -55,8 +64,12 @@ struct Row {
   double min_events_per_sec = 0;
   std::uint32_t reps = 1;
   long rss_kib = 0;
+  std::uint64_t heap_allocs = 0;  ///< operator new calls (first run)
 
   double events_per_sec() const { return wall_s > 0 ? events / wall_s : 0; }
+  double allocs_per_op() const {
+    return completed > 0 ? static_cast<double>(heap_allocs) / completed : 0;
+  }
   double wall_per_sim_sec() const {
     return sim_elapsed_s > 0 ? wall_s / sim_elapsed_s : 0;
   }
@@ -87,6 +100,7 @@ Row run_config(const Config& cfg) {
   olp.file_extent = 1ull << 20;
   olp.seed = 0xC5A20123ULL + cfg.nservers;
 
+  const std::uint64_t a0 = csar::bench::heap_allocs();
   const auto w0 = std::chrono::steady_clock::now();
   {
     csar::bench::Rig rig(rp);
@@ -99,13 +113,16 @@ Row run_config(const Config& cfg) {
     row.sim_elapsed_s = csar::sim::to_seconds(stats.elapsed);
   }
   const auto w1 = std::chrono::steady_clock::now();
+  row.heap_allocs = csar::bench::heap_allocs() - a0;
   row.wall_s = std::chrono::duration<double>(w1 - w0).count();
   row.rss_kib = peak_rss_kib();
   return row;
 }
 
-/// run_config `reps` times. The simulated fields come from the first run
-/// (every run must match them); wall time is the median over the runs.
+/// run_config `reps` times. The simulated fields and the allocation count
+/// come from the first run (every run must match the former; later runs
+/// reuse warmed slab chunks, so only the first count is comparable); wall
+/// time is the median over the runs.
 /// Returns false if a run simulated something different.
 bool run_reps(const Config& cfg, std::uint32_t reps, Row* out) {
   std::vector<Row> runs;
@@ -138,9 +155,9 @@ void print_row(const Row& r) {
               static_cast<unsigned long long>(r.shed),
               static_cast<unsigned long long>(r.fingerprint));
   std::printf("PERF servers=%3u tenants=%4u events/sec=%.3e "
-              "wall_per_sim_sec=%.3f peak_rss_mib=%.1f",
+              "wall_per_sim_sec=%.3f peak_rss_mib=%.1f allocs/op=%.2f",
               r.cfg.nservers, r.cfg.ntenants, r.events_per_sec(),
-              r.wall_per_sim_sec(), r.rss_kib / 1024.0);
+              r.wall_per_sim_sec(), r.rss_kib / 1024.0, r.allocs_per_op());
   if (r.reps > 1) {
     std::printf(" reps=%u events/sec_min=%.3e", r.reps, r.min_events_per_sec);
   }
@@ -212,12 +229,15 @@ void write_json(const std::string& path, const std::vector<Row>& rows,
         "\"events_per_sec\": %.1f, \"wall_seconds\": %.4f, "
         "\"sim_seconds\": %.4f, \"wall_per_sim_sec\": %.4f, "
         "\"peak_rss_kib\": %ld, \"fingerprint\": \"0x%016llx\", "
-        "\"reps\": %u, \"events_per_sec_min\": %.1f}%s\n",
+        "\"reps\": %u, \"events_per_sec_min\": %.1f, "
+        "\"heap_allocs\": %llu, \"allocs_per_op\": %.3f}%s\n",
         r.cfg.nservers, r.cfg.ntenants,
         static_cast<unsigned long long>(r.events), r.events_per_sec(),
         r.wall_s, r.sim_elapsed_s, r.wall_per_sim_sec(), r.rss_kib,
         static_cast<unsigned long long>(r.fingerprint), r.reps,
-        r.min_events_per_sec, i + 1 < rows.size() ? "," : "");
+        r.min_events_per_sec,
+        static_cast<unsigned long long>(r.heap_allocs), r.allocs_per_op(),
+        i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]");
   for (const auto& [key, value] : kept) {

@@ -46,6 +46,9 @@ csar_add_bench(bench_ablate_mirror_reads)
 csar_add_bench(bench_ablate_obs_overhead)
 csar_add_bench(bench_ablate_manager_journal)
 csar_add_bench(bench_sim_scale)
+# Counts heap allocations per op; the counting operator new must stay out
+# of the simulator libraries.
+target_sources(bench_sim_scale PRIVATE ${CMAKE_SOURCE_DIR}/bench/alloc_counter.cpp)
 
 csar_add_bench(bench_ablate_fleet)
 target_link_libraries(bench_ablate_fleet PRIVATE csar_fleet)

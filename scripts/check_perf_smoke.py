@@ -8,6 +8,13 @@ not the committed simulation: its `fingerprint` and `events_executed`
 must equal the committed "quick" row's (the DES is bit-deterministic, so
 any difference is a behaviour change, not noise).
 
+It also gates a counted cost: heap allocations per completed op
+(`allocs_per_op`, counted by the bench's own operator new). Unlike a
+rate, the count is the same on every host, so the only slack is
+ALLOC_SLACK (2%) for allocation differences between standard-library
+builds. A run more than that above the committed value fails; one more
+than that below it is reported so the committed value can be lowered.
+
 The quick config (8 servers x 64 tenants) is not part of the full sweep,
 so the baseline file carries its own "quick" row, measured with the same
 `--quick` command. The gate compares like with like: it fails if that
@@ -27,6 +34,8 @@ Usage:
 """
 import json
 import sys
+
+ALLOC_SLACK = 0.02
 
 
 def fail(msg):
@@ -129,6 +138,8 @@ def gate(quick_path, base_path, max_regress):
     print(f"perf-smoke: quick {config} fingerprint={row['fingerprint']} "
           f"events={row['events_executed']} [deterministic]")
 
+    allocs_ok = check_allocs(row, ref, config)
+
     got = row["events_per_sec"]
     want = ref["events_per_sec"]
     floor = want * (1.0 - max_regress)
@@ -136,7 +147,28 @@ def gate(quick_path, base_path, max_regress):
     print(f"perf-smoke: quick {config} = {got:.3e} ev/s; "
           f"committed quick {config} = {want:.3e} ev/s; "
           f"floor (-{max_regress:.0%}) = {floor:.3e} [{verdict}]")
-    return 0 if got >= floor else 1
+    return 0 if got >= floor and allocs_ok else 1
+
+
+def check_allocs(row, ref, config):
+    """Heap allocations per op must not exceed the committed value by more
+    than ALLOC_SLACK."""
+    for doc, what in ((row, "quick run"), (ref, 'committed "quick" row')):
+        if not isinstance(doc.get("allocs_per_op"), (int, float)):
+            fail(f"allocs_per_op missing from the {what}")
+    got = row["allocs_per_op"]
+    want = ref["allocs_per_op"]
+    ceiling = want * (1.0 + ALLOC_SLACK)
+    if got > ceiling:
+        verdict = "REGRESSION"
+    elif got < want * (1.0 - ALLOC_SLACK):
+        verdict = "ok, below the committed value: lower it"
+    else:
+        verdict = "ok"
+    print(f"perf-smoke: quick {config} heap allocations = {got:.3f}/op; "
+          f"committed = {want:.3f}/op; ceiling (+{ALLOC_SLACK:.0%}) = "
+          f"{ceiling:.3f} [{verdict}]")
+    return got <= ceiling
 
 
 def main() -> int:

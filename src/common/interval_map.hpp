@@ -17,6 +17,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/small_vec.hpp"
+
 namespace csar {
 
 /// Slicer concept: given a value covering `len_total` bytes, produce the
@@ -88,15 +90,16 @@ class IntervalMap {
   /// `value` pointers refer to the *whole* stored entry; `start - entry_start`
   /// gives the offset of the clipped chunk within it. To keep that
   /// arithmetic trivial for callers, each Chunk also records the entry start.
-  /// Pointers are valid until the next mutation.
+  /// Pointers are valid until the next mutation. Up to four chunks (the
+  /// common request-sized query) come back without a heap allocation.
   struct Query {
     std::uint64_t start;        ///< clipped chunk start
     std::uint64_t end;          ///< clipped chunk end
     std::uint64_t entry_start;  ///< start of the stored entry
     const V* value;             ///< payload of the stored entry
   };
-  std::vector<Query> query(std::uint64_t start, std::uint64_t end) const {
-    std::vector<Query> out;
+  SmallVec<Query, 4> query(std::uint64_t start, std::uint64_t end) const {
+    SmallVec<Query, 4> out;
     if (start >= end) return out;
     std::size_t i = upper_idx(start);
     if (i > 0 && entries_[i - 1].end > start) --i;

@@ -35,68 +35,27 @@ void PageCache::lru_push_back(std::uint32_t s) {
   tail_ = s;
 }
 
-std::uint32_t PageCache::find(std::uint64_t fid, std::uint64_t page) const {
-  const std::size_t mask = index_.size() - 1;
-  for (std::size_t b = home(fid, page);; b = (b + 1) & mask) {
-    const std::uint32_t s = index_[b];
-    if (s == kNil || (pool_[s].idx == page && pool_[s].fid == fid)) return s;
+void PageCache::hit(std::uint32_t slot, bool dirty) {
+  Page& pg = pool_[slot];
+  if (dirty && !pg.dirty) {
+    pg.dirty = true;
+    ++dirty_count_;
   }
-}
-
-void PageCache::index_place(std::uint32_t slot) {
-  const std::size_t mask = index_.size() - 1;
-  std::size_t b = home(pool_[slot].fid, pool_[slot].idx);
-  while (index_[b] != kNil) b = (b + 1) & mask;
-  index_[b] = slot;
-}
-
-void PageCache::index_insert(std::uint32_t slot) {
-  if (2 * (static_cast<std::size_t>(npages_) + 1) > index_.size()) {
-    index_grow();
-  }
-  index_place(slot);
-  ++npages_;
-}
-
-void PageCache::index_erase(std::uint32_t slot) {
-  const std::size_t mask = index_.size() - 1;
-  std::size_t hole = home(pool_[slot].fid, pool_[slot].idx);
-  while (index_[hole] != slot) hole = (hole + 1) & mask;
-  // Backward shift: pull later members of the probe chain into the hole
-  // whenever the hole lies between their home bucket and their position.
-  for (std::size_t b = (hole + 1) & mask; index_[b] != kNil;
-       b = (b + 1) & mask) {
-    const Page& pg = pool_[index_[b]];
-    const std::size_t h = home(pg.fid, pg.idx);
-    if (((b - h) & mask) >= ((b - hole) & mask)) {
-      index_[hole] = index_[b];
-      hole = b;
-    }
-  }
-  index_[hole] = kNil;
-  --npages_;
-}
-
-void PageCache::index_grow() {
-  std::vector<std::uint32_t> old(2 * index_.size(), kNil);
-  old.swap(index_);
-  --shift_;
-  for (const std::uint32_t s : old) {
-    if (s != kNil) index_place(s);
-  }
+  touch(slot);
 }
 
 void PageCache::insert(std::uint64_t fid, std::uint64_t page, bool dirty) {
-  const std::uint32_t found = find(fid, page);
+  const std::size_t b = probe(fid, page);
+  const std::uint32_t found = index_.slot_at(b);
   if (found != kNil) {
-    Page& pg = pool_[found];
-    if (dirty && !pg.dirty) {
-      pg.dirty = true;
-      ++dirty_count_;
-    }
-    touch(found);
-    return;
+    hit(found, dirty);
+  } else {
+    insert_at(b, fid, page, dirty);
   }
+}
+
+void PageCache::insert_at(std::size_t bucket, std::uint64_t fid,
+                          std::uint64_t page, bool dirty) {
   std::uint32_t slot;
   if (!free_.empty()) {
     slot = free_.back();
@@ -107,7 +66,11 @@ void PageCache::insert(std::uint64_t fid, std::uint64_t page, bool dirty) {
     pool_.push_back(Page{fid, page, dirty, true, kNil, kNil});
   }
   lru_push_back(slot);
-  index_insert(slot);
+  if (index_.needs_grow()) {
+    index_.grow([this](std::uint32_t s) { return home_of(s); });
+    bucket = probe(fid, page);
+  }
+  index_.fill(bucket, slot);
   if (dirty) ++dirty_count_;
 }
 
@@ -132,7 +95,7 @@ sim::Task<void> PageCache::ensure_room() {
       ++stats_.clean_evictions;
     }
     lru_unlink(slot);
-    index_erase(slot);
+    index_.erase(slot, [this](std::uint32_t s) { return home_of(s); });
     pg.live = false;
     free_.push_back(slot);
   }
@@ -211,9 +174,11 @@ sim::Task<void> PageCache::write(std::uint64_t fid, std::uint64_t off,
     const std::uint64_t pg_end = pg_start + p_.page_size;
     const bool full =
         pad_partial || (off <= pg_start && off + len >= pg_end);
-    if (find(fid, pg) != kNil) {
+    // One probe: it finds the resident page, or the bucket to insert at.
+    const std::size_t b = probe(fid, pg);
+    if (index_.slot_at(b) != kNil) {
       ++stats_.hits;
-      insert(fid, pg, /*dirty=*/true);  // marks dirty + LRU touch
+      hit(index_.slot_at(b), /*dirty=*/true);
       continue;
     }
     if (!full && has_content(pg_start, pg_end)) {
@@ -224,10 +189,12 @@ sim::Task<void> PageCache::write(std::uint64_t fid, std::uint64_t off,
       // follows remaps the bad sectors anyway.
       (void)co_await disk_->read(page_addr(fid, pg, p_.page_size),
                                  p_.page_size);
+      // The index may have changed while the pre-read was in flight.
+      insert(fid, pg, /*dirty=*/true);
     } else {
       ++stats_.misses;
+      insert_at(b, fid, pg, /*dirty=*/true);
     }
-    insert(fid, pg, /*dirty=*/true);
     if (resident_bytes() > p_.capacity_bytes) co_await ensure_room();
   }
   co_await mem_->transfer(len);
@@ -258,8 +225,7 @@ sim::Task<void> PageCache::flush_all() {
 }
 
 void PageCache::drop_all() {
-  std::fill(index_.begin(), index_.end(), kNil);
-  npages_ = 0;
+  index_.clear();
   pool_.clear();   // capacity retained: steady state stays allocation-free
   free_.clear();
   head_ = tail_ = kNil;

@@ -16,10 +16,19 @@
 //    accumulated in a per-request buffer that is a multiple of the block
 //    size, so the file sees block-aligned writes except at the request
 //    edges.
+//
+// Files are reached by name (cold callers: the manager's journal, tests)
+// or through a FileRef, a shared reference the I/O server resolves once
+// per handle and caches. The name table is one owner among several:
+// remove() and wipe() only unlink a file, and every operation holds its own
+// reference while it is parked on the page cache. A write racing a removal
+// therefore lands in the unlinked file and disappears with it, and a read
+// racing one finishes against the content it started on.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -57,6 +66,23 @@ class LocalFs {
   LocalFs(const LocalFs&) = delete;
   LocalFs& operator=(const LocalFs&) = delete;
 
+  /// One local file. `linked` is false once remove() or wipe() took it out
+  /// of the name table; holders of a stale reference re-resolve by name.
+  struct File {
+    std::uint64_t fid;  ///< page-cache file id
+    BufferMap content;
+    bool linked = true;
+  };
+  using FileRef = std::shared_ptr<File>;
+
+  /// The file named `name`, or null if there is none.
+  FileRef lookup(const std::string& name) const {
+    auto it = files_.find(name);
+    return it == files_.end() ? nullptr : it->second;
+  }
+  /// The file named `name`, created (with the next file id) if absent.
+  FileRef open(const std::string& name);
+
   bool exists(const std::string& name) const { return files_.contains(name); }
   void create(const std::string& name);
   void remove(const std::string& name);
@@ -69,14 +95,27 @@ class LocalFs {
   std::uint64_t size(const std::string& name) const;
 
   /// Apply `payload` at `off` as a single aligned write (used for
-  /// server-internal writes such as recovery).
+  /// server-internal writes such as recovery). Creates the file if needed;
+  /// an empty payload is a no-op that creates nothing.
   sim::Task<void> write(const std::string& name, std::uint64_t off,
-                        Buffer payload);
+                        Buffer payload) {
+    return write(payload.empty() ? nullptr : open(name), off,
+                 std::move(payload));
+  }
+  /// write() into a resolved file (`f` may be null only for an empty
+  /// payload).
+  sim::Task<void> write(FileRef f, std::uint64_t off, Buffer payload);
 
   /// Apply `payload` at `off` as it would arrive from the network, in
-  /// `net_chunk`-byte pieces (see file comment). Creates the file if needed.
+  /// `net_chunk`-byte pieces (see file comment). Creates the file if needed;
+  /// an empty payload is a no-op that creates nothing.
   sim::Task<void> write_stream(const std::string& name, std::uint64_t off,
-                               Buffer payload, std::uint32_t net_chunk);
+                               Buffer payload, std::uint32_t net_chunk) {
+    return write_stream(payload.empty() ? nullptr : open(name), off,
+                        std::move(payload), net_chunk);
+  }
+  sim::Task<void> write_stream(FileRef f, std::uint64_t off, Buffer payload,
+                               std::uint32_t net_chunk);
 
   /// Read `len` bytes at `off`; holes read as zeros. The returned buffer is
   /// materialized iff the stored content at that range is (phantom files
@@ -96,6 +135,12 @@ class LocalFs {
   /// callers that care about fault semantics must honour the flag.
   sim::Task<ReadOutcome> read_checked(const std::string& name,
                                       std::uint64_t off, std::uint64_t len,
+                                      bool materialized_hint = true) {
+    return read_checked(lookup(name), off, len, materialized_hint);
+  }
+  /// read_checked() of a resolved file; null reads as an absent file.
+  sim::Task<ReadOutcome> read_checked(FileRef f, std::uint64_t off,
+                                      std::uint64_t len,
                                       bool materialized_hint = true);
 
   /// Simulate a server crash: all page-cache state (including dirty pages)
@@ -106,11 +151,11 @@ class LocalFs {
   void crash() {
     if (p_.volatile_dirty_pages) {
       for (auto& [name, f] : files_) {
-        for (auto [lo, hi] : cache_->dirty_ranges(f.fid)) {
+        for (auto [lo, hi] : cache_->dirty_ranges(f->fid)) {
           const std::uint64_t end =
-              hi < f.content.upper_bound() ? hi : f.content.upper_bound();
+              hi < f->content.upper_bound() ? hi : f->content.upper_bound();
           if (lo >= end) continue;
-          f.content.erase(lo, end);
+          f->content.erase(lo, end);
           crash_losses_[name].insert(lo, end);
         }
       }
@@ -132,7 +177,7 @@ class LocalFs {
   /// sector errors under real file extents.
   std::uint64_t fid_of(const std::string& name) const {
     auto it = files_.find(name);
-    return it == files_.end() ? 0 : it->second.fid;
+    return it == files_.end() ? 0 : it->second->fid;
   }
 
   /// fsync every file: push all dirty pages to disk.
@@ -155,21 +200,10 @@ class LocalFs {
   const LocalFsParams& params() const { return p_; }
 
  private:
-  struct File {
-    std::uint64_t fid;  ///< page-cache file id
-    BufferMap content;
-  };
-
-  File& get_or_create(const std::string& name);
-
-  /// One block-semantics write: timing through the cache (pre-reads for
-  /// partial uncached preexisting blocks), then content update.
-  sim::Task<void> apply(File& f, std::uint64_t off, Buffer payload);
-
   sim::Simulation* sim_;
   hw::PageCache* cache_;
   LocalFsParams p_;
-  std::unordered_map<std::string, File> files_;
+  std::unordered_map<std::string, FileRef> files_;
   std::map<std::string, IntervalSet> crash_losses_;
   std::uint64_t next_fid_ = 1;
 };

@@ -119,6 +119,14 @@ class Tracer final : public sim::TaskObserver {
 
   void attach(sim::Simulation& sim) { sim_ = &sim; }
   bool attached() const { return sim_ != nullptr; }
+  /// Stop reading `sim`'s clock, if attached to it, because its owner is
+  /// going away (raid::Rig's destructor calls this). Spans still open then
+  /// close, in to_json(), at the time of detaching.
+  void detach(const sim::Simulation& sim) {
+    if (sim_ != &sim) return;
+    detached_at_ = sim.now();
+    sim_ = nullptr;
+  }
 
   /// Register a trace process (one per node); returns its pid. pid 1, the
   /// "sim" process, always exists.
@@ -186,7 +194,7 @@ class Tracer final : public sim::TaskObserver {
  private:
   friend class Span;
 
-  sim::Time now() const { return sim_ ? sim_->now() : 0; }
+  sim::Time now() const { return sim_ ? sim_->now() : detached_at_; }
   void end_span(std::size_t idx);
   std::uint32_t acquire_lane(std::uint32_t pid, const char* kind);
   void release_lane(std::uint32_t pid, std::uint32_t tid, const char* kind);
@@ -208,6 +216,7 @@ class Tracer final : public sim::TaskObserver {
   };
 
   sim::Simulation* sim_ = nullptr;
+  sim::Time detached_at_ = 0;
   std::vector<Process> processes_{{"sim", 2, {{1, "timeline"}}}};
   std::map<std::uint32_t, std::uint32_t> node_pid_;
   std::vector<LanePool> lane_pool_;

@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/small_vec.hpp"
 #include "sim/sync.hpp"
 
 namespace csar::pvfs {
@@ -238,7 +239,13 @@ sim::Task<Response> Client::rpc_attempts(
       if (obs::kEnabled && retry_ctr_ != nullptr) retry_ctr_->add(1);
       co_await sim.sleep(backoff_pause(policy, attempt));
     }
-    Request req = r;  // each attempt resends a fresh copy
+    // Each attempt resends a fresh copy; the last one takes the original.
+    Request req;
+    if (attempt == attempts) {
+      req = std::move(r);
+    } else {
+      req = r;
+    }
     ++rpc_stats_.sent;
     const auto d = co_await fabric_->transfer(node_, srv->node_id(),
                                               req.wire_bytes(), span.id());
@@ -315,11 +322,28 @@ sim::Task<std::vector<Response>> Client::rpc_batch(std::uint32_t s,
   co_return failed;
 }
 
+bool Client::shares_redundancy_server(
+    const std::vector<std::pair<std::uint32_t, Request>>& requests) {
+  red_seen_.resize(servers_.size(), 0);
+  bool shared = false;
+  for (const auto& [s, r] : requests) {
+    if (!redundancy_request(r)) continue;
+    if (red_seen_[s] != 0) {
+      shared = true;
+      break;
+    }
+    red_seen_[s] = 1;
+  }
+  for (const auto& [s, r] : requests) red_seen_[s] = 0;
+  return shared;
+}
+
 sim::Task<std::vector<Response>> Client::rpc_all(
     std::vector<std::pair<std::uint32_t, Request>> requests) {
   std::vector<Response> out(requests.size());
-  std::vector<sim::Task<void>> tasks;
-  if (batching_ && requests.size() > 1) {
+  auto& sim = cluster_->sim();
+  if (batching_ && requests.size() > 1 &&
+      shares_redundancy_server(requests)) {
     // Coalesce same-destination *redundancy-class* requests into one
     // envelope per server: parity/mirror ops are small and per-message
     // header dominated, so sharing one transfer is pure win. The class is
@@ -354,6 +378,7 @@ sim::Task<std::vector<Response>> Client::rpc_all(
       groups[gi].subs.push_back(std::move(requests[i].second));
       groups[gi].slots.push_back(i);
     }
+    std::vector<sim::Task<void>> tasks;
     tasks.reserve(groups.size());
     for (auto& g : groups) {
       tasks.push_back(
@@ -366,18 +391,22 @@ sim::Task<std::vector<Response>> Client::rpc_all(
             }
           }(this, std::move(g), &out));
     }
-    co_await sim::when_all(cluster_->sim(), std::move(tasks));
+    co_await sim::when_all(sim, std::move(tasks));
     co_return out;
   }
-  tasks.reserve(requests.size());
+  // No envelope would carry more than one request, so each request is its
+  // own message — what the grouping above sends for one-request groups —
+  // without building the groups. Spawn every call, then join in order.
+  SmallVec<sim::ProcessHandle, 8> calls;
+  calls.reserve(requests.size());
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    tasks.push_back(
+    calls.push_back(sim.spawn(
         [](Client* self, std::uint32_t s, Request r,
            Response* slot) -> sim::Task<void> {
           *slot = co_await self->rpc(s, std::move(r));
-        }(this, requests[i].first, std::move(requests[i].second), &out[i]));
+        }(this, requests[i].first, std::move(requests[i].second), &out[i])));
   }
-  co_await sim::when_all(cluster_->sim(), std::move(tasks));
+  for (const auto& call : calls) co_await call.join();
   co_return out;
 }
 
@@ -389,7 +418,7 @@ Buffer Client::gather_for_server(const StripeLayout& layout,
   if (!data.materialized()) {
     return Buffer::phantom(layout.server_bytes(off, data.size(), s));
   }
-  std::vector<Buffer> pieces;
+  SmallVec<Buffer, 8> pieces;
   for (const auto& e : layout.decompose(off, data.size())) {
     if (e.server == s) pieces.push_back(data.slice(e.global_off - off, e.len));
   }
@@ -400,8 +429,10 @@ sim::Task<Result<void>> Client::write_striped(const OpenFile& f,
                                               std::uint64_t off,
                                               const Buffer& data) {
   if (data.empty()) co_return Result<void>::success();
+  const auto merged = f.layout.decompose_merged(off, data.size());
   std::vector<std::pair<std::uint32_t, Request>> reqs;
-  for (const auto& e : f.layout.decompose_merged(off, data.size())) {
+  reqs.reserve(merged.size());
+  for (const auto& e : merged) {
     Request r;
     r.op = Op::write_data;
     r.handle = f.handle;
@@ -422,6 +453,7 @@ sim::Task<Result<Buffer>> Client::read(const OpenFile& f, std::uint64_t off,
   if (len == 0) co_return Buffer::real(0);
   const auto merged = f.layout.decompose_merged(off, len);
   std::vector<std::pair<std::uint32_t, Request>> reqs;
+  reqs.reserve(merged.size());
   for (const auto& e : merged) {
     Request r;
     r.op = Op::read_data;
@@ -450,7 +482,7 @@ sim::Task<Result<Buffer>> Client::read(const OpenFile& f, std::uint64_t off,
     reply_of[merged[i].server] = i;
   }
   std::vector<std::uint64_t> pos(merged.size(), 0);
-  std::vector<Buffer> pieces;
+  SmallVec<Buffer, 8> pieces;
   for (const auto& e : f.layout.decompose(off, len)) {
     const std::size_t i = reply_of[e.server];
     pieces.push_back(resps[i].data.slice(pos[i], e.len));

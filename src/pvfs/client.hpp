@@ -206,6 +206,11 @@ class Client {
   std::shared_ptr<sim::Channel<Response>> acquire_reply_channel();
   void recycle_reply_channel(std::shared_ptr<sim::Channel<Response>> ch);
 
+  /// Whether some server receives two redundancy-class requests, i.e.
+  /// whether rpc_all's batching would build a multi-request envelope.
+  bool shares_redundancy_server(
+      const std::vector<std::pair<std::uint32_t, Request>>& requests);
+
   hw::Cluster* cluster_;
   net::Fabric* fabric_;
   Manager* manager_;
@@ -221,6 +226,9 @@ class Client {
   std::uint32_t mgr_epoch_seen_ = 0;
   /// Recycled reply channels (each entry uniquely owned and empty).
   std::vector<std::shared_ptr<sim::Channel<Response>>> reply_pool_;
+  /// Per-server scratch flags for shares_redundancy_server (all zero
+  /// between calls).
+  std::vector<std::uint8_t> red_seen_;
   Rng rng_{0xC5A2F001ULL};  ///< backoff jitter; reseed via seed_retry_rng
 
   // Observability (all null/0 when detached; see set_obs).

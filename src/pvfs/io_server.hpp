@@ -10,16 +10,24 @@
 // (§5.1): a read of a parity block sets a lock on that block; later parity
 // reads for the same block queue behind it; the write of the parity block
 // releases the lock (or hands it to the first queued reader).
+//
+// Request path: a handle's local files are resolved by name once and then
+// reached through references cached in its HandleState, so a request
+// builds no file name. Handles, parity locks and connection streams live
+// in flat tables (common/flat_index.hpp). A handler that keeps a
+// HandleState across a suspension holds a shared reference to it: a
+// concurrent remove_file or wipe() only unlinks the state (and LocalFs
+// only unlinks its files), so the parked handler finishes on the orphan,
+// which then disappears.
 #pragma once
 
 #include <coroutine>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 
+#include "common/flat_index.hpp"
 #include "common/interval_map.hpp"
 #include "hw/node.hpp"
 #include "localfs/local_fs.hpp"
@@ -231,7 +239,37 @@ class IoServer {
     /// Highest redundancy generation ever written for this handle, so
     /// remove_file and storage accounting can cover every generation.
     std::uint32_t max_red_gen = 0;
+    /// Local files resolved so far (see file_of): the data file, the
+    /// redundancy file of generation red_file_gen, the overflow file. Null
+    /// until first resolved; an unlinked one is resolved again by name.
+    localfs::LocalFs::FileRef data_file;
+    localfs::LocalFs::FileRef red_file;
+    localfs::LocalFs::FileRef ovfl_file;
+    std::uint32_t red_file_gen = 0;
   };
+  using StateRef = std::shared_ptr<HandleState>;
+
+  enum class FileKind : std::uint8_t { data, red, ovfl };
+
+  /// The handle's state, or null.
+  HandleState* state(std::uint64_t h) {
+    StateRef* p = handles_.find(h);
+    return p == nullptr ? nullptr : p->get();
+  }
+  /// The handle's state, created if absent; the reference keeps it alive
+  /// across suspensions even if the handle is removed meanwhile.
+  const StateRef& state_ref(std::uint64_t h) {
+    StateRef& p = handles_[h];
+    if (p == nullptr) p = std::make_shared<HandleState>();
+    return p;
+  }
+  /// Handle `h`'s local file of `kind` (redundancy: generation `gen`), via
+  /// the handle's cached reference when it has state; `create` makes an
+  /// absent file, otherwise absent reads as null. Resolving at the moment a
+  /// name lookup would happen keeps file creation order (and so page-cache
+  /// file ids) exactly that of name-keyed access.
+  localfs::LocalFs::FileRef file_of(std::uint64_t h, FileKind kind,
+                                    std::uint32_t gen, bool create);
 
   sim::Task<void> dispatcher();
   sim::Task<void> handle(Request r);
@@ -243,7 +281,7 @@ class IoServer {
                                obs::Ctx ctx = {});
   /// Execute an Op::batch envelope: acquire every sub-lock in ascending
   /// key order, then run the subs in order, merging adjacent reads.
-  sim::Task<Response> exec_batch(const Request& r, obs::Ctx ctx = {});
+  sim::Task<Response> exec_batch(Request& r, obs::Ctx ctx = {});
   /// Acquire the parity lock at `key` for client `from`, queueing FIFO
   /// behind the holder. False when the lock vanished while queued (file
   /// removed, crash) — the caller must not proceed.
@@ -272,8 +310,9 @@ class IoServer {
   sim::Task<Response> do_read_red(const Request& r, obs::Ctx ctx = {});
   sim::Task<Response> do_write_red(const Request& r, obs::Ctx ctx = {});
   sim::Task<Response> do_write_overflow(const Request& r);
-  sim::Task<Response> do_read_mirror(const Request& r);
-  sim::Task<Response> do_read_own_overflow(const Request& r);
+  /// read_mirror / read_own_overflow: the overflow pieces of `r`'s range
+  /// held for the previous server (`mirror`) or for this one.
+  sim::Task<Response> read_overflow_pieces(const Request& r, bool mirror);
   sim::Task<Response> do_compact_overflow(const Request& r);
 
   /// Per-connection ingest/egress pacing: one iod request stream moves at
@@ -282,7 +321,15 @@ class IoServer {
   /// (mirror/parity/overflow), so redundancy requests do not steal data
   /// bandwidth on the same server — this is what lets RAID1 scale per
   /// server like RAID0 until the *client link* saturates (Figure 4a).
-  sim::Task<void> pace(const Request& r, std::uint64_t bytes);
+  /// Booked at the call and awaited at once, like BandwidthServer's own
+  /// transfer(): no coroutine frame.
+  [[nodiscard]] auto pace(const Request& r, std::uint64_t bytes) {
+    // Redundancy-*block* operations take CSAR's fast path (cache-resident
+    // parity/mirror blocks, outside the iod streaming loop). Bulk payloads
+    // — data files and overflow regions — go through the per-connection
+    // stream.
+    return stream_for(r.from, redundancy_op(r.op)).transfer(bytes);
+  }
   sim::BandwidthServer& stream_for(hw::NodeId client, bool redundancy);
 
   void apply_invalidation(const Request& r);
@@ -300,12 +347,11 @@ class IoServer {
   localfs::LocalFs fs_;
   /// The single-process iod dispatch loop every request passes through.
   sim::BandwidthServer iod_;
-  /// (client node, redundancy?) -> serialized per-connection stream pacing.
-  std::map<std::pair<hw::NodeId, bool>,
-           std::unique_ptr<sim::BandwidthServer>>
-      streams_;
-  std::unordered_map<std::uint64_t, HandleState> handles_;
-  std::unordered_map<std::uint64_t, ParityLock> locks_;
+  /// (client node << 1 | redundancy?) -> serialized per-connection stream
+  /// pacing.
+  FlatMap<std::unique_ptr<sim::BandwidthServer>> streams_;
+  FlatMap<StateRef> handles_;
+  FlatMap<ParityLock> locks_;
   LockStats lock_stats_;
   BatchStats batch_stats_;
   // Observability (all null/0 when detached; see set_obs).

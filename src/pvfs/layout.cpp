@@ -4,9 +4,9 @@
 
 namespace csar::pvfs {
 
-std::vector<StripeLayout::Extent> StripeLayout::decompose(
-    std::uint64_t off, std::uint64_t len) const {
-  std::vector<Extent> out;
+StripeLayout::Extents StripeLayout::decompose(std::uint64_t off,
+                                              std::uint64_t len) const {
+  Extents out;
   const std::uint64_t end = off + len;
   std::uint64_t pos = off;
   while (pos < end) {
@@ -19,25 +19,25 @@ std::vector<StripeLayout::Extent> StripeLayout::decompose(
   return out;
 }
 
-std::vector<StripeLayout::Extent> StripeLayout::decompose_merged(
-    std::uint64_t off, std::uint64_t len) const {
+StripeLayout::Extents StripeLayout::decompose_merged(std::uint64_t off,
+                                                     std::uint64_t len) const {
   // Per-unit pieces of one server tile a contiguous local range (interior
   // units of a contiguous global range are fully covered), so each server
-  // gets exactly one extent. global_off records the first global byte.
-  std::vector<Extent> per_server(nservers,
-                                 Extent{0, 0, 0, 0});
-  std::vector<bool> seen(nservers, false);
-  for (const Extent& e : decompose(off, len)) {
-    if (!seen[e.server]) {
-      per_server[e.server] = e;
-      seen[e.server] = true;
-    } else {
-      per_server[e.server].len += e.len;
-    }
-  }
-  std::vector<Extent> out;
-  for (std::uint32_t s = 0; s < nservers; ++s) {
-    if (seen[s]) out.push_back(per_server[s]);
+  // gets exactly one extent, found in closed form: it starts in the
+  // server's first unit at or after unit_of(off) and holds server_bytes()
+  // bytes. global_off records the first global byte.
+  Extents out;
+  if (len == 0) return out;
+  const std::uint64_t dn = data_servers();
+  const std::uint64_t u0 = unit_of(off);
+  const std::uint64_t u_last = unit_of(off + len - 1);
+  const std::uint64_t s0 = server_of_unit(u0);
+  for (std::uint32_t s = 0; s < dn; ++s) {
+    const std::uint64_t u = u0 + (s + dn - s0) % dn;
+    if (u > u_last) continue;
+    const std::uint64_t start = u == u0 ? off : u * stripe_unit;
+    out.push_back(
+        Extent{s, start, local_off(start), server_bytes(off, len, s)});
   }
   return out;
 }

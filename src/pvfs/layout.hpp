@@ -26,6 +26,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/small_vec.hpp"
 #include "common/units.hpp"
 
 namespace csar::pvfs {
@@ -198,14 +199,17 @@ struct StripeLayout {
     std::uint64_t len;
   };
 
+  /// Extent lists keep up to 8 extents inline: a request of up to 8 units
+  /// (or on up to 8 servers) decomposes without a heap allocation.
+  using Extents = SmallVec<Extent, 8>;
+
   /// Split [off, off+len) into per-unit extents in global-offset order.
-  std::vector<Extent> decompose(std::uint64_t off, std::uint64_t len) const;
+  Extents decompose(std::uint64_t off, std::uint64_t len) const;
 
   /// Split [off, off+len) into per-server extents, merging unit runs that
   /// are contiguous in a server's local file (which happens exactly when the
   /// global range covers consecutive rows). Order: by server id.
-  std::vector<Extent> decompose_merged(std::uint64_t off,
-                                       std::uint64_t len) const;
+  Extents decompose_merged(std::uint64_t off, std::uint64_t len) const;
 
   /// The Hybrid/RAID5 write split (§4): leading partial stripe, integral
   /// full stripes, trailing partial stripe. Any part may be empty.

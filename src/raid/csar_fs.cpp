@@ -5,6 +5,7 @@
 #include <map>
 #include <utility>
 
+#include "common/small_vec.hpp"
 #include "raid/health.hpp"
 #include "raid/recovery.hpp"
 #include "sim/time.hpp"
@@ -44,10 +45,10 @@ struct PartialSeg {
 /// The head and tail of `ws` as segments of k-unit groups. Head group <
 /// tail group, so this is already ascending — the ordered lock
 /// acquisition the paper uses to avoid deadlock (§5.1).
-std::vector<PartialSeg> partial_segments(const StripeLayout& layout,
+SmallVec<PartialSeg, 2> partial_segments(const StripeLayout& layout,
                                          const StripeLayout::WriteSplit& ws,
                                          std::uint32_t k) {
-  std::vector<PartialSeg> out;
+  SmallVec<PartialSeg, 2> out;
   if (ws.head_end > ws.head_start) {
     out.push_back(
         {ws.head_start, ws.head_end, layout.group_of_off(ws.head_start, k)});
@@ -57,6 +58,14 @@ std::vector<PartialSeg> partial_segments(const StripeLayout& layout,
         {ws.tail_start, ws.tail_end, layout.group_of_off(ws.tail_start, k)});
   }
   return out;
+}
+
+/// Unit extents of [start, end): decompose()'s count, without decomposing.
+std::size_t unit_count(const StripeLayout& layout, std::uint64_t start,
+                       std::uint64_t end) {
+  return start < end ? static_cast<std::size_t>(layout.unit_of(end - 1) -
+                                                layout.unit_of(start) + 1)
+                     : 0;
 }
 
 /// Byte columns of the coding units touched by a partial segment. With more
@@ -390,8 +399,12 @@ sim::Task<Result<void>> CsarFs::write_coded(const pvfs::OpenFile& f,
     ctx.push_back({seg, col_range(layout, seg), std::vector<Buffer>(m)});
   }
 
+  std::size_t nreads = 0;
+  for (const auto& seg : segs) nreads += unit_count(layout, seg.start, seg.end);
   std::vector<std::pair<std::uint32_t, Request>> reads;
   std::vector<std::pair<std::size_t, StripeLayout::Extent>> read_meta;
+  reads.reserve(nreads);
+  read_meta.reserve(nreads);
   for (std::size_t i = 0; i < ctx.size(); ++i) {
     const auto& seg = ctx[i].seg;
     for (const auto& e : layout.decompose(seg.start, seg.end - seg.start)) {
@@ -587,7 +600,14 @@ sim::Task<Result<void>> CsarFs::write_coded(const pvfs::OpenFile& f,
   //    them ahead of the bulk data keeps the critical section short), then
   //    the full data range (in place), then fresh coding for fully covered
   //    groups.
+  const bool inval = p_.policy->overflow_possible(f);
+  const auto merged = layout.decompose_merged(off, len);
   std::vector<std::pair<std::uint32_t, Request>> writes;
+  // Coding columns, data writes (plus invalidations), and for the full
+  // groups usually one coding write per server and row (a hint: a server
+  // whose slots form several runs just grows the vector).
+  writes.reserve(ctx.size() * m + merged.size() * (inval ? 2 : 1) +
+                 (ws.full_end > ws.full_start ? layout.n() * m : 0));
   for (auto& c : ctx) {
     for (std::uint32_t j = 0; j < m; ++j) {
       Request w;
@@ -603,8 +623,7 @@ sim::Task<Result<void>> CsarFs::write_coded(const pvfs::OpenFile& f,
                           std::move(w));
     }
   }
-  const bool inval = p_.policy->overflow_possible(f);
-  for (const auto& e : layout.decompose_merged(off, len)) {
+  for (const auto& e : merged) {
     Request w;
     w.op = Op::write_data;
     w.handle = f.handle;
@@ -655,6 +674,13 @@ sim::Task<Result<void>> CsarFs::write_hybrid(const pvfs::OpenFile& f,
   std::uint64_t xor_bytes = 0;
 
   std::vector<std::pair<std::uint32_t, Request>> writes;
+  // Two overflow copies per partial-segment unit; for a full-stripe run,
+  // one data write and at most one parity write per server.
+  std::size_t nwrites = ws.full_end > ws.full_start ? 2 * n : 0;
+  for (const auto& seg : segs) {
+    nwrites += 2 * unit_count(layout, seg.start, seg.end);
+  }
+  writes.reserve(nwrites);
 
   // Full-stripe run: the coded fast path, rs(N-1,1) — in-place data +
   // fresh parity, plus invalidation of any overflow entries the new

@@ -100,6 +100,9 @@ class Rig {
     // before the channels they await on.
     stop_all();
     sim.run();
+    // An attached tracer outlives the rig (callers export it afterwards);
+    // it must stop reading this simulation's clock.
+    if (tracer_ != nullptr) tracer_->detach(sim);
   }
 
   /// A layout matching this rig's server count and scheme (RAID4 uses the

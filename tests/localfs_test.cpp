@@ -245,5 +245,78 @@ TEST(LocalFs, RandomizedContentProperty) {
   }(f.fs));
 }
 
+// Lifetime rule: an operation parked on the page cache keeps its file, and
+// remove()/wipe() only unlink it. Under ASan (with CSAR_SIM_SLAB=OFF) an
+// operation that dereferenced a removed file would be a heap-use-after-free.
+
+TEST(LocalFs, WriteStreamRacingRemoveLandsInUnlinkedFile) {
+  Fixture f;
+  f.run([](Fixture& fx) -> sim::Task<void> {
+    const std::string name = "a";
+    // The write parks on the page cache at once; the removal lands while
+    // it is parked, in the same simulated instant.
+    auto writer = fx.sim.spawn(
+        fx.fs.write_stream(name, 0, Buffer::pattern(64 * 1024, 1), 8800));
+    fx.fs.remove(name);
+    co_await writer.join();
+    EXPECT_FALSE(fx.fs.exists(name));
+    EXPECT_EQ(fx.fs.total_content_bytes(), 0u);
+    const Buffer got = co_await fx.fs.read(name, 0, 4096);
+    EXPECT_EQ(got, Buffer::real(4096));
+  }(f));
+}
+
+sim::Task<void> read_into(LocalFs& fs, std::string name, Buffer* out) {
+  *out = (co_await fs.read_checked(name, 0, 20000)).data;
+}
+
+TEST(LocalFs, ReadCheckedRacingRemoveFinishesOnItsContent) {
+  Fixture f;
+  f.run([](Fixture& fx) -> sim::Task<void> {
+    co_await fx.fs.write("a", 0, Buffer::pattern(20000, 3));
+    Buffer got;
+    auto reader = fx.sim.spawn(read_into(fx.fs, "a", &got));
+    fx.fs.remove("a");
+    co_await reader.join();
+    EXPECT_EQ(got, Buffer::pattern(20000, 3));
+    EXPECT_FALSE(fx.fs.exists("a"));
+  }(f));
+}
+
+TEST(LocalFs, ReadCheckedRacingWipeFinishesOnItsContent) {
+  Fixture f;
+  f.run([](Fixture& fx) -> sim::Task<void> {
+    co_await fx.fs.write("a", 0, Buffer::pattern(20000, 4));
+    co_await fx.fs.flush();
+    fx.fs.drop_caches();  // cold: the read parks on the disk
+    Buffer got;
+    auto reader = fx.sim.spawn(read_into(fx.fs, "a", &got));
+    fx.fs.wipe();
+    co_await reader.join();
+    EXPECT_EQ(got, Buffer::pattern(20000, 4));
+    EXPECT_EQ(fx.fs.total_content_bytes(), 0u);
+  }(f));
+}
+
+TEST(LocalFs, RecreatedFileIsFresh) {
+  // A reference taken before remove() keeps the old file; the name then
+  // resolves to a new, empty file with a new page-cache id.
+  Fixture f;
+  f.run([](Fixture& fx) -> sim::Task<void> {
+    co_await fx.fs.write("a", 0, Buffer::pattern(8192, 5));
+    LocalFs::FileRef old = fx.fs.lookup("a");
+    const std::uint64_t old_fid = fx.fs.fid_of("a");
+    fx.fs.remove("a");
+    EXPECT_FALSE(old->linked);
+    EXPECT_EQ(fx.fs.lookup("a"), nullptr);
+    co_await fx.fs.write("a", 0, Buffer::pattern(100, 6));
+    EXPECT_NE(fx.fs.fid_of("a"), old_fid);
+    EXPECT_EQ(fx.fs.size("a"), 100u);
+    EXPECT_EQ(old->content.upper_bound(), 8192u);
+    const auto kept = co_await fx.fs.read_checked(old, 0, 8192);
+    EXPECT_EQ(kept.data, Buffer::pattern(8192, 5));
+  }(f));
+}
+
 }  // namespace
 }  // namespace csar::localfs

@@ -6,6 +6,7 @@
 
 #include "pvfs/io_server.hpp"
 #include "raid/rig.hpp"
+#include "sim/sync.hpp"
 #include "test_util.hpp"
 
 namespace csar::pvfs {
@@ -335,6 +336,134 @@ TEST(Batch, StraddlingRmwIsBitDeterministic) {
   EXPECT_GT(batches1, 0u);  // the batched lock+read phase actually ran
   EXPECT_EQ(end1, end2);
   EXPECT_EQ(batches1, batches2);
+}
+
+// rpc_all skips building envelope groups when no server would get two
+// redundancy-class requests. These pin that its one-request path puts the
+// same messages on the wire as the grouped path.
+
+/// Records every fabric transfer (time, endpoints, payload bytes).
+struct WireLog : net::FabricHook {
+  struct Msg {
+    sim::Time t;
+    hw::NodeId src;
+    hw::NodeId dst;
+    std::uint64_t bytes;
+    bool operator==(const Msg&) const = default;
+  };
+  sim::Simulation* sim = nullptr;
+  std::vector<Msg> msgs;
+  Verdict on_transfer(hw::NodeId src, hw::NodeId dst,
+                      std::uint64_t bytes) override {
+    msgs.push_back({sim->now(), src, dst, bytes});
+    return {};
+  }
+};
+
+/// A Hybrid partial write's two requests: the primary overflow copy to its
+/// server and the mirror copy to the successor.
+std::vector<std::pair<std::uint32_t, Request>> hybrid_partial_requests() {
+  std::vector<std::pair<std::uint32_t, Request>> reqs;
+  for (const bool mirror : {false, true}) {
+    Request r;
+    r.op = Op::write_overflow;
+    r.handle = 9;
+    r.off = 512;
+    r.payload = Buffer::pattern(3000, 4);
+    r.owner = 1;
+    r.mirror = mirror;
+    r.su = kSu;
+    reqs.emplace_back(mirror ? 2u : 1u, std::move(r));
+  }
+  return reqs;
+}
+
+/// Send `reqs` through rpc_all (`grouped` = false), or as the grouped path
+/// sends them: one rpc_batch per envelope group, all concurrently.
+std::vector<WireLog::Msg> send_logged(
+    bool grouped, std::vector<std::pair<std::uint32_t, Request>> reqs,
+    std::uint64_t* envelopes) {
+  Rig rig(rig_params());
+  WireLog log;
+  log.sim = &rig.sim;
+  rig.fabric.set_fault_hook(&log);
+  run_sim_void(rig, [](Rig& r, bool g, decltype(reqs) rs) -> sim::Task<void> {
+    std::vector<Response> out;
+    if (!g) {
+      out = co_await r.client().rpc_all(std::move(rs));
+    } else {
+      out.resize(rs.size());
+      std::vector<sim::Task<void>> groups;
+      for (std::size_t i = 0; i < rs.size(); ++i) {
+        std::vector<Request> subs;
+        subs.push_back(std::move(rs[i].second));
+        groups.push_back([](Client& c, std::uint32_t s,
+                            std::vector<Request> sub,
+                            Response* slot) -> sim::Task<void> {
+          *slot = std::move((co_await c.rpc_batch(s, std::move(sub)))[0]);
+        }(r.client(), rs[i].first, std::move(subs), &out[i]));
+      }
+      co_await sim::when_all(r.sim, std::move(groups));
+    }
+    for (const auto& resp : out) EXPECT_TRUE(resp.ok);
+  }(rig, grouped, std::move(reqs)));
+  for (std::uint32_t s = 0; s < rig.p.nservers; ++s) {
+    *envelopes += rig.server(s).batch_stats().batches;
+  }
+  rig.fabric.set_fault_hook(nullptr);
+  return log.msgs;
+}
+
+TEST(Batch, OneRequestPathMatchesGroupedPathForHybridPartialWrite) {
+  std::uint64_t env_fast = 0;
+  std::uint64_t env_grouped = 0;
+  const auto fast = send_logged(false, hybrid_partial_requests(), &env_fast);
+  const auto grouped =
+      send_logged(true, hybrid_partial_requests(), &env_grouped);
+  EXPECT_EQ(fast.size(), 4u);  // two requests, two replies
+  EXPECT_EQ(fast, grouped);    // same messages, same bytes, same times
+  EXPECT_EQ(env_fast, 0u);
+  EXPECT_EQ(env_grouped, 0u);
+}
+
+TEST(Batch, RaidRmwWithTwoCodingUnitsOnOneServerStillSharesAnEnvelope) {
+  // 4 servers, 4 KiB units: groups of 3 units. A write from the middle of
+  // group 0 to the middle of group 4 leaves partial groups 0 and 4, whose
+  // parity both lives on server 3 (group g's parity server is
+  // (g + 1) * 3 mod 4). The lock phase sends server 3 one envelope with
+  // both locked reads, and rpc_all's write phase one with both parity
+  // writes: two redundancy-class requests for one server take the
+  // grouped path.
+  RigParams p = rig_params(Scheme::raid5);
+  p.nservers = 4;
+  Rig rig(p);
+  WireLog log;
+  log.sim = &rig.sim;
+  rig.fabric.set_fault_hook(&log);
+  run_sim_void(rig, [](Rig& r) -> sim::Task<void> {
+    auto f = co_await r.client_fs().create("f", r.layout(kSu));
+    CO_ASSERT_TRUE(f.ok());
+    const std::uint64_t width = f->layout.stripe_width();
+    CO_ASSERT_EQ(f->layout.coding_server(0, 3, 0), 3u);
+    CO_ASSERT_EQ(f->layout.coding_server(4, 3, 0), 3u);
+    auto wr = co_await r.client_fs().write(
+        *f, width / 2, Buffer::pattern(4 * width, 5));
+    EXPECT_TRUE(wr.ok());
+  }(rig));
+  rig.fabric.set_fault_hook(nullptr);
+  EXPECT_EQ(rig.server(3).batch_stats().batches, 2u);
+  EXPECT_EQ(rig.server(3).batch_stats().subs, 4u);
+  for (std::uint32_t s = 0; s < 3; ++s) {
+    EXPECT_EQ(rig.server(s).batch_stats().batches, 0u) << "server " << s;
+  }
+  // Every message the client sent to server 3 is an envelope: no parity
+  // request travelled on its own.
+  const hw::NodeId client = rig.client().node_id();
+  std::size_t to_parity = 0;
+  for (const auto& m : log.msgs) {
+    if (m.src == client && m.dst == rig.server(3).node_id()) ++to_parity;
+  }
+  EXPECT_EQ(to_parity, 2u + 1u);  // two envelopes + the data write
 }
 
 }  // namespace

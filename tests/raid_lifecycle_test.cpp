@@ -146,5 +146,77 @@ INSTANTIATE_TEST_SUITE_P(
       return name + "_s" + std::to_string(std::get<1>(info.param));
     });
 
+// Removing a file while another client streams writes into it. Server
+// handlers parked on the page cache must survive the removal of the
+// handle's local files and overflow state: each finishes on the unlinked
+// file, which then disappears. Under ASan with CSAR_SIM_SLAB=OFF a handler
+// touching a freed file or handle state is a heap-use-after-free.
+void remove_racing_writes(Scheme scheme, std::uint64_t write_len,
+                          sim::Duration remove_after) {
+  RigParams p;
+  p.scheme = scheme;
+  p.nservers = 4;
+  p.nclients = 2;
+  Rig rig(p);
+  run_sim_void(rig, [](Rig& r, std::uint64_t len,
+                       sim::Duration delay) -> sim::Task<void> {
+    auto f = co_await r.client_fs(0).create("victim", r.layout(64 * 1024));
+    CO_ASSERT_TRUE(f.ok());
+    constexpr int kWrites = 16;
+    int finished = 0;
+    auto writer = r.sim.spawn(
+        [](Rig& rr, pvfs::OpenFile file, std::uint64_t n,
+           int* done) -> sim::Task<void> {
+          for (int i = 0; i < kWrites; ++i) {
+            // Writes after the removal recreate server files under the
+            // stale handle; only their completion matters here.
+            (void)co_await rr.client_fs(0).write(
+                file, static_cast<std::uint64_t>(i) * n,
+                Buffer::pattern(n, static_cast<std::uint64_t>(i) + 1));
+            ++*done;
+          }
+        }(r, *f, len, &finished));
+    co_await r.sim.sleep(delay);
+    auto rm = co_await r.client(1).remove("victim");
+    EXPECT_TRUE(rm.ok());
+    co_await writer.join();
+    EXPECT_EQ(finished, kWrites);
+  }(rig, write_len, remove_after));
+}
+
+struct RaceCase {
+  Scheme scheme;
+  std::uint64_t write_len;
+  std::uint64_t remove_after_us;
+};
+
+class LifecycleRace : public ::testing::TestWithParam<RaceCase> {};
+
+TEST_P(LifecycleRace, RemoveRacingWritesFinishesOnUnlinkedFiles) {
+  const RaceCase c = GetParam();
+  remove_racing_writes(c.scheme, c.write_len, sim::us(c.remove_after_us));
+}
+
+// Full-stripe raid5 writes (192 KiB = 3 x 64 KiB units on 4 servers) and
+// partial-stripe Hybrid writes, whose overflow copies also hold their
+// handle state; each removal time lands while a local write is parked.
+INSTANTIATE_TEST_SUITE_P(
+    Timings, LifecycleRace,
+    ::testing::Values(RaceCase{Scheme::raid5, 192 * 1024, 2000},
+                      RaceCase{Scheme::raid5, 192 * 1024, 5000},
+                      RaceCase{Scheme::raid5, 192 * 1024, 8000},
+                      RaceCase{Scheme::raid5, 192 * 1024, 20000},
+                      RaceCase{Scheme::hybrid, 16 * 1024, 1000},
+                      RaceCase{Scheme::hybrid, 40 * 1024, 3000}),
+    [](const auto& info) {
+      const RaceCase& c = info.param;
+      std::string name = scheme_name(c.scheme);
+      for (char& ch : name) {
+        if (!std::isalnum(static_cast<unsigned char>(ch))) ch = '_';
+      }
+      return name + "_" + std::to_string(c.write_len / 1024) + "KiB_" +
+             std::to_string(c.remove_after_us) + "us";
+    });
+
 }  // namespace
 }  // namespace csar::raid
