@@ -28,7 +28,8 @@ int main() {
   for (std::uint32_t n = 1; n <= 7; ++n) {
     std::vector<std::string> row = {TextTable::num(std::uint64_t{n})};
     for (raid::Scheme s : schemes) {
-      if (raid::uses_group_coding(s) && n < 2) {
+      // A parity group is k = N-1 units: none on one server.
+      if (s.code(pvfs::StripeLayout{kSu, n}).k == 0) {
         row.push_back("-");
         continue;
       }

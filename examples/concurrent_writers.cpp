@@ -7,6 +7,7 @@
 // NO-LOCK ablation corrupts it). Part 2 shows the price: the same run timed
 // across schemes.
 #include <cstdio>
+#include <optional>
 
 #include "common/units.hpp"
 #include "pvfs/io_server.hpp"
@@ -23,7 +24,7 @@ constexpr std::uint32_t kWriters = 5;  // one per data block of a stripe
 constexpr std::uint32_t kSu = 64 * KiB;
 
 struct RunResult {
-  bool parity_consistent;
+  std::optional<bool> parity_consistent;  ///< unset: the scheme has no parity
   double secs;
   std::uint64_t lock_waits;
 };
@@ -68,10 +69,11 @@ RunResult run(raid::Scheme scheme) {
     }
 
     // White-box parity audit: XOR the stripe's data units straight out of
-    // the server file systems and compare with the stored parity unit.
-    out.parity_consistent = true;
-    if (raid::uses_group_coding(r.p.scheme)) {
-      const auto& layout = file->layout;
+    // the server file systems and compare with the stored parity unit. A
+    // k = 1 code (RAID1) stores a copy, not parity.
+    const auto& layout = file->layout;
+    if (raid::uses_group_coding(r.p.scheme) &&
+        r.p.scheme.code(layout).k > 1) {
       const std::uint32_t k = layout.n() - 1;  // parity: rs(N-1,1)
       Buffer parity = co_await r.server(layout.coding_server(0, k, 0))
                           .fs()
@@ -104,9 +106,9 @@ int main() {
     const RunResult r = run(s);
     std::printf("%-11s %8.3f s %12llu %18s\n", raid::scheme_name(s).c_str(), r.secs,
                 static_cast<unsigned long long>(r.lock_waits),
-                !raid::uses_group_coding(s)  ? "n/a"
-                : r.parity_consistent ? "yes"
-                                      : "NO (corrupted!)");
+                !r.parity_consistent   ? "n/a"
+                : *r.parity_consistent ? "yes"
+                                       : "NO (corrupted!)");
   }
   std::printf(
       "\nRAID5 pays lock waits to keep the parity block consistent; the\n"

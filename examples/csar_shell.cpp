@@ -215,12 +215,10 @@ int main(int argc, char** argv) {
         continue;
       }
       std::printf(
-          "groups=%llu parity-bad=%llu mirrors=%llu mirror-bad=%llu "
-          "overflow-bad=%llu repaired=%llu -> %s\n",
+          "groups=%llu parity-bad=%llu overflow-bad=%llu repaired=%llu "
+          "-> %s\n",
           static_cast<unsigned long long>(report->groups_checked),
           static_cast<unsigned long long>(report->parity_mismatches),
-          static_cast<unsigned long long>(report->mirror_units_checked),
-          static_cast<unsigned long long>(report->mirror_mismatches),
           static_cast<unsigned long long>(report->overflow_mismatches),
           static_cast<unsigned long long>(report->repaired),
           report->clean() ? "clean" : "INCONSISTENT");

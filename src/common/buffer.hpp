@@ -205,4 +205,10 @@ void gf_muladd_region(std::span<std::byte> dst, const Buffer& src,
 Buffer gf_combine(std::span<const Buffer> srcs,
                   std::span<const std::uint8_t> coeffs);
 
+/// True when gf_combine with these coefficients is a view of its one
+/// source — a k = 1 copy, which no kernel touches and no CPU time pays for.
+inline bool gf_combine_is_copy(std::span<const std::uint8_t> coeffs) {
+  return coeffs.size() == 1 && coeffs[0] == 1;
+}
+
 }  // namespace csar

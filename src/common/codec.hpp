@@ -7,8 +7,8 @@
 // codes: coding fragment j of a group is sum_i g[j][i] * data_i over
 // GF(2^8), with the generator matrix chosen so its first row is all ones —
 // RS(k,1) therefore produces byte-identical output to the XOR parity path,
-// and every classic scheme is a special case of the code (RAID1 ≈ RS(1,1),
-// RAID4/5 ≈ RS(k,1)).
+// and every classic scheme is a special case of the code (RAID1 is RS(1,1),
+// RAID4/5 are RS(N-1,1)).
 //
 // Every per-byte kernel of the simulator is picked in one place, dispatch()
 // in codec.cpp, once per process from the CPU feature bits:

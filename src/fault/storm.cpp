@@ -196,14 +196,15 @@ sim::Task<void> driver(const StormParams& p, raid::Rig& rig,
         std::uint64_t lo = off;
         std::uint64_t hi = off + p.io_size;
         // The write-hole span depends on the file's *current* scheme (a
-        // migration may have landed mid-storm); mirror/striped-only writes
-        // tear at most their own range.
+        // migration may have landed mid-storm); striped-only writes and
+        // k = 1 codes (RAID1), whose coding is a copy of the written bytes
+        // alone, tear at most their own range.
         const raid::Scheme sch = rig.policy().scheme_of(files[fi]);
-        if (raid::uses_group_coding(sch)) {
+        const std::uint32_t k = sch.code(files[fi].layout).k;
+        if (raid::uses_group_coding(sch) && k > 1) {
           // A coded group is k units wide (the full stripe for parity). A
           // torn write can desynchronize the whole group.
-          const std::uint64_t w =
-              files[fi].layout.group_width(sch.code(files[fi].layout).k);
+          const std::uint64_t w = files[fi].layout.group_width(k);
           lo = lo / w * w;
           hi = std::min<std::uint64_t>(p.file_size, (hi + w - 1) / w * w);
         }

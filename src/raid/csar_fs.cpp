@@ -298,81 +298,43 @@ sim::Task<Result<void>> CsarFs::dispatch_write(const pvfs::OpenFile& f,
   // whole writes (the flip requires zero writes in flight), so a single
   // resolution per dispatch can never straddle two schemes.
   const Scheme sch = p_.policy->scheme_of(f);
-  switch (sch.kind) {
-    case SchemeKind::raid0:
-      co_return co_await client_->write_striped(f, off, data);
-    case SchemeKind::raid1:
-      co_return co_await write_raid1(f, off, data);
-    case SchemeKind::raid4:
-    case SchemeKind::raid5:
-    case SchemeKind::raid5_nolock:
-    case SchemeKind::raid5_npc:
-    case SchemeKind::rs:
-      co_return co_await write_coded(f, off, data, sch);
-    case SchemeKind::hybrid:
-      co_return co_await write_hybrid(f, off, data);
+  if (!uses_group_coding(sch)) {
+    co_return co_await client_->write_striped(f, off, data);  // RAID0
   }
-  co_return Error{Errc::invalid_argument, "unknown scheme"};
-}
-
-sim::Task<Result<void>> CsarFs::write_raid1(const pvfs::OpenFile& f,
-                                            std::uint64_t off,
-                                            const Buffer& data) {
-  // Block mirroring (§4): every data block is written twice — in place on
-  // its own server, and at the same local offset into the *next* server's
-  // redundancy file, so a single failed server can be served by its
-  // successor. The client pushes 2x the bytes through its own link.
-  const StripeLayout& layout = f.layout;
-  const std::uint32_t gen = p_.policy->red_gen_of(f);
-  std::vector<std::pair<std::uint32_t, Request>> reqs;
-  for (const auto& e : layout.decompose_merged(off, data.size())) {
-    Buffer payload = pvfs::Client::gather_for_server(layout, off, data,
-                                                     e.server);
-    // The overflow invalidations cost nothing on the wire and are no-ops
-    // for files that never had overflow entries; for an ex-Hybrid file they
-    // keep the (still live) overflow overlay from shadowing these in-place
-    // bytes. The mirror write already goes to the successor — exactly where
-    // the mirror overflow entries live — so no extra message is needed.
-    Request w;
-    w.op = Op::write_data;
-    w.handle = f.handle;
-    w.off = e.local_off;
-    w.payload = payload.slice(0, payload.size());
-    w.su = layout.stripe_unit;
-    w.inval_own = Interval{e.local_off, e.local_off + e.len};
-    reqs.emplace_back(e.server, std::move(w));
-
-    Request m;
-    m.op = Op::write_red;
-    m.handle = f.handle;
-    m.off = e.local_off;
-    m.payload = std::move(payload);
-    m.su = layout.stripe_unit;
-    m.red_gen = gen;
-    m.inval_mirror = Interval{e.local_off, e.local_off + e.len};
-    reqs.emplace_back((e.server + 1) % layout.n(), std::move(m));
-  }
-  auto resps = co_await client_->rpc_all(std::move(reqs));
-  for (const auto& resp : resps) {
-    if (!resp.ok) co_return Error{resp.err, "raid1 write", resp.server};
-  }
-  co_return Result<void>::success();
+  if (sch == Scheme::hybrid) co_return co_await write_hybrid(f, off, data);
+  co_return co_await write_coded(f, off, data, sch);
 }
 
 sim::Task<Result<void>> CsarFs::write_coded(const pvfs::OpenFile& f,
                                             std::uint64_t off,
                                             const Buffer& data, Scheme sch) {
-  // One path for every k+m code: RAID4 and the RAID5 variants are
-  // rs(N-1,1). Full groups compute their m coding units fresh; each partial
-  // group runs the batched RMW: lock and read its coding columns, read the
-  // old data, and fold coding_j ^= coeff(j,i) * (old ^ new) for a write to
-  // data unit i (plain XOR for the all-ones row 0, i.e. for parity).
+  // One path for every k+m code: RAID1 is rs(1,1), RAID4 and the RAID5
+  // variants are rs(N-1,1). Full groups compute their m coding units
+  // fresh; each partial group runs the batched RMW: lock and read its
+  // coding columns, read the old data, and fold coding_j ^= coeff(j,i) *
+  // (old ^ new) for a write to data unit i (plain XOR for the all-ones row
+  // 0, i.e. for parity). A k = 1 code skips all of that (copy_writes).
   const StripeLayout& layout = f.layout;
   const std::uint64_t su = layout.su();
   const std::uint64_t len = data.size();
   const CodeSpec spec = sch.code(layout);
   const std::uint32_t k = spec.k;
   const std::uint32_t m = spec.m;
+  const std::uint32_t gen = p_.policy->red_gen_of(f);
+  if (k == 1) {
+    // Ahead of the k+m <= N rule: on one server a k = 1 copy wraps onto
+    // its owner, which RAID1 allows (no fault tolerance, same bytes).
+    std::vector<std::pair<std::uint32_t, Request>> writes;
+    const std::uint64_t gf_bytes =
+        copy_writes(f, spec, gen, off, data, {}, writes);
+    p_.policy->note_ec_encode(sch, gf_bytes);
+    co_await charge_xor(sch, gf_bytes);
+    auto resps = co_await client_->rpc_all(std::move(writes));
+    for (const auto& resp : resps) {
+      if (!resp.ok) co_return Error{resp.err, "coded write", resp.server};
+    }
+    co_return Result<void>::success();
+  }
   if (spec.fragments() > layout.n()) {
     co_return Error{Errc::invalid_argument, "coded placement needs k+m <= N"};
   }
@@ -380,7 +342,6 @@ sim::Task<Result<void>> CsarFs::write_coded(const pvfs::OpenFile& f,
   const auto ws = layout.split_write_w(off, len, W);
   const auto segs = partial_segments(layout, ws, k);
   const bool locking = sch != Scheme::raid5_nolock;
-  const std::uint32_t gen = p_.policy->red_gen_of(f);
   std::uint64_t xor_bytes = 0;
 
   // 1. For each partially-written group the client needs the old coding
@@ -829,11 +790,11 @@ sim::Task<Result<Buffer>> CsarFs::read_balanced(const pvfs::OpenFile& f,
       r.op = Op::read_data;
       reads.emplace_back(e.server, std::move(r));
     } else {
-      // The mirror lives at the same local offset in the successor's
-      // redundancy file.
+      // The copy is coding unit 0 of the unit's k = 1 group.
       r.op = Op::read_red;
+      r.off = layout.coding_off(u, 1, 1, 0) + e.global_off % layout.su();
       r.red_gen = gen;
-      reads.emplace_back((e.server + 1) % layout.n(), std::move(r));
+      reads.emplace_back(layout.coding_server(u, 1, 0), std::move(r));
     }
   }
   auto resps = co_await client_->rpc_all(std::move(reads));

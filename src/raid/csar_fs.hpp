@@ -6,7 +6,8 @@
 // Writes dispatch to the per-scheme paths:
 //
 //  RAID0   data only (plain PVFS).
-//  RAID1   data + block mirror on the next server's redundancy file.
+//  RAID1   rs(1,1): data + a copy on the next server's redundancy file,
+//          written by the coded path's k = 1 rule (no lock, no pre-read).
 //  RAID5   data in place; for each touched parity group the client reads
 //          old data + old parity (taking the parity-block lock, §5.1),
 //          XORs the delta, and writes data + new parity (releasing the
@@ -194,16 +195,15 @@ class CsarFs {
                                          std::uint64_t off, std::uint64_t len,
                                          Error err);
 
-  sim::Task<Result<void>> write_raid1(const pvfs::OpenFile& f,
-                                      std::uint64_t off, const Buffer& data);
   sim::Task<Result<void>> write_hybrid(const pvfs::OpenFile& f,
                                        std::uint64_t off, const Buffer& data);
-  /// The coded write path for every k+m code (RAID4 and the RAID5 variants
-  /// are rs(N-1,1)): full groups compute their m coding units fresh;
-  /// partial groups run the batched RMW protocol (one locked read+update
-  /// per touched coding server, ascending order) folding per-unit GF
-  /// deltas. `sch` carries the variant flags: R5-NO-LOCK takes no locks,
-  /// RAID5-npc charges no coding CPU time.
+  /// The coded write path for every k+m code (RAID1 is rs(1,1), RAID4 and
+  /// the RAID5 variants are rs(N-1,1)): full groups compute their m coding
+  /// units fresh; partial groups run the batched RMW protocol (one locked
+  /// read+update per touched coding server, ascending order) folding
+  /// per-unit GF deltas. A k = 1 code writes its coding straight from the
+  /// new bytes (copy_writes). `sch` carries the variant flags: R5-NO-LOCK
+  /// takes no locks, RAID5-npc charges no coding CPU time.
   sim::Task<Result<void>> write_coded(const pvfs::OpenFile& f,
                                       std::uint64_t off, const Buffer& data,
                                       Scheme sch);

@@ -314,32 +314,28 @@ void RebuildCoordinator::merge_crash_losses(std::uint32_t s) {
       }
     }
 
-    // Redundancy file: mirror rows map through the predecessor (RAID1);
-    // coding rows dirty their whole group (coded schemes). Only the file's
-    // *current* generation matters — losses in a superseded generation are
-    // garbage awaiting drop_red, never read again.
+    // Redundancy file: coding slots map back through the placement's
+    // inverse. A lost coding byte of a k = 1 group (RAID1's mirror) is a
+    // copy of one data byte and taints exactly that byte; in a wider group
+    // it taints the group's whole span. Only the file's *current*
+    // generation matters — losses in a superseded generation are garbage
+    // awaiting drop_red, never read again.
     if (auto it = losses.find(pvfs::IoServer::red_name(t.f.handle, gen));
         it != losses.end()) {
+      const CodeSpec spec = sch.code(lay);
       for (const auto& iv : it->second.to_vector()) {
         stats_.lost_dirty_bytes += iv.length();
-        if (sch == Scheme::raid1) {
-          const std::uint32_t pred = (s + lay.n() - 1) % lay.n();
-          for (std::uint64_t lo = iv.start; lo < iv.end;) {
-            const std::uint64_t row_end =
-                std::min(iv.end, (lo / su + 1) * su);
-            const std::uint64_t g0 = lay.global_off(pred, lo);
-            o.stale[t.f.handle].insert(g0, g0 + (row_end - lo));
-            lo = row_end;
-          }
-        } else if (uses_group_coding(sch)) {
-          // Coding slots map back through the placement's inverse: a lost
-          // slot taints the whole span of the group whose unit it held.
-          const CodeSpec spec = sch.code(lay);
-          for (std::uint64_t q = iv.start / su; q * su < iv.end; ++q) {
-            const auto at = lay.coding_at(s, q, spec.k, spec.m);
-            if (!at) continue;
-            const std::uint64_t gs = lay.group_start(at->first, spec.k);
-            if (gs >= t.size) continue;
+        if (!uses_group_coding(sch)) continue;
+        for (std::uint64_t q = iv.start / su; q * su < iv.end; ++q) {
+          const auto at = lay.coding_at(s, q, spec.k, spec.m);
+          if (!at) continue;
+          const std::uint64_t gs = lay.group_start(at->first, spec.k);
+          if (spec.k == 1) {
+            // Column c of the slot is byte c of the group's one unit.
+            o.stale[t.f.handle].insert(
+                gs + std::max(iv.start, q * su) - q * su,
+                gs + std::min(iv.end, (q + 1) * su) - q * su);
+          } else if (gs < t.size) {
             o.stale[t.f.handle].insert(
                 gs, std::min(lay.group_end(at->first, spec.k), t.size));
           }

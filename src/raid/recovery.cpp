@@ -20,8 +20,7 @@ bool contains(const std::vector<std::uint32_t>& v, std::uint32_t s) {
 }
 
 /// Concurrent failures a scheme's reads and writes can route around: one
-/// for RAID0 (whose lost units fail the request) and RAID1, m for a k+m
-/// code.
+/// for RAID0 (whose lost units fail the request), m for a k+m code.
 std::uint32_t failure_budget(Scheme sch, const StripeLayout& layout) {
   return std::max<std::uint32_t>(1, sch.code(layout).m);
 }
@@ -54,6 +53,28 @@ Request fragment_read(const pvfs::OpenFile& f, CodeSpec spec,
     r.red_gen = gen;
   }
   return r;
+}
+
+/// Send `reqs` and collect the responses in order. One request is one
+/// plain call; only several fan out through rpc_all, which spawns a task
+/// per message.
+sim::Task<std::vector<pvfs::Response>> send_all(
+    pvfs::Client& client,
+    std::vector<std::pair<std::uint32_t, Request>> reqs) {
+  if (reqs.size() != 1) co_return co_await client.rpc_all(std::move(reqs));
+  std::vector<pvfs::Response> out;
+  out.push_back(
+      co_await client.rpc(reqs.front().first, std::move(reqs.front().second)));
+  co_return out;
+}
+
+/// Columns of group g that lie inside the file: a whole unit, except in a
+/// last group that ends within its first unit. Columns past the file end
+/// are zeros in every fragment, so rebuilds, migrations and scrubs move
+/// only these.
+std::uint64_t group_cols(const StripeLayout& lay, std::uint32_t k,
+                         std::uint64_t g, std::uint64_t file_size) {
+  return std::min(lay.su(), file_size - lay.group_start(g, k));
 }
 
 /// The first unit of the file that server `s` holds (its local unit 0).
@@ -119,7 +140,7 @@ sim::Task<Result<Buffer>> Recovery::reconstruct(
     reads.emplace_back(fragment_server(layout, spec, g, frag),
                        fragment_read(f, spec, gen, g, frag, c0, len));
   }
-  auto resps = co_await client_->rpc_all(std::move(reads));
+  auto resps = co_await send_all(*client_, std::move(reads));
   std::vector<Buffer> srcs;
   srcs.reserve(resps.size());
   for (auto& resp : resps) {
@@ -129,8 +150,8 @@ sim::Task<Result<Buffer>> Recovery::reconstruct(
   Buffer out = gf_combine(srcs, coeffs);
   // Decode cost: k fragment-sized inputs through the kernel on the
   // recovering client. A rebuilt coding unit is a fresh encode of its
-  // group and is not charged.
-  if (target < k) {
+  // group and is not charged, and neither is a copy (k = 1, coefficient 1).
+  if (target < k && !gf_combine_is_copy(coeffs)) {
     auto& node = client_->cluster().node(client_->node_id());
     co_await node.mem().occupy(
         sim::transfer_time(len * k, node.params().xor_bytes_per_sec));
@@ -158,29 +179,13 @@ sim::Task<Result<Buffer>> Recovery::reconstruct_piece(
   if (sch == Scheme::raid0) {
     co_return Error{Errc::server_failed, "RAID0 cannot reconstruct"};
   }
-  Buffer out;
-  if (sch == Scheme::raid1) {
-    // The mirror of the owner's blocks lives at the same local offsets in
-    // the successor's redundancy file.
-    Request r;
-    r.op = Op::read_red;
-    r.handle = f.handle;
-    r.off = local;
-    r.len = len;
-    r.su = layout.stripe_unit;
-    r.red_gen = red_gen_of(f);
-    auto resp = co_await client_->rpc(successor, std::move(r));
-    if (!resp.ok) co_return Error{resp.err, "raid1 mirror read"};
-    out = std::move(resp.data);
-  } else {
-    const std::uint32_t k = sch.code(layout).k;
-    auto base = co_await reconstruct(f, sch, layout.group_of_unit(u, k),
-                                     static_cast<std::uint32_t>(u % k),
-                                     global_off % layout.su(), len, down,
-                                     /*for_rebuild=*/false);
-    if (!base.ok()) co_return base;
-    out = std::move(base.value());
-  }
+  const std::uint32_t k = sch.code(layout).k;
+  auto base = co_await reconstruct(f, sch, layout.group_of_unit(u, k),
+                                   static_cast<std::uint32_t>(u % k),
+                                   global_off % layout.su(), len, down,
+                                   /*for_rebuild=*/false);
+  if (!base.ok()) co_return base;
+  Buffer out = std::move(base.value());
   // Overlay the newest partial-stripe data from the mirrored overflow
   // copies on the successor. This applies beyond Scheme::hybrid: a file
   // migrated away from Hybrid keeps its overflow overlay live (the new
@@ -287,6 +292,72 @@ void overlay_new(const StripeLayout& layout, std::uint64_t off,
 
 }  // namespace
 
+std::uint64_t copy_writes(
+    const pvfs::OpenFile& f, CodeSpec spec, std::uint32_t red_gen,
+    std::uint64_t off, const Buffer& data,
+    const std::vector<std::uint32_t>& failed,
+    std::vector<std::pair<std::uint32_t, Request>>& out) {
+  assert(spec.k == 1);
+  const StripeLayout& layout = f.layout;
+  const std::uint64_t su = layout.su();
+  std::uint64_t gf_bytes = 0;
+  for (const auto& e : layout.decompose_merged(off, data.size())) {
+    Buffer payload =
+        pvfs::Client::gather_for_server(layout, off, data, e.server);
+    if (!contains(failed, e.server)) {
+      Request w;
+      w.op = Op::write_data;
+      w.handle = f.handle;
+      w.off = e.local_off;
+      w.payload = payload.slice(0, payload.size());
+      w.su = layout.stripe_unit;
+      w.inval_own = Interval{e.local_off, e.local_off + e.len};
+      out.emplace_back(e.server, std::move(w));
+    }
+    for (std::uint32_t j = 0; j < spec.m; ++j) {
+      // Coding unit j holds c_j times the bytes (a view when c_j = 1).
+      const std::uint8_t c = rs_coeff(spec, j, 0);
+      const Buffer coded =
+          c == 1 ? payload
+                 : gf_combine(std::span<const Buffer>(&payload, 1),
+                              std::span<const std::uint8_t>(&c, 1));
+      if (c != 1) gf_bytes += e.len;
+      // Each byte goes to its unit's coding slot + in-unit offset; a run of
+      // consecutive slots on one server is one write. With m = 1 the slots
+      // are the owner's local units, so the extent is one run.
+      auto slot_of = [&](std::uint64_t lo) {
+        const std::uint64_t g = layout.unit_of(layout.global_off(e.server, lo));
+        return std::pair<std::uint32_t, std::uint64_t>{
+            layout.coding_server(g, 1, j),
+            layout.coding_off(g, 1, spec.m, j) + lo % su};
+      };
+      const std::uint64_t end = e.local_off + e.len;
+      for (std::uint64_t lo = e.local_off; lo < end;) {
+        const auto [cs, coff] = slot_of(lo);
+        std::uint64_t hi = lo;
+        do {
+          hi = std::min(end, (hi / su + 1) * su);
+        } while (hi < end &&
+                 slot_of(hi) == std::pair<std::uint32_t, std::uint64_t>{
+                                    cs, coff + (hi - lo)});
+        if (!contains(failed, cs)) {
+          Request w;
+          w.op = Op::write_red;
+          w.handle = f.handle;
+          w.off = coff;
+          w.payload = coded.slice(lo - e.local_off, hi - lo);
+          w.su = layout.stripe_unit;
+          w.red_gen = red_gen;
+          if (j == 0) w.inval_mirror = Interval{lo, hi};
+          out.emplace_back(cs, std::move(w));
+        }
+        lo = hi;
+      }
+    }
+  }
+  return gf_bytes;
+}
+
 sim::Task<Result<void>> Recovery::degraded_write(
     const pvfs::OpenFile& f, std::uint64_t off, Buffer data,
     std::vector<std::uint32_t> failed) {
@@ -314,59 +385,27 @@ sim::Task<Result<void>> Recovery::degraded_write(
     co_return co_await client_->write_striped(f, off, data);
   }
 
-  if (sch == Scheme::raid1) {
-    // Update whichever of the two copies is alive; the rebuild restores the
-    // other from it. The overflow invalidations are free no-ops for pure
-    // RAID1 files and keep an ex-Hybrid file's overlay from shadowing these
-    // in-place bytes.
-    std::vector<std::pair<std::uint32_t, Request>> reqs;
-    for (const auto& e : layout.decompose_merged(off, len)) {
-      Buffer payload =
-          pvfs::Client::gather_for_server(layout, off, data, e.server);
-      if (!contains(failed, e.server)) {
-        Request w;
-        w.op = Op::write_data;
-        w.handle = f.handle;
-        w.off = e.local_off;
-        w.payload = payload.slice(0, payload.size());
-        w.su = layout.stripe_unit;
-        w.inval_own = Interval{e.local_off, e.local_off + e.len};
-        reqs.emplace_back(e.server, std::move(w));
-      }
-      const std::uint32_t mirror = (e.server + 1) % n;
-      if (!contains(failed, mirror)) {
-        Request m;
-        m.op = Op::write_red;
-        m.handle = f.handle;
-        m.off = e.local_off;
-        m.payload = std::move(payload);
-        m.su = layout.stripe_unit;
-        m.red_gen = gen;
-        m.inval_mirror = Interval{e.local_off, e.local_off + e.len};
-        reqs.emplace_back(mirror, std::move(m));
-      }
-    }
-    auto resps = co_await client_->rpc_all(std::move(reqs));
-    for (const auto& resp : resps) {
-      if (!resp.ok) co_return Error{resp.err, "raid1 degraded write"};
-    }
-    co_return Result<void>::success();
-  }
-
-  // Coded schemes (RAID4, the RAID5 variants, Hybrid's full stripes and
-  // rs(k,m)). Hybrid's partial stripes go to overflow below. `inval`
-  // extends the overflow invalidations Hybrid needs to ex-Hybrid files
-  // migrated onto an in-place scheme; never-Hybrid files skip them.
+  // Coded schemes (RAID1, RAID4, the RAID5 variants, Hybrid's full
+  // stripes and rs(k,m)). Hybrid's partial stripes go to overflow below.
+  // `inval` extends the overflow invalidations Hybrid needs to ex-Hybrid
+  // files migrated onto an in-place scheme; never-Hybrid files skip them.
   const CodeSpec spec = sch.code(layout);
   const std::uint32_t k = spec.k;
   const std::uint32_t m = spec.m;
   const bool locking = sch != Scheme::raid5_nolock;
   const bool inval = overlay_overflow(f);
   const bool mat = data.materialized();
-  const std::uint64_t W = layout.group_width(k);
-  const auto ws = layout.split_write_w(off, len, W);
   std::vector<std::pair<std::uint32_t, Request>> writes;
   std::uint64_t gf_bytes = 0;
+  // A k = 1 code needs no RMW: when every byte goes in place (all but
+  // Hybrid, whose partial stripes go to overflow), the live copies of the
+  // range are written, the rebuild restores the rest, and the split below
+  // is left empty.
+  const bool copy = k == 1 && sch != Scheme::hybrid;
+  if (copy) gf_bytes = copy_writes(f, spec, gen, off, data, failed, writes);
+  const std::uint64_t W = layout.group_width(k);
+  const auto ws =
+      copy ? StripeLayout::WriteSplit{} : layout.split_write_w(off, len, W);
 
   // Mirror-overflow invalidation a write on server `s` owes for its
   // predecessor's unit within group g (ex-Hybrid files only): the
@@ -667,13 +706,11 @@ sim::Task<Result<void>> Recovery::rebuild_server(const pvfs::OpenFile& f,
     // mixed-scheme pass over many files can treat every file uniformly.
     co_return Result<void>::success();
   }
-  const bool raid1 = sch == Scheme::raid1;
   const CodeSpec spec = sch.code(layout);
   const std::uint32_t k = spec.k;
   // Servers unreadable during this pass: the rebuild target itself plus any
-  // concurrent outages. Coded decodes route around them while k fragments
-  // remain (see reconstruct); RAID1's mirror reads fail loudly if they need
-  // one.
+  // concurrent outages. Decodes route around them while k fragments remain
+  // (see reconstruct).
   std::vector<std::uint32_t> down = opt.also_down;
   if (!contains(down, failed)) down.push_back(failed);
   std::sort(down.begin(), down.end());
@@ -692,10 +729,8 @@ sim::Task<Result<void>> Recovery::rebuild_server(const pvfs::OpenFile& f,
       const std::uint64_t len = std::min<std::uint64_t>(su, file_size - u * su);
       if (opt.delta && !opt.delta->intersects(u * su, u * su + len)) continue;
       if (opt.throttle) {
-        // raid1: one mirror read + one replacement write. Coded: k
-        // survivor reads + one replacement write, all unit-sized.
-        co_await opt.throttle->take(raid1 ? 2 * len
-                                          : std::uint64_t{k + 1} * len);
+        // k survivor reads + one replacement write, all unit-sized.
+        co_await opt.throttle->take(std::uint64_t{k + 1} * len);
       }
       co_await pipe.window.acquire();
       pipe.wg.add();
@@ -705,36 +740,14 @@ sim::Task<Result<void>> Recovery::rebuild_server(const pvfs::OpenFile& f,
              std::vector<std::uint32_t> down,
              Pipeline* p) -> sim::Task<void> {
             const StripeLayout& lay = file.layout;
-            // NOTE: deliberately not a ?: expression — GCC 12 miscompiles
-            // co_await inside conditional expressions (double-destruction
-            // of the materialized result).
-            // Both branches restore the *base* content (no overflow
-            // overlay — step 3 restores the overlay's tables separately):
-            // RAID1's mirror tracks the data file byte-for-byte, coded
-            // schemes decode the raw survivors.
-            Result<Buffer> piece = Buffer{};
-            if (scheme == Scheme::raid1) {
-              Request r;
-              r.op = Op::read_red;
-              r.handle = file.handle;
-              r.off = lay.local_unit(unit) * lay.su();
-              r.len = len;
-              r.su = file.layout.stripe_unit;
-              r.red_gen = self->red_gen_of(file);
-              auto resp = co_await self->client_->rpc(
-                  (fsrv + 1) % lay.n(), std::move(r));
-              if (resp.ok) {
-                piece = std::move(resp.data);
-              } else {
-                piece = Error{resp.err, "raid1 mirror read"};
-              }
-            } else {
-              const std::uint32_t kk = scheme.code(lay).k;
-              piece = co_await self->reconstruct(
-                  file, scheme, lay.group_of_unit(unit, kk),
-                  static_cast<std::uint32_t>(unit % kk), 0, len, down,
-                  /*for_rebuild=*/true);
-            }
+            // The decode restores the *base* content: the raw survivors,
+            // no overflow overlay (step 3 restores the overlay's tables
+            // separately).
+            const std::uint32_t kk = scheme.code(lay).k;
+            auto piece = co_await self->reconstruct(
+                file, scheme, lay.group_of_unit(unit, kk),
+                static_cast<std::uint32_t>(unit % kk), 0, len, down,
+                /*for_rebuild=*/true);
             if (!piece.ok()) {
               p->fail(piece.error());
             } else {
@@ -755,94 +768,54 @@ sim::Task<Result<void>> Recovery::rebuild_server(const pvfs::OpenFile& f,
     if (pipe.error) co_return pipe.first_error;
   }
 
-  // 2. Redundancy file (pipelined like step 1).
+  // 2. Redundancy file (pipelined like step 1): the coding units whose
+  //    placement lands on the failed server. The same decode machinery,
+  //    targeting fragment k+j instead of a data unit, over the group's
+  //    columns inside the file.
   {
     Pipeline pipe(client_->cluster().sim());
-    if (raid1) {
-      // Mirror blocks of the predecessor's data, at its local offsets.
-      for (std::uint64_t u = first_unit_on(layout, predecessor);
-           u * su < file_size; u += dn) {
-        const std::uint64_t len =
-            std::min<std::uint64_t>(su, file_size - u * su);
-        if (opt.delta && !opt.delta->intersects(u * su, u * su + len)) {
+    const std::uint64_t ngroups = div_ceil(file_size, layout.group_width(k));
+    for (std::uint64_t g = 0; g < ngroups; ++g) {
+      for (std::uint32_t j = 0; j < spec.m; ++j) {
+        if (layout.coding_server(g, k, j) != failed) continue;
+        if (opt.delta &&
+            !opt.delta->intersects(
+                layout.group_start(g, k),
+                std::min(layout.group_end(g, k), file_size))) {
           continue;
         }
-        if (opt.throttle) co_await opt.throttle->take(2 * len);
+        const std::uint64_t cols = group_cols(layout, k, g, file_size);
+        if (opt.throttle) {
+          co_await opt.throttle->take(std::uint64_t{k + 1} * cols);
+        }
         co_await pipe.window.acquire();
         pipe.wg.add();
         client_->cluster().sim().spawn(
-            [](Recovery* self, pvfs::OpenFile file, std::uint32_t fsrv,
-               std::uint32_t pred, std::uint64_t unit, std::uint64_t len,
+            [](Recovery* self, pvfs::OpenFile file, Scheme scheme,
+               std::uint32_t fsrv, std::uint64_t group, std::uint32_t j,
+               std::uint64_t cols, std::vector<std::uint32_t> down,
                Pipeline* p) -> sim::Task<void> {
               const StripeLayout& lay = file.layout;
-              Request r;
-              r.op = Op::read_data_raw;
-              r.handle = file.handle;
-              r.off = lay.local_unit(unit) * lay.su();
-              r.len = len;
-              auto resp = co_await self->client_->rpc(pred, std::move(r));
-              if (!resp.ok) {
-                p->fail(Error{resp.err, "rebuild mirror read"});
+              const CodeSpec sp = scheme.code(lay);
+              auto piece = co_await self->reconstruct(
+                  file, scheme, group, sp.k + j, 0, cols, down,
+                  /*for_rebuild=*/true);
+              if (!piece.ok()) {
+                p->fail(piece.error());
               } else {
                 Request w;
                 w.op = Op::write_red;
                 w.handle = file.handle;
-                w.off = lay.local_unit(unit) * lay.su();
-                w.payload = std::move(resp.data);
+                w.off = lay.coding_off(group, sp.k, sp.m, j);
+                w.payload = std::move(piece.value());
                 w.su = lay.stripe_unit;
                 w.red_gen = self->red_gen_of(file);
                 auto wr = co_await self->client_->rpc(fsrv, std::move(w));
-                if (!wr.ok) p->fail(Error{wr.err, "rebuild mirror write"});
+                if (!wr.ok) p->fail(Error{wr.err, "rebuild coding write"});
               }
               p->window.release();
               p->wg.done();
-            }(this, f, failed, predecessor, u, len, &pipe));
-      }
-    } else {
-      // Coding units whose placement lands on the failed server: the same
-      // decode machinery, targeting fragment k+j instead of a data unit.
-      const std::uint64_t ngroups = div_ceil(file_size, layout.group_width(k));
-      for (std::uint64_t g = 0; g < ngroups; ++g) {
-        for (std::uint32_t j = 0; j < spec.m; ++j) {
-          if (layout.coding_server(g, k, j) != failed) continue;
-          if (opt.delta &&
-              !opt.delta->intersects(
-                  layout.group_start(g, k),
-                  std::min(layout.group_end(g, k), file_size))) {
-            continue;
-          }
-          if (opt.throttle) {
-            co_await opt.throttle->take(std::uint64_t{k + 1} * su);
-          }
-          co_await pipe.window.acquire();
-          pipe.wg.add();
-          client_->cluster().sim().spawn(
-              [](Recovery* self, pvfs::OpenFile file, Scheme scheme,
-                 std::uint32_t fsrv, std::uint64_t group, std::uint32_t j,
-                 std::vector<std::uint32_t> down,
-                 Pipeline* p) -> sim::Task<void> {
-                const StripeLayout& lay = file.layout;
-                const CodeSpec sp = scheme.code(lay);
-                auto piece = co_await self->reconstruct(
-                    file, scheme, group, sp.k + j, 0, lay.su(), down,
-                    /*for_rebuild=*/true);
-                if (!piece.ok()) {
-                  p->fail(piece.error());
-                } else {
-                  Request w;
-                  w.op = Op::write_red;
-                  w.handle = file.handle;
-                  w.off = lay.coding_off(group, sp.k, sp.m, j);
-                  w.payload = std::move(piece.value());
-                  w.su = lay.stripe_unit;
-                  w.red_gen = self->red_gen_of(file);
-                  auto wr = co_await self->client_->rpc(fsrv, std::move(w));
-                  if (!wr.ok) p->fail(Error{wr.err, "rebuild coding write"});
-                }
-                p->window.release();
-                p->wg.done();
-              }(this, f, sch, failed, g, j, down, &pipe));
-        }
+            }(this, f, sch, failed, g, j, cols, down, &pipe));
       }
     }
     co_await pipe.wg.wait();
@@ -1009,7 +982,6 @@ sim::Task<Result<void>> Recovery::build_redundancy(const pvfs::OpenFile& f,
                                                    const IntervalSet* delta,
                                                    sim::TokenBucket* throttle) {
   const StripeLayout& layout = f.layout;
-  const std::uint64_t su = layout.su();
   if (file_size == 0) co_return Result<void>::success();
   if (to == Scheme::raid0 || to == Scheme::raid4) {
     // RAID0 has no redundancy to build; RAID4's fixed parity placement does
@@ -1017,125 +989,82 @@ sim::Task<Result<void>> Recovery::build_redundancy(const pvfs::OpenFile& f,
     co_return Error{Errc::invalid_argument, "unsupported migration target"};
   }
 
+  // Per group, read the k raw data units and write the m coding units into
+  // the generation-`red_gen` redundancy files of their placement servers,
+  // over the group's columns inside the file. Partial-write overflow is
+  // deliberately excluded, so the new coding is consistent with the data
+  // files just like Hybrid's.
+  const CodeSpec spec = to.code(layout);
+  if (spec.fragments() > layout.n()) {
+    co_return Error{Errc::invalid_argument,
+                    "coded placement needs k+m <= N servers"};
+  }
   Pipeline pipe(client_->cluster().sim());
-  if (to == Scheme::raid1) {
-    // One mirror unit per data unit of *every* server: raw read from the
-    // owner, write into the successor's generation-`red_gen` file at the
-    // owner's local offset.
-    for (std::uint64_t u = 0; u * su < file_size; ++u) {
-      const std::uint64_t len = std::min<std::uint64_t>(su, file_size - u * su);
-      if (delta && !delta->intersects(u * su, u * su + len)) continue;
-      if (throttle) co_await throttle->take(2 * len);
-      co_await pipe.window.acquire();
-      pipe.wg.add();
-      client_->cluster().sim().spawn(
-          [](Recovery* self, pvfs::OpenFile file, std::uint64_t unit,
-             std::uint64_t len, std::uint32_t gen,
-             Pipeline* p) -> sim::Task<void> {
-            const StripeLayout& lay = file.layout;
-            const std::uint32_t owner = lay.server_of_unit(unit);
+  const std::uint64_t ngroups = div_ceil(file_size, layout.group_width(spec.k));
+  for (std::uint64_t g = 0; g < ngroups; ++g) {
+    if (delta && !delta->intersects(
+                     layout.group_start(g, spec.k),
+                     std::min(layout.group_end(g, spec.k), file_size))) {
+      continue;
+    }
+    const std::uint64_t cols = group_cols(layout, spec.k, g, file_size);
+    if (throttle) {
+      co_await throttle->take(std::uint64_t{spec.fragments()} * cols);
+    }
+    co_await pipe.window.acquire();
+    pipe.wg.add();
+    client_->cluster().sim().spawn(
+        [](Recovery* self, pvfs::OpenFile file, Scheme scheme,
+           std::uint64_t group, std::uint64_t cols, std::uint32_t gen,
+           Pipeline* p) -> sim::Task<void> {
+          const StripeLayout& lay = file.layout;
+          const CodeSpec sp = scheme.code(lay);
+          std::vector<std::pair<std::uint32_t, Request>> reads;
+          for (std::uint32_t i = 0; i < sp.k; ++i) {
             Request r;
             r.op = Op::read_data_raw;
             r.handle = file.handle;
-            r.off = lay.local_unit(unit) * lay.su();
-            r.len = len;
-            auto resp = co_await self->client_->rpc(owner, std::move(r));
+            r.off = lay.local_unit(group * sp.k + i) * lay.su();
+            r.len = cols;
+            reads.emplace_back(lay.data_server(group, sp.k, i), std::move(r));
+          }
+          auto resps = co_await send_all(*self->client_, std::move(reads));
+          std::vector<Buffer> units;
+          for (auto& resp : resps) {
             if (!resp.ok) {
-              p->fail(Error{resp.err, "migrate mirror read"});
-            } else {
+              p->fail(Error{resp.err, "migrate data read"});
+              break;
+            }
+            units.push_back(std::move(resp.data));
+          }
+          if (units.size() == sp.k) {
+            std::vector<std::pair<std::uint32_t, Request>> writes;
+            for (std::uint32_t j = 0; j < sp.m; ++j) {
               Request w;
               w.op = Op::write_red;
               w.handle = file.handle;
-              w.off = lay.local_unit(unit) * lay.su();
-              w.payload = std::move(resp.data);
+              w.off = lay.coding_off(group, sp.k, sp.m, j);
+              w.payload = gf_combine(units, rs_row(sp, j));
               w.su = lay.stripe_unit;
               w.red_gen = gen;
-              auto wr = co_await self->client_->rpc((owner + 1) % lay.n(),
-                                                    std::move(w));
-              if (!wr.ok) p->fail(Error{wr.err, "migrate mirror write"});
+              writes.emplace_back(lay.coding_server(group, sp.k, j),
+                                  std::move(w));
             }
-            p->window.release();
-            p->wg.done();
-          }(this, f, u, len, red_gen, &pipe));
-    }
-  } else {
-    // Coded target (the RAID5 variants, Hybrid, rs(k,m)): per group, read
-    // the k raw data units and write the m coding units into the
-    // generation-`red_gen` redundancy files of their placement servers.
-    // Partial-write overflow is deliberately excluded, so the new coding is
-    // consistent with the data files just like Hybrid's.
-    const CodeSpec spec = to.code(layout);
-    if (spec.fragments() > layout.n()) {
-      co_return Error{Errc::invalid_argument,
-                      "coded placement needs k+m <= N servers"};
-    }
-    const std::uint64_t ngroups =
-        div_ceil(file_size, layout.group_width(spec.k));
-    for (std::uint64_t g = 0; g < ngroups; ++g) {
-      if (delta && !delta->intersects(
-                       layout.group_start(g, spec.k),
-                       std::min(layout.group_end(g, spec.k), file_size))) {
-        continue;
-      }
-      if (throttle) {
-        co_await throttle->take(std::uint64_t{spec.fragments()} * su);
-      }
-      co_await pipe.window.acquire();
-      pipe.wg.add();
-      client_->cluster().sim().spawn(
-          [](Recovery* self, pvfs::OpenFile file, Scheme scheme,
-             std::uint64_t group, std::uint32_t gen,
-             Pipeline* p) -> sim::Task<void> {
-            const StripeLayout& lay = file.layout;
-            const CodeSpec sp = scheme.code(lay);
-            std::vector<std::pair<std::uint32_t, Request>> reads;
-            for (std::uint32_t i = 0; i < sp.k; ++i) {
-              Request r;
-              r.op = Op::read_data_raw;
-              r.handle = file.handle;
-              r.off = lay.local_unit(group * sp.k + i) * lay.su();
-              r.len = lay.su();
-              reads.emplace_back(lay.data_server(group, sp.k, i),
-                                 std::move(r));
+            if (self->policy_ != nullptr) {
+              self->policy_->note_ec_encode(
+                  scheme, std::uint64_t{sp.k} * cols * sp.m);
             }
-            auto resps = co_await self->client_->rpc_all(std::move(reads));
-            std::vector<Buffer> units;
-            for (auto& resp : resps) {
-              if (!resp.ok) {
-                p->fail(Error{resp.err, "migrate data read"});
+            auto wrs = co_await send_all(*self->client_, std::move(writes));
+            for (const auto& wr : wrs) {
+              if (!wr.ok) {
+                p->fail(Error{wr.err, "migrate coding write"});
                 break;
               }
-              units.push_back(std::move(resp.data));
             }
-            if (units.size() == sp.k) {
-              std::vector<std::pair<std::uint32_t, Request>> writes;
-              for (std::uint32_t j = 0; j < sp.m; ++j) {
-                Request w;
-                w.op = Op::write_red;
-                w.handle = file.handle;
-                w.off = lay.coding_off(group, sp.k, sp.m, j);
-                w.payload = gf_combine(units, rs_row(sp, j));
-                w.su = lay.stripe_unit;
-                w.red_gen = gen;
-                writes.emplace_back(lay.coding_server(group, sp.k, j),
-                                    std::move(w));
-              }
-              if (self->policy_ != nullptr) {
-                self->policy_->note_ec_encode(
-                    scheme, std::uint64_t{sp.k} * lay.su() * sp.m);
-              }
-              auto wrs = co_await self->client_->rpc_all(std::move(writes));
-              for (const auto& wr : wrs) {
-                if (!wr.ok) {
-                  p->fail(Error{wr.err, "migrate coding write"});
-                  break;
-                }
-              }
-            }
-            p->window.release();
-            p->wg.done();
-          }(this, f, to, g, red_gen, &pipe));
-    }
+          }
+          p->window.release();
+          p->wg.done();
+        }(this, f, to, g, cols, red_gen, &pipe));
   }
   co_await pipe.wg.wait();
   if (pipe.error) co_return pipe.first_error;

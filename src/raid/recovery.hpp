@@ -2,12 +2,11 @@
 // server failure — the fault-tolerance the redundancy schemes exist for
 // (the paper's stated long-term objective, §1).
 //
-//  RAID1   a failed server's data is served from (and rebuilt out of) the
-//          mirror blocks on its successor's redundancy file.
-//  coded   RAID4, the RAID5 variants, Hybrid's full stripes (rs(N-1,1)) and
-//          rs(k,m) share one engine: a lost unit is decoded from k live
-//          fragments of its group. For parity that is the XOR of the
-//          group's surviving N-2 data units and its parity unit.
+//  coded   RAID1 (rs(1,1)), RAID4, the RAID5 variants, Hybrid's full
+//          stripes (rs(N-1,1)) and rs(k,m) share one engine: a lost unit is
+//          decoded from k live fragments of its group. For parity that is
+//          the XOR of the group's surviving N-2 data units and its parity
+//          unit; for RAID1 it is the mirror on the successor, a copy.
 //  Hybrid  parity reconstruction yields the *base* stripe content (parity is
 //          computed only against the data files, which partial writes never
 //          touch); the newest partial-stripe data is then overlaid from the
@@ -51,10 +50,26 @@ struct RebuildOptions {
   /// Other servers that are *also* unavailable while this one rebuilds
   /// (concurrent outages). Coded files decode around them while k live
   /// fragments remain — rs(k,m) rides out up to m-1 of them — and read
-  /// through them otherwise (single redundancy needs every survivor);
-  /// RAID1's mirror reads fail loudly if they need one.
+  /// through them otherwise (single redundancy needs every survivor).
   std::vector<std::uint32_t> also_down;
 };
+
+/// The writes of a k = 1 code (RAID1 is rs(1,1)), appended to `out`. Each
+/// coding byte is c_j times one data byte, so a write sets its coding over
+/// the same range from the new bytes alone: no lock, no old-data read. Per
+/// merged extent: one data write, then its m coding writes at the coding
+/// slot plus the in-unit offset (one per run of consecutive slots), leaving
+/// out every server in `failed`. The data write carries the owner's
+/// overflow invalidation and coding unit 0, which lives on the successor
+/// that holds the owner's mirror overflow entries, carries the mirror's;
+/// neither costs a message. Serves the healthy write (`failed` empty) and
+/// the degraded one. Returns the bytes multiplied by a coefficient other
+/// than 1, which a copy (RAID1) has none of.
+std::uint64_t copy_writes(
+    const pvfs::OpenFile& f, CodeSpec spec, std::uint32_t red_gen,
+    std::uint64_t off, const Buffer& data,
+    const std::vector<std::uint32_t>& failed,
+    std::vector<std::pair<std::uint32_t, pvfs::Request>>& out);
 
 class Recovery {
  public:
@@ -86,12 +101,12 @@ class Recovery {
 
   /// Write [off, off+data.size()) of `f` while the servers in `failed` are
   /// down — continued operation in degraded mode. Redundancy is maintained
-  /// so the write survives: RAID1 updates whichever of the two copies is
-  /// alive; coded schemes record writes to lost units *in the coding*
-  /// (reconstruct-write) and skip coding units whose server is down (the
-  /// rebuild recomputes those); Hybrid routes partial-stripe copies to
-  /// whichever of the owner/successor pair survives. Budgets as for
-  /// degraded_read.
+  /// so the write survives: coded schemes record writes to lost units *in
+  /// the coding* (reconstruct-write; with k = 1, RAID1's case, the coding
+  /// is a copy and is simply written) and skip coding units whose server
+  /// is down (the rebuild recomputes those); Hybrid routes partial-stripe
+  /// copies to whichever of the owner/successor pair survives. Budgets as
+  /// for degraded_read.
   sim::Task<Result<void>> degraded_write(const pvfs::OpenFile& f,
                                          std::uint64_t off, Buffer data,
                                          std::vector<std::uint32_t> failed);
@@ -103,7 +118,7 @@ class Recovery {
   }
 
   /// Rebuild everything server `failed` stored for `f` — its data file,
-  /// its redundancy file (mirror blocks or coding units), its own overflow
+  /// its redundancy file (its coding units), its own overflow
   /// entries (from the mirrors on its successor) and the mirror entries it
   /// held for its predecessor. The server must already be back online
   /// (recover()ed onto a blank disk); `file_size` bounds the scan. `opt`
@@ -120,7 +135,7 @@ class Recovery {
   /// (re-copy passes over regions dirtied by concurrent writes) and
   /// `throttle` paces the copy traffic. No locks are taken: until the flip
   /// only the migrator writes generation `red_gen`, and data reads are raw.
-  /// RAID1, the rotating-parity schemes and rs(k,m) are buildable targets.
+  /// Every coded scheme with rotating placement is a buildable target.
   sim::Task<Result<void>> build_redundancy(const pvfs::OpenFile& f, Scheme to,
                                            std::uint32_t red_gen,
                                            std::uint64_t file_size,
@@ -153,8 +168,8 @@ class Recovery {
                                         bool for_rebuild);
 
   /// The bytes of one lost piece (within a single stripe unit of a down
-  /// server): RAID1's mirror or the coded decode, plus the overflow overlay
-  /// a Hybrid or ex-Hybrid file carries.
+  /// server): the coded decode plus the overflow overlay a Hybrid or
+  /// ex-Hybrid file carries.
   sim::Task<Result<Buffer>> reconstruct_piece(
       const pvfs::OpenFile& f, Scheme sch,
       const std::vector<std::uint32_t>& down, std::uint64_t global_off,

@@ -2,15 +2,15 @@
 // in its evaluation (§5.1, §6.2), generalized to k+m erasure codes.
 //
 // A Scheme is a small value type: a kind plus, for Reed-Solomon, the
-// CodeSpec parameters (k data + m coding fragments per group). The parity
-// schemes *are* the code: RAID4, the RAID5 variants and Hybrid's full
-// stripes are rs(N-1,1) with fixed or rotating placement, and one
-// redundancy engine (the coded paths in csar_fs.cpp, recovery.cpp and
-// scrub.cpp) serves them and rs(k,m) alike, parameterised by code(), the
-// layout's placement and two flags: R5-NO-LOCK skips the coding locks
-// (Fig. 3) and RAID5-npc charges no coding CPU time (Fig. 4a). The kinds
-// stay distinct because the paper's figures name them. RAID1 (mirroring)
-// and RAID0 keep their own paths. `Scheme::raid5`-style spellings keep
+// CodeSpec parameters (k data + m coding fragments per group). The
+// redundancy schemes *are* the code: RAID1 is rs(1,1); RAID4, the RAID5
+// variants and Hybrid's full stripes are rs(N-1,1) with fixed or rotating
+// placement. One redundancy engine (the coded paths in csar_fs.cpp,
+// recovery.cpp and scrub.cpp) serves them and rs(k,m) alike, parameterised
+// by code(), the layout's placement and two flags: R5-NO-LOCK skips the
+// coding locks (Fig. 3) and RAID5-npc charges no coding CPU time (Fig. 4a).
+// The kinds stay distinct because the paper's figures name them. Only RAID0
+// keeps its own (plain PVFS) path. `Scheme::raid5`-style spellings keep
 // working via inline static constants.
 #pragma once
 
@@ -64,9 +64,11 @@ struct Scheme {
                   static_cast<std::uint8_t>(m)};
   }
 
-  /// The erasure-code view of this scheme: every scheme is a k+m code
-  /// (RAID1 is RS(1,1); the parity schemes are RS(data_servers,1)); callers
-  /// that need the classic schemes' k resolve it from the layout.
+  /// The code the redundancy engine runs for this scheme: RAID1 is rs(1,1)
+  /// (the dense coding-slot map puts a k = 1 group's coding unit on the
+  /// owner's successor at the owner's local offset, which is the mirror),
+  /// the parity schemes are rs(N-1,1) and RAID0 is a code with m = 0. The
+  /// classic schemes' k comes from the layout.
   CodeSpec code(const pvfs::StripeLayout& layout) const {
     switch (kind) {
       case SchemeKind::raid0:
@@ -130,13 +132,14 @@ inline std::string scheme_name(Scheme s) {
 }
 
 /// True when the scheme keeps k+m group coding in the per-server redundancy
-/// files — every scheme the coded engine serves: RAID4, the RAID5
-/// variants, Hybrid (its full stripes) and rs(k,m).
+/// files — every scheme the coded engine serves: RAID1 (rs(1,1)), RAID4,
+/// the RAID5 variants, Hybrid (its full stripes) and rs(k,m). Only RAID0
+/// stores no redundancy.
 inline bool uses_group_coding(Scheme s) {
   switch (s.kind) {
     case SchemeKind::raid0:
-    case SchemeKind::raid1:
       return false;
+    case SchemeKind::raid1:
     case SchemeKind::raid4:
     case SchemeKind::raid5:
     case SchemeKind::raid5_nolock:

@@ -21,30 +21,14 @@ sim::Task<Result<Scrubber::Report>> Scrubber::run(const pvfs::OpenFile& f,
   Report report;
   if (file_size == 0) co_return report;
   const Scheme sch = scheme_of(f);
-  switch (sch.kind) {
-    case SchemeKind::raid0:
-      co_return report;  // nothing to audit
-    case SchemeKind::raid1: {
-      auto r = co_await scrub_mirrors(f, file_size, repair, report);
-      if (!r.ok()) co_return r.error();
-      break;
-    }
-    case SchemeKind::raid4:
-    case SchemeKind::raid5:
-    case SchemeKind::raid5_nolock:
-    case SchemeKind::raid5_npc:
-    case SchemeKind::hybrid:
-    case SchemeKind::rs: {
-      auto r = co_await scrub_coded(f, file_size, repair, report);
-      if (!r.ok()) co_return r.error();
-      break;
-    }
-  }
+  if (!uses_group_coding(sch)) co_return report;  // RAID0: nothing to audit
+  auto r = co_await scrub_coded(f, file_size, repair, report);
+  if (!r.ok()) co_return r.error();
   // Overflow entries outlive a migration away from Hybrid (the overlay stays
   // authoritative over the new base redundancy), so the pairwise overflow
   // audit runs for every file that may still carry entries — not just files
   // whose current base scheme is Hybrid.
-  if (sch != Scheme::raid0 && overlay_overflow(f)) {
+  if (overlay_overflow(f)) {
     auto o = co_await scrub_overflow(f, file_size, repair, report);
     if (!o.ok()) co_return o.error();
   }
@@ -67,9 +51,12 @@ sim::Task<Result<Scrubber::Report>> Scrubber::run(const pvfs::OpenFile& f,
 sim::Task<Result<void>> Scrubber::scrub_coded(const pvfs::OpenFile& f,
                                               std::uint64_t file_size,
                                               bool repair, Report& report) {
-  // Per group, read the k data units and all m coding units; recompute
-  // each coding unit and compare. Up to m latent-sector losses per group
-  // decode from k live fragments; more is unrepairable.
+  // Per group, read the k data units and all m coding units over the
+  // group's columns inside the file; recompute each coding unit and
+  // compare. Up to m latent-sector losses per group decode from k live
+  // fragments; more is unrepairable. Every decode and encode is charged to
+  // the scrubbing client except a copy (k = 1, coefficient 1: RAID1's
+  // mirror), which no kernel touches.
   const StripeLayout& layout = f.layout;
   const std::uint64_t su = layout.su();
   const std::uint32_t gen = red_gen_of(f);
@@ -77,17 +64,19 @@ sim::Task<Result<void>> Scrubber::scrub_coded(const pvfs::OpenFile& f,
   const std::uint32_t k = spec.k;
   const std::uint32_t m = spec.m;
   auto& node = client_->cluster().node(client_->node_id());
-  const sim::Duration encode_time = sim::transfer_time(
-      su * (k + 1), node.params().xor_bytes_per_sec);
   const std::uint64_t ngroups = div_ceil(file_size, layout.group_width(k));
   for (std::uint64_t g = 0; g < ngroups; ++g) {
+    const std::uint64_t cols =
+        std::min(su, file_size - layout.group_start(g, k));
+    const sim::Duration encode_time = sim::transfer_time(
+        cols * (k + 1), node.params().xor_bytes_per_sec);
     std::vector<std::pair<std::uint32_t, Request>> reads;
     for (std::uint32_t i = 0; i < k; ++i) {
       Request r;
       r.op = Op::read_data_raw;
       r.handle = f.handle;
       r.off = layout.local_unit(g * k + i) * su;
-      r.len = su;
+      r.len = cols;
       reads.emplace_back(layout.data_server(g, k, i), std::move(r));
     }
     for (std::uint32_t j = 0; j < m; ++j) {
@@ -95,7 +84,7 @@ sim::Task<Result<void>> Scrubber::scrub_coded(const pvfs::OpenFile& f,
       r.op = Op::read_red;
       r.handle = f.handle;
       r.off = layout.coding_off(g, k, m, j);
-      r.len = su;
+      r.len = cols;
       r.su = layout.stripe_unit;
       r.red_gen = gen;
       reads.emplace_back(layout.coding_server(g, k, j), std::move(r));
@@ -134,10 +123,13 @@ sim::Task<Result<void>> Scrubber::scrub_coded(const pvfs::OpenFile& f,
         srcs.push_back(resps[frag].data);
       }
       for (const std::uint32_t bad : lost) {
-        Buffer rebuilt = Buffer::phantom(su);
+        Buffer rebuilt = Buffer::phantom(cols);
         if (materialized) {
-          rebuilt = gf_combine(srcs, rs_reconstruct_coeffs(spec, present, bad));
-          co_await node.tx().occupy(encode_time);
+          const auto coeffs = rs_reconstruct_coeffs(spec, present, bad);
+          rebuilt = gf_combine(srcs, coeffs);
+          if (!gf_combine_is_copy(coeffs)) {
+            co_await node.tx().occupy(encode_time);
+          }
         }
         Request w;
         w.handle = f.handle;
@@ -164,9 +156,10 @@ sim::Task<Result<void>> Scrubber::scrub_coded(const pvfs::OpenFile& f,
     std::vector<Buffer> units;
     for (std::uint32_t i = 0; i < k; ++i) units.push_back(resps[i].data);
     for (std::uint32_t j = 0; j < m; ++j) {
-      Buffer expect = gf_combine(units, rs_row(spec, j));
+      const auto row = rs_row(spec, j);
+      Buffer expect = gf_combine(units, row);
       // Charge the audit encode on the scrubbing client.
-      co_await node.tx().occupy(encode_time);
+      if (!gf_combine_is_copy(row)) co_await node.tx().occupy(encode_time);
       if (resps[k + j].data == expect) continue;
       ++report.parity_mismatches;
       if (repair) {
@@ -182,87 +175,6 @@ sim::Task<Result<void>> Scrubber::scrub_coded(const pvfs::OpenFile& f,
         if (!wr.ok) co_return Error{wr.err, "scrub coding rewrite"};
         ++report.repaired;
       }
-    }
-  }
-  co_return Result<void>::success();
-}
-
-sim::Task<Result<void>> Scrubber::scrub_mirrors(const pvfs::OpenFile& f,
-                                                std::uint64_t file_size,
-                                                bool repair, Report& report) {
-  const StripeLayout& layout = f.layout;
-  const std::uint64_t su = layout.su();
-  const std::uint32_t gen = red_gen_of(f);
-  for (std::uint64_t u = 0; u * su < file_size; ++u) {
-    const std::uint32_t s = layout.server_of_unit(u);
-    const std::uint64_t local = layout.local_unit(u) * su;
-    const std::uint64_t len = std::min<std::uint64_t>(su, file_size - u * su);
-    Request rd;
-    rd.op = Op::read_data_raw;
-    rd.handle = f.handle;
-    rd.off = local;
-    rd.len = len;
-    Request rm;
-    rm.op = Op::read_red;
-    rm.handle = f.handle;
-    rm.off = local;
-    rm.len = len;
-    rm.su = layout.stripe_unit;
-    rm.red_gen = gen;
-    std::vector<std::pair<std::uint32_t, Request>> reads;
-    reads.emplace_back(s, std::move(rd));
-    reads.emplace_back((s + 1) % layout.n(), std::move(rm));
-    auto resps = co_await client_->rpc_all(std::move(reads));
-    bool primary_lost = false;
-    bool mirror_lost = false;
-    for (std::size_t i = 0; i < resps.size(); ++i) {
-      if (resps[i].ok) continue;
-      if (resps[i].err == Errc::media_error) {
-        ++report.media_errors;
-        (i == 0 ? primary_lost : mirror_lost) = true;
-        continue;
-      }
-      co_return Error{resps[i].err, "scrub mirror read", resps[i].server};
-    }
-    ++report.mirror_units_checked;
-    if (primary_lost && mirror_lost) {
-      report.unrepairable += 2;  // both copies of the unit are unreadable
-      continue;
-    }
-    if (primary_lost || mirror_lost) {
-      if (!repair) continue;
-      // Restore the unreadable copy from its healthy twin.
-      Request w;
-      w.handle = f.handle;
-      w.off = local;
-      w.su = layout.stripe_unit;
-      w.op = primary_lost ? Op::write_data : Op::write_red;
-      if (!primary_lost) w.red_gen = gen;
-      w.payload = std::move(resps[primary_lost ? 1 : 0].data);
-      auto wr = co_await client_->rpc(
-          primary_lost ? s : (s + 1) % layout.n(), std::move(w));
-      if (!wr.ok) {
-        co_return Error{wr.err, "scrub mirror media rewrite", wr.server};
-      }
-      ++report.repaired;
-      continue;
-    }
-    if (!resps[0].data.materialized() || !resps[1].data.materialized()) {
-      continue;
-    }
-    if (resps[0].data == resps[1].data) continue;
-    ++report.mirror_mismatches;
-    if (repair) {
-      Request w;
-      w.op = Op::write_red;
-      w.handle = f.handle;
-      w.off = local;
-      w.payload = std::move(resps[0].data);
-      w.su = layout.stripe_unit;
-      w.red_gen = gen;
-      auto wr = co_await client_->rpc((s + 1) % layout.n(), std::move(w));
-      if (!wr.ok) co_return Error{wr.err, "scrub mirror rewrite"};
-      ++report.repaired;
     }
   }
   co_return Result<void>::success();

@@ -4,10 +4,10 @@
 // inconsistent by concurrent writers without the locking protocol (§5.1),
 // by a crash between the data and parity writes, or by the NO-LOCK ablation
 // — and a stale parity group turns a later disk failure into data loss.
-// The scrubber walks every coded group (parity or rs(k,m) coding units) or
-// mirror pair (RAID1), recomputes what the redundancy should be from the
-// data files, reports mismatches, and optionally rewrites the redundancy in
-// place.
+// The scrubber walks every coded group (parity, RAID1's mirror as rs(1,1),
+// or rs(k,m) coding units), recomputes what the redundancy should be from
+// the data files, reports mismatches, and optionally rewrites the
+// redundancy in place.
 //
 // For the Hybrid scheme the base invariant is identical to RAID5's: parity
 // covers the *data files* only, because partial-stripe writes go to
@@ -37,16 +37,15 @@ class Scrubber {
       : client_(&client), policy_(policy) {}
 
   struct Report {
-    std::uint64_t groups_checked = 0;    ///< parity groups (RAID5/Hybrid)
-    std::uint64_t parity_mismatches = 0;
-    std::uint64_t mirror_units_checked = 0;  ///< mirrored units (RAID1)
-    std::uint64_t mirror_mismatches = 0;
+    /// Coded groups: parity stripes, rs(k,m) groups, RAID1 units.
+    std::uint64_t groups_checked = 0;
+    std::uint64_t parity_mismatches = 0;  ///< coding units found stale
     std::uint64_t overflow_pairs_checked = 0;  ///< Hybrid primary/mirror
     std::uint64_t overflow_mismatches = 0;
     /// Reads lost to latent sector errors (Errc::media_error). These are
     /// per-range findings, not dead servers: the scrubber reconstructs the
-    /// unreadable unit from the surviving units of its group / its mirror
-    /// twin and rewrites it in place (rewriting remaps the bad sectors).
+    /// unreadable unit from the surviving units of its group and rewrites
+    /// it in place (rewriting remaps the bad sectors).
     std::uint64_t media_errors = 0;
     /// Findings with no surviving copy to rebuild from (e.g. two latent
     /// errors in one single-parity group).
@@ -54,8 +53,8 @@ class Scrubber {
     std::uint64_t repaired = 0;
 
     bool clean() const {
-      return parity_mismatches + mirror_mismatches + overflow_mismatches +
-                 media_errors + unrepairable ==
+      return parity_mismatches + overflow_mismatches + media_errors +
+                 unrepairable ==
              0;
     }
   };
@@ -77,14 +76,11 @@ class Scrubber {
  private:
   sim::Task<Result<Report>> run(const pvfs::OpenFile& f,
                                 std::uint64_t file_size, bool repair);
-  /// The coded audit (RAID4, the RAID5 variants, Hybrid, rs(k,m)): every
-  /// group's coding units recomputed from its data units.
+  /// The coded audit (RAID1, RAID4, the RAID5 variants, Hybrid, rs(k,m)):
+  /// every group's coding units recomputed from its data units.
   sim::Task<Result<void>> scrub_coded(const pvfs::OpenFile& f,
                                       std::uint64_t file_size, bool repair,
                                       Report& report);
-  sim::Task<Result<void>> scrub_mirrors(const pvfs::OpenFile& f,
-                                        std::uint64_t file_size, bool repair,
-                                        Report& report);
   sim::Task<Result<void>> scrub_overflow(const pvfs::OpenFile& f,
                                          std::uint64_t file_size, bool repair,
                                          Report& report);

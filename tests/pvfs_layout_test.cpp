@@ -386,5 +386,27 @@ TEST(CodingSlotMap, ParityCaseIsTheClassicPlacement) {
   }
 }
 
+// RAID1 runs as rs(1,1): a k = 1 group's coding unit must be the mirror —
+// on the owner's successor, at the owner's local offset — and the inverse
+// map must name the unit whose mirror a slot holds (one server included:
+// there the successor is the owner itself).
+TEST(CodingSlotMap, K1IsTheMirrorPlacement) {
+  for (std::uint32_t n = 1; n <= 16; ++n) {
+    for (std::uint32_t base = 0; base < n; ++base) {
+      const StripeLayout l{4096, n, ParityPlacement::rotating, base};
+      for (std::uint64_t u = 0; u < 4 * n; ++u) {
+        const std::uint32_t successor = (l.server_of_unit(u) + 1) % n;
+        ASSERT_EQ(l.coding_server(u, 1, 0), successor)
+            << "n=" << n << " base=" << base << " u=" << u;
+        ASSERT_EQ(l.coding_off(u, 1, 1, 0), l.local_unit(u) * l.su());
+        const auto at = l.coding_at(successor, l.local_unit(u), 1, 1);
+        ASSERT_TRUE(at.has_value());
+        EXPECT_EQ(at->first, u);
+        EXPECT_EQ(at->second, 0u);
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace csar::pvfs

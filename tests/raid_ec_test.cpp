@@ -1,7 +1,9 @@
 // Reed-Solomon rs(k,m) as a first-class scheme: the GF(2^8) codec kernel
 // (MDS property, SIMD/scalar bit-identity), scheme-spec round-tripping, and
 // the end-to-end paths — writes, multi-failure degraded reads and writes,
-// double-wipe rebuild, online Hybrid -> rs(4,2) migration and the scrubber.
+// double-wipe rebuild, online Hybrid -> rs(4,2) migration, the scrubber, and
+// the classic schemes as points of the same code (RAID5 = rs(4,1) on disk,
+// RAID1 = rs(1,1) on disk and on the wire).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -661,14 +663,22 @@ TEST(RsEndToEnd, ScrubRepairsUpToMLatentErrorsPerGroup) {
   }(rig));
 }
 
-// ---------- one engine: parity is rs(N-1,1) on disk ----------
+// ---------- one engine: parity is rs(N-1,1), RAID1 is rs(1,1) ----------
+
+/// What one run of the write sequence below leaves behind: every server's
+/// data and redundancy file contents, and the traffic that put them there.
+struct DiskImage {
+  std::vector<Buffer> files;
+  std::uint64_t messages = 0;    ///< transfers over every node's TX link
+  std::uint64_t wire_bytes = 0;  ///< bytes over every node's TX link
+  std::uint64_t lock_acquisitions = 0;
+};
 
 /// Run the same write sequence (full stripes, unaligned partial writes and
-/// a degraded write) against `scheme` on 5 servers with file base `base`,
-/// and return every server's data and redundancy file contents.
-std::vector<Buffer> on_disk_image(Scheme scheme, std::uint32_t base) {
+/// a degraded write) against `scheme` on 5 servers with file base `base`.
+DiskImage on_disk_image(Scheme scheme, std::uint32_t base) {
   Rig rig(rs_rig(scheme, 5));
-  std::vector<Buffer> image;
+  DiskImage image;
   run_sim_void(rig, [](Rig& r, std::uint32_t bs,
                        std::vector<Buffer>* out) -> sim::Task<void> {
     auto& fs = r.client_fs();
@@ -698,14 +708,22 @@ std::vector<Buffer> on_disk_image(Scheme scheme, std::uint32_t base) {
         out->push_back(co_await lfs.peek(name, 0, lfs.size(name)));
       }
     }
-  }(rig, base, &image));
+  }(rig, base, &image.files));
+  for (std::size_t n = 0; n < rig.cluster.node_count(); ++n) {
+    auto& tx = rig.cluster.node(static_cast<hw::NodeId>(n)).tx();
+    image.messages += tx.ops_total();
+    image.wire_bytes += tx.bytes_total();
+  }
+  for (std::uint32_t s = 0; s < rig.p.nservers; ++s) {
+    image.lock_acquisitions += rig.server(s).lock_stats().acquisitions;
+  }
   return image;
 }
 
 TEST(OneEngine, Raid5AndRsN1LeaveIdenticalServerFiles) {
   for (const std::uint32_t base : {0u, 2u}) {
-    const auto raid5 = on_disk_image(Scheme::raid5, base);
-    const auto rs41 = on_disk_image(Scheme::rs(4, 1), base);
+    const auto raid5 = on_disk_image(Scheme::raid5, base).files;
+    const auto rs41 = on_disk_image(Scheme::rs(4, 1), base).files;
     ASSERT_EQ(raid5.size(), rs41.size());
     for (std::size_t i = 0; i < raid5.size(); ++i) {
       EXPECT_EQ(raid5[i].size(), rs41[i].size())
@@ -716,6 +734,101 @@ TEST(OneEngine, Raid5AndRsN1LeaveIdenticalServerFiles) {
           << (i % 2 == 0 ? " data" : " redundancy");
     }
   }
+}
+
+// RAID1 is rs(1,1) on the same engine: the same bytes on every server,
+// sent by the same messages, and no parity lock on either (a k = 1 write
+// sets its coding from the new bytes alone).
+TEST(OneEngine, Raid1AndRs11LeaveIdenticalServerFiles) {
+  for (const std::uint32_t base : {0u, 2u}) {
+    const DiskImage raid1 = on_disk_image(Scheme::raid1, base);
+    const DiskImage rs11 = on_disk_image(Scheme::rs(1, 1), base);
+    ASSERT_EQ(raid1.files.size(), rs11.files.size());
+    for (std::size_t i = 0; i < raid1.files.size(); ++i) {
+      EXPECT_GT(raid1.files[i].size(), 0u);
+      EXPECT_TRUE(raid1.files[i] == rs11.files[i])
+          << "base " << base << " server " << i / 2
+          << (i % 2 == 0 ? " data" : " redundancy");
+    }
+    EXPECT_EQ(raid1.messages, rs11.messages) << "base " << base;
+    EXPECT_EQ(raid1.wire_bytes, rs11.wire_bytes) << "base " << base;
+    EXPECT_GT(raid1.messages, 0u);
+    EXPECT_EQ(raid1.lock_acquisitions, 0u);
+    EXPECT_EQ(rs11.lock_acquisitions, 0u);
+  }
+}
+
+// rs(1,2) keeps two copies of every unit, on the owner's two successors:
+// it survives two concurrent failures, its writes take no locks, and a
+// rebuild of both victims leaves a file that scrubs clean.
+TEST(OneEngine, Rs12SurvivesTwoFailures) {
+  Rig rig(rs_rig(Scheme::rs(1, 2), 4));
+  run_sim_void(rig, [](Rig& r) -> sim::Task<void> {
+    auto& fs = r.client_fs();
+    auto f = co_await fs.create("f", r.layout(kSu));
+    CO_ASSERT_TRUE(f.ok());
+    const Scheme sch = Scheme::rs(1, 2);
+    RefFile ref;
+    Rng rng(1212);
+    {
+      Buffer data = Buffer::pattern(9 * kSu, 3);
+      ref.write(0, data);
+      auto wr = co_await fs.write(*f, 0, std::move(data));
+      CO_ASSERT_TRUE(wr.ok());
+    }
+    for (int i = 0; i < 12; ++i) {
+      const std::uint64_t off = rng.below(10 * kSu);
+      const std::uint64_t len = 1 + rng.below(3 * kSu);
+      Buffer data = Buffer::pattern(len, rng.next());
+      ref.write(off, data);
+      auto wr = co_await fs.write(*f, off, std::move(data));
+      CO_ASSERT_TRUE(wr.ok());
+    }
+    // Servers 1 and 2 hold both copies of server 0's units: only the
+    // data itself survives for those, only the last copy for server 1's.
+    r.server(1).fail();
+    r.server(2).fail();
+    Recovery rec = r.recovery();
+    std::vector<std::uint32_t> down;
+    down.push_back(1);
+    down.push_back(2);
+    for (int i = 0; i < 6; ++i) {
+      const std::uint64_t off = rng.below(10 * kSu);
+      const std::uint64_t len = 1 + rng.below(2 * kSu);
+      Buffer data = Buffer::pattern(len, rng.next());
+      ref.write(off, data);
+      auto wr = co_await rec.degraded_write(*f, off, std::move(data), down);
+      CO_ASSERT_TRUE(wr.ok());
+    }
+    auto rd = co_await rec.degraded_read(*f, 0, ref.size(), down);
+    CO_ASSERT_TRUE(rd.ok());
+    EXPECT_EQ(*rd, ref.expect(0, ref.size()));
+
+    r.server(1).wipe();
+    r.server(2).wipe();
+    r.server(1).recover();
+    RebuildOptions opt;
+    opt.also_down.push_back(2);
+    auto rb1 = co_await rec.rebuild_server(*f, 1, ref.size(), opt);
+    CO_ASSERT_TRUE(rb1.ok());
+    r.server(2).recover();
+    auto rb2 = co_await rec.rebuild_server(*f, 2, ref.size());
+    CO_ASSERT_TRUE(rb2.ok());
+    auto rd2 = co_await fs.read(*f, 0, ref.size());
+    CO_ASSERT_TRUE(rd2.ok());
+    EXPECT_EQ(*rd2, ref.expect(0, ref.size()));
+    EXPECT_TRUE(co_await rs_consistent(r, *f, sch, ref.size()));
+    Scrubber scrub(r.client(), &r.policy());
+    auto rep = co_await scrub.verify(*f, ref.size());
+    CO_ASSERT_TRUE(rep.ok());
+    EXPECT_TRUE(rep->clean());
+    EXPECT_EQ(rep->groups_checked, div_ceil(ref.size(), kSu));
+    std::uint64_t locks = 0;
+    for (std::uint32_t s = 0; s < r.p.nservers; ++s) {
+      locks += r.server(s).lock_stats().acquisitions;
+    }
+    EXPECT_EQ(locks, 0u);
+  }(rig));
 }
 
 TEST(OneEngine, RsRedundancyIsDense) {

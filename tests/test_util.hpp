@@ -1,5 +1,5 @@
 // Shared helpers for CSAR system tests: run a Task to completion on a Rig's
-// simulation, reference-model content checks, and the RAID5/Hybrid parity
+// simulation, reference-model content checks, and the coded-group
 // invariant verifier.
 #pragma once
 
@@ -81,35 +81,38 @@ class RefFile {
   std::vector<std::byte> bytes_;
 };
 
-/// Verify the RAID5/Hybrid invariant: for every parity group touching
-/// [0, file_size), the parity unit equals the XOR of the group's *data file*
-/// units (zero-padded). Holds for RAID5 always, and for Hybrid because
-/// partial-stripe writes never touch the data files.
+/// Verify the coded invariant: for every group of the file's code touching
+/// [0, file_size), each coding unit equals what the group's *data file*
+/// units encode to — the XOR for parity, a copy for RAID1 (rs(1,1)). Holds
+/// for RAID1/RAID4/RAID5 always, and for Hybrid because partial-stripe
+/// writes never touch the data files.
 inline sim::Task<bool> parity_consistent(raid::Rig& rig,
                                          const pvfs::OpenFile& f,
                                          std::uint64_t file_size,
                                          bool report = true) {
   const auto& layout = f.layout;
   const std::uint64_t su = layout.su();
-  const std::uint64_t ngroups = div_ceil(file_size, layout.stripe_width());
+  const CodeSpec spec = rig.policy().scheme_of(f).code(layout);
+  const std::uint32_t k = spec.k;
+  const std::uint64_t ngroups = div_ceil(file_size, layout.group_width(k));
   bool ok = true;
   for (std::uint64_t g = 0; g < ngroups; ++g) {
-    // Parity is the k = N-1, m = 1 coded group.
-    const std::uint32_t k = layout.n() - 1;
-    auto& pserver = rig.server(layout.coding_server(g, k, 0));
-    Buffer parity = co_await pserver.fs().peek(
-        pvfs::IoServer::red_name(f.handle), layout.coding_off(g, k, 1, 0), su);
-    Buffer expect = Buffer::real(su);
-    for (std::uint64_t u = g * (layout.n() - 1);
-         u < (g + 1) * (layout.n() - 1); ++u) {
-      auto& dserver = rig.server(layout.server_of_unit(u));
-      Buffer unit = co_await dserver.fs().peek(
-          pvfs::IoServer::data_name(f.handle), layout.local_unit(u) * su, su);
-      expect.xor_with(unit);
+    std::vector<Buffer> units;
+    for (std::uint32_t i = 0; i < k; ++i) {
+      units.push_back(co_await rig.server(layout.data_server(g, k, i))
+                          .fs()
+                          .peek(pvfs::IoServer::data_name(f.handle),
+                                layout.local_unit(g * k + i) * su, su));
     }
-    if (!(parity == expect)) {
-      if (report) ADD_FAILURE() << "parity mismatch in group " << g;
-      ok = false;
+    for (std::uint32_t j = 0; j < spec.m; ++j) {
+      Buffer coding = co_await rig.server(layout.coding_server(g, k, j))
+                          .fs()
+                          .peek(pvfs::IoServer::red_name(f.handle),
+                                layout.coding_off(g, k, spec.m, j), su);
+      if (!(coding == gf_combine(units, rs_row(spec, j)))) {
+        if (report) ADD_FAILURE() << "coding mismatch in group " << g;
+        ok = false;
+      }
     }
   }
   co_return ok;
