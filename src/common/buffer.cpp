@@ -24,11 +24,44 @@ std::shared_ptr<std::byte[]> alloc_for_overwrite(std::uint64_t size) {
 
 }  // namespace
 
+/// A deferred combine: the parts' sources and coefficients until the
+/// result is first read, then the memo of the whole result.
+struct Buffer::Recipe {
+  struct Part {
+    std::uint64_t len;
+    std::size_t nsrcs;
+  };
+  std::vector<Part> parts;
+  std::vector<Buffer> srcs;          ///< every part's sources, in order
+  std::vector<std::uint8_t> coeffs;  ///< one per source
+  std::uint64_t size = 0;
+  std::shared_ptr<std::byte[]> memo;  ///< the result, once computed
+
+  void compute() {
+    memo = alloc_for_overwrite(size);
+    std::byte* out = memo.get();
+    std::size_t first = 0;
+    for (const Part& p : parts) {
+      combine_into({out, static_cast<std::size_t>(p.len)},
+                   std::span<const Buffer>(srcs).subspan(first, p.nsrcs),
+                   std::span<const std::uint8_t>(coeffs).subspan(first,
+                                                                 p.nsrcs));
+      out += p.len;
+      first += p.nsrcs;
+    }
+    // The memo is all any view reads from now on.
+    parts = {};
+    srcs = {};
+    coeffs = {};
+  }
+};
+
 /// Walks the bytes of a buffer from a position, one contiguous piece at a
 /// time: the rest of the current run (or of a flat buffer's view).
 class Buffer::Cursor {
  public:
   Cursor(const Buffer& b, std::uint64_t pos) {
+    if (b.kind_ == Kind::deferred) b.settle();
     if (b.kind_ == Kind::runs) {
       run_ = b.runs() + b.run_at(pos);
       end_ = b.runs() + b.run_count();
@@ -144,12 +177,75 @@ Buffer Buffer::from_runs(std::shared_ptr<Run[]> runs, std::size_t n,
   return b;
 }
 
+Buffer Buffer::deferred_combine(std::span<const CombinePart> parts) {
+  std::uint64_t total = 0;
+  std::size_t nsrcs = 0;
+  bool any_phantom = false;
+  bool all_copies = true;
+  for (const CombinePart& p : parts) {
+    assert(!p.srcs.empty() && p.srcs.size() == p.coeffs.size());
+    total += p.srcs[0].size_;
+    nsrcs += p.srcs.size();
+    all_copies = all_copies && gf_combine_is_copy(p.coeffs);
+    for (const Buffer& s : p.srcs) {
+      assert(s.size_ == p.srcs[0].size_);
+      any_phantom |= s.kind_ == Kind::phantom;
+    }
+  }
+  if (any_phantom) {
+    assert(std::none_of(parts.begin(), parts.end(), [](const CombinePart& p) {
+      return std::any_of(p.srcs.begin(), p.srcs.end(),
+                         [](const Buffer& s) { return s.materialized(); });
+    }));
+    return phantom(total);
+  }
+  if (total == 0) return Buffer();
+  if (all_copies) {  // no arithmetic: the sources themselves
+    if (parts.size() == 1) return parts[0].srcs[0];
+    std::vector<Buffer> pieces;
+    pieces.reserve(parts.size());
+    for (const CombinePart& p : parts) pieces.push_back(p.srcs[0]);
+    return concat(pieces);
+  }
+  auto r = std::make_shared<Recipe>();
+  r->size = total;
+  r->parts.reserve(parts.size());
+  r->srcs.reserve(nsrcs);
+  r->coeffs.reserve(nsrcs);
+  for (const CombinePart& p : parts) {
+    r->parts.push_back({p.srcs[0].size_, p.srcs.size()});
+    r->srcs.insert(r->srcs.end(), p.srcs.begin(), p.srcs.end());
+    r->coeffs.insert(r->coeffs.end(), p.coeffs.begin(), p.coeffs.end());
+  }
+  Buffer b;
+  b.size_ = total;
+  b.kind_ = Kind::deferred;
+  b.data_ = std::move(r);
+  return b;
+}
+
+void Buffer::settle() const {
+  auto* r = static_cast<Recipe*>(data_.get());
+  if (r->memo == nullptr) r->compute();
+  // The last view of a recipe takes the memo over, so its bytes are
+  // exclusively owned (a later mutation needs no copy).
+  std::shared_ptr<void> memo;
+  if (data_.use_count() == 1) {
+    memo = std::move(r->memo);
+  } else {
+    memo = r->memo;
+  }
+  data_ = std::move(memo);
+  kind_ = Kind::flat;
+}
+
 Buffer Buffer::concat(std::span<const Buffer> pieces) {
   if (pieces.size() == 1) return pieces.front();
   std::uint64_t total = 0;
   std::size_t max_runs = 0;
   bool any_phantom = false;
   for (const Buffer& p : pieces) {
+    if (p.kind_ == Kind::deferred) p.settle();
     total += p.size_;
     any_phantom |= p.kind_ == Kind::phantom;
     max_runs += p.kind_ == Kind::runs ? p.run_count() : (p.size_ > 0 ? 1 : 0);
@@ -395,6 +491,7 @@ Buffer Buffer::pattern(std::uint64_t size, std::uint64_t seed) {
 std::span<const std::byte> Buffer::bytes() const {
   assert(materialized());
   if (size_ == 0) return {};
+  if (kind_ == Kind::deferred) settle();
   if (kind_ == Kind::runs) reallocate();
   return {base() + off_, static_cast<std::size_t>(size_)};
 }
@@ -402,6 +499,7 @@ std::span<const std::byte> Buffer::bytes() const {
 std::span<std::byte> Buffer::mutable_bytes() {
   assert(materialized());
   if (size_ == 0) return {};
+  if (kind_ == Kind::deferred) settle();
   if (!unique_flat()) reallocate();
   return {base() + off_, static_cast<std::size_t>(size_)};
 }
@@ -412,7 +510,11 @@ Buffer Buffer::slice(std::uint64_t off, std::uint64_t len) const {
   Buffer b;
   b.size_ = len;
   b.kind_ = kind_;
-  if (kind_ == Kind::flat && len > 0) {
+  if (kind_ == Kind::deferred) {
+    if (len == 0) return Buffer();
+    b.data_ = data_;
+    b.off_ = off_ + off;
+  } else if (kind_ == Kind::flat && len > 0) {
     b.data_ = data_;
     b.off_ = off_ + off;
   }
@@ -445,6 +547,7 @@ Buffer Buffer::slice_runs(std::uint64_t off, std::uint64_t len) const {
 
 void Buffer::apply(Op op, std::uint64_t off, const Buffer& src,
                    std::uint64_t len) {
+  if (kind_ == Kind::deferred) settle();
   if (unique_flat()) {
     // In place. memmove: an overlap is only possible when `src` is *this
     // buffer itself (any other holder of the backing makes it shared).
@@ -552,6 +655,37 @@ void gf_muladd_region(std::span<std::byte> dst, const Buffer& src,
   });
 }
 
+void Buffer::combine_into(std::span<std::byte> dst,
+                          std::span<const Buffer> srcs,
+                          std::span<const std::uint8_t> coeffs) {
+  const std::size_t n = srcs.size();
+  auto next_nonzero = [&](std::size_t r) {
+    while (r < n && coeffs[r] == 0) ++r;
+    return r;
+  };
+  std::size_t r = next_nonzero(0);
+  if (r == n) {
+    std::memset(dst.data(), 0, dst.size());
+    return;
+  }
+  if (coeffs[r] != 1) {
+    gf_mul_region(dst, srcs[r], coeffs[r]);
+    ++r;
+  } else if (const std::size_t s = next_nonzero(r + 1);
+             s < n && coeffs[s] == 1) {
+    // The first two unit terms XOR straight into dst: one pass, no copy.
+    zip(Cursor(srcs[r], 0), Cursor(srcs[s], 0), dst.size(),
+        [&](std::uint64_t pos, const std::byte* a, const std::byte* b,
+            std::size_t len) { xor_into(dst.subspan(pos, len), {a, len},
+                                        {b, len}); });
+    r = s + 1;
+  } else {
+    srcs[r].copy_to(dst.data(), 0, dst.size());
+    ++r;
+  }
+  for (; r < n; ++r) gf_muladd_region(dst, srcs[r], coeffs[r]);
+}
+
 Buffer gf_combine(std::span<const Buffer> srcs,
                   std::span<const std::uint8_t> coeffs) {
   assert(!srcs.empty() && srcs.size() == coeffs.size());
@@ -560,20 +694,12 @@ Buffer gf_combine(std::span<const Buffer> srcs,
     assert(s.size() == size);
     if (!s.materialized()) return Buffer::phantom(size);
   }
-  Buffer out;
-  if (coeffs[0] == 1) {
-    out = srcs[0];
-  } else {
-    out = Buffer::for_overwrite(size);
-    gf_mul_region(out.mutable_bytes(), srcs[0], coeffs[0]);
+  if (coeffs[0] == 1 && std::all_of(coeffs.begin() + 1, coeffs.end(),
+                                    [](std::uint8_t c) { return c == 0; })) {
+    return srcs[0];
   }
-  for (std::size_t r = 1; r < srcs.size(); ++r) {
-    if (coeffs[r] == 1) {
-      out.xor_with(srcs[r]);
-    } else if (coeffs[r] != 0) {
-      gf_muladd_region(out.mutable_bytes(), srcs[r], coeffs[r]);
-    }
-  }
+  Buffer out = Buffer::for_overwrite(size);
+  Buffer::combine_into(out.mutable_bytes(), srcs, coeffs);
   return out;
 }
 

@@ -27,6 +27,23 @@
 // the fresh allocation in one pass), so two buffers never observe each
 // other's writes and no byte is copied only to be overwritten.
 //
+// Deferred combines: deferred_combine() returns a materialized buffer whose
+// bytes are a GF(2^8) combination of other buffers, computed when some
+// reader first needs them. The pointer slot then holds a shared recipe (the
+// parts' source views and coefficients) and off_/size_ select the view, so
+// slice() and copies stay views of the one recipe. Every byte reader —
+// the run walks above, bytes(), operator==, a concat of several pieces and
+// the mutators — settles the view first: the whole recipe is computed once,
+// with the same kernels gf_combine uses, into a memo shared by every view,
+// the sources are released, and the settling buffer becomes a plain view of
+// the memo. A full-stripe write's coding is deferred this way: parity that
+// a later write replaces before anyone reads it is never encoded, and
+// simulated time is charged as before. Decodes (reconstruction, degraded
+// reads and writes, rebuild), the scrub, the RMW fold and gf_combine itself
+// stay eager, so their host work happens where they run. Until it settles,
+// a recipe pins every source view it captured (their writers' later
+// mutations copy on write, so the recipe keeps the bytes it was given).
+//
 // Trade-off: a stored run pins its whole backing allocation. A server that
 // keeps a slice of a client's multi-unit payload keeps the entire payload
 // alive until every slice of it is overwritten or dropped (stream_parity
@@ -72,6 +89,22 @@ class Buffer {
   /// programming error (assert).
   static Buffer concat(std::span<const Buffer> pieces);
 
+  /// One part of a deferred combine: srcs[0].size() bytes equal to
+  /// sum_r coeffs[r] * srcs[r] over GF(2^8). The sources are equally sized
+  /// and there is one coefficient per source.
+  struct CombinePart {
+    std::span<const Buffer> srcs;
+    std::span<const std::uint8_t> coeffs;
+  };
+
+  /// The parts' combinations joined in order, computed when the bytes are
+  /// first read (see the top of this file); the sources are captured as
+  /// views. Any phantom source gives a phantom of the summed size and
+  /// allocates nothing; mixing phantom and materialized sources is a
+  /// programming error (assert). Parts that are all one-source unit
+  /// copies give the concat of their sources.
+  static Buffer deferred_combine(std::span<const CombinePart> parts);
+
   /// Materialized buffer filled with a deterministic pattern derived from
   /// `seed` (used by tests to make every file region distinguishable).
   static Buffer pattern(std::uint64_t size, std::uint64_t seed);
@@ -82,7 +115,8 @@ class Buffer {
 
   /// Read-only contiguous view of the bytes; requires a materialized
   /// buffer. Flattens a segmented buffer once (the flat copy replaces the
-  /// run list), so repeated calls return the same span.
+  /// run list) and settles a deferred one, so repeated calls return the
+  /// same span.
   std::span<const std::byte> bytes() const;
 
   /// Mutable view of the bytes; requires a materialized buffer. Gives the
@@ -91,7 +125,8 @@ class Buffer {
 
   /// Calls fn(pos, span) for each contiguous run of the bytes in order,
   /// where pos is the run's offset in this buffer. Never copies or
-  /// flattens; requires a materialized buffer.
+  /// flattens (a deferred buffer is settled first); requires a
+  /// materialized buffer.
   template <class Fn>
   void for_each_run(Fn&& fn) const;
 
@@ -120,7 +155,7 @@ class Buffer {
   bool operator==(const Buffer& other) const;
 
  private:
-  enum class Kind : std::uint8_t { flat, runs, phantom };
+  enum class Kind : std::uint8_t { flat, runs, phantom, deferred };
 
   /// One run of a segmented buffer: [off, off+len) of `data`'s bytes,
   /// starting at byte `pos` of the buffer. `data` is always a flat backing.
@@ -132,7 +167,21 @@ class Buffer {
   };
 
   class Cursor;
+  struct Recipe;
   enum class Op : std::uint8_t { copy, xor_in };
+
+  friend Buffer gf_combine(std::span<const Buffer> srcs,
+                           std::span<const std::uint8_t> coeffs);
+
+  /// dst[0, n) = sum_r coeffs[r] * srcs[r][0, n) (n = dst.size()), writing
+  /// every byte of dst; the one combine step of gf_combine and of a
+  /// deferred recipe.
+  static void combine_into(std::span<std::byte> dst,
+                           std::span<const Buffer> srcs,
+                           std::span<const std::uint8_t> coeffs);
+  /// Turn a deferred view into a plain view of its recipe's memo,
+  /// computing the memo first if no view has yet.
+  void settle() const;
 
   static Buffer from_runs(std::shared_ptr<Run[]> runs, std::size_t n,
                           std::uint64_t size);
@@ -159,10 +208,11 @@ class Buffer {
   std::uint64_t size_ = 0;
   mutable Kind kind_ = Kind::flat;
   /// flat: view start within the backing. runs: number of runs.
+  /// deferred: view start within the recipe's result.
   mutable std::uint64_t off_ = 0;
   /// flat: backing bytes (null for empty buffers; may be larger than the
   /// view and shared with other buffers). runs: the shared Run array.
-  /// phantom: null.
+  /// deferred: the shared Recipe. phantom: null.
   mutable std::shared_ptr<void> data_;
 };
 
@@ -174,6 +224,7 @@ static_assert(sizeof(Buffer) ==
 
 template <class Fn>
 void Buffer::for_each_run(Fn&& fn) const {
+  if (kind_ == Kind::deferred) settle();
   if (kind_ == Kind::runs) {
     const Run* r = runs();
     for (std::size_t i = 0; i < run_count(); ++i) {
@@ -197,10 +248,11 @@ void gf_muladd_region(std::span<std::byte> dst, const Buffer& src,
                       std::uint8_t c);
 
 /// sum_r coeffs[r] * srcs[r] over GF(2^8), the one encode/decode step of
-/// every k+m code. The sources must be equally sized; the result is a
-/// phantom of that size when any source is phantom. Unit coefficients take
-/// the XOR path — a unit first coefficient starts from a view of its
-/// source, so the first XOR fuses the copy-on-write — so RS(k,1) parity
+/// every k+m code, computed now. The sources must be equally sized; the
+/// result is a phantom of that size when any source is phantom, and a view
+/// of srcs[0] when that is the whole sum (coefficient 1, all others 0).
+/// Unit coefficients take the XOR path and the first two unit-coefficient
+/// sources are XORed straight into the fresh result, so RS(k,1) parity
 /// costs exactly what plain XOR parity does.
 Buffer gf_combine(std::span<const Buffer> srcs,
                   std::span<const std::uint8_t> coeffs);

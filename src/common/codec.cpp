@@ -13,6 +13,10 @@
 #define CSAR_CODEC_X86 0
 #endif
 
+#ifndef CSAR_OBS
+#define CSAR_OBS 1
+#endif
+
 namespace csar {
 
 // --- XOR kernels (moved from common/parity.cpp) ---
@@ -336,9 +340,18 @@ const Dispatch& dispatch() {
   return d;
 }
 
+CodecBytes counted;
+
+/// Adds `n` to a codec_bytes() counter when the hooks are compiled in.
+void count(std::uint64_t& counter, std::size_t n) {
+  if constexpr (CSAR_OBS != 0) counter += n;
+}
+
 }  // namespace
 
 const char* codec_dispatch_name() { return dispatch().name.c_str(); }
+
+CodecBytes codec_bytes() { return counted; }
 
 std::span<const GfKernel> codec_detail::gf_kernels() { return dispatch().gf; }
 
@@ -352,12 +365,14 @@ void pattern_fill(std::span<std::byte> out, std::uint64_t x0) {
 
 void xor_words(std::span<std::byte> dst, std::span<const std::byte> src) {
   assert(src.size() <= dst.size());
+  count(counted.xor_bytes, src.size());
   dispatch().xor_region(dst.data(), dst.data(), src.data(), src.size());
 }
 
 void xor_into(std::span<std::byte> dst, std::span<const std::byte> a,
               std::span<const std::byte> b) {
   assert(a.size() == b.size() && a.size() <= dst.size());
+  count(counted.xor_bytes, a.size());
   dispatch().xor_region(dst.data(), a.data(), b.data(), a.size());
 }
 
@@ -369,6 +384,7 @@ void gf_muladd_region(std::span<std::byte> dst, std::span<const std::byte> src,
     xor_words(dst, src);
     return;
   }
+  count(counted.gf_bytes, src.size());
   dispatch().muladd(dst.data(), src.data(), src.size(), c);
 }
 
@@ -383,6 +399,7 @@ void gf_mul_region(std::span<std::byte> dst, std::span<const std::byte> src,
     std::memmove(dst.data(), src.data(), src.size());
     return;
   }
+  count(counted.gf_bytes, src.size());
   dispatch().mul(dst.data(), src.data(), src.size(), c);
 }
 

@@ -124,6 +124,20 @@ void pattern_fill(std::span<std::byte> out, std::uint64_t x0);
 /// Resolved once per process.
 const char* codec_dispatch_name();
 
+/// Bytes the dispatched kernels have processed since the process started:
+/// `xor_bytes` through xor_words and xor_into (gf_muladd_region with c == 1
+/// included), `gf_bytes` through the GF(2^8) multiply kernels (c > 1).
+/// Copies and zero fills (gf_mul_region with c == 1 or 0) count in
+/// neither. These are host-independent costs: the same run counts the same
+/// bytes on every CPU. Compiled in or out with the observability hooks
+/// (CSAR_OBS, default on); both stay zero when compiled out. The counters
+/// are plain process-wide integers (the simulator is single-threaded).
+struct CodecBytes {
+  std::uint64_t xor_bytes = 0;
+  std::uint64_t gf_bytes = 0;
+};
+CodecBytes codec_bytes();
+
 namespace codec_detail {
 
 /// Raw region kernel: dst[i] = c*src[i], or dst[i] ^= c*src[i] for the

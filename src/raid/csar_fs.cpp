@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
 #include <utility>
 
 #include "common/small_vec.hpp"
@@ -97,7 +96,12 @@ Buffer match_materialization(Buffer b, bool materialized) {
 /// at file offset `off`), appended to `reqs`: one write per run of
 /// consecutive slots on a server, servers in ascending order. With k = N-1
 /// and m = 1 every server's parity units are consecutive, so each server
-/// gets one merged write. Returns the bytes pushed through the encoder.
+/// gets one merged write. A payload is a deferred combine with one part
+/// per maximal run of its slots that share a generator row, whose source i
+/// joins data unit i of those slots' groups: the coding bytes are computed
+/// only if something reads them, and the views pin only what the data
+/// writes already pin. Returns the bytes the encode costs in simulated
+/// time.
 std::uint64_t full_coding_writes(
     const pvfs::OpenFile& f, CodeSpec spec, std::uint64_t off,
     const Buffer& data, std::uint64_t g0, std::uint64_t g1,
@@ -106,37 +110,70 @@ std::uint64_t full_coding_writes(
   const StripeLayout& layout = f.layout;
   const std::uint64_t su = layout.su();
   const std::uint32_t k = spec.k;
-  std::vector<std::vector<std::uint8_t>> rows;
-  for (std::uint32_t j = 0; j < spec.m; ++j) {
-    rows.push_back(rs_row(spec, j));
-  }
-  std::map<std::uint32_t, std::map<std::uint64_t, Buffer>> by_server;
-  std::vector<Buffer> units(k);
+  struct Slot {
+    std::uint32_t server;
+    std::uint64_t slot;
+    std::uint64_t g;
+    std::uint32_t j;
+  };
+  std::vector<Slot> slots;
+  slots.reserve(static_cast<std::size_t>((g1 - g0) * spec.m));
   for (std::uint64_t g = g0; g < g1; ++g) {
-    for (std::uint32_t i = 0; i < k; ++i) {
-      units[i] = data.slice(layout.group_start(g, k) + i * su - off, su);
-    }
     for (std::uint32_t j = 0; j < spec.m; ++j) {
-      by_server[layout.coding_server(g, k, j)].emplace(
-          layout.coding_slot(g, k, spec.m, j), gf_combine(units, rows[j]));
+      slots.push_back({layout.coding_server(g, k, j),
+                       layout.coding_slot(g, k, spec.m, j), g, j});
     }
   }
-  for (auto& [server, slots] : by_server) {
-    for (auto it = slots.begin(); it != slots.end();) {
-      const std::uint64_t first = it->first;
-      std::vector<Buffer> run;
-      for (; it != slots.end() && it->first == first + run.size(); ++it) {
-        run.push_back(std::move(it->second));
-      }
-      Request r;
-      r.op = Op::write_red;
-      r.handle = f.handle;
-      r.off = first * su;
-      r.payload = Buffer::concat(run);
-      r.su = layout.stripe_unit;
-      r.red_gen = red_gen;
-      reqs.emplace_back(server, std::move(r));
+  std::sort(slots.begin(), slots.end(), [](const Slot& a, const Slot& b) {
+    return a.server != b.server ? a.server < b.server : a.slot < b.slot;
+  });
+  std::vector<std::vector<std::uint8_t>> rows;
+  std::vector<Buffer> srcs;
+  std::vector<Buffer> units;
+  std::vector<Buffer::CombinePart> parts;
+  if (data.materialized()) {
+    for (std::uint32_t j = 0; j < spec.m; ++j) rows.push_back(rs_row(spec, j));
+  }
+  for (std::size_t a = 0; a < slots.size();) {
+    std::size_t b = a + 1;
+    while (b < slots.size() && slots[b].server == slots[a].server &&
+           slots[b].slot == slots[a].slot + (b - a)) {
+      ++b;
     }
+    Request r;
+    r.op = Op::write_red;
+    r.handle = f.handle;
+    r.off = slots[a].slot * su;
+    r.su = layout.stripe_unit;
+    r.red_gen = red_gen;
+    if (!data.materialized()) {
+      r.payload = Buffer::phantom((b - a) * su);
+    } else {
+      // One part per maximal run of one row; its k sources first, then
+      // the parts over them (the sources no longer move).
+      srcs.clear();
+      parts.clear();
+      for (std::size_t p = a; p < b;) {
+        std::size_t q = p + 1;
+        while (q < b && slots[q].j == slots[p].j) ++q;
+        for (std::uint32_t i = 0; i < k; ++i) {
+          units.clear();
+          for (std::size_t x = p; x < q; ++x) {
+            units.push_back(data.slice(
+                layout.group_start(slots[x].g, k) + i * su - off, su));
+          }
+          srcs.push_back(Buffer::concat(units));
+        }
+        parts.push_back({{}, rows[slots[p].j]});
+        p = q;
+      }
+      for (std::size_t x = 0; x < parts.size(); ++x) {
+        parts[x].srcs = std::span<const Buffer>(srcs).subspan(x * k, k);
+      }
+      r.payload = Buffer::deferred_combine(parts);
+    }
+    reqs.emplace_back(slots[a].server, std::move(r));
+    a = b;
   }
   return (g1 - g0) * spec.m * layout.group_width(k);
 }
@@ -155,17 +192,6 @@ sim::Task<Result<pvfs::OpenFile>> CsarFs::create(std::string name,
   auto f = co_await client_->create(std::move(name), layout, scheme_tag(s));
   if (f.ok()) p_.policy->note_created(*f, s);
   co_return f;
-}
-
-sim::Task<void> CsarFs::charge_xor(Scheme sch, std::uint64_t bytes) {
-  if (sch == Scheme::raid5_npc || bytes == 0) co_return;
-  auto& node = client_->cluster().node(client_->node_id());
-  const double rate = node.params().xor_bytes_per_sec;
-  // Parity computation happens on the client's single-threaded send path —
-  // it occupies the same pipeline as the socket writes, which is why the
-  // paper measures it as a ~8% hit on streaming writes (RAID5 vs
-  // RAID5-npc, Figure 4a).
-  co_await node.tx().occupy(sim::transfer_time(bytes, rate));
 }
 
 sim::Task<Result<void>> CsarFs::write(const pvfs::OpenFile& f,
@@ -328,7 +354,7 @@ sim::Task<Result<void>> CsarFs::write_coded(const pvfs::OpenFile& f,
     const std::uint64_t gf_bytes =
         copy_writes(f, spec, gen, off, data, {}, writes);
     p_.policy->note_ec_encode(sch, gf_bytes);
-    co_await charge_xor(sch, gf_bytes);
+    co_await charge_encode(*client_, sch, gf_bytes);
     auto resps = co_await client_->rpc_all(std::move(writes));
     for (const auto& resp : resps) {
       if (!resp.ok) co_return Error{resp.err, "coded write", resp.server};
@@ -419,7 +445,7 @@ sim::Task<Result<void>> CsarFs::write_coded(const pvfs::OpenFile& f,
         match_materialization(std::move(resp.data), sh->materialized);
     delta.xor_with(sh->data->slice(e.global_off - sh->off, e.len));
     sh->deltas[x] = std::move(delta);
-    co_await sh->self->charge_xor(sh->sch, e.len);
+    co_await charge_encode(*sh->self->client_, sh->sch, e.len);
   };
   std::vector<sim::ProcessHandle> readers;
   readers.reserve(reads.size());
@@ -615,7 +641,7 @@ sim::Task<Result<void>> CsarFs::write_coded(const pvfs::OpenFile& f,
   }
   if (!ctx.empty()) p_.policy->note_rmw(sch, ctx.size());
   p_.policy->note_ec_encode(sch, xor_bytes);
-  co_await charge_xor(sch, xor_bytes);
+  co_await charge_encode(*client_, sch, xor_bytes);
   auto resps = co_await client_->rpc_all(std::move(writes));
   for (const auto& resp : resps) {
     if (!resp.ok) co_return Error{resp.err, "coded write", resp.server};
@@ -719,7 +745,7 @@ sim::Task<Result<void>> CsarFs::write_hybrid(const pvfs::OpenFile& f,
   if (overflow_bytes > 0) {
     p_.policy->note_overflow_bytes(Scheme::hybrid, overflow_bytes);
   }
-  co_await charge_xor(Scheme::hybrid, xor_bytes);
+  co_await charge_encode(*client_, Scheme::hybrid, xor_bytes);
   auto resps = co_await client_->rpc_all(std::move(writes));
   for (const auto& resp : resps) {
     if (!resp.ok) co_return Error{resp.err, "hybrid write", resp.server};

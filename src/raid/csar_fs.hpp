@@ -208,9 +208,6 @@ class CsarFs {
                                       std::uint64_t off, const Buffer& data,
                                       Scheme sch);
 
-  /// Charge the client CPU for XOR-ing `bytes` (skipped for RAID5-npc).
-  sim::Task<void> charge_xor(Scheme sch, std::uint64_t bytes);
-
   pvfs::Client* client_;
   CsarParams p_;
   std::unique_ptr<RedundancyPolicy> owned_policy_;

@@ -292,6 +292,14 @@ void overlay_new(const StripeLayout& layout, std::uint64_t off,
 
 }  // namespace
 
+sim::Task<void> charge_encode(pvfs::Client& client, Scheme sch,
+                              std::uint64_t bytes) {
+  if (sch == Scheme::raid5_npc || bytes == 0) co_return;
+  auto& node = client.cluster().node(client.node_id());
+  co_await node.tx().occupy(
+      sim::transfer_time(bytes, node.params().xor_bytes_per_sec));
+}
+
 std::uint64_t copy_writes(
     const pvfs::OpenFile& f, CodeSpec spec, std::uint32_t red_gen,
     std::uint64_t off, const Buffer& data,
@@ -396,13 +404,16 @@ sim::Task<Result<void>> Recovery::degraded_write(
   const bool inval = overlay_overflow(f);
   const bool mat = data.materialized();
   std::vector<std::pair<std::uint32_t, Request>> writes;
+  // Bytes encoded: all of them, and those of the fresh coding (full groups
+  // or a k = 1 copy), which is charged as the healthy write charges it.
   std::uint64_t gf_bytes = 0;
+  std::uint64_t fresh_bytes = 0;
   // A k = 1 code needs no RMW: when every byte goes in place (all but
   // Hybrid, whose partial stripes go to overflow), the live copies of the
   // range are written, the rebuild restores the rest, and the split below
   // is left empty.
   const bool copy = k == 1 && sch != Scheme::hybrid;
-  if (copy) gf_bytes = copy_writes(f, spec, gen, off, data, failed, writes);
+  if (copy) fresh_bytes = copy_writes(f, spec, gen, off, data, failed, writes);
   const std::uint64_t W = layout.group_width(k);
   const auto ws =
       copy ? StripeLayout::WriteSplit{} : layout.split_write_w(off, len, W);
@@ -460,7 +471,7 @@ sim::Task<Result<void>> Recovery::degraded_write(
       for (std::uint32_t j = 0; j < m; ++j) {
         const std::uint32_t cs = layout.coding_server(g, k, j);
         if (contains(failed, cs)) continue;
-        gf_bytes += std::uint64_t{k} * su;
+        fresh_bytes += std::uint64_t{k} * su;
         Request w;
         w.op = Op::write_red;
         w.handle = f.handle;
@@ -660,9 +671,7 @@ sim::Task<Result<void>> Recovery::degraded_write(
     } else {
       for (auto& c : coding_new) c = Buffer::phantom(c1 - c0);
     }
-    auto& node = client_->cluster().node(client_->node_id());
-    co_await node.tx().occupy(sim::transfer_time(
-        (c1 - c0) * (k + m), node.params().xor_bytes_per_sec));
+    co_await charge_encode(*client_, sch, (c1 - c0) * (k + m));
 
     for (std::size_t x = 0; x < live_j.size(); ++x) {
       Request pw;
@@ -680,7 +689,9 @@ sim::Task<Result<void>> Recovery::degraded_write(
     write_live_data(seg);
   }
 
+  gf_bytes += fresh_bytes;
   if (policy_ != nullptr) policy_->note_ec_encode(sch, gf_bytes);
+  co_await charge_encode(*client_, sch, fresh_bytes);
   auto resps = co_await client_->rpc_all(std::move(writes));
   for (const auto& resp : resps) {
     if (!resp.ok) co_return Error{resp.err, "degraded write"};

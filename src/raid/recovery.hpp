@@ -54,6 +54,14 @@ struct RebuildOptions {
   std::vector<std::uint32_t> also_down;
 };
 
+/// Occupy `client`'s send pipeline for encoding `bytes` of coding. The
+/// paper's client computes parity on its single-threaded send path, which
+/// is why RAID5 streams ~8% slower than RAID5-npc, the variant that skips
+/// the computation and is charged nothing (Figure 4a). Every encode a write
+/// does, healthy or degraded, is charged here.
+sim::Task<void> charge_encode(pvfs::Client& client, Scheme sch,
+                              std::uint64_t bytes);
+
 /// The writes of a k = 1 code (RAID1 is rs(1,1)), appended to `out`. Each
 /// coding byte is c_j times one data byte, so a write sets its coding over
 /// the same range from the new bytes alone: no lock, no old-data read. Per

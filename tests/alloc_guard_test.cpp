@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <vector>
 
 #include "alloc_counter.hpp"
 #include "raid/rig.hpp"
@@ -114,6 +115,20 @@ TEST_F(AllocGuard, RpcRoundTrip) {
       });
   // Nothing per round trip: only the timer wheel's first-use slots.
   EXPECT_LE(n, 15u) << "over " << kMeasured << " round trips";
+}
+
+// Phantom full-stripe writes build their coding payloads with
+// Buffer::deferred_combine; over phantom sources it must give a phantom
+// without building a recipe. (No coroutine frames: holds with the slab off.)
+TEST(AllocGuardDeferred, PhantomSourcesAllocateNothing) {
+  const std::vector<Buffer> srcs(4, Buffer::phantom(kReq));
+  const std::vector<std::uint8_t> row{1, 1, 2, 3};
+  const Buffer::CombinePart parts[] = {{srcs, row}, {srcs, row}};
+  const std::uint64_t before = bench::heap_allocs();
+  const Buffer coding = Buffer::deferred_combine(parts);
+  EXPECT_EQ(bench::heap_allocs() - before, 0u);
+  EXPECT_FALSE(coding.materialized());
+  EXPECT_EQ(coding.size(), 2 * kReq);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 
 #include "common/buffer_map.hpp"
 #include "common/codec.hpp"
+#include "common/rng.hpp"
 #include "pvfs/client.hpp"
 
 namespace csar {
@@ -557,6 +558,251 @@ TEST(BufferSegmented, GatherSharesTheUserBuffer) {
       EXPECT_TRUE(p >= lo && p + n <= hi) << "run outside the user buffer";
     }
   }
+}
+
+// --- Deferred combines: encode on first read ---
+
+/// sum_r coeffs[r] * srcs[r], byte by byte with the scalar field multiply.
+std::vector<std::byte> combine_ref(const std::vector<Buffer>& srcs,
+                                   const std::vector<std::uint8_t>& coeffs) {
+  std::vector<std::byte> out(srcs[0].size());
+  for (std::size_t r = 0; r < srcs.size(); ++r) {
+    const auto v = to_vec(srcs[r]);
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      out[i] ^= std::byte{gf_mul(coeffs[r], static_cast<std::uint8_t>(v[i]))};
+    }
+  }
+  return out;
+}
+
+/// `len` pattern bytes, flat or as a run list over two backings.
+Buffer source(Rng& rng, std::uint64_t len) {
+  const Buffer a = Buffer::pattern(len, rng.next());
+  if (len < 2 || rng.below(2) == 0) return a;
+  const std::uint64_t cut = 1 + rng.below(len - 1);
+  return cat({a.slice(0, cut), Buffer::pattern(len, rng.next()).slice(
+                                   cut, len - cut)});
+}
+
+/// A generator row of k coefficients with 0s, 1s and other values mixed.
+std::vector<std::uint8_t> row_of(Rng& rng, std::uint32_t k) {
+  std::vector<std::uint8_t> row(k);
+  for (auto& c : row) {
+    const std::uint64_t kind = rng.below(4);
+    c = kind == 0 ? 0 : kind == 1 ? 1 : static_cast<std::uint8_t>(
+                                            2 + rng.below(254));
+  }
+  return row;
+}
+
+/// A deferred recipe of random parts, with the bytes it must produce.
+struct RandomRecipe {
+  std::vector<std::vector<Buffer>> srcs;
+  std::vector<std::vector<std::uint8_t>> rows;
+  std::vector<std::byte> want;
+
+  Buffer build() const {
+    std::vector<Buffer::CombinePart> parts;
+    for (std::size_t p = 0; p < srcs.size(); ++p) {
+      parts.push_back({srcs[p], rows[p]});
+    }
+    return Buffer::deferred_combine(parts);
+  }
+};
+
+RandomRecipe random_recipe(Rng& rng, std::size_t nparts) {
+  RandomRecipe r;
+  for (std::size_t p = 0; p < nparts; ++p) {
+    const auto k = static_cast<std::uint32_t>(1 + rng.below(8));
+    const std::uint64_t len = 1 + rng.below(3000);
+    r.srcs.emplace_back();
+    for (std::uint32_t i = 0; i < k; ++i) {
+      r.srcs.back().push_back(source(rng, len));
+    }
+    r.rows.push_back(row_of(rng, k));
+    const auto part = combine_ref(r.srcs.back(), r.rows.back());
+    r.want.insert(r.want.end(), part.begin(), part.end());
+  }
+  return r;
+}
+
+TEST(BufferDeferred, OnePartMatchesEagerCombine) {
+  Rng rng(4242);
+  for (int trial = 0; trial < 200; ++trial) {
+    const RandomRecipe r = random_recipe(rng, 1);
+    const CodecBytes before = codec_bytes();
+    const Buffer d = r.build();
+    const CodecBytes built = codec_bytes();
+    EXPECT_EQ(built.xor_bytes, before.xor_bytes) << "built, not computed";
+    EXPECT_EQ(built.gf_bytes, before.gf_bytes) << "built, not computed";
+    EXPECT_TRUE(d.materialized());
+    EXPECT_EQ(d.size(), r.want.size());
+    const Buffer eager = gf_combine(r.srcs[0], r.rows[0]);
+    EXPECT_EQ(to_vec(eager), r.want) << "trial " << trial;
+    EXPECT_TRUE(d == eager) << "trial " << trial;
+    EXPECT_EQ(to_vec(d), r.want) << "trial " << trial;
+  }
+}
+
+TEST(BufferDeferred, SlicesOfOneRecipeSettleInAnyOrderAndComputeOnce) {
+  Rng rng(777);
+  for (int trial = 0; trial < 40; ++trial) {
+    const RandomRecipe r = random_recipe(rng, 1 + rng.below(4));
+    const Buffer d = r.build();
+    const std::uint64_t n = d.size();
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> cuts;
+    std::vector<Buffer> views;
+    for (int v = 0; v < 6; ++v) {
+      const std::uint64_t off = rng.below(n);
+      const std::uint64_t len = rng.below(n - off + 1);
+      cuts.emplace_back(off, len);
+      views.push_back(d.slice(off, len));
+      // A slice of a slice is still a view of the same recipe.
+      views.push_back(views.back().slice(len / 3, len - len / 3));
+      cuts.emplace_back(off + len / 3, len - len / 3);
+    }
+    views.push_back(d);
+    cuts.emplace_back(0, n);
+    std::vector<std::size_t> order(views.size());
+    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+    for (std::size_t i = order.size(); i > 1; --i) {
+      std::swap(order[i - 1], order[rng.below(i)]);
+    }
+    CodecBytes prev = codec_bytes();
+    bool computed = false;
+    for (const std::size_t i : order) {
+      const auto [off, len] = cuts[i];
+      const std::vector<std::byte> want(
+          r.want.begin() + static_cast<std::ptrdiff_t>(off),
+          r.want.begin() + static_cast<std::ptrdiff_t>(off + len));
+      EXPECT_EQ(to_vec(views[i]), want) << "trial " << trial << " view " << i;
+      const CodecBytes now = codec_bytes();
+      if (computed || len == 0) {
+        // Every later view reads the memo: no kernel runs again.
+        EXPECT_EQ(now.xor_bytes, prev.xor_bytes);
+        EXPECT_EQ(now.gf_bytes, prev.gf_bytes);
+      }
+      computed = computed || len > 0;
+      prev = now;
+    }
+  }
+}
+
+TEST(BufferDeferred, SourcesMutatedAfterCaptureKeepTheirOldBytes) {
+  Rng rng(99);
+  for (int trial = 0; trial < 30; ++trial) {
+    RandomRecipe r = random_recipe(rng, 2);
+    const Buffer d = r.build();
+    // The sources' other holders, now the only ones besides the recipe,
+    // mutate them after the capture, each in a different way.
+    std::vector<std::vector<Buffer>> holders = std::move(r.srcs);
+    int how = 0;
+    for (auto& part : holders) {
+      for (Buffer& h : part) {
+        const Buffer key = Buffer::pattern(h.size(), rng.next());
+        switch (how++ % 4) {
+          case 0:
+            h.xor_with(key);
+            break;
+          case 1:
+            h.write_at(0, key);
+            break;
+          case 2:
+            h.mutable_bytes()[0] ^= std::byte{0xFF};
+            break;
+          case 3:
+            h.resize(h.size() + 5);
+            h.xor_at(0, key);
+            break;
+        }
+      }
+    }
+    EXPECT_EQ(to_vec(d), r.want) << "trial " << trial;
+  }
+}
+
+TEST(BufferDeferred, MultiPartRecipeEqualsJoinedEagerCombines) {
+  Rng rng(31337);
+  for (int trial = 0; trial < 40; ++trial) {
+    const RandomRecipe r = random_recipe(rng, 2 + rng.below(5));
+    std::vector<Buffer> eager;
+    for (std::size_t p = 0; p < r.srcs.size(); ++p) {
+      eager.push_back(gf_combine(r.srcs[p], r.rows[p]));
+    }
+    const Buffer joined = Buffer::concat(eager);
+    const Buffer d = r.build();
+    EXPECT_TRUE(joined == d) << "trial " << trial;
+    EXPECT_EQ(to_vec(d), r.want) << "trial " << trial;
+  }
+}
+
+TEST(BufferDeferred, ReadersAndMutatorsSettleTheView) {
+  Rng rng(5);
+  const RandomRecipe r = random_recipe(rng, 3);
+  const Buffer d = r.build();
+  const auto n = static_cast<std::uint64_t>(r.want.size());
+  // bytes() settles once; a copy taken before shares the same memo.
+  const Buffer early = d;
+  const auto span = d.bytes();
+  EXPECT_EQ(std::vector<std::byte>(span.begin(), span.end()), r.want);
+  EXPECT_EQ(d.bytes().data(), span.data());
+  EXPECT_EQ(early.bytes().data(), span.data());
+  // A mutator gets private bytes; the other views keep the old ones.
+  Buffer fresh = r.build();
+  const Buffer other_view = fresh.slice(0, n);
+  const Buffer key = Buffer::pattern(n / 2, 6);
+  fresh.xor_at(n / 4, key);
+  std::vector<std::byte> want = r.want;
+  const auto kv = to_vec(key);
+  for (std::size_t i = 0; i < kv.size(); ++i) want[n / 4 + i] ^= kv[i];
+  EXPECT_EQ(to_vec(fresh), want);
+  EXPECT_EQ(to_vec(other_view), r.want);
+  // Joined with other pieces, by itself, and as a run source.
+  const Buffer tail = Buffer::pattern(10, 7);
+  std::vector<std::byte> joined = r.want;
+  const auto tv = to_vec(tail);
+  joined.insert(joined.end(), tv.begin(), tv.end());
+  EXPECT_EQ(to_vec(cat({r.build(), tail})), joined);
+  EXPECT_EQ(to_vec(cat({r.build()})), r.want);
+  Buffer grown = r.build();
+  grown.resize(n + 3);
+  std::vector<std::byte> grown_want = r.want;
+  grown_want.resize(n + 3, std::byte{0});
+  EXPECT_EQ(to_vec(grown), grown_want);
+  // A deferred buffer as a source of another recipe.
+  const Buffer inner = r.build();
+  const std::vector<Buffer> srcs{inner, Buffer::pattern(n, 8)};
+  const std::vector<std::uint8_t> row{3, 1};
+  const Buffer::CombinePart part{srcs, row};
+  EXPECT_EQ(to_vec(Buffer::deferred_combine({&part, 1})),
+            combine_ref({Buffer::from_bytes(r.want), srcs[1]}, row));
+}
+
+TEST(BufferDeferred, PhantomSourcesGiveAPhantom) {
+  const std::vector<Buffer> ph{Buffer::phantom(100), Buffer::phantom(100)};
+  const std::vector<Buffer> ph2{Buffer::phantom(30)};
+  const std::vector<std::uint8_t> row{1, 7};
+  const std::vector<std::uint8_t> row2{5};
+  const Buffer::CombinePart parts[] = {{ph, row}, {ph2, row2}};
+  const Buffer d = Buffer::deferred_combine(parts);
+  EXPECT_FALSE(d.materialized());
+  EXPECT_EQ(d.size(), 130u);
+  EXPECT_TRUE(d == Buffer::phantom(130));
+}
+
+TEST(BufferDeferred, UnitCopyPartsAreViewsOfTheirSources) {
+  const Buffer a = Buffer::pattern(64, 1);
+  const Buffer b = Buffer::pattern(32, 2);
+  const std::vector<Buffer> sa{a};
+  const std::vector<Buffer> sb{b};
+  const std::vector<std::uint8_t> one{1};
+  const Buffer::CombinePart parts[] = {{sa, one}, {sb, one}};
+  const Buffer d = Buffer::deferred_combine(parts);
+  const auto runs = runs_of(d);
+  ASSERT_EQ(runs.size(), 2u);
+  EXPECT_EQ(runs[0].first, a.bytes().data());
+  EXPECT_EQ(runs[1].first, b.bytes().data());
+  EXPECT_EQ(Buffer::deferred_combine({}).size(), 0u);
 }
 
 TEST(BufferMap, ReadRangeJoinsRunsAndZeroesHoles) {

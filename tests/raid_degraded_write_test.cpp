@@ -162,6 +162,67 @@ TEST(DegradedWrite, Raid5LostParityAndLostUnitIsRejected) {
   }(rig));
 }
 
+/// The client's TX busy time spent on one degraded write of `len` bytes at
+/// `off`, server 0 down, with the client computing parity at `xor_rate`.
+sim::Duration degraded_tx_busy(Scheme scheme, double xor_rate,
+                               std::uint64_t off, std::uint64_t len) {
+  RigParams p = rig_params(scheme);
+  p.profile.client.xor_bytes_per_sec = xor_rate;
+  Rig rig(p);
+  sim::Duration busy = 0;
+  run_sim_void(rig, [](Rig& r, std::uint64_t o, std::uint64_t n,
+                       sim::Duration* out) -> sim::Task<void> {
+    auto& fs = r.client_fs();
+    auto f = co_await fs.create("f", r.layout(kSu));
+    CO_ASSERT_TRUE(f.ok());
+    const std::uint64_t w = f->layout.stripe_width();
+    auto seed = co_await fs.write(*f, 0, Buffer::pattern(3 * w, 1));
+    CO_ASSERT_TRUE(seed.ok());
+    r.server(0).fail();
+    Recovery rec = r.recovery();
+    auto& tx = r.cluster.node(r.client().node_id()).tx();
+    const sim::Duration before = tx.busy_time();
+    auto wr = co_await rec.degraded_write(*f, o, Buffer::pattern(n, 2), 0);
+    CO_ASSERT_TRUE(wr.ok());
+    *out = tx.busy_time() - before;
+  }(rig, off, len, &busy));
+  return busy;
+}
+
+// A degraded write charges its encodes on the client's send pipeline by
+// the healthy write's rule: RAID5 pays for the fresh parity of full groups
+// and for a reconstruct-write's coding, RAID5-npc pays for neither. Both
+// variants send the same messages, so the gap in busy time is the charge.
+TEST(DegradedWrite, EncodesAreChargedLikeTheHealthyWrite) {
+  constexpr double kRate = 1.6e9;
+  constexpr std::uint32_t k = 4;  // RAID5 on 5 servers
+  const std::uint64_t w = k * kSu;
+  struct Case {
+    const char* what;
+    std::uint64_t off;
+    std::uint64_t len;
+    std::uint64_t encoded;
+  };
+  const Case cases[] = {
+      // Groups 0 and 1 keep their parity (servers 4 and 3): two fresh
+      // k-unit encodes.
+      {"full groups", 0, 2 * w, 2 * k * kSu},
+      // Inside unit 0, on the down server: a reconstruct-write over 1000
+      // columns of all k + 1 fragments.
+      {"reconstruct-write", 100, 1000, 1000 * (k + 1)},
+  };
+  for (const Case& c : cases) {
+    const sim::Duration npc = degraded_tx_busy(Scheme::raid5_npc, kRate,
+                                               c.off, c.len);
+    EXPECT_EQ(degraded_tx_busy(Scheme::raid5_npc, kRate / 16, c.off, c.len),
+              npc)
+        << c.what << ": RAID5-npc computes no parity";
+    const sim::Duration raid5 =
+        degraded_tx_busy(Scheme::raid5, kRate, c.off, c.len);
+    EXPECT_EQ(raid5 - npc, sim::transfer_time(c.encoded, kRate)) << c.what;
+  }
+}
+
 TEST(DegradedWrite, HybridFullStripeInvalidatesOverflowWhileDegraded) {
   Rig rig(rig_params(Scheme::hybrid));
   run_sim_void(rig, [](Rig& r) -> sim::Task<void> {

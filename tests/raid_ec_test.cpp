@@ -14,6 +14,7 @@
 #include "common/rng.hpp"
 #include "hw/disk.hpp"
 #include "hw/page_cache.hpp"
+#include "obs/trace.hpp"
 #include "pvfs/io_server.hpp"
 #include "raid/migrate.hpp"
 #include "raid/recovery.hpp"
@@ -661,6 +662,66 @@ TEST(RsEndToEnd, ScrubRepairsUpToMLatentErrorsPerGroup) {
     CO_ASSERT_TRUE(rep2.ok());
     EXPECT_TRUE(rep2->clean());
   }(rig));
+}
+
+// A full-stripe write's coding is computed when first read, so coding that
+// the next write replaces is never encoded. Three writes of the same range
+// run no codec kernel at all. The scrub that follows reads each group's
+// stored coding, which computes the last write's coding once, and encodes
+// the group once itself to audit it: two encodes per group, where eager
+// coding would have done four.
+TEST(DeferredCoding, OverwrittenCodingIsNeverEncoded) {
+  for (const Scheme sch : {Scheme::raid5, Scheme::rs(4, 2)}) {
+    Rig rig(rs_rig(sch, 6));
+    run_sim_void(rig, [](Rig& r, Scheme sch) -> sim::Task<void> {
+      auto& fs = r.client_fs();
+      auto f = co_await fs.create("f", r.layout(kSu));
+      CO_ASSERT_TRUE(f.ok());
+      const CodeSpec spec = sch.code(f->layout);
+      constexpr std::uint64_t kGroups = 6;
+      const std::uint64_t len = kGroups * f->layout.group_width(spec.k);
+      const CodecBytes before = codec_bytes();
+      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        auto wr = co_await fs.write(*f, 0, Buffer::pattern(len, seed));
+        CO_ASSERT_TRUE(wr.ok());
+      }
+      const CodecBytes written = codec_bytes();
+      EXPECT_EQ(written.xor_bytes, before.xor_bytes) << scheme_name(sch);
+      EXPECT_EQ(written.gf_bytes, before.gf_bytes) << scheme_name(sch);
+
+      // What one eager encode of one group costs, row by row.
+      std::vector<Buffer> units;
+      for (std::uint32_t i = 0; i < spec.k; ++i) {
+        units.push_back(Buffer::pattern(kSu, 10 + i));
+      }
+      for (std::uint32_t j = 0; j < spec.m; ++j) {
+        (void)gf_combine(units, rs_row(spec, j));
+      }
+      const CodecBytes one = codec_bytes();
+      const std::uint64_t group_xor = one.xor_bytes - written.xor_bytes;
+      const std::uint64_t group_gf = one.gf_bytes - written.gf_bytes;
+      if (obs::kEnabled) {
+        EXPECT_GT(group_xor, 0u);
+      }
+
+      Scrubber scrub(r.client(), &r.policy());
+      auto rep = co_await scrub.verify(*f, len);
+      CO_ASSERT_TRUE(rep.ok());
+      EXPECT_TRUE(rep->clean()) << scheme_name(sch);
+      EXPECT_EQ(rep->groups_checked, kGroups);
+      const CodecBytes scrubbed = codec_bytes();
+      EXPECT_EQ(scrubbed.xor_bytes - one.xor_bytes, 2 * kGroups * group_xor)
+          << scheme_name(sch);
+      EXPECT_EQ(scrubbed.gf_bytes - one.gf_bytes, 2 * kGroups * group_gf)
+          << scheme_name(sch);
+      const bool consistent = co_await rs_consistent(
+          r, *f, Scheme::rs(spec.k, spec.m), len);
+      EXPECT_TRUE(consistent);
+      auto rd = co_await fs.read(*f, 0, len);
+      CO_ASSERT_TRUE(rd.ok());
+      EXPECT_EQ(*rd, Buffer::pattern(len, 3));
+    }(rig, sch));
+  }
 }
 
 // ---------- one engine: parity is rs(N-1,1), RAID1 is rs(1,1) ----------
