@@ -19,15 +19,19 @@ Then --pairs pairs of runs of `csar_perfbench --workload W --seed S
 the base first). Every run must report correct with no failed op. For each
 end-to-end metric in BENCHMARK.json the script prints each side's median and
 quartiles, the pairs the change won and lost (ties count for neither), the
-median of the per-pair ratios change/base, and whether the change's median
-is within the metric's bound of the base's. For --claim it also prints
-whether the gain rule holds: the change wins at least nine tenths of the
-pairs, and the medians differ, in the better direction, by more than the
-distance between the base's quartiles. The simulated results (the sim_*
-metrics, storage_ratio and the `sim:` fingerprint and event lines) are
-deterministic, so the script also checks that every run of both sides
-reports the same ones. The exit status is 0 when every run
-was correct, 1 otherwise.
+median of the per-pair ratios change/base, and a verdict on the metric's
+bound: "within" when the change's median is within the bound of the
+base's, "WORSE than" when it is not, and "unresolved" when the base's
+interquartile range is wider than the bound allows, so the runs cannot
+tell a change of that size from noise, unless every change run beats every
+base run. For --claim it also prints whether the gain rule holds: the change
+wins at least nine tenths of the pairs, and the medians differ, in the
+better direction, by more than the distance between the base's quartiles.
+The simulated results (the sim_* metrics, storage_ratio and the `sim:`
+fingerprint and event lines) are deterministic, so the script checks that
+every run of one side reports the same ones, and prints each sim_* or
+storage_ratio metric whose value differs between the sides. The exit status
+is 0 when every run was correct, 1 otherwise.
 """
 import argparse
 import json
@@ -140,13 +144,13 @@ def main():
         print(f"{side}: {rev} built", flush=True)
 
     runs = {"base": [], "change": []}
-    sim_lines = set()
+    sim_lines = {"base": set(), "change": set()}
     all_correct = True
     for i in range(args.pairs):
         order = ("base", "change") if i % 2 == 0 else ("change", "base")
         for side in order:
             r, sim = run(binaries[side], args)
-            sim_lines.add("\n".join(sim))
+            sim_lines[side].add("\n".join(sim))
             ok = r.get("correct") is True and r.get("failed") == 0
             all_correct = all_correct and ok
             runs[side].append(r["metrics"])
@@ -172,11 +176,16 @@ def main():
         lost = sum((y < x) if higher else (y > x) for x, y in zip(b, c))
         ratio = statistics.median(y / x if x else 1.0 for x, y in zip(b, c))
         worse = (bq[1] - cq[1]) if higher else (cq[1] - bq[1])
-        within = worse <= m["bound"] * abs(bq[1])
+        bound = m["bound"] * abs(bq[1])
+        beats_all = (min(c) > max(b)) if higher else (max(c) < min(b))
+        if bq[2] - bq[0] > bound and not beats_all:
+            verdict = "unresolved at"
+        else:
+            verdict = "within" if worse <= bound else "WORSE than"
         print(f"{name:22} {bq[1]:12.6g} [{bq[0]:.6g}, {bq[2]:.6g}]".ljust(57)
               + f" {cq[1]:12.6g} [{cq[0]:.6g}, {cq[2]:.6g}]".ljust(35)
               + f" {ratio:7.4f} {won:4} {lost:4}  "
-              + ("within" if within else "WORSE than") + f" {m['bound']:g}")
+              + verdict + f" {m['bound']:g}")
         if name == args.claim:
             gain = -worse
             holds = won >= 0.9 * args.pairs and gain > bq[2] - bq[0]
@@ -186,10 +195,24 @@ def main():
 
     sim = sorted(n for n in spec if n.startswith("sim_")
                  or n == "storage_ratio")
-    values = {json.dumps([r.get(n, {}).get("value") for n in sim])
-              for side in runs.values() for r in side}
-    print("simulated metrics and sim: lines identical across every run: "
-          + ("yes" if len(values) == 1 and len(sim_lines) == 1 else "NO"))
+    for side in ("base", "change"):
+        values = {json.dumps([r.get(n, {}).get("value") for n in sim])
+                  for r in runs[side]}
+        print(f"{side}: simulated metrics and sim: lines identical across "
+              "its runs: " + ("yes" if len(values) == 1
+                              and len(sim_lines[side]) == 1 else "NO"))
+    differ = False
+    for n in sim:
+        b = runs["base"][0].get(n, {}).get("value")
+        c = runs["change"][0].get(n, {}).get("value")
+        if b != c:
+            differ = True
+            print(f"  {n} differs: base {b}, change {c}")
+    if sim_lines["base"] != sim_lines["change"]:
+        differ = True
+        print("  sim: lines differ between the sides")
+    if not differ:
+        print("simulated metrics and sim: lines identical across the sides")
     print("every run correct with 0 failed ops: "
           + ("yes" if all_correct else "NO"))
     return 0 if all_correct else 1

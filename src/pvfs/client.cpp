@@ -355,7 +355,7 @@ sim::Task<std::vector<Response>> Client::rpc_all(
     // better as independent messages — inside one envelope the server would
     // execute them strictly in order and the combined response could not
     // start streaming until the last sub finished. Request order within an
-    // envelope is preserved, and write_hybrid appends its parity writes
+    // envelope is preserved, and the Hybrid write appends its parity writes
     // before its overflow copies, so a lock-releasing parity write is never
     // queued behind mirror payload in the same message.
     struct Group {

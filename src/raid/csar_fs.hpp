@@ -3,7 +3,8 @@
 // Wraps a pvfs::Client with one of the redundancy schemes from the paper.
 // Reads are identical for every scheme in normal operation (redundancy is
 // never read; servers already return the newest copy, overflow included).
-// Writes dispatch to the per-scheme paths:
+// Every write, healthy or around down servers, is raid::Recovery::write,
+// which serves each scheme by its code (recovery.hpp):
 //
 //  RAID0   data only (plain PVFS).
 //  RAID1   rs(1,1): data + a copy on the next server's redundancy file,
@@ -13,7 +14,7 @@
 //          XORs the delta, and writes data + new parity (releasing the
 //          lock). Full groups skip the reads — parity is computed fresh.
 //          RAID4 and the RAID5 variants are rs(N-1,1), and the one coded
-//          path serves them and rs(k,m) alike (write_coded).
+//          path serves them and rs(k,m) alike.
 //  Hybrid  the write is split (§4) into [partial | full stripes | partial]:
 //          the full-stripe run takes the coded fast path (and invalidates
 //          overlapping overflow entries); the partial edges are written
@@ -176,14 +177,9 @@ class CsarFs {
   sim::Task<Result<void>> write_guarded(const pvfs::OpenFile& f,
                                         std::uint64_t off, Buffer data);
 
-  /// The per-scheme write dispatch (the pre-failover write() body). The
-  /// scheme is the policy's resolution for `f`, done once at dispatch.
-  sim::Task<Result<void>> dispatch_write(const pvfs::OpenFile& f,
-                                         std::uint64_t off,
-                                         const Buffer& data);
-
-  /// Recovery::degraded_write bracketed by the WriteObserver hooks (fired
-  /// once per down server — every victim's rebuild tracks the dirty region).
+  /// Recovery::write around the `failed` servers, bracketed by the
+  /// WriteObserver hooks (fired once per down server — every victim's
+  /// rebuild tracks the dirty region).
   sim::Task<Result<void>> degraded_write_observed(
       const pvfs::OpenFile& f, std::uint64_t off, Buffer data,
       std::vector<std::uint32_t> failed);
@@ -194,19 +190,6 @@ class CsarFs {
   sim::Task<Result<Buffer>> reroute_read(const pvfs::OpenFile& f,
                                          std::uint64_t off, std::uint64_t len,
                                          Error err);
-
-  sim::Task<Result<void>> write_hybrid(const pvfs::OpenFile& f,
-                                       std::uint64_t off, const Buffer& data);
-  /// The coded write path for every k+m code (RAID1 is rs(1,1), RAID4 and
-  /// the RAID5 variants are rs(N-1,1)): full groups compute their m coding
-  /// units fresh; partial groups run the batched RMW protocol (one locked
-  /// read+update per touched coding server, ascending order) folding
-  /// per-unit GF deltas. A k = 1 code writes its coding straight from the
-  /// new bytes (copy_writes). `sch` carries the variant flags: R5-NO-LOCK
-  /// takes no locks, RAID5-npc charges no coding CPU time.
-  sim::Task<Result<void>> write_coded(const pvfs::OpenFile& f,
-                                      std::uint64_t off, const Buffer& data,
-                                      Scheme sch);
 
   pvfs::Client* client_;
   CsarParams p_;

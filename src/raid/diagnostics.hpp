@@ -51,19 +51,19 @@ inline TextTable policy_stats_table(const RedundancyPolicy& policy) {
 }
 
 /// Erasure-coding activity: decode/encode traffic of the rs(k,m) paths.
-/// The fragments/read column is the degraded-read cost the MDS property
-/// promises: exactly k fragments fetched per decoded piece.
+/// The frags/decode column is the decode cost the MDS property promises:
+/// exactly k fragments fetched per decoded piece, degraded read or rebuild.
 inline TextTable ec_stats_table(const RedundancyPolicy& policy) {
   const EcStats& e = policy.ec_stats();
-  TextTable t({"degraded reads", "fragments", "frags/read", "decode bytes",
+  TextTable t({"degraded reads", "fragments", "frags/decode", "decode bytes",
                "encode bytes", "rebuild decodes"});
-  const double per_read =
-      e.degraded_reads == 0
-          ? 0.0
-          : static_cast<double>(e.fragments_fetched) /
-                static_cast<double>(e.degraded_reads + e.rebuild_decodes);
+  const std::uint64_t decodes = e.degraded_reads + e.rebuild_decodes;
+  const double per_decode =
+      decodes == 0 ? 0.0
+                   : static_cast<double>(e.fragments_fetched) /
+                         static_cast<double>(decodes);
   t.add_row({TextTable::num(e.degraded_reads),
-             TextTable::num(e.fragments_fetched), TextTable::num(per_read, 2),
+             TextTable::num(e.fragments_fetched), TextTable::num(per_decode, 2),
              format_bytes(e.decode_bytes), format_bytes(e.encode_bytes),
              TextTable::num(e.rebuild_decodes)});
   return t;

@@ -182,10 +182,12 @@ class RedundancyPolicy {
     t.full_bytes += full_bytes;
     t.partial_bytes += partial_bytes;
   }
-  void note_rmw(Scheme s, std::uint64_t groups) {
+  /// Called by Recovery::write, which holds the policy const (mutable
+  /// storage, as for the erasure-coding counters below).
+  void note_rmw(Scheme s, std::uint64_t groups) const {
     per_scheme_[s].rmw_groups += groups;
   }
-  void note_overflow_bytes(Scheme s, std::uint64_t bytes) {
+  void note_overflow_bytes(Scheme s, std::uint64_t bytes) const {
     per_scheme_[s].overflow_bytes += bytes;
   }
 
@@ -256,7 +258,7 @@ class RedundancyPolicy {
   std::map<std::uint64_t, FileTelemetry> files_;
   std::set<std::uint64_t> ever_hybrid_;
   std::set<std::uint64_t> attempted_;
-  std::map<Scheme, SchemeCounters> per_scheme_;
+  mutable std::map<Scheme, SchemeCounters> per_scheme_;
   PolicyStats stats_;
   mutable EcStats ec_;
 };

@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/small_vec.hpp"
 #include "common/units.hpp"
 #include "sim/sync.hpp"
 
@@ -269,29 +270,6 @@ sim::Task<Result<Buffer>> Recovery::degraded_read(
   co_return Buffer::concat(pieces);
 }
 
-namespace {
-
-/// A partial-stripe segment [start, end) of a degraded write.
-struct Seg {
-  std::uint64_t start;
-  std::uint64_t end;
-};
-
-/// Overlay the new bytes of `seg` (taken from `data`, which starts at file
-/// offset `off`) that fall into stripe unit `u` onto `after`, a buffer
-/// holding that unit's columns starting at column `c0`.
-void overlay_new(const StripeLayout& layout, std::uint64_t off,
-                 const Buffer& data, const Seg& seg, std::uint64_t u,
-                 std::uint64_t c0, Buffer& after) {
-  for (const auto& e : layout.decompose(seg.start, seg.end - seg.start)) {
-    if (layout.unit_of(e.global_off) != u) continue;
-    after.write_at(e.global_off % layout.su() - c0,
-                   data.slice(e.global_off - off, e.len));
-  }
-}
-
-}  // namespace
-
 sim::Task<void> charge_encode(pvfs::Client& client, Scheme sch,
                               std::uint64_t bytes) {
   if (sch == Scheme::raid5_npc || bytes == 0) co_return;
@@ -300,11 +278,190 @@ sim::Task<void> charge_encode(pvfs::Client& client, Scheme sch,
       sim::transfer_time(bytes, node.params().xor_bytes_per_sec));
 }
 
-std::uint64_t copy_writes(
-    const pvfs::OpenFile& f, CodeSpec spec, std::uint32_t red_gen,
-    std::uint64_t off, const Buffer& data,
-    const std::vector<std::uint32_t>& failed,
-    std::vector<std::pair<std::uint32_t, Request>>& out) {
+StripeLayout::WriteSplit write_split(const StripeLayout& layout, CodeSpec spec,
+                                     std::uint64_t off, std::uint64_t len) {
+  // k = 0 only for a one-server parity layout, which has no groups.
+  if (spec.k == 0) return {};
+  return layout.split_write_w(off, len, layout.group_width(spec.k));
+}
+
+namespace {
+
+/// A partial-group segment of a write (the head or tail of the split).
+struct PartialSeg {
+  std::uint64_t start;
+  std::uint64_t end;
+  std::uint64_t group;
+};
+
+/// The head and tail of `ws` as segments of k-unit groups. Head group <
+/// tail group, so this is already ascending — the ordered lock
+/// acquisition the paper uses to avoid deadlock (§5.1).
+SmallVec<PartialSeg, 2> partial_segments(const StripeLayout& layout,
+                                         const StripeLayout::WriteSplit& ws,
+                                         std::uint32_t k) {
+  SmallVec<PartialSeg, 2> out;
+  if (ws.head_end > ws.head_start) {
+    out.push_back(
+        {ws.head_start, ws.head_end, layout.group_of_off(ws.head_start, k)});
+  }
+  if (ws.tail_end > ws.tail_start) {
+    out.push_back(
+        {ws.tail_start, ws.tail_end, layout.group_of_off(ws.tail_start, k)});
+  }
+  return out;
+}
+
+/// Unit extents of [start, end): decompose()'s count, without decomposing.
+std::size_t unit_count(const StripeLayout& layout, std::uint64_t start,
+                       std::uint64_t end) {
+  return start < end ? static_cast<std::size_t>(layout.unit_of(end - 1) -
+                                                layout.unit_of(start) + 1)
+                     : 0;
+}
+
+/// Byte columns of the coding units touched by a partial segment. With more
+/// than one touched unit the union of per-unit column ranges may have a gap;
+/// we read/write the covering range, which is what "reads the corresponding
+/// parity region" amounts to.
+struct ColRange {
+  std::uint64_t lo;
+  std::uint64_t hi;
+};
+
+ColRange col_range(const StripeLayout& layout, const PartialSeg& seg) {
+  const std::uint64_t su = layout.su();
+  const std::uint64_t u0 = layout.unit_of(seg.start);
+  const std::uint64_t u1 = layout.unit_of(seg.end - 1);
+  if (u0 == u1) return {seg.start % su, (seg.end - 1) % su + 1};
+  return {0, su};
+}
+
+/// A partial group whose coding the write updates by read-modify-write.
+struct RmwGroup {
+  PartialSeg seg;
+  ColRange cols;
+  std::vector<Buffer> coding;  ///< old coding columns, updated in place
+  /// A touched data unit's server is down: its old bytes are decoded
+  /// (reconstruct-write) instead of read.
+  bool lost = false;
+};
+
+/// Offset of coding unit j's columns for RMW group `c` in its server's
+/// redundancy file.
+std::uint64_t coding_col(const StripeLayout& layout, CodeSpec spec,
+                         const RmwGroup& c, std::uint32_t j) {
+  return layout.coding_off(c.seg.group, spec.k, spec.m, j) + c.cols.lo;
+}
+
+/// Force `b` to match the materialization of the write payload; server reads
+/// of sparse regions come back materialized (zeros) even in phantom runs.
+Buffer match_materialization(Buffer b, bool materialized) {
+  if (b.materialized() == materialized) return b;
+  assert(!materialized && "cannot materialize a phantom buffer");
+  return Buffer::phantom(b.size());
+}
+
+/// Fresh coding writes for the full groups [g0, g1) of `data` (which starts
+/// at file offset `off`), appended to `reqs`: one write per run of
+/// consecutive slots on a server, servers in ascending order. With k = N-1
+/// and m = 1 every server's parity units are consecutive, so each server
+/// gets one merged write. A payload is a deferred combine with one part
+/// per maximal run of its slots that share a generator row, whose source i
+/// joins data unit i of those slots' groups: the coding bytes are computed
+/// only if something reads them, and the views pin only what the data
+/// writes already pin. Returns the bytes the encode costs in simulated
+/// time.
+std::uint64_t full_coding_writes(
+    const pvfs::OpenFile& f, CodeSpec spec, std::uint64_t off,
+    const Buffer& data, std::uint64_t g0, std::uint64_t g1,
+    std::uint32_t red_gen,
+    std::vector<std::pair<std::uint32_t, Request>>& reqs) {
+  const StripeLayout& layout = f.layout;
+  const std::uint64_t su = layout.su();
+  const std::uint32_t k = spec.k;
+  struct Slot {
+    std::uint32_t server;
+    std::uint64_t slot;
+    std::uint64_t g;
+    std::uint32_t j;
+  };
+  std::vector<Slot> slots;
+  slots.reserve(static_cast<std::size_t>((g1 - g0) * spec.m));
+  for (std::uint64_t g = g0; g < g1; ++g) {
+    for (std::uint32_t j = 0; j < spec.m; ++j) {
+      slots.push_back({layout.coding_server(g, k, j),
+                       layout.coding_slot(g, k, spec.m, j), g, j});
+    }
+  }
+  std::sort(slots.begin(), slots.end(), [](const Slot& a, const Slot& b) {
+    return a.server != b.server ? a.server < b.server : a.slot < b.slot;
+  });
+  std::vector<std::vector<std::uint8_t>> rows;
+  std::vector<Buffer> srcs;
+  std::vector<Buffer> units;
+  std::vector<Buffer::CombinePart> parts;
+  if (data.materialized()) {
+    for (std::uint32_t j = 0; j < spec.m; ++j) rows.push_back(rs_row(spec, j));
+  }
+  for (std::size_t a = 0; a < slots.size();) {
+    std::size_t b = a + 1;
+    while (b < slots.size() && slots[b].server == slots[a].server &&
+           slots[b].slot == slots[a].slot + (b - a)) {
+      ++b;
+    }
+    Request r;
+    r.op = Op::write_red;
+    r.handle = f.handle;
+    r.off = slots[a].slot * su;
+    r.su = layout.stripe_unit;
+    r.red_gen = red_gen;
+    if (!data.materialized()) {
+      r.payload = Buffer::phantom((b - a) * su);
+    } else {
+      // One part per maximal run of one row; its k sources first, then
+      // the parts over them (the sources no longer move).
+      srcs.clear();
+      parts.clear();
+      for (std::size_t p = a; p < b;) {
+        std::size_t q = p + 1;
+        while (q < b && slots[q].j == slots[p].j) ++q;
+        for (std::uint32_t i = 0; i < k; ++i) {
+          units.clear();
+          for (std::size_t x = p; x < q; ++x) {
+            units.push_back(data.slice(
+                layout.group_start(slots[x].g, k) + i * su - off, su));
+          }
+          srcs.push_back(Buffer::concat(units));
+        }
+        parts.push_back({{}, rows[slots[p].j]});
+        p = q;
+      }
+      for (std::size_t x = 0; x < parts.size(); ++x) {
+        parts[x].srcs = std::span<const Buffer>(srcs).subspan(x * k, k);
+      }
+      r.payload = Buffer::deferred_combine(parts);
+    }
+    reqs.emplace_back(slots[a].server, std::move(r));
+    a = b;
+  }
+  return (g1 - g0) * spec.m * layout.group_width(k);
+}
+
+/// The writes of a k = 1 code (RAID1 is rs(1,1)), appended to `out`. Each
+/// coding byte is c_j times one data byte, so a write sets its coding over
+/// the same range from the new bytes alone: no lock, no old-data read. Per
+/// merged extent: one data write, then its m coding writes at the coding
+/// slot plus the in-unit offset (one per run of consecutive slots). The
+/// data write carries the owner's overflow invalidation and coding unit 0,
+/// which lives on the successor that holds the owner's mirror overflow
+/// entries, carries the mirror's; neither costs a message. Returns the
+/// bytes multiplied by a coefficient other than 1, which a copy (RAID1)
+/// has none of.
+std::uint64_t copy_writes(const pvfs::OpenFile& f, CodeSpec spec,
+                          std::uint32_t red_gen, std::uint64_t off,
+                          const Buffer& data,
+                          std::vector<std::pair<std::uint32_t, Request>>& out) {
   assert(spec.k == 1);
   const StripeLayout& layout = f.layout;
   const std::uint64_t su = layout.su();
@@ -312,16 +469,14 @@ std::uint64_t copy_writes(
   for (const auto& e : layout.decompose_merged(off, data.size())) {
     Buffer payload =
         pvfs::Client::gather_for_server(layout, off, data, e.server);
-    if (!contains(failed, e.server)) {
-      Request w;
-      w.op = Op::write_data;
-      w.handle = f.handle;
-      w.off = e.local_off;
-      w.payload = payload.slice(0, payload.size());
-      w.su = layout.stripe_unit;
-      w.inval_own = Interval{e.local_off, e.local_off + e.len};
-      out.emplace_back(e.server, std::move(w));
-    }
+    Request w;
+    w.op = Op::write_data;
+    w.handle = f.handle;
+    w.off = e.local_off;
+    w.payload = payload.slice(0, payload.size());
+    w.su = layout.stripe_unit;
+    w.inval_own = Interval{e.local_off, e.local_off + e.len};
+    out.emplace_back(e.server, std::move(w));
     for (std::uint32_t j = 0; j < spec.m; ++j) {
       // Coding unit j holds c_j times the bytes (a view when c_j = 1).
       const std::uint8_t c = rs_coeff(spec, j, 0);
@@ -348,17 +503,15 @@ std::uint64_t copy_writes(
         } while (hi < end &&
                  slot_of(hi) == std::pair<std::uint32_t, std::uint64_t>{
                                     cs, coff + (hi - lo)});
-        if (!contains(failed, cs)) {
-          Request w;
-          w.op = Op::write_red;
-          w.handle = f.handle;
-          w.off = coff;
-          w.payload = coded.slice(lo - e.local_off, hi - lo);
-          w.su = layout.stripe_unit;
-          w.red_gen = red_gen;
-          if (j == 0) w.inval_mirror = Interval{lo, hi};
-          out.emplace_back(cs, std::move(w));
-        }
+        Request cw;
+        cw.op = Op::write_red;
+        cw.handle = f.handle;
+        cw.off = coff;
+        cw.payload = coded.slice(lo - e.local_off, hi - lo);
+        cw.su = layout.stripe_unit;
+        cw.red_gen = red_gen;
+        if (j == 0) cw.inval_mirror = Interval{lo, hi};
+        out.emplace_back(cs, std::move(cw));
         lo = hi;
       }
     }
@@ -366,335 +519,543 @@ std::uint64_t copy_writes(
   return gf_bytes;
 }
 
-sim::Task<Result<void>> Recovery::degraded_write(
-    const pvfs::OpenFile& f, std::uint64_t off, Buffer data,
-    std::vector<std::uint32_t> failed) {
+/// The RMW groups of the partial segments `segs`. A group with no live
+/// coding unit has nothing to update and is left out, unless a touched data
+/// unit is down too: then the write cannot be recorded, and the error names
+/// that unit's server.
+Result<std::vector<RmwGroup>> rmw_groups(
+    const StripeLayout& layout, CodeSpec spec,
+    const SmallVec<PartialSeg, 2>& segs,
+    const std::vector<std::uint32_t>& failed) {
+  std::vector<RmwGroup> groups;
+  groups.reserve(segs.size());
+  for (const auto& seg : segs) {
+    RmwGroup c{seg, col_range(layout, seg), std::vector<Buffer>(spec.m)};
+    if (!failed.empty()) {
+      int lost_server = -1;
+      for (const auto& e : layout.decompose(seg.start, seg.end - seg.start)) {
+        if (contains(failed, e.server)) {
+          lost_server = static_cast<int>(e.server);
+        }
+      }
+      c.lost = lost_server >= 0;
+      bool live = false;
+      for (std::uint32_t j = 0; j < spec.m; ++j) {
+        const std::uint32_t cs = layout.coding_server(seg.group, spec.k, j);
+        live = live || !contains(failed, cs);
+      }
+      if (!live && c.lost) {
+        return Error{Errc::server_failed,
+                     "write to a lost unit with no live coding", lost_server};
+      }
+      if (!live) continue;
+    }
+    groups.push_back(std::move(c));
+  }
+  return groups;
+}
+
+/// Steps 1-3 of the RMW (§5.1) over `groups`, leaving each live coding
+/// unit's new columns in groups[i].coding; returns the bytes it encoded.
+/// A failed read releases every lock the RMW may hold.
+sim::Task<Result<std::uint64_t>> rmw_fold(
+    pvfs::Client& client, const pvfs::OpenFile& f, Scheme sch,
+    std::uint32_t gen, std::uint64_t rmw_token, std::uint64_t off,
+    const Buffer& data, const std::vector<std::uint32_t>& failed,
+    std::vector<RmwGroup>& groups) {
+  const StripeLayout& layout = f.layout;
+  const std::uint64_t su = layout.su();
+  const CodeSpec spec = sch.code(layout);
+  const std::uint32_t k = spec.k;
+  const std::uint32_t m = spec.m;
+  const bool locking = rmw_token != 0;
+  auto down = [&failed](std::uint32_t s) { return contains(failed, s); };
+  std::uint64_t xor_bytes = 0;
+
+  // 1. Every touched extent needs its old contents. The old-data reads are
+  //    lock-free and proceed in parallel with the coding reads — deltas of
+  //    disjoint regions commute, so only each coding read->write pair must
+  //    be atomic. A lost group reads its old bytes only under the locks
+  //    (step 2b).
+  std::size_t nreads = 0;
+  for (const auto& c : groups) {
+    nreads += unit_count(layout, c.seg.start, c.seg.end);
+  }
+  std::vector<std::pair<std::size_t, StripeLayout::Extent>> read_meta;
+  read_meta.reserve(nreads);
+  for (std::size_t i = 0; i < groups.size(); ++i) {
+    const auto& seg = groups[i].seg;
+    for (const auto& e : layout.decompose(seg.start, seg.end - seg.start)) {
+      read_meta.emplace_back(i, e);
+    }
+  }
+
+  // Shared state between this frame and the old-data reader tasks. The
+  // readers stream the delta half of the update: each computes old ^ new
+  // per response *as it arrives* (overlapping the XOR with the lock phase
+  // below) instead of after a global join.
+  struct OldReadShared {
+    pvfs::Client* client;
+    const std::vector<std::pair<std::size_t, StripeLayout::Extent>>* meta;
+    const Buffer* data;
+    std::uint64_t off;
+    bool materialized;
+    Scheme sch;
+    std::vector<Buffer> deltas;  // indexed like read_meta
+    bool failed = false;
+    Errc errc = Errc::ok;
+    int err_server = -1;
+    void fail(const pvfs::Response& resp) {
+      if (failed) return;
+      failed = true;
+      errc = resp.err;
+      err_server = resp.server;
+    }
+  };
+  OldReadShared shared{&client, &read_meta, &data, off, data.materialized(),
+                       sch,     {},         false, Errc::ok, -1};
+  shared.deltas.resize(read_meta.size());
+
+  // One reader per extent: bulk old-data responses pipeline best as
+  // independent messages (the server overlaps their disk reads, and each
+  // response streams back as soon as it is done).
+  auto read_one = [](OldReadShared* sh, std::uint32_t srv, Request req,
+                     std::size_t x) -> sim::Task<void> {
+    auto resp = co_await sh->client->rpc(srv, std::move(req));
+    if (!resp.ok) {
+      sh->fail(resp);
+      co_return;
+    }
+    const auto& e = (*sh->meta)[x].second;
+    Buffer delta =
+        match_materialization(std::move(resp.data), sh->materialized);
+    delta.xor_with(sh->data->slice(e.global_off - sh->off, e.len));
+    sh->deltas[x] = std::move(delta);
+    co_await charge_encode(*sh->client, sh->sch, e.len);
+  };
+  std::vector<sim::ProcessHandle> readers;
+  readers.reserve(nreads);
+  for (std::size_t x = 0; x < read_meta.size(); ++x) {
+    const auto& [i, e] = read_meta[x];
+    if (groups[i].lost) continue;
+    Request r;
+    r.op = Op::read_data_raw;
+    r.handle = f.handle;
+    r.off = e.local_off;
+    r.len = e.len;
+    readers.push_back(client.cluster().sim().spawn(
+        read_one(&shared, e.server, std::move(r), x)));
+  }
+
+  // 2. Lock phase: one batched lock+read RPC per live coding server. The
+  //    server acquires every lock of the batch atomically (ascending key
+  //    order) before answering; servers are visited sequentially in
+  //    first-seen (ascending group, ascending j) order, which preserves the
+  //    paper's ordered-acquisition deadlock-avoidance rule across writers.
+  struct LockBucket {
+    std::uint32_t server;
+    std::vector<std::pair<std::size_t, std::uint32_t>> cs;  // (group, j)
+  };
+  std::vector<LockBucket> lbuckets;
+  for (std::size_t i = 0; i < groups.size(); ++i) {
+    for (std::uint32_t j = 0; j < m; ++j) {
+      const std::uint32_t srv = layout.coding_server(groups[i].seg.group, k, j);
+      if (down(srv)) continue;
+      LockBucket* b = nullptr;
+      for (auto& cand : lbuckets) {
+        if (cand.server == srv) {
+          b = &cand;
+          break;
+        }
+      }
+      if (b == nullptr) {
+        lbuckets.push_back({srv, {}});
+        b = &lbuckets.back();
+      }
+      b->cs.emplace_back(i, j);
+    }
+  }
+
+  bool coding_error = false;
+  Errc coding_errc = Errc::ok;
+  int coding_err_server = -1;
+  // Locks whose acquisition request went out; on abort each gets an
+  // explicit owner-checked release (safe even when the grant is unknown —
+  // a timed-out envelope may or may not have taken them server-side).
+  std::vector<char> lock_sent(groups.size() * m, 0);
+  for (auto& b : lbuckets) {
+    std::vector<Request> subs;
+    subs.reserve(b.cs.size());
+    for (const auto& [i, j] : b.cs) {
+      Request r;
+      r.op = Op::read_red;
+      r.handle = f.handle;
+      r.off = coding_col(layout, spec, groups[i], j);
+      r.len = groups[i].cols.hi - groups[i].cols.lo;
+      r.lock = locking;
+      r.rmw_token = rmw_token;
+      r.su = layout.stripe_unit;
+      r.red_gen = gen;
+      subs.push_back(std::move(r));
+      if (locking) lock_sent[i * m + j] = 1;
+    }
+    auto resps = co_await client.rpc_batch(b.server, std::move(subs));
+    for (std::size_t x = 0; x < resps.size(); ++x) {
+      if (!resps[x].ok) {
+        if (!coding_error) {
+          coding_error = true;
+          coding_errc = resps[x].err;
+          coding_err_server = resps[x].server;
+        }
+        continue;
+      }
+      groups[b.cs[x].first].coding[b.cs[x].second] = match_materialization(
+          std::move(resps[x].data), data.materialized());
+    }
+    if (coding_error) break;
+  }
+
+  // 2b. Reconstruct-write reads, under the locks: the old columns of every
+  //     live data unit of a lost group. Read before the locks, a unit
+  //     another writer is updating could pair its old bytes with that
+  //     writer's new coding and decode garbage.
+  std::vector<std::pair<std::uint32_t, Request>> unit_reads;
+  std::vector<std::pair<std::size_t, std::uint32_t>> unit_meta;  // (group, i)
+  for (std::size_t i = 0; i < groups.size() && !coding_error; ++i) {
+    if (!groups[i].lost) continue;
+    for (std::uint32_t di = 0; di < k; ++di) {
+      const std::uint64_t u = groups[i].seg.group * k + di;
+      if (down(layout.server_of_unit(u))) continue;
+      Request r;
+      r.op = Op::read_data_raw;
+      r.handle = f.handle;
+      r.off = layout.local_unit(u) * su + groups[i].cols.lo;
+      r.len = groups[i].cols.hi - groups[i].cols.lo;
+      unit_reads.emplace_back(layout.server_of_unit(u), std::move(r));
+      unit_meta.emplace_back(i, di);
+    }
+  }
+  std::vector<pvfs::Response> units;
+  if (!unit_reads.empty()) {
+    units = co_await send_all(client, std::move(unit_reads));
+    for (const auto& resp : units) {
+      if (!resp.ok) shared.fail(resp);
+    }
+  }
+  for (auto& h : readers) co_await h.join();
+
+  if (coding_error || shared.failed) {
+    // Abandoning the RMW with lock requests in flight: explicitly release
+    // every lock we may hold so the group is not wedged until the lease
+    // reaper fires. unlock_red is owner-checked and writes nothing, so it
+    // is safe to send for locks that failed their read (media error — the
+    // lock was still taken) and for grants lost to a timeout alike.
+    if (locking) {
+      std::vector<std::pair<std::uint32_t, Request>> rel;
+      for (std::size_t i = 0; i < groups.size(); ++i) {
+        for (std::uint32_t j = 0; j < m; ++j) {
+          if (lock_sent[i * m + j] == 0) continue;
+          Request u;
+          u.op = Op::unlock_red;
+          u.handle = f.handle;
+          u.off = coding_col(layout, spec, groups[i], j);
+          u.rmw_token = rmw_token;
+          u.su = layout.stripe_unit;
+          u.red_gen = gen;
+          rel.emplace_back(layout.coding_server(groups[i].seg.group, k, j),
+                           std::move(u));
+        }
+      }
+      (void)co_await client.rpc_all(std::move(rel));
+    }
+    if (coding_error) {
+      co_return Error{coding_errc, "coding read", coding_err_server};
+    }
+    co_return Error{shared.errc, "old data read", shared.err_server};
+  }
+
+  // 2c. A lost group's deltas: old ^ new per touched extent, as the
+  //     readers compute them. A down unit's old columns are decoded from k
+  //     live fragments (data units first, then coding, both ascending);
+  //     the decode is charged in place of the delta's XOR.
+  std::uint64_t delta_bytes = 0;
+  for (std::size_t i = 0; i < groups.size(); ++i) {
+    if (!groups[i].lost) continue;
+    const std::uint64_t w = groups[i].cols.hi - groups[i].cols.lo;
+    std::vector<Buffer> old(k);
+    std::vector<std::uint32_t> present;
+    std::vector<Buffer> srcs;
+    for (std::size_t r = 0; r < unit_meta.size(); ++r) {
+      if (unit_meta[r].first != i) continue;
+      const std::uint32_t di = unit_meta[r].second;
+      old[di] = match_materialization(std::move(units[r].data),
+                                      data.materialized());
+      present.push_back(di);
+      srcs.push_back(old[di]);
+    }
+    for (std::uint32_t j = 0; j < m && present.size() < k; ++j) {
+      if (down(layout.coding_server(groups[i].seg.group, k, j))) continue;
+      present.push_back(k + j);
+      srcs.push_back(groups[i].coding[j]);
+    }
+    for (std::size_t x = 0; x < read_meta.size(); ++x) {
+      if (read_meta[x].first != i) continue;
+      const auto& e = read_meta[x].second;
+      const auto frag =
+          static_cast<std::uint32_t>(layout.unit_of(e.global_off) % k);
+      if (!old[frag].empty()) {
+        delta_bytes += e.len;
+      } else {
+        old[frag] =
+            gf_combine(srcs, rs_reconstruct_coeffs(spec, present, frag));
+        xor_bytes += std::uint64_t{k} * w;
+      }
+      Buffer delta =
+          old[frag].slice(e.global_off % su - groups[i].cols.lo, e.len);
+      delta.xor_with(data.slice(e.global_off - off, e.len));
+      shared.deltas[x] = std::move(delta);
+    }
+  }
+  if (delta_bytes > 0) co_await charge_encode(client, sch, delta_bytes);
+
+  // 3. Fold the deltas into the live coding columns at each extent's
+  //    column offset: coding_j ^= coeff(j, i) * delta. The old ^ new half
+  //    was computed (and its XOR charged) above.
+  for (std::size_t x = 0; x < read_meta.size(); ++x) {
+    const std::size_t i = read_meta[x].first;
+    const auto& e = read_meta[x].second;
+    const std::uint32_t frag =
+        static_cast<std::uint32_t>(layout.unit_of(e.global_off) % k);
+    const std::uint64_t colofs = e.global_off % su - groups[i].cols.lo;
+    for (std::uint32_t j = 0; j < m; ++j) {
+      if (down(layout.coding_server(groups[i].seg.group, k, j))) continue;
+      Buffer& coding = groups[i].coding[j];
+      const std::uint8_t c = rs_coeff(spec, j, frag);
+      if (c == 1) {
+        coding.xor_at(colofs, shared.deltas[x]);
+      } else if (coding.materialized() && shared.deltas[x].materialized()) {
+        gf_muladd_region(coding.mutable_bytes().subspan(colofs, e.len),
+                         shared.deltas[x], c);
+      }
+      xor_bytes += e.len;
+    }
+  }
+  co_return xor_bytes;
+}
+
+/// The requests of a coded or Hybrid write split as `ws`, appended to `out`
+/// in the order they go out: the updated coding columns of the RMW
+/// `groups` *first* (their transfer releases the locks — sending them ahead
+/// of the bulk data keeps the critical section short), then the data in
+/// place (Hybrid: its full-stripe run only), then fresh coding for the full
+/// groups, then Hybrid's overflow copies of its partial groups. Returns the
+/// bytes the full groups' encode costs.
+std::uint64_t coded_writes(
+    const pvfs::OpenFile& f, Scheme sch, std::uint32_t gen, bool inval,
+    std::uint64_t rmw_token, std::uint64_t off, const Buffer& data,
+    const StripeLayout::WriteSplit& ws, std::vector<RmwGroup>& groups,
+    std::vector<std::pair<std::uint32_t, Request>>& out) {
   const StripeLayout& layout = f.layout;
   const std::uint32_t n = layout.n();
-  const std::uint64_t su = layout.su();
-  const std::uint64_t len = data.size();
-  if (failed.empty()) {
-    co_return Error{Errc::invalid_argument, "degraded write with no failure"};
+  const CodeSpec spec = sch.code(layout);
+  const std::uint32_t m = spec.m;
+  const bool hybrid = sch == Scheme::hybrid;
+  const auto segs = partial_segments(layout, ws, spec.k);
+  const std::uint64_t d0 = hybrid ? ws.full_start : off;
+  const std::uint64_t d1 = hybrid ? ws.full_end : off + data.size();
+  const auto merged = layout.decompose_merged(d0, d1 - d0);
+  std::size_t nwrites = groups.size() * m +
+                        merged.size() * (inval && !hybrid ? 2 : 1) +
+                        (ws.full_end > ws.full_start ? n * m : 0);
+  for (const auto& seg : segs) {
+    if (hybrid) nwrites += 2 * unit_count(layout, seg.start, seg.end);
   }
-  if (len == 0) co_return Result<void>::success();
+  out.reserve(nwrites);
+  for (auto& c : groups) {
+    for (std::uint32_t j = 0; j < m; ++j) {
+      Request w;
+      w.op = Op::write_red;
+      w.handle = f.handle;
+      w.off = coding_col(layout, spec, c, j);
+      w.payload = std::move(c.coding[j]);
+      w.unlock = rmw_token != 0;
+      w.rmw_token = rmw_token;
+      w.su = layout.stripe_unit;
+      w.red_gen = gen;
+      out.emplace_back(layout.coding_server(c.seg.group, spec.k, j),
+                       std::move(w));
+    }
+  }
+
+  // Hybrid's per-server local data extents, for overflow invalidation:
+  // server s invalidates its own entries over its extent, and the mirror
+  // entries it holds for server s-1 over *that* server's extent.
+  std::vector<Interval> extent(hybrid && !merged.empty() ? n : 0,
+                               Interval{0, 0});
+  for (const auto& e : merged) {
+    if (hybrid) extent[e.server] = {e.local_off, e.local_off + e.len};
+  }
+  const Buffer span = hybrid && d1 > d0 ? data.slice(d0 - off, d1 - d0) : data;
+  for (const auto& e : merged) {
+    Request w;
+    w.op = Op::write_data;
+    w.handle = f.handle;
+    w.off = e.local_off;
+    w.payload = pvfs::Client::gather_for_server(layout, d0, span, e.server);
+    w.su = layout.stripe_unit;
+    if (hybrid) {
+      w.inval_own = extent[e.server];
+      w.inval_mirror = extent[(e.server + n - 1) % n];
+    } else if (inval) {
+      // An ex-Hybrid file keeps its overflow overlay live; in-place writes
+      // must kill overlapping entries or reads would keep returning the
+      // superseded overflow bytes. The owner entry dies on the data write
+      // itself; the mirror entry lives on the successor, which gets a
+      // zero-payload invalidation-only write. Files that were never Hybrid
+      // skip all of this.
+      w.inval_own = Interval{e.local_off, e.local_off + e.len};
+      Request inv;
+      inv.op = Op::write_data;
+      inv.handle = f.handle;
+      inv.off = e.local_off;
+      inv.su = layout.stripe_unit;
+      inv.inval_mirror = Interval{e.local_off, e.local_off + e.len};
+      out.emplace_back((e.server + 1) % n, std::move(inv));
+    }
+    out.emplace_back(e.server, std::move(w));
+  }
+
+  std::uint64_t encoded = 0;
+  if (ws.full_end > ws.full_start) {
+    const std::uint64_t W = layout.group_width(spec.k);
+    const std::size_t coding_first = out.size();
+    encoded = full_coding_writes(f, spec, off, data, ws.full_start / W,
+                                 ws.full_end / W, gen, out);
+    // A Hybrid server that holds no data unit in the span (possible when
+    // the span is shorter than N groups) still receives its parity write;
+    // attach the invalidations there so its stale mirror entries die too.
+    // The invalidation is idempotent with the one on the data write, so it
+    // is attached unconditionally.
+    for (std::size_t i = coding_first; hybrid && i < out.size(); ++i) {
+      const std::uint32_t s = out[i].first;
+      out[i].second.inval_own = extent[s];
+      out[i].second.inval_mirror = extent[(s + n - 1) % n];
+    }
+  }
+
+  // Hybrid's partial-stripe segments: the updated blocks are written twice
+  // into overflow regions (owner + successor), never touching the data
+  // file, so the group's stale parity still reconstructs the *old* stripe
+  // (§4).
+  for (const auto& seg : segs) {
+    if (!hybrid) break;
+    for (const auto& e : layout.decompose(seg.start, seg.end - seg.start)) {
+      Buffer piece = data.slice(e.global_off - off, e.len);
+      Request primary;
+      primary.op = Op::write_overflow;
+      primary.handle = f.handle;
+      primary.off = e.local_off;
+      primary.payload = piece.slice(0, piece.size());
+      primary.owner = e.server;
+      primary.su = layout.stripe_unit;
+      out.emplace_back(e.server, std::move(primary));
+
+      Request mirror;
+      mirror.op = Op::write_overflow;
+      mirror.handle = f.handle;
+      mirror.off = e.local_off;
+      mirror.payload = std::move(piece);
+      mirror.owner = e.server;
+      mirror.mirror = true;
+      mirror.su = layout.stripe_unit;
+      out.emplace_back((e.server + 1) % n, std::move(mirror));
+    }
+  }
+  return encoded;
+}
+
+}  // namespace
+
+sim::Task<Result<void>> Recovery::write(const pvfs::OpenFile& f,
+                                        std::uint64_t off, Buffer data,
+                                        std::vector<std::uint32_t> failed) {
+  const StripeLayout& layout = f.layout;
+  const std::uint64_t len = data.size();
   const Scheme sch = scheme_of(f);
   if (failed.size() > failure_budget(sch, layout)) {
     co_return Error{Errc::server_failed,
                     "more concurrent failures than the scheme tolerates"};
   }
-  const std::uint32_t gen = red_gen_of(f);
-
-  if (sch == Scheme::raid0) {
-    for (const auto& e : layout.decompose(off, len)) {
+  if (len == 0) co_return Result<void>::success();
+  if (!uses_group_coding(sch)) {
+    // RAID0 has no redundancy to record a down server's bytes in.
+    for (const auto& e : layout.decompose(off, failed.empty() ? 0 : len)) {
       if (contains(failed, e.server)) {
-        co_return Error{Errc::server_failed, "RAID0 degraded write"};
+        co_return Error{Errc::server_failed, "RAID0 write to a down server",
+                        static_cast<int>(e.server)};
       }
     }
     co_return co_await client_->write_striped(f, off, data);
   }
-
-  // Coded schemes (RAID1, RAID4, the RAID5 variants, Hybrid's full
-  // stripes and rs(k,m)). Hybrid's partial stripes go to overflow below.
-  // `inval` extends the overflow invalidations Hybrid needs to ex-Hybrid
-  // files migrated onto an in-place scheme; never-Hybrid files skip them.
+  // One path for every k+m code: RAID1 is rs(1,1), RAID4, the RAID5
+  // variants and Hybrid's full stripes are rs(N-1,1). Full groups compute
+  // their m coding units fresh; each partial group runs the batched RMW:
+  // lock and read its coding columns, read the old data, and fold coding_j
+  // ^= coeff(j,i) * (old ^ new) for a write to data unit i (plain XOR for
+  // the all-ones row 0, i.e. for parity). Hybrid's partial groups go to
+  // overflow instead, and a k = 1 code needs neither (copy_writes); its
+  // copies go ahead of the k+m <= N rule: on one server a k = 1 copy wraps
+  // onto its owner, which RAID1 allows (no fault tolerance, same bytes).
   const CodeSpec spec = sch.code(layout);
-  const std::uint32_t k = spec.k;
-  const std::uint32_t m = spec.m;
-  const bool locking = sch != Scheme::raid5_nolock;
-  const bool inval = overlay_overflow(f);
-  const bool mat = data.materialized();
+  const std::uint32_t gen = red_gen_of(f);
+  const bool hybrid = sch == Scheme::hybrid;
   std::vector<std::pair<std::uint32_t, Request>> writes;
-  // Bytes encoded: all of them, and those of the fresh coding (full groups
-  // or a k = 1 copy), which is charged as the healthy write charges it.
-  std::uint64_t gf_bytes = 0;
-  std::uint64_t fresh_bytes = 0;
-  // A k = 1 code needs no RMW: when every byte goes in place (all but
-  // Hybrid, whose partial stripes go to overflow), the live copies of the
-  // range are written, the rebuild restores the rest, and the split below
-  // is left empty.
-  const bool copy = k == 1 && sch != Scheme::hybrid;
-  if (copy) fresh_bytes = copy_writes(f, spec, gen, off, data, failed, writes);
-  const std::uint64_t W = layout.group_width(k);
-  const auto ws =
-      copy ? StripeLayout::WriteSplit{} : layout.split_write_w(off, len, W);
-
-  // Mirror-overflow invalidation a write on server `s` owes for its
-  // predecessor's unit within group g (ex-Hybrid files only): the
-  // predecessor may be the *failed* server, whose new content now lives
-  // only in the coding.
-  auto mirror_inval = [&](std::uint64_t g, std::uint32_t s, Request& w) {
-    const std::uint32_t prev = (s + n - 1) % n;
-    for (std::uint64_t v = g * k; v < (g + 1) * k; ++v) {
-      if (layout.server_of_unit(v) == prev) {
-        w.inval_mirror = {layout.local_unit(v) * su,
-                          layout.local_unit(v) * su + su};
-      }
+  std::uint64_t encoded = 0;  // noted and charged once, as the writes go out
+  if (spec.k == 1 && !hybrid) {
+    encoded = copy_writes(f, spec, gen, off, data, writes);
+  } else if (spec.fragments() > layout.n()) {
+    co_return Error{Errc::invalid_argument, "coded placement needs k+m <= N"};
+  } else {
+    const auto ws = write_split(layout, spec, off, len);
+    auto groups = rmw_groups(layout, spec,
+                             hybrid ? SmallVec<PartialSeg, 2>{}
+                                    : partial_segments(layout, ws, spec.k),
+                             failed);
+    if (!groups.ok()) co_return groups.error();
+    // One token identifies this whole RMW to the lock protocol: a retried
+    // lock read re-enters its own grant, and the paired (or abandon-time)
+    // release cannot be confused with a later RMW's lock.
+    const std::uint64_t rmw_token =
+        sch != Scheme::raid5_nolock && !groups->empty()
+            ? client_->next_rmw_token()
+            : 0;
+    if (!groups->empty()) {
+      auto folded = co_await rmw_fold(*client_, f, sch, gen, rmw_token, off,
+                                      data, failed, *groups);
+      if (!folded.ok()) co_return folded.error();
+      encoded = *folded;
+      if (policy_ != nullptr) policy_->note_rmw(sch, groups->size());
     }
-  };
-  // The data half of a segment write: the live servers' extents in place,
-  // plus mirror-overflow invalidations on their live successors.
-  auto write_live_data = [&](const Seg& seg) {
-    for (const auto& e : layout.decompose(seg.start, seg.end - seg.start)) {
-      if (contains(failed, e.server)) continue;
-      Request w;
-      w.op = Op::write_data;
-      w.handle = f.handle;
-      w.off = e.local_off;
-      w.payload = data.slice(e.global_off - off, e.len);
-      w.su = layout.stripe_unit;
-      if (inval) {
-        w.inval_own = Interval{e.local_off, e.local_off + e.len};
-        const std::uint32_t ms = (e.server + 1) % n;
-        if (!contains(failed, ms)) {
-          Request iv;
-          iv.op = Op::write_data;
-          iv.handle = f.handle;
-          iv.off = e.local_off;
-          iv.su = layout.stripe_unit;
-          iv.inval_mirror = Interval{e.local_off, e.local_off + e.len};
-          writes.emplace_back(ms, std::move(iv));
-        }
-      }
-      writes.emplace_back(e.server, std::move(w));
-    }
-  };
-
-  // --- full groups: fresh coding units to every live coding server; data
-  //     in place on the live data servers. A lost unit's new content stays
-  //     representable through the survivors (at most m are down). ---
-  if (ws.full_end > ws.full_start) {
-    std::vector<Buffer> units(k);
-    for (std::uint64_t g = ws.full_start / W; g < ws.full_end / W; ++g) {
-      for (std::uint32_t i = 0; i < k; ++i) {
-        units[i] = data.slice(layout.group_start(g, k) + i * su - off, su);
-      }
-      for (std::uint32_t j = 0; j < m; ++j) {
-        const std::uint32_t cs = layout.coding_server(g, k, j);
-        if (contains(failed, cs)) continue;
-        fresh_bytes += std::uint64_t{k} * su;
-        Request w;
-        w.op = Op::write_red;
-        w.handle = f.handle;
-        w.off = layout.coding_off(g, k, m, j);
-        w.payload = gf_combine(units, rs_row(spec, j));
-        w.su = layout.stripe_unit;
-        w.red_gen = gen;
-        if (inval) mirror_inval(g, cs, w);
-        writes.emplace_back(cs, std::move(w));
-      }
-      for (std::uint64_t u = g * k; u < (g + 1) * k; ++u) {
-        const std::uint32_t s = layout.server_of_unit(u);
-        if (contains(failed, s)) continue;
-        Request w;
-        w.op = Op::write_data;
-        w.handle = f.handle;
-        w.off = layout.local_unit(u) * su;
-        w.payload = data.slice(u * su - off, su);
-        w.su = layout.stripe_unit;
-        if (inval) {
-          w.inval_own = {w.off, w.off + su};
-          mirror_inval(g, s, w);
-        }
-        writes.emplace_back(s, std::move(w));
-      }
+    encoded += coded_writes(f, sch, gen, overlay_overflow(f), rmw_token, off,
+                            data, ws, *groups, writes);
+    if (hybrid && policy_ != nullptr && ws.full_end - ws.full_start < len) {
+      // Both copies of every partial-stripe byte.
+      policy_->note_overflow_bytes(
+          sch, 2 * (len - (ws.full_end - ws.full_start)));
     }
   }
-
-  // --- partial segments (ascending group order, as in §5.1) ---
-  std::vector<Seg> segs;
-  if (ws.head_end > ws.head_start) segs.push_back({ws.head_start, ws.head_end});
-  if (ws.tail_end > ws.tail_start) segs.push_back({ws.tail_start, ws.tail_end});
-
-  for (const auto& seg : segs) {
-    if (sch == Scheme::hybrid) {
-      // Hybrid partial stripes: primary + mirror overflow copies; write
-      // whichever of the pair is alive.
-      for (const auto& e : layout.decompose(seg.start, seg.end - seg.start)) {
-        Buffer piece = data.slice(e.global_off - off, e.len);
-        if (!contains(failed, e.server)) {
-          Request primary;
-          primary.op = Op::write_overflow;
-          primary.handle = f.handle;
-          primary.off = e.local_off;
-          primary.payload = piece.slice(0, piece.size());
-          primary.owner = e.server;
-          primary.su = layout.stripe_unit;
-          writes.emplace_back(e.server, std::move(primary));
-        }
-        const std::uint32_t mirror_srv = (e.server + 1) % n;
-        if (!contains(failed, mirror_srv)) {
-          Request mirror;
-          mirror.op = Op::write_overflow;
-          mirror.handle = f.handle;
-          mirror.off = e.local_off;
-          mirror.payload = std::move(piece);
-          mirror.owner = e.server;
-          mirror.mirror = true;
-          mirror.su = layout.stripe_unit;
-          writes.emplace_back(mirror_srv, std::move(mirror));
-        }
-      }
-      continue;
-    }
-
-    // In place: reconstruct-write. Lock and read every live coding unit's
-    // columns, read the live data units' old columns, decode any lost
-    // unit's old content from k live fragments, overlay the new bytes, and
-    // re-encode every live coding unit outright.
-    const std::uint64_t g = layout.group_of_off(seg.start, k);
-    std::vector<std::uint32_t> live_j;
-    for (std::uint32_t j = 0; j < m; ++j) {
-      if (!contains(failed, layout.coding_server(g, k, j))) {
-        live_j.push_back(j);
-      }
-    }
-    // Column range: the whole span touched within the group.
-    std::uint64_t c0 = su;
-    std::uint64_t c1 = 0;
-    bool lost_touched = false;
-    for (const auto& e : layout.decompose(seg.start, seg.end - seg.start)) {
-      c0 = std::min(c0, e.global_off % su);
-      c1 = std::max(c1, e.global_off % su + e.len);
-      if (contains(failed, e.server)) lost_touched = true;
-    }
-
-    if (live_j.empty()) {
-      // Every coding unit of this group is down: update the data in place;
-      // the rebuild recomputes the coding. A write to a lost data unit would
-      // be unrecordable — report it.
-      if (lost_touched) {
-        co_return Error{Errc::server_failed,
-                        "degraded write to a lost unit with no live coding"};
-      }
-      write_live_data(seg);
-      continue;
-    }
-
-    // Coding reads (locked unless R5-NO-LOCK), ascending j — the §5.1
-    // ordered-acquisition rule: within a group the coding servers are
-    // visited in unit order, and segments arrive in ascending group order.
-    auto coding_col = [&](std::uint32_t j) {
-      return layout.coding_off(g, k, m, j) + c0;
-    };
-    const std::uint64_t rmw_token = locking ? client_->next_rmw_token() : 0;
-    std::vector<Buffer> coding_old(live_j.size());
-    auto release_locks = [&](std::size_t upto) -> sim::Task<void> {
-      if (!locking) co_return;
-      std::vector<std::pair<std::uint32_t, Request>> rel;
-      for (std::size_t x = 0; x < upto; ++x) {
-        Request u;
-        u.op = Op::unlock_red;
-        u.handle = f.handle;
-        u.off = coding_col(live_j[x]);
-        u.rmw_token = rmw_token;
-        u.su = layout.stripe_unit;
-        u.red_gen = gen;
-        rel.emplace_back(layout.coding_server(g, k, live_j[x]), std::move(u));
-      }
-      (void)co_await client_->rpc_all(std::move(rel));
-    };
-    for (std::size_t idx = 0; idx < live_j.size(); ++idx) {
-      Request pr;
-      pr.op = Op::read_red;
-      pr.handle = f.handle;
-      pr.off = coding_col(live_j[idx]);
-      pr.len = c1 - c0;
-      pr.lock = locking;
-      pr.rmw_token = rmw_token;
-      pr.su = layout.stripe_unit;
-      pr.red_gen = gen;
-      auto presp = co_await client_->rpc(
-          layout.coding_server(g, k, live_j[idx]), std::move(pr));
-      if (!presp.ok) {
-        // Release what we hold (including this one: the envelope may have
-        // taken the lock server-side before failing).
-        co_await release_locks(idx + 1);
-        co_return Error{presp.err, "degraded coding read"};
-      }
-      coding_old[idx] = std::move(presp.data);
-    }
-
-    // Old columns of every live data unit.
-    std::vector<std::pair<std::uint32_t, Request>> reads;
-    std::vector<std::uint32_t> read_frags;
-    for (std::uint32_t i = 0; i < k; ++i) {
-      const std::uint64_t u = g * k + i;
-      if (contains(failed, layout.server_of_unit(u))) continue;
-      Request r;
-      r.op = Op::read_data_raw;
-      r.handle = f.handle;
-      r.off = layout.local_unit(u) * su + c0;
-      r.len = c1 - c0;
-      reads.emplace_back(layout.server_of_unit(u), std::move(r));
-      read_frags.push_back(i);
-    }
-    auto old = co_await client_->rpc_all(std::move(reads));
-    for (const auto& resp : old) {
-      if (!resp.ok) {
-        // Abandoning the RMW with the locks held: release them explicitly
-        // (owner-checked, writes nothing) so the group is not wedged until
-        // the lease reaper fires.
-        co_await release_locks(live_j.size());
-        co_return Error{resp.err, "degraded old-data read"};
-      }
-    }
-
-    std::vector<Buffer> coding_new(live_j.size());
-    if (mat) {
-      // After-content of every data unit: live ones straight from the
-      // reads, lost ones decoded from k live fragments; then overlay the
-      // segment's new bytes.
-      std::vector<Buffer> after(k);
-      std::vector<std::uint32_t> present;
-      std::vector<Buffer> srcs;
-      for (std::size_t r = 0; r < read_frags.size(); ++r) {
-        after[read_frags[r]] = old[r].data.slice(0, c1 - c0);
-        present.push_back(read_frags[r]);
-        srcs.push_back(after[read_frags[r]]);
-      }
-      for (std::size_t x = 0; x < live_j.size() && present.size() < k; ++x) {
-        present.push_back(k + live_j[x]);
-        srcs.push_back(coding_old[x]);
-      }
-      for (std::uint32_t i = 0; i < k; ++i) {
-        if (!after[i].empty()) continue;  // live unit, already read
-        after[i] = gf_combine(srcs, rs_reconstruct_coeffs(spec, present, i));
-        gf_bytes += std::uint64_t{k} * (c1 - c0);
-      }
-      for (std::uint32_t i = 0; i < k; ++i) {
-        overlay_new(layout, off, data, seg, g * k + i, c0, after[i]);
-      }
-      for (std::size_t x = 0; x < live_j.size(); ++x) {
-        coding_new[x] = gf_combine(after, rs_row(spec, live_j[x]));
-        gf_bytes += std::uint64_t{k} * (c1 - c0);
-      }
-    } else {
-      for (auto& c : coding_new) c = Buffer::phantom(c1 - c0);
-    }
-    co_await charge_encode(*client_, sch, (c1 - c0) * (k + m));
-
-    for (std::size_t x = 0; x < live_j.size(); ++x) {
-      Request pw;
-      pw.op = Op::write_red;
-      pw.handle = f.handle;
-      pw.off = coding_col(live_j[x]);
-      pw.payload = std::move(coding_new[x]);
-      pw.unlock = locking;
-      pw.rmw_token = rmw_token;
-      pw.su = layout.stripe_unit;
-      pw.red_gen = gen;
-      writes.emplace_back(layout.coding_server(g, k, live_j[x]),
-                          std::move(pw));
-    }
-    write_live_data(seg);
-  }
-
-  gf_bytes += fresh_bytes;
-  if (policy_ != nullptr) policy_->note_ec_encode(sch, gf_bytes);
-  co_await charge_encode(*client_, sch, fresh_bytes);
+  if (policy_ != nullptr) policy_->note_ec_encode(sch, encoded);
+  co_await charge_encode(*client_, sch, encoded);
+  // The one failover filter: nothing is sent to a down server.
+  std::erase_if(writes, [&failed](const auto& w) {
+    return contains(failed, w.first);
+  });
   auto resps = co_await client_->rpc_all(std::move(writes));
   for (const auto& resp : resps) {
-    if (!resp.ok) co_return Error{resp.err, "degraded write"};
+    if (!resp.ok) {
+      co_return Error{resp.err, hybrid ? "hybrid write" : "coded write",
+                      resp.server};
+    }
   }
   co_return Result<void>::success();
 }

@@ -1,7 +1,15 @@
-// Recovery: degraded reads and server reconstruction after a single I/O
-// server failure — the fault-tolerance the redundancy schemes exist for
-// (the paper's stated long-term objective, §1).
+// Recovery: the one client write, degraded reads and server reconstruction
+// — the fault tolerance the redundancy schemes exist for (the paper's stated
+// long-term objective, §1).
 //
+//  write   every scheme's write for every failed set, the healthy write
+//          being the empty set: RAID0 stripes, a k = 1 code writes data and
+//          copies, the coded schemes write full groups with fresh (deferred)
+//          coding and run the locked RMW over each partial group's live
+//          coding units, Hybrid sends partial groups to the overflow pair.
+//          A failed set drops the requests addressed to a down server; only
+//          a partial group whose touched data unit is down decodes that
+//          unit's old bytes first (the reconstruct-write).
 //  coded   RAID1 (rs(1,1)), RAID4, the RAID5 variants, Hybrid's full
 //          stripes (rs(N-1,1)) and rs(k,m) share one engine: a lost unit is
 //          decoded from k live fragments of its group. For parity that is
@@ -62,22 +70,12 @@ struct RebuildOptions {
 sim::Task<void> charge_encode(pvfs::Client& client, Scheme sch,
                               std::uint64_t bytes);
 
-/// The writes of a k = 1 code (RAID1 is rs(1,1)), appended to `out`. Each
-/// coding byte is c_j times one data byte, so a write sets its coding over
-/// the same range from the new bytes alone: no lock, no old-data read. Per
-/// merged extent: one data write, then its m coding writes at the coding
-/// slot plus the in-unit offset (one per run of consecutive slots), leaving
-/// out every server in `failed`. The data write carries the owner's
-/// overflow invalidation and coding unit 0, which lives on the successor
-/// that holds the owner's mirror overflow entries, carries the mirror's;
-/// neither costs a message. Serves the healthy write (`failed` empty) and
-/// the degraded one. Returns the bytes multiplied by a coefficient other
-/// than 1, which a copy (RAID1) has none of.
-std::uint64_t copy_writes(
-    const pvfs::OpenFile& f, CodeSpec spec, std::uint32_t red_gen,
-    std::uint64_t off, const Buffer& data,
-    const std::vector<std::uint32_t>& failed,
-    std::vector<std::pair<std::uint32_t, pvfs::Request>>& out);
+/// The [head | full groups | tail] split of a write of [off, off+len) under
+/// `spec`: groups of k units. The write splits by it, and CsarFs counts its
+/// full-group bytes for the adaptive policy.
+pvfs::StripeLayout::WriteSplit write_split(const pvfs::StripeLayout& layout,
+                                           CodeSpec spec, std::uint64_t off,
+                                           std::uint64_t len);
 
 class Recovery {
  public:
@@ -108,22 +106,20 @@ class Recovery {
   }
 
   /// Write [off, off+data.size()) of `f` while the servers in `failed` are
-  /// down — continued operation in degraded mode. Redundancy is maintained
-  /// so the write survives: coded schemes record writes to lost units *in
-  /// the coding* (reconstruct-write; with k = 1, RAID1's case, the coding
-  /// is a copy and is simply written) and skip coding units whose server
-  /// is down (the rebuild recomputes those); Hybrid routes partial-stripe
-  /// copies to whichever of the owner/successor pair survives. Budgets as
-  /// for degraded_read.
-  sim::Task<Result<void>> degraded_write(const pvfs::OpenFile& f,
-                                         std::uint64_t off, Buffer data,
-                                         std::vector<std::uint32_t> failed);
-  sim::Task<Result<void>> degraded_write(const pvfs::OpenFile& f,
-                                         std::uint64_t off, Buffer data,
-                                         std::uint32_t failed) {
-    return degraded_write(f, off, std::move(data),
-                          std::vector<std::uint32_t>{failed});
-  }
+  /// down; an empty `failed` is the healthy write. The scheme resolves once
+  /// per call (a migration flip lands between whole writes), and the write
+  /// builds the healthy request list and sends what is not addressed to a
+  /// down server. The coding units a down server misses are recomputed by
+  /// its rebuild. Redundancy covers every byte that does not reach its
+  /// server: a partial group whose touched data unit is down decodes that
+  /// unit's old columns from k live fragments under the RMW locks and folds
+  /// the change into the live coding (reconstruct-write); Hybrid's partial
+  /// stripes reach at least one of the owner/successor overflow pair. RAID0
+  /// refuses a write to a down server, and so does a group whose coding is
+  /// all down. Budgets as for degraded_read; an error names its server.
+  sim::Task<Result<void>> write(const pvfs::OpenFile& f, std::uint64_t off,
+                                Buffer data,
+                                std::vector<std::uint32_t> failed = {});
 
   /// Rebuild everything server `failed` stored for `f` — its data file,
   /// its redundancy file (its coding units), its own overflow

@@ -5,13 +5,14 @@
 // CodeSpec parameters (k data + m coding fragments per group). The
 // redundancy schemes *are* the code: RAID1 is rs(1,1); RAID4, the RAID5
 // variants and Hybrid's full stripes are rs(N-1,1) with fixed or rotating
-// placement. One redundancy engine (the coded paths in csar_fs.cpp,
-// recovery.cpp and scrub.cpp) serves them and rs(k,m) alike, parameterised
-// by code(), the layout's placement and two flags: R5-NO-LOCK skips the
-// coding locks (Fig. 3) and RAID5-npc charges no coding CPU time (Fig. 4a).
-// The kinds stay distinct because the paper's figures name them. Only RAID0
-// keeps its own (plain PVFS) path. `Scheme::raid5`-style spellings keep
-// working via inline static constants.
+// placement. One redundancy engine (the one write and the decode, rebuild
+// and migration paths in recovery.cpp, and scrub.cpp) serves them and
+// rs(k,m) alike, parameterised by code(), the layout's placement and two
+// flags: R5-NO-LOCK skips the coding locks (Fig. 3) and RAID5-npc charges
+// no coding CPU time (Fig. 4a). The kinds stay distinct because the
+// paper's figures name them. Only RAID0 keeps its own (plain PVFS) path,
+// inside the same write. `Scheme::raid5`-style spellings keep working via
+// inline static constants.
 #pragma once
 
 #include <cassert>

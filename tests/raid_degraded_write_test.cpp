@@ -53,7 +53,8 @@ void degraded_write_lifecycle(Scheme scheme, std::uint32_t victim,
       const std::uint64_t len = 1 + rng.below(2 * w);
       Buffer data = Buffer::pattern(len, rng.next());
       ref.write(off, data);
-      auto wr = co_await rec.degraded_write(*f, off, std::move(data), down);
+      auto wr = co_await rec.write(*f, off, std::move(data),
+          std::vector<std::uint32_t>(1, down));
       CO_ASSERT_TRUE(wr.ok());
     }
     // Degraded reads see everything, including degraded-mode writes.
@@ -107,11 +108,12 @@ TEST(DegradedWrite, Raid0RefusesWritesToLostServer) {
     r.server(0).fail();
     Recovery rec = r.recovery();
     // Unit 0 lives on server 0: unwritable.
-    auto bad = co_await rec.degraded_write(*f, 0, Buffer::pattern(100, 1), 0);
+    auto bad = co_await rec.write(*f, 0, Buffer::pattern(100, 1),
+        std::vector<std::uint32_t>(1, 0));
     EXPECT_FALSE(bad.ok());
     // A write that avoids server 0 entirely succeeds.
-    auto good = co_await rec.degraded_write(*f, kSu, Buffer::pattern(100, 2),
-                                            0);
+    auto good = co_await rec.write(*f, kSu, Buffer::pattern(100, 2),
+        std::vector<std::uint32_t>(1, 0));
     EXPECT_TRUE(good.ok());
   }(rig));
 }
@@ -132,7 +134,8 @@ TEST(DegradedWrite, Raid5WriteToLostUnitIsRecordedInParity) {
     r.server(0).fail();
     Recovery rec = r.recovery();
     Buffer patch = Buffer::pattern(1000, 2);
-    auto wr = co_await rec.degraded_write(*f, 100, patch.slice(0, 1000), 0);
+    auto wr = co_await rec.write(*f, 100, patch.slice(0, 1000),
+        std::vector<std::uint32_t>(1, 0));
     CO_ASSERT_TRUE(wr.ok());
     Buffer expect = base.slice(0, w);
     expect.write_at(100, patch);
@@ -156,8 +159,8 @@ TEST(DegradedWrite, Raid5LostParityAndLostUnitIsRejected) {
     r.server(4).fail();
     Recovery rec = r.recovery();
     // Partial write to unit 0 (on surviving server 0): fine.
-    auto ok = co_await rec.degraded_write(*f, 100, Buffer::pattern(500, 1),
-                                          4);
+    auto ok = co_await rec.write(*f, 100, Buffer::pattern(500, 1),
+        std::vector<std::uint32_t>(1, 4));
     EXPECT_TRUE(ok.ok());
   }(rig));
 }
@@ -182,7 +185,8 @@ sim::Duration degraded_tx_busy(Scheme scheme, double xor_rate,
     Recovery rec = r.recovery();
     auto& tx = r.cluster.node(r.client().node_id()).tx();
     const sim::Duration before = tx.busy_time();
-    auto wr = co_await rec.degraded_write(*f, o, Buffer::pattern(n, 2), 0);
+    auto wr = co_await rec.write(*f, o, Buffer::pattern(n, 2),
+        std::vector<std::uint32_t>(1, 0));
     CO_ASSERT_TRUE(wr.ok());
     *out = tx.busy_time() - before;
   }(rig, off, len, &busy));
@@ -237,12 +241,48 @@ TEST(DegradedWrite, HybridFullStripeInvalidatesOverflowWhileDegraded) {
     r.server(1).fail();
     Recovery rec = r.recovery();
     Buffer full = Buffer::pattern(w, 2);
-    auto w2 = co_await rec.degraded_write(*f, 0, full.slice(0, w), 1);
+    auto w2 = co_await rec.write(*f, 0, full.slice(0, w),
+        std::vector<std::uint32_t>(1, 1));
     CO_ASSERT_TRUE(w2.ok());
     auto rd = co_await rec.degraded_read(*f, 0, w, 1);
     CO_ASSERT_TRUE(rd.ok());
     EXPECT_EQ(*rd, full);
   }(rig));
+}
+
+// Every write error names the server that answered with it: here a second
+// server fails under a write that routes around the first.
+TEST(DegradedWrite, ErrorsNameTheirServer) {
+  struct Case {
+    const char* what;
+    std::uint64_t off;
+    std::uint64_t len;
+  };
+  const Case cases[] = {
+      // Full stripes: the data write to server 2 fails.
+      {"full stripe", 0, 2 * 4 * kSu},
+      // Inside unit 0, on the down server: the reconstruct-write's read of
+      // live unit 2 fails.
+      {"reconstruct-write", 100, 1000},
+  };
+  for (const Case& c : cases) {
+    Rig rig(rig_params(Scheme::raid5));
+    run_sim_void(rig, [](Rig& r, Case c) -> sim::Task<void> {
+      auto& fs = r.client_fs();
+      auto f = co_await fs.create("f", r.layout(kSu));
+      CO_ASSERT_TRUE(f.ok());
+      const std::uint64_t w = f->layout.stripe_width();
+      auto seed = co_await fs.write(*f, 0, Buffer::pattern(2 * w, 1));
+      CO_ASSERT_TRUE(seed.ok());
+      r.server(0).fail();
+      r.server(2).fail();
+      Recovery rec = r.recovery();
+      auto wr = co_await rec.write(*f, c.off, Buffer::pattern(c.len, 2),
+                                   std::vector<std::uint32_t>(1, 0));
+      CO_ASSERT_TRUE(!wr.ok());
+      EXPECT_EQ(wr.error().server, 2) << c.what;
+    }(rig, c));
+  }
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -461,7 +462,7 @@ TEST(RsEndToEnd, DegradedWriteKeepsLiveCodingConsistent) {
           1 + rng.below(std::min<std::uint64_t>(3 * w - off - 1, w));
       Buffer data = Buffer::pattern(len, rng.next());
       ref.write(off, data);
-      auto wr = co_await rec.degraded_write(*f, off, std::move(data), down);
+      auto wr = co_await rec.write(*f, off, std::move(data), down);
       CO_ASSERT_TRUE(wr.ok());
     }
     // Still readable degraded...
@@ -726,12 +727,47 @@ TEST(DeferredCoding, OverwrittenCodingIsNeverEncoded) {
 
 // ---------- one engine: parity is rs(N-1,1), RAID1 is rs(1,1) ----------
 
+/// Messages delivered (requests and responses alike), their bytes, and the
+/// parity locks granted; with `server`, only those to or from it.
+struct Traffic {
+  std::uint64_t messages = 0;
+  std::uint64_t wire_bytes = 0;
+  std::uint64_t lock_acquisitions = 0;
+  Traffic operator-(const Traffic& o) const {
+    return {messages - o.messages, wire_bytes - o.wire_bytes,
+            lock_acquisitions - o.lock_acquisitions};
+  }
+  bool operator==(const Traffic&) const = default;
+};
+
+Traffic traffic(Rig& rig, std::optional<std::uint32_t> server = {}) {
+  Traffic t;
+  for (std::uint32_t s = 0; s < rig.p.nservers; ++s) {
+    if (!server || s == *server) {
+      t.lock_acquisitions += rig.server(s).lock_stats().acquisitions;
+    }
+  }
+  if (server) {
+    // A server sends only responses, each to a request it received.
+    auto& node = rig.cluster.node(rig.server(*server).node_id());
+    t.messages = node.rx().ops_total() + node.tx().ops_total();
+    t.wire_bytes = node.rx().bytes_total() + node.tx().bytes_total();
+    return t;
+  }
+  for (std::size_t n = 0; n < rig.cluster.node_count(); ++n) {
+    auto& rx = rig.cluster.node(static_cast<hw::NodeId>(n)).rx();
+    t.messages += rx.ops_total();
+    t.wire_bytes += rx.bytes_total();
+  }
+  return t;
+}
+
 /// What one run of the write sequence below leaves behind: every server's
 /// data and redundancy file contents, and the traffic that put them there.
 struct DiskImage {
   std::vector<Buffer> files;
-  std::uint64_t messages = 0;    ///< transfers over every node's TX link
-  std::uint64_t wire_bytes = 0;  ///< bytes over every node's TX link
+  std::uint64_t messages = 0;  ///< messages delivered to every node
+  std::uint64_t wire_bytes = 0;
   std::uint64_t lock_acquisitions = 0;
 };
 
@@ -759,7 +795,8 @@ DiskImage on_disk_image(Scheme scheme, std::uint32_t base) {
     }
     r.server(2).fail();
     Recovery rec = r.recovery();
-    auto dw = co_await rec.degraded_write(*f, w / 2, Buffer::pattern(w, 9), 2);
+    auto dw = co_await rec.write(*f, w / 2, Buffer::pattern(w, 9),
+        std::vector<std::uint32_t>(1, 2));
     CO_ASSERT_TRUE(dw.ok());
     r.server(2).recover();
     for (std::uint32_t s = 0; s < r.p.nservers; ++s) {
@@ -770,14 +807,10 @@ DiskImage on_disk_image(Scheme scheme, std::uint32_t base) {
       }
     }
   }(rig, base, &image.files));
-  for (std::size_t n = 0; n < rig.cluster.node_count(); ++n) {
-    auto& tx = rig.cluster.node(static_cast<hw::NodeId>(n)).tx();
-    image.messages += tx.ops_total();
-    image.wire_bytes += tx.bytes_total();
-  }
-  for (std::uint32_t s = 0; s < rig.p.nservers; ++s) {
-    image.lock_acquisitions += rig.server(s).lock_stats().acquisitions;
-  }
+  const Traffic t = traffic(rig);
+  image.messages = t.messages;
+  image.wire_bytes = t.wire_bytes;
+  image.lock_acquisitions = t.lock_acquisitions;
   return image;
 }
 
@@ -858,7 +891,7 @@ TEST(OneEngine, Rs12SurvivesTwoFailures) {
       const std::uint64_t len = 1 + rng.below(2 * kSu);
       Buffer data = Buffer::pattern(len, rng.next());
       ref.write(off, data);
-      auto wr = co_await rec.degraded_write(*f, off, std::move(data), down);
+      auto wr = co_await rec.write(*f, off, std::move(data), down);
       CO_ASSERT_TRUE(wr.ok());
     }
     auto rd = co_await rec.degraded_read(*f, 0, ref.size(), down);
@@ -909,6 +942,110 @@ TEST(OneEngine, RsRedundancyIsDense) {
     EXPECT_LE(st.red_bytes, bytes / 2 + slack);
     EXPECT_GE(st.red_bytes + slack, bytes / 2);
   }(rig));
+}
+
+// ---------- one write for every failed set ----------
+
+/// What one write of [off, off+len) to a prefilled real-byte file costs,
+/// healthy or with server `down` failed and written around: its traffic,
+/// the share of it to or from server `down`, and the file as a read (a
+/// degraded one around `down`) returns it afterwards.
+struct OneWrite {
+  Traffic all;
+  Traffic to_down;
+  Buffer content;
+};
+
+OneWrite one_write(Scheme sch, std::uint32_t nservers, std::uint64_t off,
+                   std::uint64_t len, std::uint32_t down, bool degraded) {
+  Rig rig(rs_rig(sch, nservers));
+  OneWrite out;
+  run_sim_void(rig, [](Rig& r, std::uint64_t off, std::uint64_t len,
+                       std::uint32_t down, bool degraded,
+                       OneWrite* o) -> sim::Task<void> {
+    auto f = co_await r.client_fs().create("f", r.layout(kSu));
+    CO_ASSERT_TRUE(f.ok());
+    const std::uint64_t size = 12 * f->layout.stripe_width();
+    auto fill = co_await r.client_fs().write(*f, 0, Buffer::pattern(size, 1));
+    CO_ASSERT_TRUE(fill.ok());
+    std::vector<std::uint32_t> failed;
+    if (degraded) {
+      r.server(down).fail();
+      failed.push_back(down);
+    }
+    const Traffic all = traffic(r);
+    const Traffic to_down = traffic(r, down);
+    Recovery rec = r.recovery();
+    auto wr = co_await rec.write(*f, off, Buffer::pattern(len, 2), failed);
+    CO_ASSERT_TRUE(wr.ok());
+    o->all = traffic(r) - all;
+    o->to_down = traffic(r, down) - to_down;
+    auto rd = co_await rec.degraded_read(*f, 0, size, failed);
+    CO_ASSERT_TRUE(rd.ok());
+    o->content = std::move(*rd);
+  }(rig, off, len, down, degraded, &out));
+  return out;
+}
+
+// A write whose partial groups touch no down data unit and keep a live
+// coding unit is the healthy write minus the down server: the same
+// messages, bytes and lock grants but those to or from it, and the same
+// file afterwards. The down server holds a full group's data unit and, for
+// rs(4,2), one coding unit of the head group, which the RMW skips.
+TEST(OneWrite, DegradedIsTheHealthyWriteMinusTheDownServer) {
+  struct Case {
+    Scheme sch;
+    std::uint32_t nservers;
+    std::uint32_t down;
+  };
+  for (const Case c : {Case{Scheme::rs(4, 2), 6, 4},
+                       Case{Scheme::raid5, 5, 0}}) {
+    // Head group 0 from unit 1, group 1 whole, tail in unit 8.
+    const std::uint64_t off = kSu + 100;
+    const std::uint64_t len = 7 * kSu + 400;
+    const OneWrite healthy =
+        one_write(c.sch, c.nservers, off, len, c.down, false);
+    const OneWrite degraded =
+        one_write(c.sch, c.nservers, off, len, c.down, true);
+    EXPECT_GT(healthy.to_down.messages, 0u) << scheme_name(c.sch);
+    EXPECT_GT(healthy.all.lock_acquisitions, 0u) << scheme_name(c.sch);
+    EXPECT_EQ(degraded.to_down, Traffic{}) << scheme_name(c.sch);
+    EXPECT_EQ(degraded.all, healthy.all - healthy.to_down)
+        << scheme_name(c.sch);
+    EXPECT_TRUE(degraded.content == healthy.content) << scheme_name(c.sch);
+  }
+}
+
+// A degraded full-stripe write defers its coding like the healthy one: no
+// codec kernel runs until something reads the coding, here a degraded read
+// that decodes the down server's units through it.
+TEST(OneWrite, DegradedFullStripeWriteDefersItsCoding) {
+  for (const Scheme sch : {Scheme::raid5, Scheme::rs(4, 2)}) {
+    Rig rig(rs_rig(sch, 6));
+    run_sim_void(rig, [](Rig& r, Scheme sch) -> sim::Task<void> {
+      auto f = co_await r.client_fs().create("f", r.layout(kSu));
+      CO_ASSERT_TRUE(f.ok());
+      const std::uint64_t len =
+          6 * f->layout.group_width(sch.code(f->layout).k);
+      r.server(1).fail();
+      std::vector<std::uint32_t> failed;
+      failed.push_back(1);
+      Recovery rec = r.recovery();
+      const CodecBytes before = codec_bytes();
+      auto wr = co_await rec.write(*f, 0, Buffer::pattern(len, 4), failed);
+      CO_ASSERT_TRUE(wr.ok());
+      const CodecBytes written = codec_bytes();
+      EXPECT_EQ(written.xor_bytes, before.xor_bytes) << scheme_name(sch);
+      EXPECT_EQ(written.gf_bytes, before.gf_bytes) << scheme_name(sch);
+      auto rd = co_await rec.degraded_read(*f, 0, len, failed);
+      CO_ASSERT_TRUE(rd.ok());
+      EXPECT_EQ(*rd, Buffer::pattern(len, 4)) << scheme_name(sch);
+      if (obs::kEnabled) {
+        EXPECT_GT(codec_bytes().xor_bytes, written.xor_bytes)
+            << scheme_name(sch);
+      }
+    }(rig, sch));
+  }
 }
 
 }  // namespace

@@ -59,7 +59,8 @@ void lifecycle(Scheme scheme, std::uint64_t seed) {
         if (down.has_value()) {
           Recovery crec(r.client(client), r.p.scheme);
           auto wr =
-              co_await crec.degraded_write(*f, off, std::move(data), *down);
+              co_await crec.write(*f, off, std::move(data),
+                  std::vector<std::uint32_t>(1, *down));
           CO_ASSERT_TRUE(wr.ok());
         } else {
           auto wr = co_await r.client_fs(client).write(*f, off,

@@ -10,6 +10,7 @@
 
 #include "common/rng.hpp"
 #include "fault/storm.hpp"
+#include "raid/diagnostics.hpp"
 #include "raid/migrate.hpp"
 #include "raid/policy.hpp"
 #include "raid/recovery.hpp"
@@ -281,6 +282,54 @@ TEST(RaidPolicyTest, MidStormMigrationByteExact) {
   EXPECT_EQ(m.verify_mismatches, 0u);
   EXPECT_EQ(m.ops_failed, 0u);  // no faults in the plan
   EXPECT_EQ(m.tainted_bytes, 0u);
+}
+
+// Write telemetry splits by the file's own group width: an rs(4,2) file on
+// six servers written in group-aligned four-unit chunks is full-group
+// heavy, so fault pressure sends it nowhere, while a file of the same code
+// written in two-unit chunks is small-write heavy and goes to RAID1.
+TEST(RaidPolicyTest, TelemetryCountsTheFileOwnGroups) {
+  RigParams p;
+  p.scheme = Scheme::rs(4, 2);
+  p.nservers = 6;
+  p.policy.adaptive.enabled = true;
+  Rig rig(p);
+  run_sim_void(rig, [](Rig& r) -> sim::Task<void> {
+    auto& fs = r.client_fs();
+    auto aligned = co_await fs.create("aligned", r.layout(kSu));
+    CO_ASSERT_TRUE(aligned.ok());
+    const std::uint64_t w = aligned->layout.group_width(4);
+    for (std::uint64_t g = 0; g < 80; ++g) {
+      auto wr = co_await fs.write(*aligned, g * w, Buffer::phantom(w));
+      CO_ASSERT_TRUE(wr.ok());
+    }
+    r.policy().note_media_errors(1);
+    EXPECT_FALSE(r.policy().recommend().has_value());
+
+    auto small = co_await fs.create("small", r.layout(kSu));
+    CO_ASSERT_TRUE(small.ok());
+    for (std::uint64_t g = 0; g < 80; ++g) {
+      auto wr = co_await fs.write(*small, g * w, Buffer::phantom(w / 2));
+      CO_ASSERT_TRUE(wr.ok());
+    }
+    const auto t = r.policy().recommend();
+    CO_ASSERT_TRUE(t.has_value());
+    EXPECT_EQ(t->handle, small->handle);
+    EXPECT_EQ(t->to, Scheme::raid1);
+  }(rig));
+}
+
+// Fragments per decode counts rebuild decodes too: a rebuild-only run
+// fetched k fragments per decode, not zero.
+TEST(RaidPolicyTest, EcTableCountsFragmentsPerDecode) {
+  RedundancyPolicy pol;
+  pol.note_ec_rebuild_decode(Scheme::rs(4, 2), 4, 4 * kSu);
+  pol.note_ec_rebuild_decode(Scheme::rs(4, 2), 4, 4 * kSu);
+  EXPECT_EQ(ec_stats_table(pol).to_csv(),
+            "degraded reads,fragments,frags/decode,decode bytes,"
+            "encode bytes,rebuild decodes\n"
+            "0,8,4.00," + format_bytes(8 * kSu) + "," + format_bytes(0) +
+                ",2\n");
 }
 
 }  // namespace
