@@ -204,7 +204,7 @@ int main(int argc, char** argv) {
                   rb.ok() ? "rebuilt" : rb.error().to_string().c_str(),
                   sim::to_seconds(rig.sim.now() - before) * 1e3);
     } else if (cmd == "scrub" || cmd == "repair") {
-      raid::Scrubber scrub(rig.client(), scheme);
+      raid::Scrubber scrub(rig.client(), rig.policy());
       auto report = wl::run_on(
           rig, cmd == "scrub"
                    ? scrub.verify(file.handle, file.reference.size())

@@ -259,7 +259,7 @@ sim::Task<void> driver(const StormParams& p, raid::Rig& rig,
   // planted; the scrubber rebuilds unreadable units from the redundancy
   // (routing each file through its own — possibly migrated — scheme).
   if (p.scrub_after && !mon.first_failed()) {
-    raid::Scrubber scrub(rig.client(), &rig.policy());
+    raid::Scrubber scrub(rig.client(), rig.policy());
     for (const auto& f : files) {
       auto rep = co_await scrub.repair(f, p.file_size);
       if (rep.ok()) {

@@ -87,7 +87,7 @@ sim::Task<Result<void>> CsarFs::write_guarded(const pvfs::OpenFile& f,
   std::vector<std::uint32_t> down;
   if (mon_ != nullptr) down = mon_->failed_set();
   if (down.empty()) {
-    Recovery rec(*client_, p_.policy);
+    Recovery rec(*client_, *p_.policy);
     auto wr = co_await rec.write(f, off, data);
     if (wr.ok() || mon_ == nullptr || !failover_errc(wr.error().code)) {
       co_return wr;
@@ -129,7 +129,7 @@ sim::Task<Result<void>> CsarFs::degraded_write_observed(
   if (observer_ != nullptr) {
     for (const std::uint32_t s : failed) observer_->on_degraded_write_begin(s);
   }
-  Recovery rec(*client_, p_.policy);
+  Recovery rec(*client_, *p_.policy);
   auto wr = co_await rec.write(f, off, std::move(data), failed);
   // The end hook fires on failure too: a torn degraded write may still have
   // updated some redundancy, so the region must count as dirtied.
@@ -157,7 +157,7 @@ sim::Task<Result<Buffer>> CsarFs::read(const pvfs::OpenFile& f,
   std::vector<std::uint32_t> down = mon_->failed_set();
   if (!down.empty()) {
     ++failover_stats_.degraded_reads;
-    Recovery rec(*client_, p_.policy);
+    Recovery rec(*client_, *p_.policy);
     co_return co_await rec.degraded_read(f, off, len, std::move(down));
   }
   auto rd = co_await client_->read(f, off, len);
@@ -286,7 +286,7 @@ sim::Task<Result<Buffer>> CsarFs::reroute_read(const pvfs::OpenFile& f,
   }
   if (!failed.has_value()) co_return err;  // transient: report the error
   ++failover_stats_.degraded_reads;
-  Recovery rec(*client_, p_.policy);
+  Recovery rec(*client_, *p_.policy);
   co_return co_await rec.degraded_read(f, off, len, *failed);
 }
 

@@ -74,10 +74,11 @@ struct RebuildParams {
   /// RPC policy for reconstruction traffic. Rebuilds run on the rig's
   /// dedicated repair client, so these deadlines are independent of the
   /// workload clients' (which may be far too tight for 64 KiB reads queued
-  /// behind saturated disks). Generous because a single rebuild RPC can
-  /// carry an entire overflow table — hundreds of MB under unaligned
-  /// collective writes — but still finite, or a second crash mid-rebuild
-  /// would hang the coordinator instead of failing the attempt.
+  /// behind saturated disks). Generous because a rebuild RPC can carry a
+  /// whole overflow-table window (kOverflowWindow, 16 MiB) and its restore
+  /// batch, queued behind foreground traffic — but still finite, or a
+  /// second crash mid-rebuild would hang the coordinator instead of failing
+  /// the attempt.
   pvfs::RpcPolicy rpc{sim::sec(30), 2, sim::ms(50), 0.5};
 };
 

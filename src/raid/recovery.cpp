@@ -34,28 +34,6 @@ std::uint32_t fragment_server(const StripeLayout& lay, CodeSpec spec,
                        : lay.coding_server(g, spec.k, frag - spec.k);
 }
 
-/// Read request for columns [c0, c0+len) of fragment `frag` of group g:
-/// raw data-file read for data fragments, redundancy-file read at the
-/// coding slot for coding fragments.
-Request fragment_read(const pvfs::OpenFile& f, CodeSpec spec,
-                      std::uint32_t gen, std::uint64_t g, std::uint32_t frag,
-                      std::uint64_t c0, std::uint64_t len) {
-  const StripeLayout& lay = f.layout;
-  Request r;
-  r.handle = f.handle;
-  r.len = len;
-  r.su = lay.stripe_unit;
-  if (frag < spec.k) {
-    r.op = Op::read_data_raw;
-    r.off = lay.local_unit(g * spec.k + frag) * lay.su() + c0;
-  } else {
-    r.op = Op::read_red;
-    r.off = lay.coding_off(g, spec.k, spec.m, frag - spec.k) + c0;
-    r.red_gen = gen;
-  }
-  return r;
-}
-
 /// Send `reqs` and collect the responses in order. One request is one
 /// plain call; only several fan out through rpc_all, which spawns a task
 /// per message.
@@ -84,8 +62,7 @@ std::uint64_t first_unit_on(const StripeLayout& lay, std::uint32_t s) {
   return (s + dn - lay.base % dn) % dn;
 }
 
-/// Unit-pipelined rebuild/migration traffic: at most kWindow unit jobs in
-/// flight, the first error kept.
+/// Repair traffic: at most kWindow jobs in flight, the first error kept.
 struct Pipeline {
   static constexpr std::uint32_t kWindow = 16;
   explicit Pipeline(sim::Simulation& sim) : window(sim, kWindow), wg(sim) {}
@@ -98,12 +75,113 @@ struct Pipeline {
     error = true;
   }
 };
+
+/// Restore one side of server `failed`'s overflow tables, window by window:
+/// its own entries from the mirrors on its successor (`mirror` false), or
+/// the mirror entries it held for its predecessor from that server's own
+/// table (`mirror` true). Restores arrive in ascending local-offset order
+/// across windows, as the rebuilt table's allocation order must match piece
+/// order (in-order batch execution keeps it within a window). `delta`, when
+/// set, keeps only the entries over it; `throttle` is charged both the read
+/// and the restore of what is kept.
+sim::Task<Result<void>> copy_overflow(pvfs::Client& client,
+                                      const pvfs::OpenFile& f,
+                                      std::uint32_t failed, bool mirror,
+                                      std::uint64_t file_size,
+                                      const IntervalSet* delta,
+                                      sim::TokenBucket* throttle) {
+  const StripeLayout& layout = f.layout;
+  const std::uint32_t n = layout.n();
+  const std::uint32_t owner = mirror ? (failed + n - 1) % n : failed;
+  const std::uint32_t source = mirror ? owner : (failed + 1) % n;
+  for (std::uint64_t w0 = 0; w0 < file_size; w0 += kOverflowWindow) {
+    auto got = co_await client.rpc(
+        source, overflow_window_read(f, !mirror, owner, w0, file_size));
+    if (!got.ok) co_return Error{got.err, "rebuild overflow read", got.server};
+    std::vector<Request> restores;
+    restores.reserve(got.pieces.size());
+    std::uint64_t bytes = 0;
+    for (auto& piece : got.pieces) {
+      if (delta != nullptr) {
+        const std::uint64_t g0 = layout.global_off(owner, piece.local_off);
+        if (!delta->intersects(g0, g0 + piece.data.size())) continue;
+      }
+      bytes += piece.data.size();
+      Request w;
+      w.op = Op::write_overflow;
+      w.handle = f.handle;
+      w.off = piece.local_off;
+      w.payload = std::move(piece.data);
+      w.owner = owner;
+      w.mirror = mirror;
+      w.su = layout.stripe_unit;
+      restores.push_back(std::move(w));
+    }
+    if (restores.empty()) continue;
+    if (throttle) co_await throttle->take(2 * bytes);
+    auto wrs = co_await client.rpc_batch(failed, std::move(restores));
+    for (const auto& wr : wrs) {
+      if (!wr.ok) co_return Error{wr.err, "rebuild overflow write", wr.server};
+    }
+  }
+  co_return Result<void>::success();
+}
 }  // namespace
 
-sim::Task<Result<Buffer>> Recovery::reconstruct(
-    const pvfs::OpenFile& f, Scheme sch, std::uint64_t g, std::uint32_t target,
-    std::uint64_t c0, std::uint64_t len, const std::vector<std::uint32_t>& down,
-    bool for_rebuild) {
+std::pair<std::uint32_t, Request> fragment_read(
+    const pvfs::OpenFile& f, CodeSpec spec, std::uint32_t gen,
+    std::uint64_t g, std::uint32_t frag, std::uint64_t c0, std::uint64_t len) {
+  const StripeLayout& lay = f.layout;
+  Request r;
+  r.handle = f.handle;
+  r.len = len;
+  r.su = lay.stripe_unit;
+  if (frag < spec.k) {
+    r.op = Op::read_data_raw;
+    r.off = lay.local_unit(g * spec.k + frag) * lay.su() + c0;
+  } else {
+    r.op = Op::read_red;
+    r.off = lay.coding_off(g, spec.k, spec.m, frag - spec.k) + c0;
+    r.red_gen = gen;
+  }
+  return {fragment_server(lay, spec, g, frag), std::move(r)};
+}
+
+std::pair<std::uint32_t, Request> fragment_write(
+    const pvfs::OpenFile& f, CodeSpec spec, std::uint32_t gen,
+    std::uint64_t g, std::uint32_t frag, Buffer payload) {
+  const StripeLayout& lay = f.layout;
+  Request w;
+  w.handle = f.handle;
+  w.payload = std::move(payload);
+  w.su = lay.stripe_unit;
+  if (frag < spec.k) {
+    w.op = Op::write_data;
+    w.off = lay.local_unit(g * spec.k + frag) * lay.su();
+  } else {
+    w.op = Op::write_red;
+    w.off = lay.coding_off(g, spec.k, spec.m, frag - spec.k);
+    w.red_gen = gen;
+  }
+  return {fragment_server(lay, spec, g, frag), std::move(w)};
+}
+
+Request overflow_window_read(const pvfs::OpenFile& f, bool mirror,
+                             std::uint32_t owner, std::uint64_t w0,
+                             std::uint64_t file_size) {
+  Request r;
+  r.op = mirror ? Op::read_mirror : Op::read_own_overflow;
+  r.handle = f.handle;
+  r.off = w0;
+  r.len = std::min(kOverflowWindow, file_size - w0);
+  r.owner = owner;
+  return r;
+}
+
+sim::Task<Result<std::vector<Buffer>>> Recovery::reconstruct(
+    const pvfs::OpenFile& f, Scheme sch, std::uint64_t g, std::uint32_t t0,
+    std::uint32_t t1, std::uint64_t c0, std::uint64_t len,
+    const std::vector<std::uint32_t>& down) {
   const StripeLayout& layout = f.layout;
   const CodeSpec spec = sch.code(layout);
   const std::uint32_t k = spec.k;
@@ -120,7 +198,7 @@ sim::Task<Result<Buffer>> Recovery::reconstruct(
     present.clear();
     for (std::uint32_t frag = 0;
          frag < spec.fragments() && present.size() < k; ++frag) {
-      if (frag == target) continue;  // the fragment being (re)built
+      if (frag >= t0 && frag < t1) continue;  // being (re)built
       if (skip_down && contains(down, fragment_server(layout, spec, g, frag))) {
         continue;
       }
@@ -134,12 +212,10 @@ sim::Task<Result<Buffer>> Recovery::reconstruct(
               std::find_if(present.begin(), present.end(),
                            [k](std::uint32_t frag) { return frag >= k; }),
               present.end());
-  const auto coeffs = rs_reconstruct_coeffs(spec, present, target);
   std::vector<std::pair<std::uint32_t, Request>> reads;
   reads.reserve(k);
   for (const std::uint32_t frag : present) {
-    reads.emplace_back(fragment_server(layout, spec, g, frag),
-                       fragment_read(f, spec, gen, g, frag, c0, len));
+    reads.push_back(fragment_read(f, spec, gen, g, frag, c0, len));
   }
   auto resps = co_await send_all(*client_, std::move(reads));
   std::vector<Buffer> srcs;
@@ -148,20 +224,18 @@ sim::Task<Result<Buffer>> Recovery::reconstruct(
     if (!resp.ok) co_return Error{resp.err, "fragment read", resp.server};
     srcs.push_back(std::move(resp.data));
   }
-  Buffer out = gf_combine(srcs, coeffs);
-  // Decode cost: k fragment-sized inputs through the kernel on the
-  // recovering client. A rebuilt coding unit is a fresh encode of its
-  // group and is not charged, and neither is a copy (k = 1, coefficient 1).
-  if (target < k && !gf_combine_is_copy(coeffs)) {
-    auto& node = client_->cluster().node(client_->node_id());
-    co_await node.mem().occupy(
-        sim::transfer_time(len * k, node.params().xor_bytes_per_sec));
-  }
-  if (policy_ != nullptr) {
-    if (for_rebuild) {
-      policy_->note_ec_rebuild_decode(sch, k, len * k);
-    } else {
-      policy_->note_ec_degraded_read(sch, k, len * k);
+  std::vector<Buffer> out;
+  out.reserve(t1 - t0);
+  for (std::uint32_t t = t0; t < t1; ++t) {
+    const auto coeffs = rs_reconstruct_coeffs(spec, present, t);
+    out.push_back(gf_combine(srcs, coeffs));
+    // Decode cost: k fragment-sized inputs through the kernel on the
+    // recovering client. A coding target is a fresh encode of its group
+    // and is not charged, and neither is a copy (k = 1, coefficient 1).
+    if (t < k && !gf_combine_is_copy(coeffs)) {
+      auto& node = client_->cluster().node(client_->node_id());
+      co_await node.mem().occupy(
+          sim::transfer_time(len * k, node.params().xor_bytes_per_sec));
     }
   }
   co_return out;
@@ -181,18 +255,19 @@ sim::Task<Result<Buffer>> Recovery::reconstruct_piece(
     co_return Error{Errc::server_failed, "RAID0 cannot reconstruct"};
   }
   const std::uint32_t k = sch.code(layout).k;
-  auto base = co_await reconstruct(f, sch, layout.group_of_unit(u, k),
-                                   static_cast<std::uint32_t>(u % k),
-                                   global_off % layout.su(), len, down,
-                                   /*for_rebuild=*/false);
-  if (!base.ok()) co_return base;
-  Buffer out = std::move(base.value());
+  const auto target = static_cast<std::uint32_t>(u % k);
+  auto base = co_await reconstruct(f, sch, layout.group_of_unit(u, k), target,
+                                   target + 1, global_off % layout.su(), len,
+                                   down);
+  if (!base.ok()) co_return base.error();
+  policy_->note_ec_degraded_read(sch, k, len * k);
+  Buffer out = std::move(base->front());
   // Overlay the newest partial-stripe data from the mirrored overflow
   // copies on the successor. This applies beyond Scheme::hybrid: a file
   // migrated away from Hybrid keeps its overflow overlay live (the new
   // base redundancy covers the raw data files only), so its reconstruction
   // needs the same overlay. Never-Hybrid files skip the extra read.
-  if (overlay_overflow(f)) {
+  if (policy_->overflow_possible(f)) {
     if (contains(down, successor)) {
       co_return Error{Errc::server_failed,
                       "overflow overlay: owner and successor both down"};
@@ -204,7 +279,9 @@ sim::Task<Result<Buffer>> Recovery::reconstruct_piece(
     r.len = len;
     r.owner = owner;
     auto resp = co_await client_->rpc(successor, std::move(r));
-    if (!resp.ok) co_return Error{resp.err, "mirror overflow read"};
+    if (!resp.ok) {
+      co_return Error{resp.err, "mirror overflow read", resp.server};
+    }
     for (const auto& piece : resp.pieces) {
       if (out.materialized() && piece.data.materialized()) {
         out.write_at(piece.local_off - local, piece.data);
@@ -1034,17 +1111,17 @@ sim::Task<Result<void>> Recovery::write(const pvfs::OpenFile& f,
                                       data, failed, *groups);
       if (!folded.ok()) co_return folded.error();
       encoded = *folded;
-      if (policy_ != nullptr) policy_->note_rmw(sch, groups->size());
+      policy_->note_rmw(sch, groups->size());
     }
-    encoded += coded_writes(f, sch, gen, overlay_overflow(f), rmw_token, off,
-                            data, ws, *groups, writes);
-    if (hybrid && policy_ != nullptr && ws.full_end - ws.full_start < len) {
+    encoded += coded_writes(f, sch, gen, policy_->overflow_possible(f),
+                            rmw_token, off, data, ws, *groups, writes);
+    if (hybrid && ws.full_end - ws.full_start < len) {
       // Both copies of every partial-stripe byte.
       policy_->note_overflow_bytes(
           sch, 2 * (len - (ws.full_end - ws.full_start)));
     }
   }
-  if (policy_ != nullptr) policy_->note_ec_encode(sch, encoded);
+  policy_->note_ec_encode(sch, encoded);
   co_await charge_encode(*client_, sch, encoded);
   // The one failover filter: nothing is sent to a down server.
   std::erase_if(writes, [&failed](const auto& w) {
@@ -1067,7 +1144,6 @@ sim::Task<Result<void>> Recovery::rebuild_server(const pvfs::OpenFile& f,
   const StripeLayout& layout = f.layout;
   const std::uint32_t n = layout.n();
   const std::uint64_t su = layout.su();
-  const std::uint32_t successor = (failed + 1) % n;
   const std::uint32_t predecessor = (failed + n - 1) % n;
   if (file_size == 0) co_return Result<void>::success();
   const Scheme sch = scheme_of(f);
@@ -1090,62 +1166,27 @@ sim::Task<Result<void>> Recovery::rebuild_server(const pvfs::OpenFile& f,
   // 1. Data file: reconstruct every unit the failed server held. This
   //    restores the *base* content (data file only), keeping the surviving
   //    redundancy consistent; overflow entries are restored separately in
-  //    step 3. Units are rebuilt with a pipeline window so the survivor
-  //    reads and replacement writes stream concurrently — the rebuilding
-  //    node's links become the bottleneck, as in a real rebuild.
+  //    step 3. The decode is of the raw survivors, no overflow overlay.
   const std::uint32_t dn = layout.data_servers();
   if (failed < dn) {
-    Pipeline pipe(client_->cluster().sim());
+    std::vector<RepairJob> jobs;
     for (std::uint64_t u = first_unit_on(layout, failed); u * su < file_size;
          u += dn) {
       const std::uint64_t len = std::min<std::uint64_t>(su, file_size - u * su);
       if (opt.delta && !opt.delta->intersects(u * su, u * su + len)) continue;
-      if (opt.throttle) {
-        // k survivor reads + one replacement write, all unit-sized.
-        co_await opt.throttle->take(std::uint64_t{k + 1} * len);
-      }
-      co_await pipe.window.acquire();
-      pipe.wg.add();
-      client_->cluster().sim().spawn(
-          [](Recovery* self, pvfs::OpenFile file, Scheme scheme,
-             std::uint32_t fsrv, std::uint64_t unit, std::uint64_t len,
-             std::vector<std::uint32_t> down,
-             Pipeline* p) -> sim::Task<void> {
-            const StripeLayout& lay = file.layout;
-            // The decode restores the *base* content: the raw survivors,
-            // no overflow overlay (step 3 restores the overlay's tables
-            // separately).
-            const std::uint32_t kk = scheme.code(lay).k;
-            auto piece = co_await self->reconstruct(
-                file, scheme, lay.group_of_unit(unit, kk),
-                static_cast<std::uint32_t>(unit % kk), 0, len, down,
-                /*for_rebuild=*/true);
-            if (!piece.ok()) {
-              p->fail(piece.error());
-            } else {
-              Request w;
-              w.op = Op::write_data;
-              w.handle = file.handle;
-              w.off = lay.local_unit(unit) * lay.su();
-              w.payload = std::move(piece.value());
-              w.su = lay.stripe_unit;
-              auto resp = co_await self->client_->rpc(fsrv, std::move(w));
-              if (!resp.ok) p->fail(Error{resp.err, "rebuild data write"});
-            }
-            p->window.release();
-            p->wg.done();
-          }(this, f, sch, failed, u, len, down, &pipe));
+      const auto i = static_cast<std::uint32_t>(u % k);
+      jobs.push_back({layout.group_of_unit(u, k), i, i + 1, len});
     }
-    co_await pipe.wg.wait();
-    if (pipe.error) co_return pipe.first_error;
+    auto r = co_await repair(f, sch, std::move(jobs), down, red_gen_of(f),
+                             /*migration=*/false, opt.throttle);
+    if (!r.ok()) co_return r.error();
   }
 
-  // 2. Redundancy file (pipelined like step 1): the coding units whose
-  //    placement lands on the failed server. The same decode machinery,
-  //    targeting fragment k+j instead of a data unit, over the group's
-  //    columns inside the file.
+  // 2. Redundancy file: the coding units whose placement lands on the
+  //    failed server, over the group's columns inside the file — the same
+  //    job, targeting fragment k+j instead of a data unit.
   {
-    Pipeline pipe(client_->cluster().sim());
+    std::vector<RepairJob> jobs;
     const std::uint64_t ngroups = div_ceil(file_size, layout.group_width(k));
     for (std::uint64_t g = 0; g < ngroups; ++g) {
       for (std::uint32_t j = 0; j < spec.m; ++j) {
@@ -1156,192 +1197,71 @@ sim::Task<Result<void>> Recovery::rebuild_server(const pvfs::OpenFile& f,
                 std::min(layout.group_end(g, k), file_size))) {
           continue;
         }
-        const std::uint64_t cols = group_cols(layout, k, g, file_size);
-        if (opt.throttle) {
-          co_await opt.throttle->take(std::uint64_t{k + 1} * cols);
-        }
-        co_await pipe.window.acquire();
-        pipe.wg.add();
-        client_->cluster().sim().spawn(
-            [](Recovery* self, pvfs::OpenFile file, Scheme scheme,
-               std::uint32_t fsrv, std::uint64_t group, std::uint32_t j,
-               std::uint64_t cols, std::vector<std::uint32_t> down,
-               Pipeline* p) -> sim::Task<void> {
-              const StripeLayout& lay = file.layout;
-              const CodeSpec sp = scheme.code(lay);
-              auto piece = co_await self->reconstruct(
-                  file, scheme, group, sp.k + j, 0, cols, down,
-                  /*for_rebuild=*/true);
-              if (!piece.ok()) {
-                p->fail(piece.error());
-              } else {
-                Request w;
-                w.op = Op::write_red;
-                w.handle = file.handle;
-                w.off = lay.coding_off(group, sp.k, sp.m, j);
-                w.payload = std::move(piece.value());
-                w.su = lay.stripe_unit;
-                w.red_gen = self->red_gen_of(file);
-                auto wr = co_await self->client_->rpc(fsrv, std::move(w));
-                if (!wr.ok) p->fail(Error{wr.err, "rebuild coding write"});
-              }
-              p->window.release();
-              p->wg.done();
-            }(this, f, sch, failed, g, j, cols, down, &pipe));
+        jobs.push_back(
+            {g, k + j, k + j + 1, group_cols(layout, k, g, file_size)});
       }
     }
-    co_await pipe.wg.wait();
-    if (pipe.error) co_return pipe.first_error;
+    auto r = co_await repair(f, sch, std::move(jobs), down, red_gen_of(f),
+                             /*migration=*/false, opt.throttle);
+    if (!r.ok()) co_return r.error();
   }
 
   // 3. Overflow overlay: restore this server's own entries from the mirrors
   //    on its successor, and the mirror entries it held for its predecessor
   //    from that server's own table. Runs for Hybrid files and for files
   //    migrated away from Hybrid (their overlay is still live).
-  if (overlay_overflow(f)) {
+  if (policy_->overflow_possible(f)) {
     const bool filter = opt.delta != nullptr && !opt.restore_all_overflow;
+    // Stale entries are dropped first, by zero-payload write_data requests
+    // that carry pure invalidation ranges; the copier below then re-mirrors
+    // the authoritative survivor copies.
+    std::vector<Request> invals;
+    auto invalidate = [&](Interval own, Interval mirror) {
+      Request r;
+      r.op = Op::write_data;
+      r.handle = f.handle;
+      r.su = layout.stripe_unit;
+      r.inval_own = own;
+      r.inval_mirror = mirror;
+      invals.push_back(std::move(r));
+    };
     if (opt.delta != nullptr && opt.restore_all_overflow) {
       // The rejoiner's overflow content is wholesale suspect (e.g. dirty
       // pages under the overflow file died with the crash): drop both table
-      // sides entirely, then re-mirror everything from the survivors below.
-      std::vector<Request> invals;
-      for (int side = 0; side < 2; ++side) {
-        Request r;
-        r.op = Op::write_data;
-        r.handle = f.handle;
-        r.su = layout.stripe_unit;
-        if (side == 0) {
-          r.inval_own = {0, file_size};
-        } else {
-          r.inval_mirror = {0, file_size};
-        }
-        invals.push_back(std::move(r));
-      }
-      auto ivr = co_await client_->rpc_batch(failed, std::move(invals));
-      for (const auto& r : ivr) {
-        if (!r.ok) co_return Error{r.err, "rebuild overflow reset"};
-      }
-    }
-    if (filter) {
+      // sides entirely.
+      invalidate({0, file_size}, {0, 0});
+      invalidate({0, 0}, {0, file_size});
+    } else if (filter) {
       // A non-wipe rejoiner kept its overflow tables, but over the delta
       // they are stale: survivors superseded or invalidated those entries
-      // while this server was gone. Clear both table sides across the delta
-      // first (zero-payload write_data requests carry pure invalidation
-      // ranges), then re-mirror the authoritative survivor copies below.
-      std::vector<Request> invals;
+      // while this server was gone. Clear both table sides across it.
       for (const auto& iv : opt.delta->to_vector()) {
         for (const auto& ext : layout.decompose(iv.start, iv.length())) {
-          Request r;
-          r.op = Op::write_data;
-          r.handle = f.handle;
-          r.su = layout.stripe_unit;
+          const Interval local{ext.local_off, ext.local_off + ext.len};
           if (ext.server == failed) {
-            r.inval_own = {ext.local_off, ext.local_off + ext.len};
+            invalidate(local, {0, 0});
           } else if (ext.server == predecessor) {
-            r.inval_mirror = {ext.local_off, ext.local_off + ext.len};
-          } else {
-            continue;
+            invalidate({0, 0}, local);
           }
-          invals.push_back(std::move(r));
-        }
-      }
-      if (!invals.empty()) {
-        auto ivr = co_await client_->rpc_batch(failed, std::move(invals));
-        for (const auto& r : ivr) {
-          if (!r.ok) co_return Error{r.err, "rebuild overflow invalidate"};
         }
       }
     }
-    // The survivor-side tables can be huge (unaligned collective writes
-    // overflow nearly every request), so both whole-table reads are
-    // windowed: each read_mirror / read_own_overflow RPC covers a bounded
-    // local-offset range and its pieces are restored before the next
-    // window is fetched. Restores still arrive in ascending local-offset
-    // order across windows (the rebuilt table's allocation order must
-    // match piece order; in-order batch execution guarantees it per
-    // window, ascending windows guarantee it across them).
-    //
-    // The survivor's iod dispatch loop is charged the whole window span,
-    // and every request behind it — health probes included — waits for
-    // it. A window must therefore stay well inside the monitor's probe
-    // deadline (HealthParams::probe_timeout, 200 ms): 16 MiB is ~110 ms
-    // of iod time on the experimental-2003 profile. A 64 MiB window
-    // (~440 ms) outlasts both probe attempts to a healthy survivor during
-    // an online rebuild: the monitor marks it down beside the fenced
-    // rejoiner, and foreground writes fail with two servers "down".
-    constexpr std::uint64_t kOverflowWindow = 16ull << 20;
-    for (std::uint64_t w0 = 0; w0 < file_size; w0 += kOverflowWindow) {
-      Request rm;
-      rm.op = Op::read_mirror;
-      rm.handle = f.handle;
-      rm.off = w0;  // local offsets are bounded by the file size
-      rm.len = file_size - w0 < kOverflowWindow ? file_size - w0
-                                                : kOverflowWindow;
-      rm.owner = failed;
-      auto mirrors = co_await client_->rpc(successor, std::move(rm));
-      if (!mirrors.ok) co_return Error{mirrors.err, "rebuild overflow read"};
-      std::vector<Request> restores;
-      restores.reserve(mirrors.pieces.size());
-      std::uint64_t restore_bytes = 0;
-      for (auto& piece : mirrors.pieces) {
-        if (filter) {
-          const std::uint64_t g0 = layout.global_off(failed, piece.local_off);
-          if (!opt.delta->intersects(g0, g0 + piece.data.size())) continue;
+    if (!invals.empty()) {
+      auto ivr = co_await client_->rpc_batch(failed, std::move(invals));
+      for (const auto& r : ivr) {
+        if (!r.ok) {
+          co_return Error{r.err, "rebuild overflow invalidate", r.server};
         }
-        restore_bytes += piece.data.size();
-        Request w;
-        w.op = Op::write_overflow;
-        w.handle = f.handle;
-        w.off = piece.local_off;
-        w.payload = std::move(piece.data);
-        w.owner = failed;
-        w.su = layout.stripe_unit;
-        restores.push_back(std::move(w));
-      }
-      if (restores.empty()) continue;
-      if (opt.throttle) co_await opt.throttle->take(2 * restore_bytes);
-      auto wrs = co_await client_->rpc_batch(failed, std::move(restores));
-      for (const auto& wr : wrs) {
-        if (!wr.ok) co_return Error{wr.err, "rebuild overflow write"};
       }
     }
-
-    for (std::uint64_t w0 = 0; w0 < file_size; w0 += kOverflowWindow) {
-      Request ro;
-      ro.op = Op::read_own_overflow;
-      ro.handle = f.handle;
-      ro.off = w0;
-      ro.len = file_size - w0 < kOverflowWindow ? file_size - w0
-                                                : kOverflowWindow;
-      auto own = co_await client_->rpc(predecessor, std::move(ro));
-      if (!own.ok) co_return Error{own.err, "rebuild mirror-table read"};
-      std::vector<Request> mirror_restores;
-      mirror_restores.reserve(own.pieces.size());
-      std::uint64_t mirror_bytes = 0;
-      for (auto& piece : own.pieces) {
-        if (filter) {
-          const std::uint64_t g0 =
-              layout.global_off(predecessor, piece.local_off);
-          if (!opt.delta->intersects(g0, g0 + piece.data.size())) continue;
-        }
-        mirror_bytes += piece.data.size();
-        Request w;
-        w.op = Op::write_overflow;
-        w.handle = f.handle;
-        w.off = piece.local_off;
-        w.payload = std::move(piece.data);
-        w.owner = predecessor;
-        w.mirror = true;
-        w.su = layout.stripe_unit;
-        mirror_restores.push_back(std::move(w));
-      }
-      if (mirror_restores.empty()) continue;
-      if (opt.throttle) co_await opt.throttle->take(2 * mirror_bytes);
-      auto mwrs =
-          co_await client_->rpc_batch(failed, std::move(mirror_restores));
-      for (const auto& wr : mwrs) {
-        if (!wr.ok) co_return Error{wr.err, "rebuild mirror-table write"};
-      }
+    // Both sides go through one windowed copier (see kOverflowWindow): the
+    // survivor-side tables can be huge (unaligned collective writes overflow
+    // nearly every request).
+    for (const bool mirror : {false, true}) {
+      auto r = co_await copy_overflow(*client_, f, failed, mirror, file_size,
+                                      filter ? opt.delta : nullptr,
+                                      opt.throttle);
+      if (!r.ok()) co_return r.error();
     }
   }
   co_return Result<void>::success();
@@ -1363,7 +1283,8 @@ sim::Task<Result<void>> Recovery::build_redundancy(const pvfs::OpenFile& f,
 
   // Per group, read the k raw data units and write the m coding units into
   // the generation-`red_gen` redundancy files of their placement servers,
-  // over the group's columns inside the file. Partial-write overflow is
+  // over the group's columns inside the file: a rebuild of every coding
+  // fragment at the next generation. Partial-write overflow is
   // deliberately excluded, so the new coding is consistent with the data
   // files just like Hybrid's.
   const CodeSpec spec = to.code(layout);
@@ -1371,7 +1292,7 @@ sim::Task<Result<void>> Recovery::build_redundancy(const pvfs::OpenFile& f,
     co_return Error{Errc::invalid_argument,
                     "coded placement needs k+m <= N servers"};
   }
-  Pipeline pipe(client_->cluster().sim());
+  std::vector<RepairJob> jobs;
   const std::uint64_t ngroups = div_ceil(file_size, layout.group_width(spec.k));
   for (std::uint64_t g = 0; g < ngroups; ++g) {
     if (delta && !delta->intersects(
@@ -1379,64 +1300,65 @@ sim::Task<Result<void>> Recovery::build_redundancy(const pvfs::OpenFile& f,
                      std::min(layout.group_end(g, spec.k), file_size))) {
       continue;
     }
-    const std::uint64_t cols = group_cols(layout, spec.k, g, file_size);
+    jobs.push_back({g, spec.k, spec.fragments(),
+                    group_cols(layout, spec.k, g, file_size)});
+  }
+  co_return co_await repair(f, to, std::move(jobs), {}, red_gen,
+                            /*migration=*/true, throttle);
+}
+
+sim::Task<Result<void>> Recovery::repair(const pvfs::OpenFile& f, Scheme sch,
+                                         std::vector<RepairJob> jobs,
+                                         std::vector<std::uint32_t> down,
+                                         std::uint32_t gen, bool migration,
+                                         sim::TokenBucket* throttle) {
+  // The survivor reads and replacement writes of up to kWindow jobs stream
+  // concurrently, so the rebuilding node's links become the bottleneck, as
+  // in a real rebuild.
+  const std::uint32_t k = sch.code(f.layout).k;
+  Pipeline pipe(client_->cluster().sim());
+  for (const RepairJob& job : jobs) {
     if (throttle) {
-      co_await throttle->take(std::uint64_t{spec.fragments()} * cols);
+      co_await throttle->take(std::uint64_t{k + job.t1 - job.t0} * job.cols);
     }
     co_await pipe.window.acquire();
     pipe.wg.add();
     client_->cluster().sim().spawn(
-        [](Recovery* self, pvfs::OpenFile file, Scheme scheme,
-           std::uint64_t group, std::uint64_t cols, std::uint32_t gen,
+        [](Recovery* self, const pvfs::OpenFile* file, Scheme scheme,
+           RepairJob job, const std::vector<std::uint32_t>* down,
+           std::uint32_t gen, bool migration,
            Pipeline* p) -> sim::Task<void> {
-          const StripeLayout& lay = file.layout;
-          const CodeSpec sp = scheme.code(lay);
-          std::vector<std::pair<std::uint32_t, Request>> reads;
-          for (std::uint32_t i = 0; i < sp.k; ++i) {
-            Request r;
-            r.op = Op::read_data_raw;
-            r.handle = file.handle;
-            r.off = lay.local_unit(group * sp.k + i) * lay.su();
-            r.len = cols;
-            reads.emplace_back(lay.data_server(group, sp.k, i), std::move(r));
-          }
-          auto resps = co_await send_all(*self->client_, std::move(reads));
-          std::vector<Buffer> units;
-          for (auto& resp : resps) {
-            if (!resp.ok) {
-              p->fail(Error{resp.err, "migrate data read"});
-              break;
+          const CodeSpec spec = scheme.code(file->layout);
+          auto rebuilt = co_await self->reconstruct(
+              *file, scheme, job.g, job.t0, job.t1, 0, job.cols, *down);
+          if (!rebuilt.ok()) {
+            p->fail(rebuilt.error());
+          } else {
+            if (migration) {
+              self->policy_->note_ec_encode(scheme, std::uint64_t{spec.k} *
+                                                        job.cols *
+                                                        (job.t1 - job.t0));
+            } else {
+              self->policy_->note_ec_rebuild_decode(scheme, spec.k,
+                                                    job.cols * spec.k);
             }
-            units.push_back(std::move(resp.data));
-          }
-          if (units.size() == sp.k) {
             std::vector<std::pair<std::uint32_t, Request>> writes;
-            for (std::uint32_t j = 0; j < sp.m; ++j) {
-              Request w;
-              w.op = Op::write_red;
-              w.handle = file.handle;
-              w.off = lay.coding_off(group, sp.k, sp.m, j);
-              w.payload = gf_combine(units, rs_row(sp, j));
-              w.su = lay.stripe_unit;
-              w.red_gen = gen;
-              writes.emplace_back(lay.coding_server(group, sp.k, j),
-                                  std::move(w));
-            }
-            if (self->policy_ != nullptr) {
-              self->policy_->note_ec_encode(
-                  scheme, std::uint64_t{sp.k} * cols * sp.m);
+            for (std::uint32_t t = job.t0; t < job.t1; ++t) {
+              Buffer& bytes = (*rebuilt)[t - job.t0];
+              writes.push_back(
+                  fragment_write(*file, spec, gen, job.g, t, std::move(bytes)));
             }
             auto wrs = co_await send_all(*self->client_, std::move(writes));
             for (const auto& wr : wrs) {
               if (!wr.ok) {
-                p->fail(Error{wr.err, "migrate coding write"});
+                p->fail(Error{wr.err, "repair write", wr.server});
                 break;
               }
             }
           }
           p->window.release();
           p->wg.done();
-        }(this, f, to, g, cols, red_gen, &pipe));
+        }(this, &f, sch, job, &down, gen, migration, &pipe));
   }
   co_await pipe.wg.wait();
   if (pipe.error) co_return pipe.first_error;

@@ -21,6 +21,15 @@
 //          mirrored overflow copies on the failed server's successor. This
 //          is exactly why the Hybrid scheme must write partial stripes to
 //          overflow instead of updating blocks in place.
+//  repair  a server rebuild and a migration's redundancy build are one job
+//          per group: read k live fragments once, combine every target
+//          fragment from them and write each at a generation, the current
+//          one for a rebuild and the next one for a migration. A rebuilt
+//          server's overflow tables copy from its neighbours through one
+//          windowed loop (kOverflowWindow), called once per table side.
+//
+// Every file resolves its scheme, redundancy generation and overflow
+// status through the deployment's RedundancyPolicy.
 #pragma once
 
 #include <cstdint>
@@ -77,18 +86,45 @@ pvfs::StripeLayout::WriteSplit write_split(const pvfs::StripeLayout& layout,
                                            CodeSpec spec, std::uint64_t off,
                                            std::uint64_t len);
 
+/// Addressed request for columns [c0, c0+len) of fragment `frag` of group g
+/// (data fragments [0,k), coding fragments [k,k+m)): a raw data-file read
+/// for a data fragment, a generation-`gen` redundancy-file read at its
+/// coding slot for a coding fragment. Repairs and scrubs read through it.
+std::pair<std::uint32_t, pvfs::Request> fragment_read(
+    const pvfs::OpenFile& f, CodeSpec spec, std::uint32_t gen,
+    std::uint64_t g, std::uint32_t frag, std::uint64_t c0, std::uint64_t len);
+
+/// The matching write of `payload` from the fragment's first column: the
+/// data file for a data fragment, the generation-`gen` redundancy file for
+/// a coding fragment.
+std::pair<std::uint32_t, pvfs::Request> fragment_write(
+    const pvfs::OpenFile& f, CodeSpec spec, std::uint32_t gen,
+    std::uint64_t g, std::uint32_t frag, Buffer payload);
+
+/// Overflow tables are read in windows of this many local-offset bytes. The
+/// server's iod dispatch loop is charged a read's whole window span, and
+/// every request behind it (health probes included) waits for it, so a
+/// window must stay well inside the monitor's probe deadline
+/// (HealthParams::probe_timeout, 200 ms): 16 MiB is ~110 ms of iod time on
+/// the experimental-2003 profile. A 64 MiB window (~440 ms) outlasts both
+/// probe attempts to a healthy server, which the monitor then marks down.
+inline constexpr std::uint64_t kOverflowWindow = 16ull << 20;
+
+/// Read of the overflow entries in local window [w0, w0 + kOverflowWindow)
+/// (clipped to `file_size`, which bounds local offsets) of server `owner`'s
+/// table: its own entries (`mirror` false, sent to `owner`) or the mirror
+/// copies its successor holds (`mirror` true, sent to the successor).
+pvfs::Request overflow_window_read(const pvfs::OpenFile& f, bool mirror,
+                                   std::uint32_t owner, std::uint64_t w0,
+                                   std::uint64_t file_size);
+
 class Recovery {
  public:
-  /// Fixed-scheme recovery: every file is treated as `scheme` (the classic
-  /// single-scheme deployments and most tests).
-  Recovery(pvfs::Client& client, Scheme scheme)
-      : client_(&client), fixed_(scheme) {}
-
-  /// Policy-routed recovery: each file's scheme, redundancy generation and
-  /// overflow-overlay status resolve through the per-file policy. The
-  /// policy is not owned and must outlive this object.
-  Recovery(pvfs::Client& client, const RedundancyPolicy* policy)
-      : client_(&client), policy_(policy) {}
+  /// Each file's scheme, redundancy generation and overflow-overlay status
+  /// resolve through the per-file policy, which is not owned and must
+  /// outlive this object.
+  Recovery(pvfs::Client& client, const RedundancyPolicy& policy)
+      : client_(&client), policy_(&policy) {}
 
   /// Read [off, off+len) of `f` while the servers in `failed` are down
   /// (ascending, at least one); data on surviving servers is read normally,
@@ -149,27 +185,21 @@ class Recovery {
 
  private:
   Scheme scheme_of(const pvfs::OpenFile& f) const {
-    return policy_ != nullptr ? policy_->scheme_of(f) : fixed_;
+    return policy_->scheme_of(f);
   }
   std::uint32_t red_gen_of(const pvfs::OpenFile& f) const {
-    return policy_ != nullptr ? policy_->red_gen_of(f) : f.red_gen;
-  }
-  /// Whether reads/writes of `f` must honour a (possibly live) overflow
-  /// overlay — Hybrid files and files migrated away from Hybrid.
-  bool overlay_overflow(const pvfs::OpenFile& f) const {
-    return policy_ != nullptr ? policy_->overflow_possible(f)
-                              : fixed_ == Scheme::hybrid;
+    return policy_->red_gen_of(f);
   }
 
-  /// Fragment `target` (data fragments [0,k), coding fragments [k,k+m))
-  /// of group `g` over unit columns [c0, c0+len), decoded from exactly k
-  /// fragments — data fragments first, then coding, both ascending,
-  /// skipping every server in `down` while k others remain.
-  sim::Task<Result<Buffer>> reconstruct(const pvfs::OpenFile& f, Scheme sch,
-                                        std::uint64_t g, std::uint32_t target,
-                                        std::uint64_t c0, std::uint64_t len,
-                                        const std::vector<std::uint32_t>& down,
-                                        bool for_rebuild);
+  /// Fragments [t0, t1) of group `g` over unit columns [c0, c0+len), all
+  /// combined from one read of exactly k other fragments: data fragments
+  /// first, then coding, both ascending, skipping every server in `down`
+  /// while k others remain. The reads go out coding first. Each non-copy
+  /// data target is charged a k-input decode on this client.
+  sim::Task<Result<std::vector<Buffer>>> reconstruct(
+      const pvfs::OpenFile& f, Scheme sch, std::uint64_t g, std::uint32_t t0,
+      std::uint32_t t1, std::uint64_t c0, std::uint64_t len,
+      const std::vector<std::uint32_t>& down);
 
   /// The bytes of one lost piece (within a single stripe unit of a down
   /// server): the coded decode plus the overflow overlay a Hybrid or
@@ -179,9 +209,29 @@ class Recovery {
       const std::vector<std::uint32_t>& down, std::uint64_t global_off,
       std::uint64_t len);
 
+  /// One repair job: restore fragments [t0, t1) of group g over its first
+  /// `cols` columns.
+  struct RepairJob {
+    std::uint64_t g;
+    std::uint32_t t0;
+    std::uint32_t t1;
+    std::uint64_t cols;
+  };
+
+  /// Run `jobs` in order, pipelined (at most 16 in flight): each reads k
+  /// live fragments once (reconstruct, around `down`) and writes every
+  /// target at generation `gen`, the current one for a rebuild, the next
+  /// one for a migration. `throttle` is charged (k + targets)·cols before a
+  /// job is issued. A rebuild notes one ec decode per job, a migration
+  /// (`migration`) the encode of its targets. Returns the first error.
+  sim::Task<Result<void>> repair(const pvfs::OpenFile& f, Scheme sch,
+                                 std::vector<RepairJob> jobs,
+                                 std::vector<std::uint32_t> down,
+                                 std::uint32_t gen, bool migration,
+                                 sim::TokenBucket* throttle);
+
   pvfs::Client* client_;
-  const RedundancyPolicy* policy_ = nullptr;
-  Scheme fixed_ = Scheme::hybrid;  ///< used only when policy_ is null
+  const RedundancyPolicy* policy_;
 };
 
 }  // namespace csar::raid

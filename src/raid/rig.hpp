@@ -121,7 +121,7 @@ class Rig {
   RedundancyPolicy& policy() { return *policy_; }
   const RedundancyPolicy& policy() const { return *policy_; }
 
-  Recovery recovery() { return Recovery(*clients[0], policy_.get()); }
+  Recovery recovery() { return Recovery(*clients[0], *policy_); }
 
   /// A dedicated repair client on its own node, created on first use.
   /// Rebuild/scrub traffic issued through it gets its own NIC and RPC
@@ -254,7 +254,7 @@ class Rig {
   }
 
   Recovery repair_recovery() {
-    return Recovery(repair_client(), policy_.get());
+    return Recovery(repair_client(), *policy_);
   }
 
   /// Drop every server's page cache (the paper's "contents removed from the

@@ -6,6 +6,7 @@
 
 #include "common/buffer_map.hpp"
 #include "common/units.hpp"
+#include "raid/recovery.hpp"
 
 namespace csar::raid {
 
@@ -13,6 +14,21 @@ namespace {
 using pvfs::Op;
 using pvfs::Request;
 using pvfs::StripeLayout;
+
+/// Rewrite of owner `s`'s primary entry `piece` as its mirror copy on the
+/// successor.
+Request mirror_rewrite(const pvfs::OpenFile& f, std::uint32_t s,
+                       const pvfs::OverflowPiece& piece) {
+  Request w;
+  w.op = Op::write_overflow;
+  w.handle = f.handle;
+  w.off = piece.local_off;
+  w.payload = piece.data.slice(0, piece.data.size());
+  w.owner = s;
+  w.mirror = true;
+  w.su = f.layout.stripe_unit;
+  return w;
+}
 }  // namespace
 
 sim::Task<Result<Scrubber::Report>> Scrubber::run(const pvfs::OpenFile& f,
@@ -20,7 +36,7 @@ sim::Task<Result<Scrubber::Report>> Scrubber::run(const pvfs::OpenFile& f,
                                                   bool repair) {
   Report report;
   if (file_size == 0) co_return report;
-  const Scheme sch = scheme_of(f);
+  const Scheme sch = policy_->scheme_of(f);
   if (!uses_group_coding(sch)) co_return report;  // RAID0: nothing to audit
   auto r = co_await scrub_coded(f, file_size, repair, report);
   if (!r.ok()) co_return r.error();
@@ -28,14 +44,14 @@ sim::Task<Result<Scrubber::Report>> Scrubber::run(const pvfs::OpenFile& f,
   // authoritative over the new base redundancy), so the pairwise overflow
   // audit runs for every file that may still carry entries — not just files
   // whose current base scheme is Hybrid.
-  if (overlay_overflow(f)) {
+  if (policy_->overflow_possible(f)) {
     auto o = co_await scrub_overflow(f, file_size, repair, report);
     if (!o.ok()) co_return o.error();
   }
   // Latent-sector findings are exactly the early-warning signal the adaptive
   // engine watches: feed them back so sustained media pressure can tip a
   // scheme recommendation before a whole server dies.
-  if (policy_ != nullptr && report.media_errors > 0) {
+  if (report.media_errors > 0) {
     policy_->note_media_errors(report.media_errors);
   }
   if (repair && report.repaired > 0) {
@@ -59,8 +75,8 @@ sim::Task<Result<void>> Scrubber::scrub_coded(const pvfs::OpenFile& f,
   // mirror), which no kernel touches.
   const StripeLayout& layout = f.layout;
   const std::uint64_t su = layout.su();
-  const std::uint32_t gen = red_gen_of(f);
-  const CodeSpec spec = scheme_of(f).code(layout);
+  const std::uint32_t gen = policy_->red_gen_of(f);
+  const CodeSpec spec = policy_->scheme_of(f).code(layout);
   const std::uint32_t k = spec.k;
   const std::uint32_t m = spec.m;
   auto& node = client_->cluster().node(client_->node_id());
@@ -71,23 +87,8 @@ sim::Task<Result<void>> Scrubber::scrub_coded(const pvfs::OpenFile& f,
     const sim::Duration encode_time = sim::transfer_time(
         cols * (k + 1), node.params().xor_bytes_per_sec);
     std::vector<std::pair<std::uint32_t, Request>> reads;
-    for (std::uint32_t i = 0; i < k; ++i) {
-      Request r;
-      r.op = Op::read_data_raw;
-      r.handle = f.handle;
-      r.off = layout.local_unit(g * k + i) * su;
-      r.len = cols;
-      reads.emplace_back(layout.data_server(g, k, i), std::move(r));
-    }
-    for (std::uint32_t j = 0; j < m; ++j) {
-      Request r;
-      r.op = Op::read_red;
-      r.handle = f.handle;
-      r.off = layout.coding_off(g, k, m, j);
-      r.len = cols;
-      r.su = layout.stripe_unit;
-      r.red_gen = gen;
-      reads.emplace_back(layout.coding_server(g, k, j), std::move(r));
+    for (std::uint32_t frag = 0; frag < spec.fragments(); ++frag) {
+      reads.push_back(fragment_read(f, spec, gen, g, frag, 0, cols));
     }
     auto resps = co_await client_->rpc_all(std::move(reads));
     std::vector<std::uint32_t> lost;  // fragment indexes, data then coding
@@ -131,22 +132,8 @@ sim::Task<Result<void>> Scrubber::scrub_coded(const pvfs::OpenFile& f,
             co_await node.tx().occupy(encode_time);
           }
         }
-        Request w;
-        w.handle = f.handle;
-        w.payload = std::move(rebuilt);
-        w.su = layout.stripe_unit;
-        std::uint32_t target;
-        if (bad >= k) {
-          w.op = Op::write_red;
-          w.off = layout.coding_off(g, k, m, bad - k);
-          w.red_gen = gen;
-          target = layout.coding_server(g, k, bad - k);
-        } else {
-          w.op = Op::write_data;
-          w.off = layout.local_unit(g * k + bad) * su;
-          target = layout.data_server(g, k, bad);
-        }
-        auto wr = co_await client_->rpc(target, std::move(w));
+        auto w = fragment_write(f, spec, gen, g, bad, std::move(rebuilt));
+        auto wr = co_await client_->rpc(w.first, std::move(w.second));
         if (!wr.ok) co_return Error{wr.err, "scrub media rewrite", wr.server};
         ++report.repaired;
       }
@@ -163,16 +150,9 @@ sim::Task<Result<void>> Scrubber::scrub_coded(const pvfs::OpenFile& f,
       if (resps[k + j].data == expect) continue;
       ++report.parity_mismatches;
       if (repair) {
-        Request w;
-        w.op = Op::write_red;
-        w.handle = f.handle;
-        w.off = layout.coding_off(g, k, m, j);
-        w.payload = std::move(expect);
-        w.su = layout.stripe_unit;
-        w.red_gen = gen;
-        auto wr = co_await client_->rpc(layout.coding_server(g, k, j),
-                                        std::move(w));
-        if (!wr.ok) co_return Error{wr.err, "scrub coding rewrite"};
+        auto w = fragment_write(f, spec, gen, g, k + j, std::move(expect));
+        auto wr = co_await client_->rpc(w.first, std::move(w.second));
+        if (!wr.ok) co_return Error{wr.err, "scrub coding rewrite", wr.server};
         ++report.repaired;
       }
     }
@@ -186,123 +166,96 @@ sim::Task<Result<void>> Scrubber::scrub_overflow(const pvfs::OpenFile& f,
                                                  Report& report) {
   const StripeLayout& layout = f.layout;
   for (std::uint32_t s = 0; s < layout.n(); ++s) {
-    // Primary entries on s must match the mirrors on s+1.
-    Request ro;
-    ro.op = Op::read_own_overflow;
-    ro.handle = f.handle;
-    ro.off = 0;
-    ro.len = file_size;
-    auto own = co_await client_->rpc(s, std::move(ro));
-    if (!own.ok && own.err == Errc::media_error) {
-      // The owner's overflow region has latent sector errors: restore its
-      // entries from the successor's mirror copies.
-      ++report.media_errors;
-      if (!repair) continue;
-      Request rr;
-      rr.op = Op::read_mirror;
-      rr.handle = f.handle;
-      rr.off = 0;
-      rr.len = file_size;
-      rr.owner = s;
-      auto surv = co_await client_->rpc((s + 1) % layout.n(), std::move(rr));
-      if (!surv.ok) {
-        ++report.unrepairable;  // mirror unreadable too
-        continue;
-      }
-      for (auto& piece : surv.pieces) {
-        Request w;
-        w.op = Op::write_overflow;
-        w.handle = f.handle;
-        w.off = piece.local_off;
-        w.payload = std::move(piece.data);
-        w.owner = s;
-        w.su = layout.stripe_unit;
-        auto wr = co_await client_->rpc(s, std::move(w));
-        if (!wr.ok) {
-          co_return Error{wr.err, "scrub overflow media rewrite", wr.server};
+    const std::uint32_t succ = (s + 1) % layout.n();
+    // Primary entries on s must match the mirrors on s+1, window by window.
+    for (std::uint64_t w0 = 0; w0 < file_size; w0 += kOverflowWindow) {
+      auto own = co_await client_->rpc(
+          s, overflow_window_read(f, /*mirror=*/false, s, w0, file_size));
+      if (!own.ok && own.err == Errc::media_error) {
+        // The owner's overflow region has latent sector errors: restore its
+        // entries from the successor's mirror copies.
+        ++report.media_errors;
+        if (!repair) continue;
+        auto surv = co_await client_->rpc(
+            succ, overflow_window_read(f, /*mirror=*/true, s, w0, file_size));
+        if (!surv.ok) {
+          ++report.unrepairable;  // mirror unreadable too
+          continue;
         }
-        ++report.repaired;
-      }
-      continue;
-    }
-    if (!own.ok) co_return Error{own.err, "scrub overflow read", own.server};
-    if (own.pieces.empty()) continue;
-
-    Request rm;
-    rm.op = Op::read_mirror;
-    rm.handle = f.handle;
-    rm.off = 0;
-    rm.len = file_size;
-    rm.owner = s;
-    auto mirror = co_await client_->rpc((s + 1) % layout.n(), std::move(rm));
-    if (!mirror.ok && mirror.err == Errc::media_error) {
-      // Mirror side unreadable: rewrite every primary entry's mirror copy.
-      ++report.media_errors;
-      if (repair) {
-        for (const auto& piece : own.pieces) {
-          ++report.overflow_pairs_checked;
+        for (auto& piece : surv.pieces) {
           Request w;
           w.op = Op::write_overflow;
           w.handle = f.handle;
           w.off = piece.local_off;
-          w.payload = piece.data.slice(0, piece.data.size());
+          w.payload = std::move(piece.data);
           w.owner = s;
-          w.mirror = true;
           w.su = layout.stripe_unit;
-          auto wr =
-              co_await client_->rpc((s + 1) % layout.n(), std::move(w));
+          auto wr = co_await client_->rpc(s, std::move(w));
           if (!wr.ok) {
-            co_return Error{wr.err, "scrub mirror-table media rewrite",
-                            wr.server};
+            co_return Error{wr.err, "scrub overflow media rewrite", wr.server};
           }
           ++report.repaired;
         }
+        continue;
       }
-      continue;
-    }
-    if (!mirror.ok) {
-      co_return Error{mirror.err, "scrub mirror-table read", mirror.server};
-    }
+      if (!own.ok) co_return Error{own.err, "scrub overflow read", own.server};
+      if (own.pieces.empty()) continue;
 
-    BufferMap mirror_map;
-    bool mirror_materialized = true;
-    for (auto& piece : mirror.pieces) {
-      if (!piece.data.materialized()) mirror_materialized = false;
-      const std::uint64_t end = piece.local_off + piece.data.size();
-      mirror_map.insert(piece.local_off, end, std::move(piece.data));
-    }
-    for (const auto& piece : own.pieces) {
-      ++report.overflow_pairs_checked;
-      const std::uint64_t start = piece.local_off;
-      const std::uint64_t end = start + piece.data.size();
-      bool match = true;
-      if (!piece.data.materialized() || !mirror_materialized) {
-        // Phantom: compare coverage only.
-        match = mirror_map.covered_bytes() > 0 || mirror_map.intersects(
-                                                      start, end);
-      } else {
-        std::uint64_t covered = 0;
-        for (const auto& chunk : mirror_map.query(start, end)) {
-          covered += chunk.end - chunk.start;
+      auto mirror = co_await client_->rpc(
+          succ, overflow_window_read(f, /*mirror=*/true, s, w0, file_size));
+      if (!mirror.ok && mirror.err == Errc::media_error) {
+        // Mirror side unreadable: rewrite every primary entry's mirror copy.
+        ++report.media_errors;
+        if (repair) {
+          for (const auto& piece : own.pieces) {
+            ++report.overflow_pairs_checked;
+            auto wr = co_await client_->rpc(succ, mirror_rewrite(f, s, piece));
+            if (!wr.ok) {
+              co_return Error{wr.err, "scrub mirror-table media rewrite",
+                              wr.server};
+            }
+            ++report.repaired;
+          }
         }
-        match = covered == end - start &&
-                read_range(mirror_map, start, end) == piece.data;
+        continue;
       }
-      if (match) continue;
-      ++report.overflow_mismatches;
-      if (repair) {
-        Request w;
-        w.op = Op::write_overflow;
-        w.handle = f.handle;
-        w.off = start;
-        w.payload = piece.data.slice(0, piece.data.size());
-        w.owner = s;
-        w.mirror = true;
-        w.su = layout.stripe_unit;
-        auto wr =
-            co_await client_->rpc((s + 1) % layout.n(), std::move(w));
-        if (!wr.ok) co_return Error{wr.err, "scrub overflow rewrite"};
-        ++report.repaired;
+      if (!mirror.ok) {
+        co_return Error{mirror.err, "scrub mirror-table read", mirror.server};
+      }
+
+      BufferMap mirror_map;
+      bool mirror_materialized = true;
+      for (auto& piece : mirror.pieces) {
+        if (!piece.data.materialized()) mirror_materialized = false;
+        const std::uint64_t end = piece.local_off + piece.data.size();
+        mirror_map.insert(piece.local_off, end, std::move(piece.data));
+      }
+      for (const auto& piece : own.pieces) {
+        ++report.overflow_pairs_checked;
+        const std::uint64_t start = piece.local_off;
+        const std::uint64_t end = start + piece.data.size();
+        bool match = true;
+        if (!piece.data.materialized() || !mirror_materialized) {
+          // Phantom: compare coverage only.
+          match = mirror_map.covered_bytes() > 0 ||
+                  mirror_map.intersects(start, end);
+        } else {
+          std::uint64_t covered = 0;
+          for (const auto& chunk : mirror_map.query(start, end)) {
+            covered += chunk.end - chunk.start;
+          }
+          match = covered == end - start &&
+                  read_range(mirror_map, start, end) == piece.data;
+        }
+        if (match) continue;
+        ++report.overflow_mismatches;
+        if (repair) {
+          auto wr = co_await client_->rpc(succ, mirror_rewrite(f, s, piece));
+          if (!wr.ok) {
+            co_return Error{wr.err, "scrub overflow rewrite", wr.server};
+          }
+          ++report.repaired;
+        }
       }
     }
   }

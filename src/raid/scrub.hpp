@@ -11,7 +11,12 @@
 //
 // For the Hybrid scheme the base invariant is identical to RAID5's: parity
 // covers the *data files* only, because partial-stripe writes go to
-// overflow. Mirrored overflow copies are audited pairwise as well.
+// overflow. Mirrored overflow copies are audited pairwise as well, a
+// bounded window of each table at a time (kOverflowWindow), so an audit of a
+// large file never holds a server's request loop past a health probe's
+// deadline. Every file resolves its scheme, redundancy generation and
+// overflow status through the deployment's RedundancyPolicy, and the group
+// reads and rewrites are Recovery's fragment requests.
 #pragma once
 
 #include <cstdint>
@@ -26,15 +31,11 @@ namespace csar::raid {
 
 class Scrubber {
  public:
-  /// Fixed-scheme scrubbing: every file is audited as `scheme`.
-  Scrubber(pvfs::Client& client, Scheme scheme)
-      : client_(&client), fixed_(scheme) {}
-
-  /// Policy-routed scrubbing: each file is audited under its own scheme and
-  /// redundancy generation, and media-error findings feed the policy's
-  /// fault-pressure counters. The policy is not owned.
-  Scrubber(pvfs::Client& client, RedundancyPolicy* policy)
-      : client_(&client), policy_(policy) {}
+  /// Each file is audited under its own scheme and redundancy generation,
+  /// and media-error findings feed the policy's fault-pressure counters.
+  /// The policy is not owned.
+  Scrubber(pvfs::Client& client, RedundancyPolicy& policy)
+      : client_(&client), policy_(&policy) {}
 
   struct Report {
     /// Coded groups: parity stripes, rs(k,m) groups, RAID1 units.
@@ -85,22 +86,8 @@ class Scrubber {
                                          std::uint64_t file_size, bool repair,
                                          Report& report);
 
-  Scheme scheme_of(const pvfs::OpenFile& f) const {
-    return policy_ != nullptr ? policy_->scheme_of(f) : fixed_;
-  }
-  std::uint32_t red_gen_of(const pvfs::OpenFile& f) const {
-    return policy_ != nullptr ? policy_->red_gen_of(f) : f.red_gen;
-  }
-  /// Whether the file may carry live overflow entries (Hybrid now, or a
-  /// migrated ex-Hybrid file whose overlay is still authoritative).
-  bool overlay_overflow(const pvfs::OpenFile& f) const {
-    return policy_ != nullptr ? policy_->overflow_possible(f)
-                              : fixed_ == Scheme::hybrid;
-  }
-
   pvfs::Client* client_;
-  RedundancyPolicy* policy_ = nullptr;
-  Scheme fixed_ = Scheme::hybrid;
+  RedundancyPolicy* policy_;
 };
 
 }  // namespace csar::raid

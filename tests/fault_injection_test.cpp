@@ -116,7 +116,7 @@ TEST(FaultInjector, MediaErrorIsReroutedThenScrubRepaired) {
     EXPECT_GE(fs.failover_stats().degraded_reads, 1u);
     // The scrubber sees a latent sector error as a repairable finding, not
     // a dead server: it rewrites the unreadable units from redundancy.
-    raid::Scrubber scrub(r.client(), r.p.scheme);
+    raid::Scrubber scrub(r.client(), r.policy());
     auto rep = co_await scrub.repair(*f, size);
     CO_ASSERT_TRUE(rep.ok());
     EXPECT_GE(rep->media_errors, 1u);
@@ -150,7 +150,7 @@ TEST(FaultInjector, WipeRestartIsFencedUntilAdmitted) {
     auto rd = co_await fs.read(*f, 0, data.size());
     EXPECT_FALSE(rd.ok());
     // Rebuild writes pass through the fence; admit() reopens reads.
-    raid::Recovery rec(r.client(), r.p.scheme);
+    raid::Recovery rec = r.recovery();
     auto rb = co_await rec.rebuild_server(*f, 1, data.size());
     CO_ASSERT_TRUE(rb.ok());
     r.server(1).admit();

@@ -81,7 +81,7 @@ TEST(Raid4, RoundTripAndParityInvariant) {
     EXPECT_EQ(*rd, ref.expect(0, ref.size()));
     EXPECT_TRUE(co_await csar::test::parity_consistent(r, *f, ref.size()));
     // The scrubber agrees.
-    Scrubber scrub(r.client(), Scheme::raid4);
+    Scrubber scrub(r.client(), r.policy());
     auto report = co_await scrub.verify(*f, ref.size());
     CO_ASSERT_TRUE(report.ok());
     EXPECT_TRUE(report->clean());

@@ -611,7 +611,7 @@ TEST(RsEndToEnd, OnlineHybridToRsMigration) {
     }
 
     // And the migrated file audits clean under its new scheme.
-    Scrubber scrub(r.client(), &r.policy());
+    Scrubber scrub(r.client(), r.policy());
     auto rep = co_await scrub.verify(*f, ref.size());
     CO_ASSERT_TRUE(rep.ok());
     EXPECT_TRUE(rep->clean());
@@ -649,7 +649,7 @@ TEST(RsEndToEnd, ScrubRepairsUpToMLatentErrorsPerGroup) {
           0, kSu);
     plant(f->layout.coding_server(0, 4, 0), IoServer::red_name(f->handle),
           0, kSu);
-    Scrubber scrub(r.client(), &r.policy());
+    Scrubber scrub(r.client(), r.policy());
     auto rep = co_await scrub.repair(*f, 2 * w);
     CO_ASSERT_TRUE(rep.ok());
     EXPECT_EQ(rep->media_errors, 2u);
@@ -705,7 +705,7 @@ TEST(DeferredCoding, OverwrittenCodingIsNeverEncoded) {
         EXPECT_GT(group_xor, 0u);
       }
 
-      Scrubber scrub(r.client(), &r.policy());
+      Scrubber scrub(r.client(), r.policy());
       auto rep = co_await scrub.verify(*f, len);
       CO_ASSERT_TRUE(rep.ok());
       EXPECT_TRUE(rep->clean()) << scheme_name(sch);
@@ -912,7 +912,7 @@ TEST(OneEngine, Rs12SurvivesTwoFailures) {
     CO_ASSERT_TRUE(rd2.ok());
     EXPECT_EQ(*rd2, ref.expect(0, ref.size()));
     EXPECT_TRUE(co_await rs_consistent(r, *f, sch, ref.size()));
-    Scrubber scrub(r.client(), &r.policy());
+    Scrubber scrub(r.client(), r.policy());
     auto rep = co_await scrub.verify(*f, ref.size());
     CO_ASSERT_TRUE(rep.ok());
     EXPECT_TRUE(rep->clean());
@@ -1045,6 +1045,209 @@ TEST(OneWrite, DegradedFullStripeWriteDefersItsCoding) {
             << scheme_name(sch);
       }
     }(rig, sch));
+  }
+}
+
+// ---------- one repair job ----------
+
+/// Server `s`'s data file and generation-`gen` redundancy file of `f`.
+sim::Task<std::vector<Buffer>> server_files(Rig& r, const pvfs::OpenFile& f,
+                                            std::uint32_t s,
+                                            std::uint32_t gen) {
+  std::vector<Buffer> out;
+  auto& lfs = r.server(s).fs();
+  for (const std::string& name :
+       {IoServer::data_name(f.handle), IoServer::red_name(f.handle, gen)}) {
+    out.push_back(co_await lfs.peek(name, 0, lfs.size(name)));
+  }
+  co_return out;
+}
+
+/// A file of 3.5 groups of k units at base 2: a full write, then unaligned
+/// overwrites. Its size goes to `size`.
+sim::Task<pvfs::OpenFile> three_and_a_half_groups(Rig& r, std::uint32_t k,
+                                                  std::uint64_t* size) {
+  pvfs::StripeLayout layout = r.layout(kSu);
+  layout.base = 2;
+  auto f = co_await r.client_fs().create("f", layout);
+  EXPECT_TRUE(f.ok());
+  *size = 7 * f->layout.group_width(k) / 2;
+  auto wr = co_await r.client_fs().write(*f, 0, Buffer::pattern(*size, 7));
+  EXPECT_TRUE(wr.ok());
+  Rng rng(2424);
+  for (int i = 0; i < 6; ++i) {
+    const std::uint64_t off = rng.below(*size - 1);
+    const std::uint64_t len = 1 + rng.below(*size - off - 1);
+    auto ow = co_await r.client_fs().write(*f, off,
+                                           Buffer::pattern(len, rng.next()));
+    EXPECT_TRUE(ow.ok());
+  }
+  co_return *f;
+}
+
+// Rebuild and migration restore fragments through one job. Its traffic is
+// pinned — messages and bytes, server by server for a full rebuild — over
+// a file whose last group is partial and whose base is nonzero, and every
+// restored server file matches what was lost (for the migration, what a
+// direct rs(4,2) write of the same bytes leaves).
+TEST(OneRepair, TrafficIsPinned) {
+  struct Pinned {
+    std::uint64_t messages;
+    std::uint64_t wire_bytes;
+  };
+  // Per server: one job per unit or coding unit it held, each k fragment
+  // reads and one write, every message answered.
+  const std::vector<Pinned> raid5_rebuilds = {
+      {48, 104448}, {48, 92160}, {36, 78336},
+      {36, 78336},  {48, 104448}, {48, 104448}};
+  const std::vector<Pinned> rs42_rebuilds = {
+      {40, 87040}, {40, 87040}, {40, 87040},
+      {40, 87040}, {30, 65280}, {30, 65280}};
+  // Four groups, each k data reads and m coding writes.
+  const Pinned migration{48, 104448};
+
+  for (const Scheme sch : {Scheme::raid5, Scheme::rs(4, 2)}) {
+    Rig rig(rs_rig(sch, 6));
+    std::vector<Pinned> got;
+    run_sim_void(rig, [](Rig& r, Scheme sch,
+                         std::vector<Pinned>* out) -> sim::Task<void> {
+      std::uint64_t size = 0;
+      const pvfs::OpenFile f = co_await three_and_a_half_groups(
+          r, sch.code(r.layout(kSu)).k, &size);
+      Recovery rec = r.recovery();
+      for (std::uint32_t s = 0; s < r.p.nservers; ++s) {
+        const auto before = co_await server_files(r, f, s, 0);
+        r.server(s).fail();
+        r.server(s).wipe();
+        r.server(s).recover();
+        const Traffic t0 = traffic(r);
+        auto rb = co_await rec.rebuild_server(f, s, size);
+        CO_ASSERT_TRUE(rb.ok());
+        const Traffic t = traffic(r) - t0;
+        out->push_back({t.messages, t.wire_bytes});
+        const auto after = co_await server_files(r, f, s, 0);
+        EXPECT_GT(before[0].size(), 0u);  // every server holds data
+        for (std::size_t i = 0; i < before.size(); ++i) {
+          EXPECT_TRUE(after[i] == before[i])
+              << scheme_name(sch) << " server " << s << " file " << i;
+        }
+      }
+    }(rig, sch, &got));
+    const auto& want = sch == Scheme::raid5 ? raid5_rebuilds : rs42_rebuilds;
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t s = 0; s < got.size(); ++s) {
+      EXPECT_EQ(got[s].messages, want[s].messages)
+          << scheme_name(sch) << " server " << s;
+      EXPECT_EQ(got[s].wire_bytes, want[s].wire_bytes)
+          << scheme_name(sch) << " server " << s;
+    }
+  }
+
+  // raid5 -> rs(4,2) on 6 servers: the generation-1 coding of a RAID5 file
+  // is the coding a direct rs(4,2) write leaves.
+  std::vector<Buffer> built;
+  std::vector<Buffer> direct;
+  Pinned moved{};
+  {
+    Rig rig(rs_rig(Scheme::raid5, 6));
+    run_sim_void(rig, [](Rig& r, std::vector<Buffer>* out,
+                         Pinned* cost) -> sim::Task<void> {
+      std::uint64_t size = 0;
+      const pvfs::OpenFile f = co_await three_and_a_half_groups(r, 4, &size);
+      Recovery rec = r.recovery();
+      const Traffic t0 = traffic(r);
+      auto b = co_await rec.build_redundancy(f, Scheme::rs(4, 2), 1, size);
+      CO_ASSERT_TRUE(b.ok());
+      const Traffic t = traffic(r) - t0;
+      *cost = {t.messages, t.wire_bytes};
+      for (std::uint32_t s = 0; s < r.p.nservers; ++s) {
+        out->push_back((co_await server_files(r, f, s, 1))[1]);
+      }
+    }(rig, &built, &moved));
+  }
+  {
+    Rig rig(rs_rig(Scheme::rs(4, 2), 6));
+    run_sim_void(rig, [](Rig& r, std::vector<Buffer>* out) -> sim::Task<void> {
+      std::uint64_t size = 0;
+      const pvfs::OpenFile f = co_await three_and_a_half_groups(r, 4, &size);
+      for (std::uint32_t s = 0; s < r.p.nservers; ++s) {
+        out->push_back((co_await server_files(r, f, s, 0))[1]);
+      }
+    }(rig, &direct));
+  }
+  EXPECT_EQ(moved.messages, migration.messages);
+  EXPECT_EQ(moved.wire_bytes, migration.wire_bytes);
+  ASSERT_EQ(built.size(), direct.size());
+  for (std::size_t s = 0; s < built.size(); ++s) {
+    EXPECT_GT(direct[s].size(), 0u) << "server " << s;
+    EXPECT_TRUE(built[s] == direct[s]) << "server " << s;
+  }
+}
+
+// Every repair error names the server that answered with it, here a
+// second server that is down while a rebuild or a migration runs.
+TEST(OneRepair, ErrorsNameTheirServer) {
+  // RAID5 on 6 servers: server 1 is rebuilt while server 3 is down, so a
+  // survivor read fails.
+  {
+    Rig rig(rs_rig(Scheme::raid5, 6));
+    run_sim_void(rig, [](Rig& r) -> sim::Task<void> {
+      std::uint64_t size = 0;
+      const pvfs::OpenFile f = co_await three_and_a_half_groups(r, 5, &size);
+      r.server(3).fail();
+      Recovery rec = r.recovery();
+      auto rb = co_await rec.rebuild_server(f, 1, size);
+      CO_ASSERT_TRUE(!rb.ok());
+      EXPECT_EQ(rb.error().server, 3);
+    }(rig));
+  }
+  // The same rebuild onto server 1 while it is still down: its writes fail.
+  {
+    Rig rig(rs_rig(Scheme::raid5, 6));
+    run_sim_void(rig, [](Rig& r) -> sim::Task<void> {
+      std::uint64_t size = 0;
+      const pvfs::OpenFile f = co_await three_and_a_half_groups(r, 5, &size);
+      r.server(1).fail();
+      Recovery rec = r.recovery();
+      auto rb = co_await rec.rebuild_server(f, 1, size);
+      CO_ASSERT_TRUE(!rb.ok());
+      EXPECT_EQ(rb.error().server, 1);
+    }(rig));
+  }
+  // A Hybrid file whose only content is one overflow pair on server 0 and
+  // its successor: a server holding none of its units or coding rebuilds
+  // only its overflow tables, and the read of its own entries' mirrors
+  // fails on its down successor.
+  {
+    Rig rig(rs_rig(Scheme::hybrid, 5));
+    run_sim_void(rig, [](Rig& r) -> sim::Task<void> {
+      auto f = co_await r.client_fs().create("f", r.layout(kSu));
+      CO_ASSERT_TRUE(f.ok());
+      auto wr = co_await r.client_fs().write(*f, 100, Buffer::pattern(500, 3));
+      CO_ASSERT_TRUE(wr.ok());
+      const std::uint32_t parity = f->layout.coding_server(0, 4, 0);
+      std::uint32_t target = 1;
+      while (target == parity) ++target;
+      const std::uint32_t successor = (target + 1) % r.p.nservers;
+      r.server(successor).fail();
+      Recovery rec = r.recovery();
+      auto rb = co_await rec.rebuild_server(*f, target, 600);
+      CO_ASSERT_TRUE(!rb.ok());
+      EXPECT_EQ(rb.error().server, static_cast<int>(successor));
+    }(rig));
+  }
+  // raid5 -> rs(4,2) while server 3 is down: a data read fails.
+  {
+    Rig rig(rs_rig(Scheme::raid5, 6));
+    run_sim_void(rig, [](Rig& r) -> sim::Task<void> {
+      std::uint64_t size = 0;
+      const pvfs::OpenFile f = co_await three_and_a_half_groups(r, 5, &size);
+      r.server(3).fail();
+      Recovery rec = r.recovery();
+      auto b = co_await rec.build_redundancy(f, Scheme::rs(4, 2), 1, size);
+      CO_ASSERT_TRUE(!b.ok());
+      EXPECT_EQ(b.error().server, 3);
+    }(rig));
   }
 }
 

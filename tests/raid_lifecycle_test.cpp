@@ -57,7 +57,7 @@ void lifecycle(Scheme scheme, std::uint64_t seed) {
         Buffer data = Buffer::pattern(len, rng.next());
         ref.write(off, data);
         if (down.has_value()) {
-          Recovery crec(r.client(client), r.p.scheme);
+          Recovery crec(r.client(client), r.policy());
           auto wr =
               co_await crec.write(*f, off, std::move(data),
                   std::vector<std::uint32_t>(1, *down));
@@ -94,7 +94,7 @@ void lifecycle(Scheme scheme, std::uint64_t seed) {
         }
       } else {
         if (!down.has_value()) {
-          Scrubber scrub(r.client(0), r.p.scheme);
+          Scrubber scrub(r.client(0), r.policy());
           auto report = co_await scrub.verify(*f, ref.size());
           CO_ASSERT_TRUE(report.ok());
           EXPECT_TRUE(report->clean()) << "scrub at step " << step;
@@ -110,7 +110,7 @@ void lifecycle(Scheme scheme, std::uint64_t seed) {
       down.reset();
     }
     co_await verify("final");
-    Scrubber scrub(r.client(0), r.p.scheme);
+    Scrubber scrub(r.client(0), r.policy());
     auto report = co_await scrub.verify(*f, ref.size());
     CO_ASSERT_TRUE(report.ok());
     EXPECT_TRUE(report->clean());

@@ -202,7 +202,7 @@ TEST(RaidPolicyTest, OnlineMigrationByteExactUnderConcurrentWrites) {
     }
 
     // And the migrated file audits clean under its new scheme.
-    Scrubber scrub(r.client(), &r.policy());
+    Scrubber scrub(r.client(), r.policy());
     auto rep = co_await scrub.verify(*f, ref.size());
     CO_ASSERT_TRUE(rep.ok());
     EXPECT_TRUE(rep->clean());

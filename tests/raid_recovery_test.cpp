@@ -195,7 +195,7 @@ void rebuild_roundtrip(Scheme scheme, std::uint64_t seed) {
         auto rd = co_await fs.read(*f, 0, ref.size());
         CO_ASSERT_TRUE(rd.ok());
         EXPECT_EQ(*rd, ref.expect(0, ref.size()));
-        Scrubber scrub(r.client(), &r.policy());
+        Scrubber scrub(r.client(), r.policy());
         auto rep = co_await scrub.verify(*f, ref.size());
         CO_ASSERT_TRUE(rep.ok());
         EXPECT_TRUE(rep->clean());

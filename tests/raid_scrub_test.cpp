@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "hw/node.hpp"
 #include "pvfs/io_server.hpp"
+#include "raid/health.hpp"
 #include "raid/rig.hpp"
 #include "sim/sync.hpp"
 #include "test_util.hpp"
@@ -43,7 +45,7 @@ void clean_after_writes(Scheme scheme) {
       auto wr = co_await fs.write(*f, off, std::move(data));
       CO_ASSERT_TRUE(wr.ok());
     }
-    Scrubber scrub(r.client(), r.p.scheme);
+    Scrubber scrub(r.client(), r.policy());
     auto report = co_await scrub.verify(*f, ref.size());
     CO_ASSERT_TRUE(report.ok());
     EXPECT_TRUE(report->clean());
@@ -64,7 +66,7 @@ TEST(Scrub, Raid0HasNothingToAudit) {
     CO_ASSERT_TRUE(f.ok());
     auto wr = co_await r.client_fs().write(*f, 0, Buffer::pattern(8 * kSu, 1));
     CO_ASSERT_TRUE(wr.ok());
-    Scrubber scrub(r.client(), Scheme::raid0);
+    Scrubber scrub(r.client(), r.policy());
     auto report = co_await scrub.verify(*f, 8 * kSu);
     CO_ASSERT_TRUE(report.ok());
     EXPECT_TRUE(report->clean());
@@ -94,7 +96,7 @@ TEST(Scrub, DetectsNoLockCorruption) {
       }(r, *f, c, &wg));
     }
     co_await wg.wait();
-    Scrubber scrub(r.client(0), Scheme::raid5_nolock);
+    Scrubber scrub(r.client(0), r.policy());
     auto report = co_await scrub.verify(*f, 4 * kSu);
     CO_ASSERT_TRUE(report.ok());
     EXPECT_GT(report->parity_mismatches, 0u);
@@ -124,12 +126,12 @@ TEST(Scrub, RepairsNoLockCorruption) {
       }(r, *f, c, &wg));
     }
     co_await wg.wait();
-    Scrubber scrub(r.client(0), Scheme::raid5_nolock);
+    Scrubber scrub(r.client(0), r.policy());
     auto repair = co_await scrub.repair(*f, ref.size());
     CO_ASSERT_TRUE(repair.ok());
     EXPECT_GT(repair->repaired, 0u);
     // Now the file is failure-tolerant again: reconstruct each server.
-    Recovery rec(r.client(0), Scheme::raid5);
+    Recovery rec = r.recovery();
     for (std::uint32_t victim = 0; victim < r.p.nservers; ++victim) {
       r.server(victim).fail();
       auto rd = co_await rec.degraded_read(*f, 0, ref.size(), victim);
@@ -155,7 +157,7 @@ TEST(Scrub, DetectsManuallyCorruptedMirror) {
     // (simulating a torn write).
     co_await r.server(1).fs().write(pvfs::IoServer::red_name(f->handle), 0,
                                     Buffer::pattern(kSu, 999));
-    Scrubber scrub(r.client(), Scheme::raid1);
+    Scrubber scrub(r.client(), r.policy());
     auto report = co_await scrub.verify(*f, 5 * kSu);
     CO_ASSERT_TRUE(report.ok());
     EXPECT_EQ(report->parity_mismatches, 1u);
@@ -181,12 +183,56 @@ TEST(Scrub, HybridOverflowPairsAudited) {
           Buffer::pattern(500, i));
       CO_ASSERT_TRUE(wr.ok());
     }
-    Scrubber scrub(r.client(), Scheme::hybrid);
+    Scrubber scrub(r.client(), r.policy());
     auto report = co_await scrub.verify(*f, 6 * kSu);
     CO_ASSERT_TRUE(report.ok());
     EXPECT_TRUE(report->clean());
     EXPECT_GE(report->overflow_pairs_checked, 5u);
   }(rig));
+}
+
+// A scrub of a large Hybrid file audits its overflow tables a window at a
+// time. A table read occupies the server's iod dispatch loop for its whole
+// span and health probes queue behind it, so one read of a 128 MiB file's
+// table outlasted both probe attempts and the monitor marked a healthy
+// server down. No server may flap while the file is verified and repaired.
+TEST(Scrub, OverflowAuditDoesNotStarveSurvivorProbes) {
+  RigParams p = rig_params(Scheme::hybrid);
+  p.nservers = 6;
+  p.profile = hw::profile_experimental2003();
+  Rig rig(p);
+  HealthParams hp;
+  hp.interval = sim::ms(50);
+  HealthMonitor mon(rig.client(), hp);
+  std::uint32_t downs = 0;
+  mon.add_listener([&](std::uint32_t, bool alive, sim::Time) {
+    if (!alive) ++downs;
+  });
+  run_sim_void(rig, [](Rig& r, HealthMonitor& m) -> sim::Task<void> {
+    constexpr std::uint64_t kBig = 128 * 1024 * 1024;
+    constexpr std::uint64_t kUnit = 64 * 1024;
+    auto& fs = r.client_fs();
+    auto f = co_await fs.create("big", r.layout(kUnit));
+    CO_ASSERT_TRUE(f.ok());
+    CO_ASSERT_TRUE((co_await fs.write(*f, 0, Buffer::phantom(kBig))).ok());
+    // Sub-stripe writes fill the overflow tables.
+    for (std::uint64_t i = 0; i < 200; ++i) {
+      const std::uint64_t off = (i * 7 % (kBig / kUnit)) * kUnit;
+      CO_ASSERT_TRUE((co_await fs.write(*f, off, Buffer::phantom(kUnit))).ok());
+    }
+    CO_ASSERT_TRUE((co_await fs.flush(*f)).ok());
+    // (No early return from here on: the monitor must be stopped below or
+    // the simulation never drains.)
+    m.start();
+    Scrubber scrub(r.client(), r.policy());
+    auto verify = co_await scrub.verify(*f, kBig);
+    EXPECT_TRUE(verify.ok() && verify->clean());
+    EXPECT_TRUE(verify.ok() && verify->overflow_pairs_checked >= 200);
+    auto repair = co_await scrub.repair(*f, kBig);
+    EXPECT_TRUE(repair.ok() && repair->clean());
+    m.stop();
+  }(rig, mon));
+  EXPECT_EQ(downs, 0u);
 }
 
 }  // namespace
