@@ -5,7 +5,7 @@
 // each committed mutation through the manager node's disk before replying,
 // checkpoints periodically, and replays checkpoint + journal on restart.
 // Durability is not free — the journal flush sits on the create/remove/
-// set_scheme critical path — so this ablation prices it:
+// set_redundancy critical path — so this ablation prices it:
 //
 //   overhead   identical create-heavy metadata workload with journaling off
 //              (the legacy baseline, crash = total loss) vs on; the delta in
@@ -60,8 +60,9 @@ MetaRunResult run_meta_workload(bool journaling) {
       assert(f.ok());
       (void)f;
       if (i % 4 == 0) {
-        auto s = co_await r.client().set_scheme(
-            name, raid::scheme_tag(raid::Scheme::raid1), 1);
+        auto s = co_await r.client().set_redundancy(
+            name, raid::scheme_tag(raid::Scheme::raid1), 1,
+            pvfs::kRgroupUnset);
         assert(s.ok());
         (void)s;
       }

@@ -44,6 +44,7 @@ csar_add_bench(bench_ablate_rebuild)
 csar_add_bench(bench_ablate_erasure)
 csar_add_bench(bench_ablate_mirror_reads)
 csar_add_bench(bench_ablate_obs_overhead)
+target_sources(bench_ablate_obs_overhead PRIVATE ${CMAKE_SOURCE_DIR}/bench/alloc_counter.cpp)
 csar_add_bench(bench_ablate_manager_journal)
 csar_add_bench(bench_sim_scale)
 # Counts heap allocations per op; the counting operator new must stay out

@@ -1,15 +1,13 @@
 # Golden-output check for one bench or example binary.
 #
 #   cmake -DBIN=<exe> -DGOLDEN=<file> [-DARGS=a;b] [-DINPUT=<stdin file>]
-#         [-DSIM_ONLY=ON] [-DALLOW_RC=<code>] [-DREGEN=ON] -P check.cmake
+#         [-DSIM_ONLY=ON] [-DREGEN=ON] -P check.cmake
 #
 # Runs BIN (stdout only; stderr is ignored) and compares it byte for byte
 # with GOLDEN. SIM_ONLY keeps only the lines starting with "SIM": the
 # wall-clock benches print host timings beside their simulated results, so
-# only the simulated lines are pinned. BIN must exit 0, or with ALLOW_RC
-# when given (a bench whose own wall-clock CHECK can fail on a loaded
-# host); a crash always fails. REGEN=ON rewrites GOLDEN instead of
-# comparing.
+# only the simulated lines are pinned. BIN must exit 0. REGEN=ON rewrites
+# GOLDEN instead of comparing.
 cmake_minimum_required(VERSION 3.16)
 
 if(NOT BIN OR NOT GOLDEN)
@@ -27,8 +25,7 @@ execute_process(COMMAND ${BIN} ${ARGS}
                 RESULT_VARIABLE rc)
 
 # A signal comes back as a string ("Segmentation fault"), not a number.
-if(NOT rc MATCHES "^[0-9]+$" OR
-   (NOT rc EQUAL 0 AND NOT (DEFINED ALLOW_RC AND rc EQUAL ALLOW_RC)))
+if(NOT rc MATCHES "^[0-9]+$" OR NOT rc EQUAL 0)
   message(FATAL_ERROR "${BIN} exited with ${rc}\n${out}\n${err}")
 endif()
 

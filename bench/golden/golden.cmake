@@ -9,18 +9,14 @@
 #   cmake --build build --target update_goldens
 set(CSAR_GOLDEN_DIR ${CMAKE_SOURCE_DIR}/bench/golden)
 
-# csar_golden(<test> <target> [SIM_ONLY] [INPUT <stdin file>] [ARGS <arg>]
-#             [ALLOW_RC <exit code>])
+# csar_golden(<test> <target> [SIM_ONLY] [INPUT <stdin file>] [ARGS <arg>])
 function(csar_golden test target)
-  cmake_parse_arguments(G "SIM_ONLY" "INPUT;ARGS;ALLOW_RC" "" ${ARGN})
+  cmake_parse_arguments(G "SIM_ONLY" "INPUT;ARGS" "" ${ARGN})
   set(defs -DBIN=$<TARGET_FILE:${target}>
            -DGOLDEN=${CSAR_GOLDEN_DIR}/${test}.out
            -DARGS=${G_ARGS} -DSIM_ONLY=${G_SIM_ONLY})
   if(G_INPUT)
     list(APPEND defs -DINPUT=${G_INPUT})
-  endif()
-  if(DEFINED G_ALLOW_RC)
-    list(APPEND defs -DALLOW_RC=${G_ALLOW_RC})
   endif()
   add_test(NAME ${test}
            COMMAND ${CMAKE_COMMAND} ${defs} -P ${CSAR_GOLDEN_DIR}/check.cmake)
@@ -50,10 +46,7 @@ endforeach()
 csar_golden(bench_sim_scale bench_sim_scale SIM_ONLY
             ARGS --out=${CMAKE_BINARY_DIR}/bench/sim_scale_golden.json)
 csar_golden(bench_ablate_parity_kernel bench_ablate_parity_kernel SIM_ONLY)
-# Its tracing-slowdown CHECK is a wall-clock ratio and exits 1 on a loaded
-# host; that exit code is waived, a crash is not.
-csar_golden(bench_ablate_obs_overhead bench_ablate_obs_overhead SIM_ONLY
-            ALLOW_RC 1)
+csar_golden(bench_ablate_obs_overhead bench_ablate_obs_overhead SIM_ONLY)
 
 foreach(e quickstart checkpoint_app failure_recovery concurrent_writers
           storage_planner fault_storm)

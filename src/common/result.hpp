@@ -25,7 +25,7 @@ enum class Errc {
   timeout,          ///< RPC deadline expired with no reply
   media_error,      ///< latent sector error on the underlying disk
   conn_dropped,     ///< connection reset / message dropped by the fabric
-  stale_generation, ///< set_scheme with a non-monotonic redundancy generation
+  stale_generation, ///< set_redundancy with a generation below the file's
   stale_epoch,      ///< fenced meta op from before a manager restart
 };
 

@@ -164,7 +164,8 @@ void FleetController::register_file(std::uint32_t tenant,
 
 sim::Task<void> FleetController::persist_rgroup(std::string name,
                                                 std::uint8_t rgroup) {
-  auto r = co_await rig_->repair_client().set_rgroup(std::move(name), rgroup);
+  auto r = co_await rig_->repair_client().set_redundancy(
+      std::move(name), pvfs::kSchemeUnset, 0, rgroup);
   if (r.ok()) ++stats_.rgroup_persists;
 }
 

@@ -20,7 +20,7 @@
 //   rgroups          files are filed into redundancy classes keyed by the
 //                    AFR class of the disk group holding their placement
 //                    base; the class id is persisted at the metadata
-//                    manager (pvfs::Client::set_rgroup) like a scheme tag,
+//                    manager (pvfs::Client::set_redundancy) with its scheme,
 //                    so transitions are planned per class, not per file.
 //   FleetController  observes AFR-class changes ahead of time (lead_years),
 //                    plans per-class scheme transitions — rs(6,3) for the
@@ -208,7 +208,7 @@ struct FleetStats {
   /// Pending transitions left waiting because max_concurrent migrations
   /// were already in flight (the budget's queueing effect, summed per tick).
   std::uint64_t deferred_concurrency = 0;
-  std::uint64_t rgroup_persists = 0;  ///< set_rgroup acks from the manager
+  std::uint64_t rgroup_persists = 0;  ///< rgroup persists the manager acked
   std::uint64_t backlog_peak = 0;     ///< max files-awaiting-transition seen
 };
 
@@ -222,8 +222,8 @@ class FleetController {
 
   /// Register a tenant file: assign its rgroup (= the disk group holding
   /// its placement base), track it with the migrator, and spawn the durable
-  /// set_rgroup persist. Synchronous — safe to call from a workload's
-  /// on_file_created hook.
+  /// rgroup persist (set_redundancy). Synchronous — safe to call from a
+  /// workload's on_file_created hook.
   void register_file(std::uint32_t tenant, const std::string& name,
                      const pvfs::OpenFile& f, std::uint64_t size);
 

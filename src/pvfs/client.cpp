@@ -106,31 +106,19 @@ sim::Task<Result<OpenFile>> Client::create(std::string name,
   co_return resp.file;
 }
 
-sim::Task<Result<OpenFile>> Client::set_scheme(std::string name,
-                                               std::uint8_t scheme,
-                                               std::uint32_t red_gen,
-                                               std::uint32_t fence_epoch) {
+sim::Task<Result<OpenFile>> Client::set_redundancy(
+    std::string name, std::uint8_t scheme, std::uint32_t red_gen,
+    std::uint8_t rgroup, std::uint32_t fence_epoch) {
   MetaRequest r;
-  r.op = MetaOp::set_scheme;
+  r.op = MetaOp::set_redundancy;
   r.name = std::move(name);
   r.scheme = scheme;
   r.red_gen = red_gen;
+  r.rgroup = rgroup;
   r.fence_epoch = fence_epoch;
   r.req_id = ++meta_req_seq_;
   MetaResponse resp = co_await meta_rpc(std::move(r));
-  if (!resp.ok) co_return Error{resp.err, "set_scheme"};
-  co_return resp.file;
-}
-
-sim::Task<Result<OpenFile>> Client::set_rgroup(std::string name,
-                                               std::uint8_t rgroup) {
-  MetaRequest r;
-  r.op = MetaOp::set_rgroup;
-  r.name = std::move(name);
-  r.rgroup = rgroup;
-  r.req_id = ++meta_req_seq_;
-  MetaResponse resp = co_await meta_rpc(std::move(r));
-  if (!resp.ok) co_return Error{resp.err, "set_rgroup"};
+  if (!resp.ok) co_return Error{resp.err, "set_redundancy"};
   co_return resp.file;
 }
 

@@ -77,19 +77,18 @@ class Client {
                                      std::uint8_t scheme = kSchemeUnset);
   sim::Task<Result<OpenFile>> open(std::string name);
   sim::Task<Result<void>> remove(std::string name);
-  /// Record a scheme transition (and its redundancy generation) at the
-  /// manager, so later opens see the migrated file's metadata. A nonzero
-  /// `fence_epoch` executes only against that manager incarnation
-  /// (Errc::stale_epoch otherwise) — the migrator fences its persist so a
-  /// pre-crash flip cannot clobber replayed state.
-  sim::Task<Result<OpenFile>> set_scheme(std::string name, std::uint8_t scheme,
-                                         std::uint32_t red_gen,
-                                         std::uint32_t fence_epoch = 0);
-
-  /// Durably tag the file with a redundancy-class (rgroup) id at the
-  /// manager. Idempotent; the tag survives manager crashes like scheme tags.
-  sim::Task<Result<OpenFile>> set_rgroup(std::string name,
-                                         std::uint8_t rgroup);
+  /// Persist the file's redundancy descriptor at the manager: its scheme
+  /// tag and redundancy generation (a migration's flip) and its redundancy
+  /// class (the fleet layer's rgroup). kSchemeUnset keeps the scheme and
+  /// generation (`red_gen` is ignored), kRgroupUnset keeps the class. A
+  /// generation below the file's fails with Errc::stale_generation; an
+  /// unchanged descriptor journals nothing. A nonzero `fence_epoch`
+  /// executes only against that manager incarnation (Errc::stale_epoch
+  /// otherwise), so a migrator's pre-crash flip cannot clobber replayed
+  /// state.
+  sim::Task<Result<OpenFile>> set_redundancy(
+      std::string name, std::uint8_t scheme, std::uint32_t red_gen,
+      std::uint8_t rgroup, std::uint32_t fence_epoch = 0);
 
   /// Latest manager incarnation observed in any meta reply (0 = none yet).
   std::uint32_t manager_epoch() const { return mgr_epoch_seen_; }

@@ -192,50 +192,43 @@ sim::Task<MetaResponse> Manager::serve(const MetaRequest& r,
       mutates = true;
       break;
     }
-    case MetaOp::set_scheme: {
+    case MetaOp::set_redundancy: {
       auto it = files_.find(r.name);
       if (it == files_.end()) {
         resp.ok = false;
         resp.err = Errc::not_found;
         break;
       }
-      if (r.red_gen < it->second.red_gen) {
-        // A delayed duplicate must not roll the generation backwards.
-        resp.ok = false;
-        resp.err = Errc::stale_generation;
-        ++stats_.stale_gen_rejects;
-        break;
+      // Resolve the request against the entry: an unset field keeps its
+      // value. One request is served at a time, so the entry cannot change
+      // before the record built from it applies.
+      OpenFile next = it->second;
+      if (r.scheme != kSchemeUnset) {
+        if (r.red_gen < next.red_gen) {
+          // A delayed duplicate must not roll the generation backwards.
+          resp.ok = false;
+          resp.err = Errc::stale_generation;
+          ++stats_.stale_gen_rejects;
+          break;
+        }
+        next.scheme = r.scheme;
+        next.red_gen = r.red_gen;
       }
-      if (r.red_gen == it->second.red_gen && r.scheme == it->second.scheme) {
-        // Idempotent re-persist (reconciliation, retried migrator persist):
-        // already durable, nothing to journal.
+      if (r.rgroup != kRgroupUnset) next.rgroup = r.rgroup;
+      if (next.scheme == it->second.scheme &&
+          next.red_gen == it->second.red_gen &&
+          next.rgroup == it->second.rgroup) {
+        // Idempotent re-persist (reconciliation, a retried migrator
+        // persist, a re-tag): already durable, nothing to journal.
         resp.file = it->second;
         break;
       }
-      rec.kind = JournalRecord::Kind::set_scheme;
+      rec.kind = JournalRecord::Kind::set_redundancy;
       rec.name = r.name;
-      rec.scheme = r.scheme;
-      rec.red_gen = r.red_gen;
-      rec.handle = it->second.handle;
-      mutates = true;
-      break;
-    }
-    case MetaOp::set_rgroup: {
-      auto it = files_.find(r.name);
-      if (it == files_.end()) {
-        resp.ok = false;
-        resp.err = Errc::not_found;
-        break;
-      }
-      if (r.rgroup == it->second.rgroup) {
-        // Idempotent re-tag: already durable, nothing to journal.
-        resp.file = it->second;
-        break;
-      }
-      rec.kind = JournalRecord::Kind::set_rgroup;
-      rec.name = r.name;
-      rec.rgroup = r.rgroup;
-      rec.handle = it->second.handle;
+      rec.scheme = next.scheme;
+      rec.red_gen = next.red_gen;
+      rec.rgroup = next.rgroup;
+      rec.handle = next.handle;
       mutates = true;
       break;
     }
@@ -285,17 +278,12 @@ void Manager::apply_record(const JournalRecord& rec) {
       files_.erase(rec.name);
       break;
     }
-    case JournalRecord::Kind::set_scheme: {
+    case JournalRecord::Kind::set_redundancy: {
       auto it = files_.find(rec.name);
       if (it != files_.end()) {
-        it->second.scheme = rec.scheme;
-        it->second.red_gen = rec.red_gen;
+        it->second = OpenFile{it->second.handle, it->second.layout, rec.scheme,
+                              rec.red_gen, rec.rgroup};
       }
-      break;
-    }
-    case JournalRecord::Kind::set_rgroup: {
-      auto it = files_.find(rec.name);
-      if (it != files_.end()) it->second.rgroup = rec.rgroup;
       break;
     }
   }

@@ -1,7 +1,8 @@
 // Manager: the PVFS metadata daemon.
 //
 // Maintains the file table (name -> handle + stripe layout + redundancy
-// scheme tag/generation) and serves create/open/remove/set_scheme over RPC.
+// redundancy descriptor) and serves create/open/remove/set_redundancy over
+// RPC.
 // PVFS clients contact the manager once per open and then talk to the I/O
 // servers directly — the manager is off the data path, which is what gives
 // striped file systems their scalability.
@@ -59,16 +60,16 @@ struct OpenFile {
   std::uint8_t rgroup = kRgroupUnset;
 };
 
-enum class MetaOp : std::uint8_t { create, open, remove, set_scheme,
-                                   set_rgroup, shutdown };
+enum class MetaOp : std::uint8_t { create, open, remove, set_redundancy,
+                                   shutdown };
 
 struct MetaRequest {
   MetaOp op{};
   std::string name;
   StripeLayout layout;
-  std::uint8_t scheme = kSchemeUnset;  ///< create / set_scheme
-  std::uint32_t red_gen = 0;           ///< set_scheme
-  std::uint8_t rgroup = kRgroupUnset;  ///< set_rgroup
+  std::uint8_t scheme = kSchemeUnset;  ///< create / set_redundancy
+  std::uint32_t red_gen = 0;           ///< set_redundancy, with `scheme`
+  std::uint8_t rgroup = kRgroupUnset;  ///< set_redundancy
   hw::NodeId from = 0;
   /// Per-client id of the *logical* operation, identical across retries of
   /// the same call (0 = unguarded). The manager dedups on (from, req_id).

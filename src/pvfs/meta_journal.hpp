@@ -44,13 +44,14 @@ struct MetaJournalParams {
 /// One durable metadata mutation. Only committed state changes are journaled
 /// — failed ops re-derive the same failure deterministically at replay.
 struct JournalRecord {
-  enum class Kind : std::uint8_t { create, remove, set_scheme, set_rgroup };
+  enum class Kind : std::uint8_t { create, remove, set_redundancy };
   Kind kind = Kind::create;
   std::string name;
   StripeLayout layout;          ///< create
-  std::uint8_t scheme = 0xFF;   ///< create / set_scheme
-  std::uint32_t red_gen = 0;    ///< set_scheme
-  std::uint8_t rgroup = 0xFF;   ///< set_rgroup (redundancy-class id)
+  /// create: the scheme; set_redundancy: the whole resulting descriptor.
+  std::uint8_t scheme = 0xFF;
+  std::uint32_t red_gen = 0;
+  std::uint8_t rgroup = 0xFF;   ///< redundancy-class id
   std::uint64_t handle = 0;     ///< create: the handle that was assigned
   std::uint32_t from = 0;       ///< requesting client node (dedup rebuild)
   std::uint64_t req_id = 0;     ///< client request id (0 = none)

@@ -213,8 +213,8 @@ sim::Task<void> SchemeMigrator::migrate_task(std::uint64_t handle, Scheme to) {
   // Persist the transition at the manager so later opens carry the new
   // scheme tag and generation (the in-memory override already covers every
   // OpenFile copy taken before or during the migration).
-  auto ns = co_await repair.set_scheme(t.name, scheme_tag(to),
-                                       new_gen, fence);
+  auto ns = co_await repair.set_redundancy(t.name, scheme_tag(to), new_gen,
+                                           pvfs::kRgroupUnset, fence);
   if (ns.ok()) {
     t.f = *ns;
   } else {
@@ -282,8 +282,9 @@ sim::Task<void> SchemeMigrator::reconcile() {
       // complete and live but the durable tag still says `mgr_gen`. The
       // flip stands — re-persist under the current incarnation, then GC the
       // superseded generation the completed migration never got to drop.
-      auto ns = co_await repair.set_scheme(
-          t.name, scheme_tag(live_scheme), live_gen, repair.manager_epoch());
+      auto ns = co_await repair.set_redundancy(
+          t.name, scheme_tag(live_scheme), live_gen, pvfs::kRgroupUnset,
+          repair.manager_epoch());
       if (t.migrating) continue;
       if (!ns.ok()) continue;  // manager crashed again; a later pass retries
       t.f = *ns;

@@ -20,7 +20,7 @@
 //     scheduler makes them atomic: no write can start under the old scheme
 //     after the check and land after the flip.
 //  4. Persist + GC: the new scheme tag and generation are recorded at the
-//     manager (Client::set_scheme) so later opens see them, then — after a
+//     manager (Client::set_redundancy) so later opens see them, then — after a
 //     grace period for straggler redundancy reads — the old generation is
 //     dropped on every server (Op::drop_red, idempotent).
 //
@@ -73,7 +73,7 @@ struct MigrateStats {
   std::uint64_t recopy_passes = 0;  ///< passes re-copying dirtied regions
   std::uint64_t dirty_bytes = 0;    ///< concurrent-write bytes tracked
   std::uint64_t old_gens_dropped = 0;  ///< drop_red fan-outs completed
-  std::uint64_t stale_persists = 0;    ///< set_scheme fenced off post-crash
+  std::uint64_t stale_persists = 0;    ///< persists fenced off post-crash
   std::uint64_t reconcile_resumed = 0;  ///< flips re-persisted + GC'd
   std::uint64_t reconcile_adopted = 0;  ///< manager state adopted locally
   bool ok = true;  ///< false once any migration attempt failed

@@ -62,6 +62,20 @@ std::uint64_t first_unit_on(const StripeLayout& lay, std::uint32_t s) {
   return (s + dn - lay.base % dn) % dn;
 }
 
+/// The fragments a decode combines: the first k that `usable` accepts, in
+/// index order, so data fragments before coding. Fewer when fewer are
+/// usable. This one rule picks the survivors every lost fragment is
+/// restored from.
+template <typename Usable>
+SmallVec<std::uint32_t, 16> decode_sources(CodeSpec spec, Usable usable) {
+  SmallVec<std::uint32_t, 16> out;
+  for (std::uint32_t frag = 0; frag < spec.fragments() && out.size() < spec.k;
+       ++frag) {
+    if (usable(frag)) out.push_back(frag);
+  }
+  return out;
+}
+
 /// Repair traffic: at most kWindow jobs in flight, the first error kept.
 struct Pipeline {
   static constexpr std::uint32_t kWindow = 16;
@@ -107,15 +121,8 @@ sim::Task<Result<void>> copy_overflow(pvfs::Client& client,
         if (!delta->intersects(g0, g0 + piece.data.size())) continue;
       }
       bytes += piece.data.size();
-      Request w;
-      w.op = Op::write_overflow;
-      w.handle = f.handle;
-      w.off = piece.local_off;
-      w.payload = std::move(piece.data);
-      w.owner = owner;
-      w.mirror = mirror;
-      w.su = layout.stripe_unit;
-      restores.push_back(std::move(w));
+      restores.push_back(overflow_write(f, mirror, owner, piece.local_off,
+                                        std::move(piece.data)));
     }
     if (restores.empty()) continue;
     if (throttle) co_await throttle->take(2 * bytes);
@@ -178,6 +185,45 @@ Request overflow_window_read(const pvfs::OpenFile& f, bool mirror,
   return r;
 }
 
+Request overflow_write(const pvfs::OpenFile& f, bool mirror,
+                       std::uint32_t owner, std::uint64_t off, Buffer data) {
+  Request w;
+  w.op = Op::write_overflow;
+  w.handle = f.handle;
+  w.off = off;
+  w.payload = std::move(data);
+  w.owner = owner;
+  w.mirror = mirror;
+  w.su = f.layout.stripe_unit;
+  return w;
+}
+
+std::uint64_t fragment_decode(CodeSpec spec, std::span<Buffer> frags,
+                              std::span<const std::uint32_t> targets) {
+  assert(frags.size() == spec.fragments());
+  const auto present = decode_sources(
+      spec, [&frags](std::uint32_t frag) { return !frags[frag].empty(); });
+  assert(present.size() == spec.k && "a decode needs k live fragments");
+  SmallVec<Buffer, 16> srcs;
+  for (const std::uint32_t frag : present) srcs.push_back(frags[frag]);
+  const std::uint64_t len = srcs[0].size();
+  std::uint64_t cost = 0;
+  for (const std::uint32_t t : targets) {
+    assert(frags[t].empty() && "a target is not a source");
+    const auto coeffs = rs_reconstruct_coeffs(spec, present, t);
+    frags[t] = gf_combine(srcs, coeffs);
+    if (t < spec.k && !gf_combine_is_copy(coeffs)) cost += spec.k * len;
+  }
+  return cost;
+}
+
+sim::Task<void> charge_decode(pvfs::Client& client, std::uint64_t bytes) {
+  if (bytes == 0) co_return;
+  auto& node = client.cluster().node(client.node_id());
+  co_await node.mem().occupy(
+      sim::transfer_time(bytes, node.params().xor_bytes_per_sec));
+}
+
 sim::Task<Result<std::vector<Buffer>>> Recovery::reconstruct(
     const pvfs::OpenFile& f, Scheme sch, std::uint64_t g, std::uint32_t t0,
     std::uint32_t t1, std::uint64_t c0, std::uint64_t len,
@@ -185,26 +231,22 @@ sim::Task<Result<std::vector<Buffer>>> Recovery::reconstruct(
   const StripeLayout& layout = f.layout;
   const CodeSpec spec = sch.code(layout);
   const std::uint32_t k = spec.k;
-  const std::uint32_t gen = red_gen_of(f);
-  // The minimal k-subset, deterministically: data fragments first (their
-  // reads spread over the group's own servers and most coefficients are
-  // cheap), then coding fragments, both ascending. Exactly k fragments are
-  // fetched — never more — which is the degraded-read cost the A14 ablation
-  // measures. When the servers in `down` leave fewer than k fragments, read
-  // through them instead: a suspected server may still answer (its read
-  // fails loudly if not), and single redundancy needs every survivor.
-  std::vector<std::uint32_t> present;
-  for (const bool skip_down : {true, false}) {
-    present.clear();
-    for (std::uint32_t frag = 0;
-         frag < spec.fragments() && present.size() < k; ++frag) {
-      if (frag >= t0 && frag < t1) continue;  // being (re)built
-      if (skip_down && contains(down, fragment_server(layout, spec, g, frag))) {
-        continue;
-      }
-      present.push_back(frag);
-    }
-    if (present.size() == k) break;
+  const std::uint32_t gen = policy_->red_gen_of(f);
+  // Exactly k fragments are fetched — never more — which is the
+  // degraded-read cost the A14 ablation measures. When the servers in
+  // `down` leave fewer than k, read through them instead: a suspected
+  // server may still answer (its read fails loudly if not), and single
+  // redundancy needs every survivor.
+  bool skip_down = true;
+  auto usable = [&](std::uint32_t frag) {
+    return (frag < t0 || frag >= t1) &&
+           !(skip_down &&
+             contains(down, fragment_server(layout, spec, g, frag)));
+  };
+  auto present = decode_sources(spec, usable);
+  if (present.size() < k) {
+    skip_down = false;
+    present = decode_sources(spec, usable);
   }
   // The reads go out coding fragments first, then data (`present` is
   // ascending, so that is a rotation).
@@ -218,26 +260,19 @@ sim::Task<Result<std::vector<Buffer>>> Recovery::reconstruct(
     reads.push_back(fragment_read(f, spec, gen, g, frag, c0, len));
   }
   auto resps = co_await send_all(*client_, std::move(reads));
-  std::vector<Buffer> srcs;
-  srcs.reserve(resps.size());
-  for (auto& resp : resps) {
-    if (!resp.ok) co_return Error{resp.err, "fragment read", resp.server};
-    srcs.push_back(std::move(resp.data));
+  std::vector<Buffer> frags(spec.fragments());
+  for (std::size_t i = 0; i < resps.size(); ++i) {
+    if (!resps[i].ok) {
+      co_return Error{resps[i].err, "fragment read", resps[i].server};
+    }
+    frags[present[i]] = std::move(resps[i].data);
   }
+  SmallVec<std::uint32_t, 16> targets;
+  for (std::uint32_t t = t0; t < t1; ++t) targets.push_back(t);
+  co_await charge_decode(*client_, fragment_decode(spec, frags, targets));
   std::vector<Buffer> out;
   out.reserve(t1 - t0);
-  for (std::uint32_t t = t0; t < t1; ++t) {
-    const auto coeffs = rs_reconstruct_coeffs(spec, present, t);
-    out.push_back(gf_combine(srcs, coeffs));
-    // Decode cost: k fragment-sized inputs through the kernel on the
-    // recovering client. A coding target is a fresh encode of its group
-    // and is not charged, and neither is a copy (k = 1, coefficient 1).
-    if (t < k && !gf_combine_is_copy(coeffs)) {
-      auto& node = client_->cluster().node(client_->node_id());
-      co_await node.mem().occupy(
-          sim::transfer_time(len * k, node.params().xor_bytes_per_sec));
-    }
-  }
+  for (const std::uint32_t t : targets) out.push_back(std::move(frags[t]));
   co_return out;
 }
 
@@ -297,7 +332,7 @@ sim::Task<Result<Buffer>> Recovery::degraded_read(
     const pvfs::OpenFile& f, std::uint64_t off, std::uint64_t len,
     std::vector<std::uint32_t> failed) {
   if (failed.empty()) co_return co_await client_->read(f, off, len);
-  const Scheme sch = scheme_of(f);
+  const Scheme sch = policy_->scheme_of(f);
   if (failed.size() > failure_budget(sch, f.layout)) {
     co_return Error{Errc::server_failed,
                     "more concurrent failures than the scheme tolerates"};
@@ -328,7 +363,8 @@ sim::Task<Result<Buffer>> Recovery::degraded_read(
             r.su = file->layout.stripe_unit;
             auto resp = co_await self->client_->rpc(ext.server, std::move(r));
             piece = resp.ok ? Result<Buffer>(std::move(resp.data))
-                            : Result<Buffer>(Error{resp.err, "read"});
+                            : Result<Buffer>(
+                                  Error{resp.err, "read", resp.server});
           }
           if (!piece.ok()) {
             if (!*err) *ferr = piece.error();
@@ -852,41 +888,42 @@ sim::Task<Result<std::uint64_t>> rmw_fold(
   }
 
   // 2c. A lost group's deltas: old ^ new per touched extent, as the
-  //     readers compute them. A down unit's old columns are decoded from k
-  //     live fragments (data units first, then coding, both ascending);
-  //     the decode is charged in place of the delta's XOR.
+  //     readers compute them. A down unit's old columns are decoded from
+  //     the live units and coding just read (fragment_decode); the decode
+  //     is charged in place of the delta's XOR. The group's fragments are
+  //     dropped before step 3 updates its coding in place.
   std::uint64_t delta_bytes = 0;
   for (std::size_t i = 0; i < groups.size(); ++i) {
     if (!groups[i].lost) continue;
-    const std::uint64_t w = groups[i].cols.hi - groups[i].cols.lo;
-    std::vector<Buffer> old(k);
-    std::vector<std::uint32_t> present;
-    std::vector<Buffer> srcs;
+    std::vector<Buffer> old(spec.fragments());
     for (std::size_t r = 0; r < unit_meta.size(); ++r) {
       if (unit_meta[r].first != i) continue;
-      const std::uint32_t di = unit_meta[r].second;
-      old[di] = match_materialization(std::move(units[r].data),
-                                      data.materialized());
-      present.push_back(di);
-      srcs.push_back(old[di]);
+      old[unit_meta[r].second] = match_materialization(
+          std::move(units[r].data), data.materialized());
     }
-    for (std::uint32_t j = 0; j < m && present.size() < k; ++j) {
+    for (std::uint32_t j = 0; j < m; ++j) {
       if (down(layout.coding_server(groups[i].seg.group, k, j))) continue;
-      present.push_back(k + j);
-      srcs.push_back(groups[i].coding[j]);
+      old[k + j] = groups[i].coding[j];
     }
+    // A segment touches each unit of its group once: the read ones pay
+    // their delta's XOR, the down ones are decoded.
+    SmallVec<std::uint32_t, 16> lost;
+    for (const auto& [gi, e] : read_meta) {
+      const auto frag =
+          static_cast<std::uint32_t>(layout.unit_of(e.global_off) % k);
+      if (gi != i) continue;
+      if (old[frag].empty()) {
+        lost.push_back(frag);
+      } else {
+        delta_bytes += e.len;
+      }
+    }
+    xor_bytes += fragment_decode(spec, old, lost);
     for (std::size_t x = 0; x < read_meta.size(); ++x) {
       if (read_meta[x].first != i) continue;
       const auto& e = read_meta[x].second;
       const auto frag =
           static_cast<std::uint32_t>(layout.unit_of(e.global_off) % k);
-      if (!old[frag].empty()) {
-        delta_bytes += e.len;
-      } else {
-        old[frag] =
-            gf_combine(srcs, rs_reconstruct_coeffs(spec, present, frag));
-        xor_bytes += std::uint64_t{k} * w;
-      }
       Buffer delta =
           old[frag].slice(e.global_off % su - groups[i].cols.lo, e.len);
       delta.xor_with(data.slice(e.global_off - off, e.len));
@@ -1028,24 +1065,11 @@ std::uint64_t coded_writes(
     if (!hybrid) break;
     for (const auto& e : layout.decompose(seg.start, seg.end - seg.start)) {
       Buffer piece = data.slice(e.global_off - off, e.len);
-      Request primary;
-      primary.op = Op::write_overflow;
-      primary.handle = f.handle;
-      primary.off = e.local_off;
-      primary.payload = piece.slice(0, piece.size());
-      primary.owner = e.server;
-      primary.su = layout.stripe_unit;
-      out.emplace_back(e.server, std::move(primary));
-
-      Request mirror;
-      mirror.op = Op::write_overflow;
-      mirror.handle = f.handle;
-      mirror.off = e.local_off;
-      mirror.payload = std::move(piece);
-      mirror.owner = e.server;
-      mirror.mirror = true;
-      mirror.su = layout.stripe_unit;
-      out.emplace_back((e.server + 1) % n, std::move(mirror));
+      out.emplace_back(e.server, overflow_write(f, false, e.server,
+                                                e.local_off, piece));
+      out.emplace_back((e.server + 1) % n,
+                       overflow_write(f, true, e.server, e.local_off,
+                                      std::move(piece)));
     }
   }
   return encoded;
@@ -1058,7 +1082,7 @@ sim::Task<Result<void>> Recovery::write(const pvfs::OpenFile& f,
                                         std::vector<std::uint32_t> failed) {
   const StripeLayout& layout = f.layout;
   const std::uint64_t len = data.size();
-  const Scheme sch = scheme_of(f);
+  const Scheme sch = policy_->scheme_of(f);
   if (failed.size() > failure_budget(sch, layout)) {
     co_return Error{Errc::server_failed,
                     "more concurrent failures than the scheme tolerates"};
@@ -1084,7 +1108,7 @@ sim::Task<Result<void>> Recovery::write(const pvfs::OpenFile& f,
   // copies go ahead of the k+m <= N rule: on one server a k = 1 copy wraps
   // onto its owner, which RAID1 allows (no fault tolerance, same bytes).
   const CodeSpec spec = sch.code(layout);
-  const std::uint32_t gen = red_gen_of(f);
+  const std::uint32_t gen = policy_->red_gen_of(f);
   const bool hybrid = sch == Scheme::hybrid;
   std::vector<std::pair<std::uint32_t, Request>> writes;
   std::uint64_t encoded = 0;  // noted and charged once, as the writes go out
@@ -1146,7 +1170,8 @@ sim::Task<Result<void>> Recovery::rebuild_server(const pvfs::OpenFile& f,
   const std::uint64_t su = layout.su();
   const std::uint32_t predecessor = (failed + n - 1) % n;
   if (file_size == 0) co_return Result<void>::success();
-  const Scheme sch = scheme_of(f);
+  const Scheme sch = policy_->scheme_of(f);
+  const std::uint32_t gen = policy_->red_gen_of(f);
   if (sch == Scheme::raid0) {
     // Nothing rebuildable: RAID0 stores no redundancy, so a replaced
     // server's units are simply gone. The coordinator admits such servers
@@ -1177,7 +1202,7 @@ sim::Task<Result<void>> Recovery::rebuild_server(const pvfs::OpenFile& f,
       const auto i = static_cast<std::uint32_t>(u % k);
       jobs.push_back({layout.group_of_unit(u, k), i, i + 1, len});
     }
-    auto r = co_await repair(f, sch, std::move(jobs), down, red_gen_of(f),
+    auto r = co_await repair(f, sch, std::move(jobs), down, gen,
                              /*migration=*/false, opt.throttle);
     if (!r.ok()) co_return r.error();
   }
@@ -1201,7 +1226,7 @@ sim::Task<Result<void>> Recovery::rebuild_server(const pvfs::OpenFile& f,
             {g, k + j, k + j + 1, group_cols(layout, k, g, file_size)});
       }
     }
-    auto r = co_await repair(f, sch, std::move(jobs), down, red_gen_of(f),
+    auto r = co_await repair(f, sch, std::move(jobs), down, gen,
                              /*migration=*/false, opt.throttle);
     if (!r.ok()) co_return r.error();
   }

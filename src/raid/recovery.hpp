@@ -33,6 +33,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -75,9 +76,14 @@ struct RebuildOptions {
 /// paper's client computes parity on its single-threaded send path, which
 /// is why RAID5 streams ~8% slower than RAID5-npc, the variant that skips
 /// the computation and is charged nothing (Figure 4a). Every encode a write
-/// does, healthy or degraded, is charged here.
+/// does, healthy or degraded, and a scrub's audit encode are charged here.
 sim::Task<void> charge_encode(pvfs::Client& client, Scheme sch,
                               std::uint64_t bytes);
+
+/// Occupy `client`'s memory pipeline for a decode costing `bytes` (see
+/// fragment_decode). Degraded reads, rebuilds and scrub repairs pay here;
+/// a write pays its reconstruct-write's decode with its encode instead.
+sim::Task<void> charge_decode(pvfs::Client& client, std::uint64_t bytes);
 
 /// The [head | full groups | tail] split of a write of [off, off+len) under
 /// `spec`: groups of k units. The write splits by it, and CsarFs counts its
@@ -101,6 +107,15 @@ std::pair<std::uint32_t, pvfs::Request> fragment_write(
     const pvfs::OpenFile& f, CodeSpec spec, std::uint32_t gen,
     std::uint64_t g, std::uint32_t frag, Buffer payload);
 
+/// The one decode of a group's lost fragments. `frags` holds one slot per
+/// fragment, all of one length, empty where a fragment is unavailable; each
+/// of `targets` (an empty slot) is restored into its slot from the first k
+/// filled slots, data before coding. Returns the decode's cost in bytes,
+/// phantom or real: k·len per data target that is not a copy (k = 1,
+/// coefficient 1); a coding target is a fresh encode and costs nothing.
+std::uint64_t fragment_decode(CodeSpec spec, std::span<Buffer> frags,
+                              std::span<const std::uint32_t> targets);
+
 /// Overflow tables are read in windows of this many local-offset bytes. The
 /// server's iod dispatch loop is charged a read's whole window span, and
 /// every request behind it (health probes included) waits for it, so a
@@ -117,6 +132,13 @@ inline constexpr std::uint64_t kOverflowWindow = 16ull << 20;
 pvfs::Request overflow_window_read(const pvfs::OpenFile& f, bool mirror,
                                    std::uint32_t owner, std::uint64_t w0,
                                    std::uint64_t file_size);
+
+/// The matching write of `data` at local offset `off` into one side of
+/// server `owner`'s table (sent to `owner`, or with `mirror` to its
+/// successor).
+pvfs::Request overflow_write(const pvfs::OpenFile& f, bool mirror,
+                             std::uint32_t owner, std::uint64_t off,
+                             Buffer data);
 
 class Recovery {
  public:
@@ -184,18 +206,10 @@ class Recovery {
                                                nullptr);
 
  private:
-  Scheme scheme_of(const pvfs::OpenFile& f) const {
-    return policy_->scheme_of(f);
-  }
-  std::uint32_t red_gen_of(const pvfs::OpenFile& f) const {
-    return policy_->red_gen_of(f);
-  }
-
   /// Fragments [t0, t1) of group `g` over unit columns [c0, c0+len), all
-  /// combined from one read of exactly k other fragments: data fragments
-  /// first, then coding, both ascending, skipping every server in `down`
-  /// while k others remain. The reads go out coding first. Each non-copy
-  /// data target is charged a k-input decode on this client.
+  /// decoded (fragment_decode) from one read of the k fragments it picks,
+  /// skipping every server in `down` while k others remain. The reads go
+  /// out coding first; the decode is paid by charge_decode.
   sim::Task<Result<std::vector<Buffer>>> reconstruct(
       const pvfs::OpenFile& f, Scheme sch, std::uint64_t g, std::uint32_t t0,
       std::uint32_t t1, std::uint64_t c0, std::uint64_t len,

@@ -11,24 +11,8 @@
 namespace csar::raid {
 
 namespace {
-using pvfs::Op;
 using pvfs::Request;
 using pvfs::StripeLayout;
-
-/// Rewrite of owner `s`'s primary entry `piece` as its mirror copy on the
-/// successor.
-Request mirror_rewrite(const pvfs::OpenFile& f, std::uint32_t s,
-                       const pvfs::OverflowPiece& piece) {
-  Request w;
-  w.op = Op::write_overflow;
-  w.handle = f.handle;
-  w.off = piece.local_off;
-  w.payload = piece.data.slice(0, piece.data.size());
-  w.owner = s;
-  w.mirror = true;
-  w.su = f.layout.stripe_unit;
-  return w;
-}
 }  // namespace
 
 sim::Task<Result<Scrubber::Report>> Scrubber::run(const pvfs::OpenFile& f,
@@ -59,7 +43,9 @@ sim::Task<Result<Scrubber::Report>> Scrubber::run(const pvfs::OpenFile& f,
     // latent-sector unit must reach the disk (that is what remaps the bad
     // sectors), not sit dirty in a page cache that may be dropped.
     auto fl = co_await client_->flush(f);
-    if (!fl.ok()) co_return Error{fl.error().code, "scrub flush"};
+    if (!fl.ok()) {
+      co_return Error{fl.error().code, "scrub flush", fl.error().server};
+    }
   }
   co_return report;
 }
@@ -70,22 +56,25 @@ sim::Task<Result<void>> Scrubber::scrub_coded(const pvfs::OpenFile& f,
   // Per group, read the k data units and all m coding units over the
   // group's columns inside the file; recompute each coding unit and
   // compare. Up to m latent-sector losses per group decode from k live
-  // fragments; more is unrepairable. Every decode and encode is charged to
-  // the scrubbing client except a copy (k = 1, coefficient 1: RAID1's
-  // mirror), which no kernel touches.
+  // fragments (fragment_decode), paid like a rebuild's decode; more is
+  // unrepairable. The audit's encode is paid like a full-stripe write's:
+  // k·cols per coding row that is not a copy (RAID1's mirror), phantom
+  // groups included, nothing for RAID5-npc (charge_encode).
   const StripeLayout& layout = f.layout;
   const std::uint64_t su = layout.su();
   const std::uint32_t gen = policy_->red_gen_of(f);
-  const CodeSpec spec = policy_->scheme_of(f).code(layout);
+  const Scheme sch = policy_->scheme_of(f);
+  const CodeSpec spec = sch.code(layout);
   const std::uint32_t k = spec.k;
   const std::uint32_t m = spec.m;
-  auto& node = client_->cluster().node(client_->node_id());
+  std::uint32_t encoded_rows = 0;
+  for (std::uint32_t j = 0; j < m; ++j) {
+    if (k != 1 || rs_coeff(spec, j, 0) != 1) ++encoded_rows;
+  }
   const std::uint64_t ngroups = div_ceil(file_size, layout.group_width(k));
   for (std::uint64_t g = 0; g < ngroups; ++g) {
     const std::uint64_t cols =
         std::min(su, file_size - layout.group_start(g, k));
-    const sim::Duration encode_time = sim::transfer_time(
-        cols * (k + 1), node.params().xor_bytes_per_sec);
     std::vector<std::pair<std::uint32_t, Request>> reads;
     for (std::uint32_t frag = 0; frag < spec.fragments(); ++frag) {
       reads.push_back(fragment_read(f, spec, gen, g, frag, 0, cols));
@@ -103,50 +92,38 @@ sim::Task<Result<void>> Scrubber::scrub_coded(const pvfs::OpenFile& f,
       co_return Error{resps[i].err, "scrub read", resps[i].server};
     }
     ++report.groups_checked;
-    bool materialized = true;
-    for (const auto& resp : resps) {
-      if (resp.ok && !resp.data.materialized()) materialized = false;
-    }
     if (lost.size() > m) {
       report.unrepairable += lost.size();
       continue;
     }
     if (!lost.empty()) {
       if (!repair) continue;  // verify-only: the findings are recorded
-      // Decode each lost fragment from the first k live fragments and
-      // rewrite it in place, which clears the bad sectors underneath.
-      std::vector<std::uint32_t> present;
-      std::vector<Buffer> srcs;
-      for (std::uint32_t frag = 0;
-           frag < spec.fragments() && present.size() < k; ++frag) {
-        if (std::find(lost.begin(), lost.end(), frag) != lost.end()) continue;
-        present.push_back(frag);
-        srcs.push_back(resps[frag].data);
+      // Decode each lost fragment and rewrite it in place, which clears
+      // the bad sectors underneath.
+      std::vector<Buffer> frags(spec.fragments());
+      for (std::size_t i = 0; i < resps.size(); ++i) {
+        if (resps[i].ok) frags[i] = std::move(resps[i].data);
       }
+      co_await charge_decode(*client_, fragment_decode(spec, frags, lost));
       for (const std::uint32_t bad : lost) {
-        Buffer rebuilt = Buffer::phantom(cols);
-        if (materialized) {
-          const auto coeffs = rs_reconstruct_coeffs(spec, present, bad);
-          rebuilt = gf_combine(srcs, coeffs);
-          if (!gf_combine_is_copy(coeffs)) {
-            co_await node.tx().occupy(encode_time);
-          }
-        }
-        auto w = fragment_write(f, spec, gen, g, bad, std::move(rebuilt));
+        auto w = fragment_write(f, spec, gen, g, bad, std::move(frags[bad]));
         auto wr = co_await client_->rpc(w.first, std::move(w.second));
         if (!wr.ok) co_return Error{wr.err, "scrub media rewrite", wr.server};
         ++report.repaired;
       }
       continue;
     }
+    co_await charge_encode(*client_, sch,
+                           std::uint64_t{encoded_rows} * k * cols);
+    bool materialized = true;
+    for (const auto& resp : resps) {
+      if (!resp.data.materialized()) materialized = false;
+    }
     if (!materialized) continue;  // phantom content: nothing to compare
     std::vector<Buffer> units;
     for (std::uint32_t i = 0; i < k; ++i) units.push_back(resps[i].data);
     for (std::uint32_t j = 0; j < m; ++j) {
-      const auto row = rs_row(spec, j);
-      Buffer expect = gf_combine(units, row);
-      // Charge the audit encode on the scrubbing client.
-      if (!gf_combine_is_copy(row)) co_await node.tx().occupy(encode_time);
+      Buffer expect = gf_combine(units, rs_row(spec, j));
       if (resps[k + j].data == expect) continue;
       ++report.parity_mismatches;
       if (repair) {
@@ -183,14 +160,9 @@ sim::Task<Result<void>> Scrubber::scrub_overflow(const pvfs::OpenFile& f,
           continue;
         }
         for (auto& piece : surv.pieces) {
-          Request w;
-          w.op = Op::write_overflow;
-          w.handle = f.handle;
-          w.off = piece.local_off;
-          w.payload = std::move(piece.data);
-          w.owner = s;
-          w.su = layout.stripe_unit;
-          auto wr = co_await client_->rpc(s, std::move(w));
+          auto wr = co_await client_->rpc(
+              s, overflow_write(f, /*mirror=*/false, s, piece.local_off,
+                                std::move(piece.data)));
           if (!wr.ok) {
             co_return Error{wr.err, "scrub overflow media rewrite", wr.server};
           }
@@ -209,7 +181,9 @@ sim::Task<Result<void>> Scrubber::scrub_overflow(const pvfs::OpenFile& f,
         if (repair) {
           for (const auto& piece : own.pieces) {
             ++report.overflow_pairs_checked;
-            auto wr = co_await client_->rpc(succ, mirror_rewrite(f, s, piece));
+            auto wr = co_await client_->rpc(
+                succ, overflow_write(f, /*mirror=*/true, s, piece.local_off,
+                                     piece.data));
             if (!wr.ok) {
               co_return Error{wr.err, "scrub mirror-table media rewrite",
                               wr.server};
@@ -250,7 +224,9 @@ sim::Task<Result<void>> Scrubber::scrub_overflow(const pvfs::OpenFile& f,
         if (match) continue;
         ++report.overflow_mismatches;
         if (repair) {
-          auto wr = co_await client_->rpc(succ, mirror_rewrite(f, s, piece));
+          auto wr = co_await client_->rpc(
+              succ, overflow_write(f, /*mirror=*/true, s, piece.local_off,
+                                   piece.data));
           if (!wr.ok) {
             co_return Error{wr.err, "scrub overflow rewrite", wr.server};
           }

@@ -24,8 +24,8 @@ TEST(ManagerRecovery, JournalReplayRestoresFileTable) {
     CO_ASSERT_TRUE(a.ok());
     auto b = co_await c.create("b", layout);
     CO_ASSERT_TRUE(b.ok());
-    auto bs = co_await c.set_scheme(
-        "b", raid::scheme_tag(raid::Scheme::raid1), 1);
+    auto bs = co_await c.set_redundancy(
+        "b", raid::scheme_tag(raid::Scheme::raid1), 1, kRgroupUnset);
     CO_ASSERT_TRUE(bs.ok());
     // A created-then-removed file exercises replay of both record kinds.
     auto tmp = co_await c.create("tmp", layout);
@@ -76,15 +76,15 @@ TEST(ManagerRecovery, RsSchemeTagSurvivesCrashAndReplay) {
     const auto layout = r.layout(64 * 1024);
     auto f = co_await c.create("ec", layout);
     CO_ASSERT_TRUE(f.ok());
-    auto s1 = co_await c.set_scheme(
-        "ec", raid::scheme_tag(raid::Scheme::rs(4, 2)), 1);
+    auto s1 = co_await c.set_redundancy(
+        "ec", raid::scheme_tag(raid::Scheme::rs(4, 2)), 1, kRgroupUnset);
     CO_ASSERT_TRUE(s1.ok());
     // A second flip to different parameters: the replay must restore the
     // *latest* tag, and the tag bounds (k=16, m=7) must survive intact.
     auto g = co_await c.create("wide", layout);
     CO_ASSERT_TRUE(g.ok());
-    auto s2 = co_await c.set_scheme(
-        "wide", raid::scheme_tag(raid::Scheme::rs(16, 7)), 3);
+    auto s2 = co_await c.set_redundancy(
+        "wide", raid::scheme_tag(raid::Scheme::rs(16, 7)), 3, kRgroupUnset);
     CO_ASSERT_TRUE(s2.ok());
 
     r.manager->crash(/*wipe_unsynced=*/false);
@@ -159,8 +159,8 @@ TEST(ManagerRecovery, EpochFencingRejectsStaleSetScheme) {
     EXPECT_EQ(r.manager->incarnation(), 2u);
 
     // A mutation fenced to the pre-crash incarnation must not execute.
-    auto stale = co_await c.set_scheme(
-        "x", raid::scheme_tag(raid::Scheme::raid1), 1,
+    auto stale = co_await c.set_redundancy(
+        "x", raid::scheme_tag(raid::Scheme::raid1), 1, kRgroupUnset,
         /*fence_epoch=*/1);
     EXPECT_FALSE(stale.ok());
     EXPECT_EQ(stale.error().code, Errc::stale_epoch);
@@ -171,8 +171,8 @@ TEST(ManagerRecovery, EpochFencingRejectsStaleSetScheme) {
     EXPECT_EQ(c.manager_epoch(), 2u);  // the reply taught us the new epoch
 
     // Re-fenced to the live incarnation, the same mutation goes through.
-    auto ok = co_await c.set_scheme(
-        "x", raid::scheme_tag(raid::Scheme::raid1), 1,
+    auto ok = co_await c.set_redundancy(
+        "x", raid::scheme_tag(raid::Scheme::raid1), 1, kRgroupUnset,
         c.manager_epoch());
     EXPECT_TRUE(ok.ok());
     EXPECT_EQ(ok->red_gen, 1u);
@@ -185,23 +185,98 @@ TEST(ManagerRecovery, SetSchemeRejectsNonMonotonicGeneration) {
     auto& c = r.client();
     auto f = co_await c.create("y", r.layout(64 * 1024));
     CO_ASSERT_TRUE(f.ok());
-    auto up = co_await c.set_scheme(
-        "y", raid::scheme_tag(raid::Scheme::raid5), 2);
+    auto up = co_await c.set_redundancy(
+        "y", raid::scheme_tag(raid::Scheme::raid5), 2, kRgroupUnset);
     CO_ASSERT_TRUE(up.ok());
 
     // Rolling the generation backwards would resurrect dropped redundancy.
-    auto back = co_await c.set_scheme(
-        "y", raid::scheme_tag(raid::Scheme::raid1), 1);
+    auto back = co_await c.set_redundancy(
+        "y", raid::scheme_tag(raid::Scheme::raid1), 1, kRgroupUnset);
     EXPECT_FALSE(back.ok());
     EXPECT_EQ(back.error().code, Errc::stale_generation);
     EXPECT_EQ(r.manager->stats().stale_gen_rejects, 1u);
 
     // Same generation + same scheme is an idempotent re-persist, not an
     // error (reconciliation relies on this).
-    auto same = co_await c.set_scheme(
-        "y", raid::scheme_tag(raid::Scheme::raid5), 2);
+    auto same = co_await c.set_redundancy(
+        "y", raid::scheme_tag(raid::Scheme::raid5), 2, kRgroupUnset);
     EXPECT_TRUE(same.ok());
     EXPECT_EQ(same->red_gen, 2u);
+  }(rig));
+}
+
+// A file's redundancy descriptor (scheme tag, generation and rgroup) is set
+// by one meta op and persisted as one journal record: an unset field keeps
+// its value, the generation and epoch fences hold, an unchanged descriptor
+// journals nothing, and both fields survive a manager crash, replayed from
+// the journal and then from the checkpoint the restart wrote.
+TEST(ManagerRecovery, SetRedundancyUpdatesOneDescriptor) {
+  raid::Rig rig(raid::RigParams{});
+  run_sim_void(rig, [](raid::Rig& r) -> sim::Task<void> {
+    auto& c = r.client();
+    const std::uint8_t rs42 = raid::scheme_tag(raid::Scheme::rs(4, 2));
+    const std::uint8_t raid5 = raid::scheme_tag(raid::Scheme::raid5);
+    auto f = co_await c.create("d", r.layout(64 * 1024));
+    CO_ASSERT_TRUE(f.ok());
+    EXPECT_EQ(f->rgroup, kRgroupUnset);
+    auto s = co_await c.set_redundancy("d", rs42, 2, kRgroupUnset);
+    CO_ASSERT_TRUE(s.ok());
+    EXPECT_EQ(s->scheme, rs42);
+    EXPECT_EQ(s->red_gen, 2u);
+    EXPECT_EQ(s->rgroup, kRgroupUnset);
+
+    // An rgroup-only update keeps the scheme and generation.
+    auto g = co_await c.set_redundancy("d", kSchemeUnset, 0, 3);
+    CO_ASSERT_TRUE(g.ok());
+    EXPECT_EQ(g->scheme, rs42);
+    EXPECT_EQ(g->red_gen, 2u);
+    EXPECT_EQ(g->rgroup, 3u);
+
+    // A scheme update keeps the rgroup.
+    auto m = co_await c.set_redundancy("d", raid5, 3, kRgroupUnset);
+    CO_ASSERT_TRUE(m.ok());
+    EXPECT_EQ(m->scheme, raid5);
+    EXPECT_EQ(m->red_gen, 3u);
+    EXPECT_EQ(m->rgroup, 3u);
+
+    // A lower generation and a stale fence are refused, and change nothing.
+    auto back = co_await c.set_redundancy("d", rs42, 2, 5);
+    EXPECT_FALSE(back.ok());
+    EXPECT_EQ(back.error().code, Errc::stale_generation);
+    EXPECT_EQ(r.manager->stats().stale_gen_rejects, 1u);
+    auto fenced = co_await c.set_redundancy("d", kSchemeUnset, 0, 5,
+                                            r.manager->incarnation() + 1);
+    EXPECT_FALSE(fenced.ok());
+    EXPECT_EQ(fenced.error().code, Errc::stale_epoch);
+    EXPECT_EQ(r.manager->stats().stale_epoch_rejects, 1u);
+
+    // An unchanged descriptor, whole or one field of it, journals nothing.
+    const std::uint64_t records = r.manager->journal_stats().records_appended;
+    auto same = co_await c.set_redundancy("d", raid5, 3, 3);
+    CO_ASSERT_TRUE(same.ok());
+    auto same_rgroup = co_await c.set_redundancy("d", kSchemeUnset, 0, 3);
+    CO_ASSERT_TRUE(same_rgroup.ok());
+    EXPECT_EQ(same_rgroup->scheme, raid5);
+    EXPECT_EQ(r.manager->journal_stats().records_appended, records);
+
+    // Replayed from the journal...
+    r.manager->crash(/*wipe_unsynced=*/false);
+    co_await r.manager->restart();
+    EXPECT_EQ(r.manager->stats().replayed_records, 4u);
+    auto j = co_await c.open("d");
+    CO_ASSERT_TRUE(j.ok());
+    EXPECT_EQ(j->scheme, raid5);
+    EXPECT_EQ(j->red_gen, 3u);
+    EXPECT_EQ(j->rgroup, 3u);
+    // ...and from the checkpoint that restart folded them into.
+    r.manager->crash(/*wipe_unsynced=*/false);
+    co_await r.manager->restart();
+    EXPECT_EQ(r.manager->stats().replayed_records, 4u);  // journal empty
+    auto k = co_await c.open("d");
+    CO_ASSERT_TRUE(k.ok());
+    EXPECT_EQ(k->scheme, raid5);
+    EXPECT_EQ(k->red_gen, 3u);
+    EXPECT_EQ(k->rgroup, 3u);
   }(rig));
 }
 

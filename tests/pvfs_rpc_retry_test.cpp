@@ -188,8 +188,8 @@ TEST(MetaRetry, LossyLinkCreateOpenSetScheme) {
     auto o = co_await r.client().open("lossy");
     CO_ASSERT_TRUE(o.ok());
     EXPECT_EQ(o->handle, f->handle);
-    auto s = co_await r.client().set_scheme(
-        "lossy", raid::scheme_tag(raid::Scheme::raid1), 1);
+    auto s = co_await r.client().set_redundancy(
+        "lossy", raid::scheme_tag(raid::Scheme::raid1), 1, kRgroupUnset);
     CO_ASSERT_TRUE(s.ok());
     auto fin = co_await r.client().open("lossy");
     CO_ASSERT_TRUE(fin.ok());

@@ -1251,5 +1251,221 @@ TEST(OneRepair, ErrorsNameTheirServer) {
   }
 }
 
+// ---------- one decode: scrub repair, rebuild and degraded read ----------
+
+/// A rig whose client NIC costs nothing (a zero rate and per-message cost
+/// make every transfer take no time), so the client's send pipeline is busy
+/// only with encode charges and its memory pipeline only with decodes.
+RigParams free_nic_rig(Scheme sch) {
+  RigParams p = rs_rig(sch, 6);
+  p.profile.client.link_bytes_per_sec = 0;
+  p.profile.client.link_per_op = 0;
+  return p;
+}
+
+sim::Duration tx_busy(Rig& r) {
+  return r.cluster.node(r.client().node_id()).tx().busy_time();
+}
+
+sim::Duration mem_busy(Rig& r) {
+  return r.cluster.node(r.client().node_id()).mem().busy_time();
+}
+
+/// A file of exactly `groups` whole groups, written in one healthy write of
+/// real (pattern) or phantom bytes. Its size goes to `size`.
+sim::Task<pvfs::OpenFile> whole_groups(Rig& r, std::uint64_t groups,
+                                       bool real, std::uint64_t* size) {
+  auto f = co_await r.client_fs().create("f", r.layout(kSu));
+  EXPECT_TRUE(f.ok());
+  const CodeSpec spec = r.p.scheme.code(f->layout);
+  *size = groups * f->layout.group_width(spec.k);
+  // A local, not a ?: inside the co_await'ed call's arguments: GCC 12
+  // destroys such a temporary twice.
+  Buffer data = real ? Buffer::pattern(*size, 77) : Buffer::phantom(*size);
+  auto wr = co_await r.client_fs().write(*f, 0, std::move(data));
+  EXPECT_TRUE(wr.ok());
+  co_return *f;
+}
+
+enum class Way { scrub, rebuild, degraded_read };
+
+/// What one restore of a lost fragment left behind.
+struct Restored {
+  Buffer bytes;                  ///< the fragment's bytes after the restore
+  sim::Duration decode_busy = 0;  ///< client memory busy time over it
+};
+
+/// Lose fragment `frag` of a one-group file and restore it `way`: a latent
+/// sector error under it repaired by the scrub, a wiped server rebuilt, or
+/// (a data fragment) a degraded read around its down server.
+Restored restore(Scheme sch, std::uint32_t frag, Way way, bool real) {
+  Rig rig(free_nic_rig(sch));
+  Restored out;
+  run_sim_void(rig, [](Rig& r, std::uint32_t frag, Way way, bool real,
+                       Restored* out) -> sim::Task<void> {
+    std::uint64_t size = 0;
+    const pvfs::OpenFile f = co_await whole_groups(r, 1, real, &size);
+    const CodeSpec spec = r.p.scheme.code(f.layout);
+    const std::uint32_t gen = r.policy().red_gen_of(f);
+    auto fr = fragment_read(f, spec, gen, 0, frag, 0, kSu);
+    const std::uint32_t server = fr.first;
+    Recovery rec = r.recovery();
+    const sim::Duration busy0 = mem_busy(r);
+    if (way == Way::scrub) {
+      for (std::uint32_t s = 0; s < r.p.nservers; ++s) {
+        co_await r.server(s).fs().flush();
+      }
+      r.drop_all_caches();
+      auto& srv = r.server(server);
+      const std::string name = frag < spec.k
+                                   ? IoServer::data_name(f.handle)
+                                   : IoServer::red_name(f.handle, gen);
+      const std::uint64_t fid = srv.fs().fid_of(name);
+      CO_ASSERT_TRUE(fid != 0u);
+      r.cluster.node(srv.node_id())
+          .disk()
+          ->plant_media_error(
+              hw::PageCache::page_addr(fid, 0, 1) + fr.second.off, kSu);
+      Scrubber scrub(r.client(), r.policy());
+      auto rep = co_await scrub.repair(f, size);
+      CO_ASSERT_TRUE(rep.ok());
+      EXPECT_EQ(rep->media_errors, 1u);
+      EXPECT_EQ(rep->repaired, 1u);
+    } else if (way == Way::rebuild) {
+      r.server(server).fail();
+      r.server(server).wipe();
+      r.server(server).recover();
+      auto rb = co_await rec.rebuild_server(f, server, size);
+      CO_ASSERT_TRUE(rb.ok());
+    } else {
+      r.server(server).fail();
+      auto rd = co_await rec.degraded_read(f, frag * kSu, kSu, server);
+      CO_ASSERT_TRUE(rd.ok());
+      out->decode_busy = mem_busy(r) - busy0;
+      out->bytes = std::move(*rd);
+      co_return;
+    }
+    out->decode_busy = mem_busy(r) - busy0;
+    auto got = co_await r.client().rpc(server, std::move(fr.second));
+    CO_ASSERT_TRUE(got.ok);
+    out->bytes = std::move(got.data);
+  }(rig, frag, way, real, &out));
+  return out;
+}
+
+// A lost fragment restores to the same bytes at the same decode charge
+// whichever job restores it: a scrub repairing a latent sector error, a
+// rebuild of a wiped server or a degraded read. A data target costs k·len
+// on the client's memory pipeline unless it is a copy (RAID1); a coding
+// target costs nothing. A phantom file is charged like a real one.
+TEST(OneDecode, EveryRepairRestoresAndChargesAlike) {
+  for (const Scheme sch : {Scheme::raid5, Scheme::rs(4, 2), Scheme::raid1}) {
+    const CodeSpec spec =
+        sch.code(pvfs::StripeLayout{kSu, 6, placement_for(sch)});
+    const sim::Duration decode = sim::transfer_time(
+        std::uint64_t{spec.k} * kSu,
+        hw::profile_experimental2003().client.xor_bytes_per_sec);
+    const Buffer written = Buffer::pattern(spec.k * kSu, 77);
+    for (const std::uint32_t frag : {0u, spec.k}) {
+      const bool data = frag < spec.k;
+      std::vector<Way> ways = {Way::scrub, Way::rebuild};
+      if (data) ways.push_back(Way::degraded_read);
+      for (const Way way : ways) {
+        const Restored real = restore(sch, frag, way, true);
+        const Restored phantom = restore(sch, frag, way, false);
+        const std::string what = scheme_name(sch) + " fragment " +
+                                 std::to_string(frag) + " way " +
+                                 std::to_string(static_cast<int>(way));
+        // Rebuild's data-target charge, which every way pays alike.
+        EXPECT_EQ(real.decode_busy, data && spec.k > 1 ? decode : 0) << what;
+        EXPECT_EQ(phantom.decode_busy, real.decode_busy) << what;
+        ASSERT_EQ(real.bytes.size(), kSu) << what;
+        if (data) {
+          EXPECT_TRUE(real.bytes == written.slice(frag * kSu, kSu)) << what;
+        } else {
+          // The coding a healthy write of the same bytes stores.
+          std::vector<Buffer> units;
+          for (std::uint32_t i = 0; i < spec.k; ++i) {
+            units.push_back(written.slice(i * kSu, kSu));
+          }
+          EXPECT_TRUE(real.bytes == gf_combine(units, rs_row(spec, 0)))
+              << what;
+        }
+      }
+    }
+  }
+}
+
+// The scrub's audit encodes each group's coding again and pays what the
+// healthy full-stripe write of those groups paid for it: k·cols per coding
+// row that is not a copy, on the send path, phantom groups included, and
+// nothing for RAID5-npc or RAID1's mirror.
+TEST(OneDecode, ScrubAuditPaysTheFullStripeEncode) {
+  for (const Scheme sch : {Scheme::raid5, Scheme::rs(4, 2), Scheme::raid1,
+                           Scheme::raid5_npc}) {
+    for (const bool real : {true, false}) {
+      Rig rig(free_nic_rig(sch));
+      run_sim_void(rig, [](Rig& r, Scheme sch,
+                           bool real) -> sim::Task<void> {
+        constexpr std::uint64_t kGroups = 3;
+        const sim::Duration tx0 = tx_busy(r);
+        std::uint64_t size = 0;
+        const pvfs::OpenFile f =
+            co_await whole_groups(r, kGroups, real, &size);
+        const sim::Duration write = tx_busy(r) - tx0;
+        Scrubber scrub(r.client(), r.policy());
+        auto rep = co_await scrub.verify(f, size);
+        CO_ASSERT_TRUE(rep.ok());
+        EXPECT_TRUE(rep->clean());
+        EXPECT_EQ(rep->groups_checked, kGroups);
+        const sim::Duration audit = tx_busy(r) - tx0 - write;
+        EXPECT_EQ(audit, write)
+            << scheme_name(sch) << (real ? "" : " phantom");
+        const bool charged = sch == Scheme::raid5 || sch == Scheme::rs(4, 2);
+        EXPECT_EQ(audit > 0, charged) << scheme_name(sch);
+      }(rig, sch, real));
+    }
+  }
+}
+
+// A degraded read's error names the server that failed it: here a live
+// server under a latent sector error, read directly while another server
+// is down.
+TEST(OneDecode, DegradedReadErrorNamesItsServer) {
+  Rig rig(rs_rig(Scheme::raid5, 6));
+  run_sim_void(rig, [](Rig& r) -> sim::Task<void> {
+    constexpr std::uint32_t kUnit = 64 * 1024;
+    auto f = co_await r.client_fs().create("f", r.layout(kUnit));
+    CO_ASSERT_TRUE(f.ok());
+    const std::uint64_t w = f->layout.group_width(5);
+    auto wr = co_await r.client_fs().write(*f, 0, Buffer::pattern(w, 4));
+    CO_ASSERT_TRUE(wr.ok());
+    for (std::uint32_t s = 0; s < r.p.nservers; ++s) {
+      co_await r.server(s).fs().flush();
+    }
+    r.drop_all_caches();
+    // Unit 0's server is down; unit 1's server has bad sectors under the
+    // first half of that unit. The read covers unit 0's second half,
+    // decoded from the other units' second halves, and unit 1's first
+    // half, which is read directly and fails.
+    const std::uint32_t down = f->layout.server_of_unit(0);
+    const std::uint32_t bad = f->layout.server_of_unit(1);
+    auto& srv = r.server(bad);
+    const std::uint64_t fid = srv.fs().fid_of(IoServer::data_name(f->handle));
+    CO_ASSERT_TRUE(fid != 0u);
+    r.cluster.node(srv.node_id())
+        .disk()
+        ->plant_media_error(hw::PageCache::page_addr(fid, 0, 1) +
+                                f->layout.local_unit(1) * kUnit,
+                            kUnit / 2);
+    r.server(down).fail();
+    Recovery rec = r.recovery();
+    auto rd = co_await rec.degraded_read(*f, kUnit / 2, kUnit, down);
+    CO_ASSERT_TRUE(!rd.ok());
+    EXPECT_EQ(rd.error().code, Errc::media_error);
+    EXPECT_EQ(rd.error().server, static_cast<int>(bad));
+  }(rig));
+}
+
 }  // namespace
 }  // namespace csar::raid
