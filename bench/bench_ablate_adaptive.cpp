@@ -90,8 +90,8 @@ fault::StormParams storm_params(bool adaptive) {
 void add_row(TextTable& t, const char* name, const fault::StormMetrics& m) {
   char a[16];
   std::snprintf(a, sizeof(a), "%.1f%%", 100.0 * m.availability);
-  t.add_row({name, a, TextTable::num(m.migrations_completed),
-             format_bytes(m.rebuild_bytes),
+  t.add_row({name, a, TextTable::num(m.migrate.migrations_completed),
+             format_bytes(m.rebuild.bytes_rebuilt),
              TextTable::num(sim::to_seconds(m.mttr) * 1e3, 1),
              TextTable::num(m.verify_mismatches),
              TextTable::num(m.scrub_repaired)});
@@ -129,10 +129,10 @@ int main() {
       "},\"adaptive\":{\"rebuild_bytes\":%" PRIu64
       ",\"mttr_ms\":%.3f,\"mismatches\":%" PRIu64 ",\"migrations\":%" PRIu64
       "},\"fingerprint\":%" PRIu64 "}\n",
-      stat.rebuild_bytes, sim::to_seconds(stat.mttr) * 1e3,
-      stat.verify_mismatches, adap.rebuild_bytes,
+      stat.rebuild.bytes_rebuilt, sim::to_seconds(stat.mttr) * 1e3,
+      stat.verify_mismatches, adap.rebuild.bytes_rebuilt,
       sim::to_seconds(adap.mttr) * 1e3, adap.verify_mismatches,
-      adap.migrations_completed, adap.fingerprint);
+      adap.migrate.migrations_completed, adap.fingerprint);
 
   bool ok = true;
   auto check = [&ok](const char* what, bool cond) {
@@ -140,15 +140,18 @@ int main() {
     ok = ok && cond;
   };
   check("adaptive run migrated the file before the crash",
-        adap.migrations_completed >= 1 && adap.migrations_failed == 0);
-  check("static run never migrates", stat.migrations_started == 0);
+        adap.migrate.migrations_completed >= 1 &&
+            adap.migrate.migrations_failed == 0);
+  check("static run never migrates", stat.migrate.migrations_started == 0);
   check("zero verify mismatches in both configurations",
         stat.verify_mismatches == 0 && adap.verify_mismatches == 0);
   check("both rebuilds completed",
-        stat.rebuild_ok && adap.rebuild_ok && stat.rebuilds_completed >= 1 &&
-            adap.rebuilds_completed >= 1);
+        stat.rebuild_ok && adap.rebuild_ok &&
+            stat.rebuild.rebuilds_completed >= 1 &&
+            adap.rebuild.rebuilds_completed >= 1);
   check("adaptive beats static on rebuild traffic or MTTR",
-        adap.rebuild_bytes < stat.rebuild_bytes || adap.mttr < stat.mttr);
+        adap.rebuild.bytes_rebuilt < stat.rebuild.bytes_rebuilt ||
+            adap.mttr < stat.mttr);
   check("adaptive storm is bit-deterministic (fingerprints match)",
         adap.fingerprint == adap2.fingerprint &&
             adap.finished_at == adap2.finished_at);

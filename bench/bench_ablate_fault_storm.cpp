@@ -88,8 +88,9 @@ int main() {
       char a[16];
       std::snprintf(a, sizeof(a), "%.1f%%", 100.0 * m.availability);
       t.add_row({scheme_name(scheme), std::to_string(attempts), a,
-                 std::to_string(m.ops_failed), std::to_string(m.rpc_retries),
-                 std::to_string(m.degraded_reads + m.degraded_writes),
+                 std::to_string(m.ops_failed), std::to_string(m.rpc.retries),
+                 std::to_string(m.failover.degraded_reads +
+                                m.failover.degraded_writes),
                  std::to_string(m.verify_mismatches)});
       integrity = integrity && m.verify_mismatches == 0;
       avail[col++] += m.availability;

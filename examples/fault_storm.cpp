@@ -280,10 +280,11 @@ int main(int argc, char** argv) {
     perf_sim_seconds += sim::to_seconds(m.finished_at);
     char avail[16];
     std::snprintf(avail, sizeof(avail), "%.1f%%", 100.0 * m.availability);
-    t.add_row({scheme_name(scheme), avail, std::to_string(m.rpc_retries),
-           std::to_string(m.rpc_timeouts),
-           std::to_string(m.degraded_reads + m.degraded_writes),
-           std::to_string(m.reactive_failovers),
+    t.add_row({scheme_name(scheme), avail, std::to_string(m.rpc.retries),
+           std::to_string(m.rpc.timeouts),
+           std::to_string(m.failover.degraded_reads +
+                          m.failover.degraded_writes),
+           std::to_string(m.failover.reactive),
            std::to_string(m.detection_latency / sim::ms(1)),
            std::to_string(m.mttr / sim::ms(1)),
            std::to_string(m.scrub_repaired),
@@ -316,12 +317,12 @@ int main(int argc, char** argv) {
     perf_events += m.events_executed;
     perf_sim_seconds += sim::to_seconds(m.finished_at);
     sweep.add_row({std::to_string(seed),
-                   std::to_string(m.dirty_bytes_tracked / KiB),
-                   std::to_string(m.recopy_passes),
+                   std::to_string(m.rebuild.dirty_bytes / KiB),
+                   std::to_string(m.rebuild.recopy_passes),
                    std::to_string(m.mttr / sim::ms(1)),
                    std::to_string(m.verify_mismatches)});
     sweep_ok = sweep_ok && m.rebuild_ok && m.verify_mismatches == 0 &&
-               m.rebuilds_completed >= 1;
+               m.rebuild.rebuilds_completed >= 1;
   }
   report::table("same storm, three seeds", sweep);
   report::check("all seeds: online rebuild completed, zero mismatches",
@@ -367,22 +368,22 @@ int main(int argc, char** argv) {
     char avail[16];
     std::snprintf(avail, sizeof(avail), "%.1f%%", 100.0 * m->availability);
     mt.add_row({m == &g1 ? "A" : "B", avail,
-                std::to_string(m->mgr_crashes),
-                std::to_string(m->mgr_replays),
-                std::to_string(m->mgr_replayed_records),
-                std::to_string(m->migrations_started),
+                std::to_string(m->manager.crashes),
+                std::to_string(m->manager.replays),
+                std::to_string(m->manager.replayed_records),
+                std::to_string(m->migrate.migrations_started),
                 std::to_string(m->meta_mismatches),
                 std::to_string(m->verify_mismatches)});
   }
   report::table("same manager-crash storm, run twice", mt);
   report::check("both manager crashes replayed (journal + checkpoint)",
-                g1.mgr_crashes == 2 && g1.mgr_replays == 2);
+                g1.manager.crashes == 2 && g1.manager.replays == 2);
   report::check("metadata audit clean after replay + reconciliation",
                 g1.meta_mismatches == 0);
   report::check("zero data mismatches through the manager outages",
                 g1.verify_mismatches == 0);
   report::check("the migration was attempted mid-crash-window",
-                g1.migrations_started >= 1);
+                g1.migrate.migrations_started >= 1);
   report::check("manager-crash storm is bit-deterministic",
                 g1.fingerprint == g2.fingerprint &&
                     g1.finished_at == g2.finished_at &&
@@ -432,9 +433,10 @@ int main(int argc, char** argv) {
     char avail[16];
     std::snprintf(avail, sizeof(avail), "%.1f%%", 100.0 * m->availability);
     et.add_row({m == &e1 ? "A" : "B", avail,
-                std::to_string(m->degraded_reads + m->degraded_writes),
-                std::to_string(m->rebuilds_completed),
-                std::to_string(m->rebuild_bytes / MiB),
+                std::to_string(m->failover.degraded_reads +
+                               m->failover.degraded_writes),
+                std::to_string(m->rebuild.rebuilds_completed),
+                std::to_string(m->rebuild.bytes_rebuilt / MiB),
                 std::to_string(m->tainted_bytes / KiB),
                 std::to_string(m->verify_mismatches)});
   }
@@ -442,9 +444,9 @@ int main(int argc, char** argv) {
   report::check("zero mismatches across two concurrent server wipes",
                 e1.verify_mismatches == 0);
   report::check("both wiped servers rebuilt and re-admitted online",
-                e1.rebuild_ok && e1.rebuilds_completed >= 2);
+                e1.rebuild_ok && e1.rebuild.rebuilds_completed >= 2);
   report::check("the storm kept running degraded through the double outage",
-                e1.degraded_reads + e1.degraded_writes > 0);
+                e1.failover.degraded_reads + e1.failover.degraded_writes > 0);
   report::check("rs storm is bit-deterministic",
                 e1.fingerprint == e2.fingerprint &&
                     e1.finished_at == e2.finished_at &&

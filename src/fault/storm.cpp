@@ -90,16 +90,17 @@ std::uint64_t fingerprint(const StormMetrics& m) {
   }
   for (std::uint64_t v :
        {m.ops_attempted, m.ops_ok, m.ops_failed, m.reads, m.writes,
-        m.verify_mismatches, m.tainted_bytes, m.rpc_sent, m.rpc_retries,
-        m.rpc_timeouts,
-        m.rpc_resets, m.degraded_reads, m.degraded_writes,
-        m.reactive_failovers, m.scrub_media_errors, m.scrub_repaired,
-        m.rebuilds_completed, m.delta_rebuilds, m.rebuild_passes,
-        m.recopy_passes, m.rebuild_bytes, m.dirty_bytes_tracked,
-        m.migrations_started, m.migrations_completed, m.migrations_failed,
-        m.migrate_recopy_passes, m.migrate_dirty_bytes,
-        m.mgr_crashes, m.mgr_replays, m.mgr_replayed_records,
-        m.mgr_dedup_hits, m.mgr_dropped_replies, m.meta_mismatches,
+        m.verify_mismatches, m.tainted_bytes, m.rpc.sent, m.rpc.retries,
+        m.rpc.timeouts, m.rpc.resets, m.failover.degraded_reads,
+        m.failover.degraded_writes, m.failover.reactive,
+        m.scrub_media_errors, m.scrub_repaired,
+        m.rebuild.rebuilds_completed, m.rebuild.delta_rebuilds,
+        m.rebuild.passes, m.rebuild.recopy_passes, m.rebuild.bytes_rebuilt,
+        m.rebuild.dirty_bytes, m.migrate.migrations_started,
+        m.migrate.migrations_completed, m.migrate.migrations_failed,
+        m.migrate.recopy_passes, m.migrate.dirty_bytes, m.manager.crashes,
+        m.manager.replays, m.manager.replayed_records, m.manager.dedup_hits,
+        m.manager.dropped_replies, m.meta_mismatches,
         static_cast<std::uint64_t>(m.detection_latency),
         static_cast<std::uint64_t>(m.mttr), m.events_executed,
         static_cast<std::uint64_t>(m.finished_at), m.faults.crashes,
@@ -406,15 +407,9 @@ StormMetrics run_storm(const StormParams& params) {
   if (sampler) m.samples_csv = sampler->to_csv();
   if (params.metrics != nullptr) rig.export_metrics(*params.metrics);
 
-  const auto& rpc = rig.client().rpc_stats();
-  m.rpc_sent = rpc.sent;
-  m.rpc_retries = rpc.retries;
-  m.rpc_timeouts = rpc.timeouts;
-  m.rpc_resets = rpc.resets;
-  const auto& fo = rig.client_fs().failover_stats();
-  m.degraded_reads = fo.degraded_reads;
-  m.degraded_writes = fo.degraded_writes;
-  m.reactive_failovers = fo.reactive;
+  m.rpc = rig.client().rpc_stats();
+  m.failover = rig.client_fs().failover_stats();
+  m.manager = rig.manager->stats();
   m.availability = m.ops_attempted == 0
                        ? 1.0
                        : static_cast<double>(m.ops_ok) /
@@ -425,24 +420,18 @@ StormMetrics run_storm(const StormParams& params) {
     if (!first_crash || c.at < *first_crash) first_crash = c.at;
   }
   if (coord) {
-    const auto& rs = coord->stats();
-    m.rebuilds_completed = rs.rebuilds_completed;
-    m.delta_rebuilds = rs.delta_rebuilds;
-    m.rebuild_passes = rs.passes;
-    m.recopy_passes = rs.recopy_passes;
-    m.rebuild_bytes = rs.bytes_rebuilt;
-    m.dirty_bytes_tracked = rs.dirty_bytes;
-    m.rebuild_ok = rs.rebuilds_failed == 0;
+    m.rebuild = coord->stats();
+    m.rebuild_ok = m.rebuild.rebuilds_failed == 0;
     // A restarted server still behind the fence means its rebuild never
     // completed — whatever the per-attempt counters say.
     for (const auto& c : params.plan.crashes) {
       if (c.restart_at && rig.server(c.server).fenced()) m.rebuild_ok = false;
     }
-    if (first_crash && rs.first_down_at > *first_crash) {
-      m.detection_latency = rs.first_down_at - *first_crash;
+    if (first_crash && m.rebuild.first_down_at > *first_crash) {
+      m.detection_latency = m.rebuild.first_down_at - *first_crash;
     }
-    if (first_crash && rs.first_admit_at > *first_crash) {
-      m.mttr = rs.first_admit_at - *first_crash;
+    if (first_crash && m.rebuild.first_admit_at > *first_crash) {
+      m.mttr = m.rebuild.first_admit_at - *first_crash;
     }
   } else if (first_crash) {
     // No coordinator: the monitor's transition record still dates the
@@ -456,23 +445,7 @@ StormMetrics run_storm(const StormParams& params) {
     }
   }
 
-  if (mig) {
-    const auto& ms = mig->stats();
-    m.migrations_started = ms.migrations_started;
-    m.migrations_completed = ms.migrations_completed;
-    m.migrations_failed = ms.migrations_failed;
-    m.migrate_recopy_passes = ms.recopy_passes;
-    m.migrate_dirty_bytes = ms.dirty_bytes;
-  }
-
-  {
-    const pvfs::ManagerStats& mg = rig.manager->stats();
-    m.mgr_crashes = mg.crashes;
-    m.mgr_replays = mg.replays;
-    m.mgr_replayed_records = mg.replayed_records;
-    m.mgr_dedup_hits = mg.dedup_hits;
-    m.mgr_dropped_replies = mg.dropped_replies;
-  }
+  if (mig) m.migrate = mig->stats();
 
   m.faults = inj.stats();
   m.trace = inj.trace();

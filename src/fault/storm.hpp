@@ -92,41 +92,19 @@ struct StormMetrics {
   /// re-acknowledged; they are excluded from verification.
   std::uint64_t tainted_bytes = 0;
 
-  // Client robustness machinery.
-  std::uint64_t rpc_sent = 0;
-  std::uint64_t rpc_retries = 0;
-  std::uint64_t rpc_timeouts = 0;
-  std::uint64_t rpc_resets = 0;
-  std::uint64_t degraded_reads = 0;
-  std::uint64_t degraded_writes = 0;
-  std::uint64_t reactive_failovers = 0;
+  // The components' own counters at the end of the run, embedded whole.
+  pvfs::RpcStats rpc;                    ///< client 0's RPC engine
+  raid::CsarFs::FailoverStats failover;  ///< client 0's failover paths
+  raid::RebuildStats rebuild;  ///< all zero when rebuild_after is false
+  raid::MigrateStats migrate;  ///< all zero without a migrator
+  pvfs::ManagerStats manager;
+  FaultStats faults;
 
   // Repair outcome.
   std::uint64_t scrub_media_errors = 0;
   std::uint64_t scrub_repaired = 0;
   bool rebuild_ok = true;  ///< false when a scheduled rebuild failed
 
-  // Scheme-migration outcome (all zero without a migrator).
-  std::uint64_t migrations_started = 0;
-  std::uint64_t migrations_completed = 0;
-  std::uint64_t migrations_failed = 0;
-  std::uint64_t migrate_recopy_passes = 0;  ///< convergence re-copy passes
-  std::uint64_t migrate_dirty_bytes = 0;    ///< concurrent-write bytes seen
-
-  // Rebuild-coordinator outcome (all zero when rebuild_after is false).
-  std::uint64_t rebuilds_completed = 0;
-  std::uint64_t delta_rebuilds = 0;   ///< non-wipe rejoins / live resyncs
-  std::uint64_t rebuild_passes = 0;   ///< copier passes run
-  std::uint64_t recopy_passes = 0;    ///< passes re-copying dirtied regions
-  std::uint64_t rebuild_bytes = 0;    ///< reconstruction traffic
-  std::uint64_t dirty_bytes_tracked = 0;  ///< degraded-write bytes observed
-
-  // Metadata-manager outcome (all zero when the plan spares the manager).
-  std::uint64_t mgr_crashes = 0;
-  std::uint64_t mgr_replays = 0;
-  std::uint64_t mgr_replayed_records = 0;  ///< journal records re-applied
-  std::uint64_t mgr_dedup_hits = 0;        ///< retried meta-RPCs deduplicated
-  std::uint64_t mgr_dropped_replies = 0;   ///< meta replies lost on the wire
   /// Final metadata audit: files whose manager-durable handle/scheme tag/
   /// generation disagrees with the clients' live view after all replays and
   /// reconciliation. Must be zero for a converged storm.
@@ -142,7 +120,6 @@ struct StormMetrics {
   sim::Time finished_at = 0;
   std::uint64_t fingerprint = 0;  ///< FNV-1a over trace + all counters
 
-  FaultStats faults;
   std::vector<std::string> trace;  ///< the injector's executed-fault log
   /// Utilization samples (CSV) when StormParams::sample_window was set.
   std::string samples_csv;

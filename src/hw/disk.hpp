@@ -111,10 +111,10 @@ class Disk {
 
   sim::Task<IoStatus> read(std::uint64_t addr, std::uint64_t len) {
     co_await io(addr, len);
-    ++reads_;
-    bytes_read_ += len;
+    ++stats_.reads;
+    stats_.bytes_read += len;
     if (len > 0 && bad_.intersects(addr, addr + len)) {
-      ++media_errors_;
+      ++stats_.media_errors;
       co_return IoStatus::media_error;
     }
     co_return IoStatus::ok;
@@ -122,8 +122,8 @@ class Disk {
 
   sim::Task<IoStatus> write(std::uint64_t addr, std::uint64_t len) {
     co_await io(addr, len);
-    ++writes_;
-    bytes_written_ += len;
+    ++stats_.writes;
+    stats_.bytes_written += len;
     // Writing remaps bad sectors: the latent error is gone afterwards.
     if (len > 0) bad_.erase(addr, addr + len);
     co_return IoStatus::ok;
@@ -162,11 +162,20 @@ class Disk {
     /// controller tell fail-slow drag apart from plain load: a loaded
     /// healthy disk has high busy_time and zero slow_busy_time.
     sim::Duration slow_busy_time = 0;
+
+    template <class Fn>
+    void for_each(Fn fn) const {
+      fn("reads", reads);
+      fn("writes", writes);
+      fn("bytes_read", bytes_read);
+      fn("bytes_written", bytes_written);
+      fn("seeks", seeks);
+      fn("busy_time_ns", busy_time);
+      fn("media_errors", media_errors);
+      fn("slow_busy_time_ns", slow_busy_time);
+    }
   };
-  Stats stats() const {
-    return {reads_,        writes_, bytes_read_, bytes_written_,
-            seeks_,        busy_,   media_errors_, slow_busy_};
-  }
+  const Stats& stats() const { return stats_; }
 
   const DiskParams& params() const { return p_; }
 
@@ -176,16 +185,16 @@ class Disk {
     sim::Duration dur = p_.per_op + sim::transfer_time(len, p_.bytes_per_sec);
     if (addr != head_) {
       dur += p_.seek;
-      ++seeks_;
+      ++stats_.seeks;
     }
     if (service_factor_ != 1.0) {
       const sim::Duration nominal = dur;
       dur = static_cast<sim::Duration>(static_cast<double>(dur) *
                                        service_factor_);
-      if (dur > nominal) slow_busy_ += dur - nominal;
+      if (dur > nominal) stats_.slow_busy_time += dur - nominal;
     }
     head_ = addr + len;
-    busy_ += dur;
+    stats_.busy_time += dur;
     co_await sim_->sleep(dur);
   }
 
@@ -193,14 +202,7 @@ class Disk {
   DiskParams p_;
   sim::Mutex mu_;
   std::uint64_t head_ = ~0ULL;
-  std::uint64_t reads_ = 0;
-  std::uint64_t writes_ = 0;
-  std::uint64_t bytes_read_ = 0;
-  std::uint64_t bytes_written_ = 0;
-  std::uint64_t seeks_ = 0;
-  sim::Duration busy_ = 0;
-  std::uint64_t media_errors_ = 0;
-  sim::Duration slow_busy_ = 0;
+  Stats stats_;
   double service_factor_ = 1.0;
   AgingParams aging_;
   IntervalSet bad_;

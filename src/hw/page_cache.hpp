@@ -110,6 +110,16 @@ class PageCache {
     std::uint64_t prereads = 0;          ///< partial-write pre-reads (§5.2)
     std::uint64_t dirty_evictions = 0;
     std::uint64_t clean_evictions = 0;
+
+    template <class Fn>
+    void for_each(Fn fn) const {
+      fn("hits", hits);
+      fn("misses", misses);
+      fn("miss_runs", miss_runs);
+      fn("prereads", prereads);
+      fn("dirty_evictions", dirty_evictions);
+      fn("clean_evictions", clean_evictions);
+    }
   };
   const Stats& stats() const { return stats_; }
 

@@ -20,13 +20,9 @@ void Client::set_obs(obs::Tracer* tracer, obs::Registry* metrics) {
     rpc_hist_ = &metrics->histogram("client.rpc_ns");
     batch_hist_ =
         &metrics->histogram("client.batch_subs", obs::Histogram::size_bounds());
-    timeout_ctr_ = &metrics->counter("client.rpc_timeouts");
-    retry_ctr_ = &metrics->counter("client.rpc_retries");
   } else {
     rpc_hist_ = nullptr;
     batch_hist_ = nullptr;
-    timeout_ctr_ = nullptr;
-    retry_ctr_ = nullptr;
   }
 }
 
@@ -40,10 +36,10 @@ sim::Task<MetaResponse> Client::meta_rpc(MetaRequest r) {
     span = tracer_->task_span(pid_, "rpc", "meta", "rpc", ambient_);
   }
   const std::uint32_t attempts = std::max<std::uint32_t>(1, policy_.max_attempts);
+  Errc last_err = Errc::timeout;
   for (std::uint32_t attempt = 1; attempt <= attempts; ++attempt) {
     if (attempt > 1) {
       ++rpc_stats_.retries;
-      if (obs::kEnabled && retry_ctr_ != nullptr) retry_ctr_->add(1);
       co_await sim.sleep(backoff_pause(policy_, attempt));
     }
     MetaRequest req = r;
@@ -53,7 +49,7 @@ sim::Task<MetaResponse> Client::meta_rpc(MetaRequest r) {
         span.id());
     if (d == net::Delivery::reset) {
       ++rpc_stats_.resets;
-      if (attempt == attempts) break;
+      last_err = Errc::conn_dropped;
       continue;
     }
     if (d == net::Delivery::ok) manager_->inbox().send(std::move(req));
@@ -68,11 +64,11 @@ sim::Task<MetaResponse> Client::meta_rpc(MetaRequest r) {
       co_return std::move(*got);
     }
     ++rpc_stats_.timeouts;
-    if (obs::kEnabled && timeout_ctr_ != nullptr) timeout_ctr_->add(1);
+    last_err = Errc::timeout;
   }
   MetaResponse failed;
   failed.ok = false;
-  failed.err = Errc::timeout;
+  failed.err = last_err;
   co_return failed;
 }
 
@@ -224,7 +220,6 @@ sim::Task<Response> Client::rpc_attempts(
   for (std::uint32_t attempt = 1; attempt <= attempts; ++attempt) {
     if (attempt > 1) {
       ++rpc_stats_.retries;
-      if (obs::kEnabled && retry_ctr_ != nullptr) retry_ctr_->add(1);
       co_await sim.sleep(backoff_pause(policy, attempt));
     }
     // Each attempt resends a fresh copy; the last one takes the original.
@@ -257,7 +252,6 @@ sim::Task<Response> Client::rpc_attempts(
       co_return std::move(*got);
     }
     ++rpc_stats_.timeouts;
-    if (obs::kEnabled && timeout_ctr_ != nullptr) timeout_ctr_->add(1);
     last_err = Errc::timeout;
   }
   Response failed;

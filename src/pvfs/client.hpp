@@ -47,6 +47,14 @@ struct RpcStats {
   std::uint64_t retries = 0;   ///< attempts after the first
   std::uint64_t timeouts = 0;  ///< attempts that hit their deadline
   std::uint64_t resets = 0;    ///< attempts refused by the fabric (reset)
+
+  template <class Fn>
+  void for_each(Fn fn) const {
+    fn("sent", sent);
+    fn("retries", retries);
+    fn("timeouts", timeouts);
+    fn("resets", resets);
+  }
 };
 
 class Client {
@@ -187,6 +195,8 @@ class Client {
                                   std::uint32_t s);
 
  private:
+  /// Manager RPC under the client-wide policy; a failed call carries the
+  /// last attempt's error, as rpc() does.
   sim::Task<MetaResponse> meta_rpc(MetaRequest r);
   /// Backoff before send attempt `attempt` (2-based), jittered from rng_.
   sim::Duration backoff_pause(const RpcPolicy& policy, std::uint32_t attempt);
@@ -237,8 +247,6 @@ class Client {
   obs::SpanId ambient_ = 0;        ///< see set_ambient_span
   obs::Histogram* rpc_hist_ = nullptr;    ///< client.rpc_ns
   obs::Histogram* batch_hist_ = nullptr;  ///< client.batch_subs
-  obs::Counter* timeout_ctr_ = nullptr;   ///< client.rpc_timeouts
-  obs::Counter* retry_ctr_ = nullptr;     ///< client.rpc_retries
 };
 
 }  // namespace csar::pvfs

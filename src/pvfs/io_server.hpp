@@ -148,6 +148,16 @@ class IoServer {
     /// Retried locked reads re-granted their own lock (the grant reply was
     /// lost in flight, so the client resent the acquisition).
     std::uint64_t reentries = 0;
+
+    template <class Fn>
+    void for_each(Fn fn) const {
+      fn("acquisitions", acquisitions);
+      fn("waits", waits);
+      fn("wait_time_ns", wait_time);
+      fn("lease_expirations", lease_expirations);
+      fn("explicit_releases", explicit_releases);
+      fn("reentries", reentries);
+    }
   };
   const LockStats& lock_stats() const { return lock_stats_; }
 
@@ -156,6 +166,13 @@ class IoServer {
     std::uint64_t subs = 0;          ///< sub-requests those envelopes carried
     std::uint64_t merged_reads = 0;  ///< adjacent sub-reads coalesced into
                                      ///< one disk/page-cache access
+
+    template <class Fn>
+    void for_each(Fn fn) const {
+      fn("batches", batches);
+      fn("subs", subs);
+      fn("merged_reads", merged_reads);
+    }
   };
   const BatchStats& batch_stats() const { return batch_stats_; }
 

@@ -113,6 +113,19 @@ struct ManagerStats {
   std::uint64_t crashes = 0;
   std::uint64_t replays = 0;           ///< completed restart()s
   std::uint64_t replayed_records = 0;  ///< journal records re-applied
+
+  template <class Fn>
+  void for_each(Fn fn) const {
+    fn("served", served);
+    fn("dropped_requests", dropped_requests);
+    fn("dropped_replies", dropped_replies);
+    fn("dedup_hits", dedup_hits);
+    fn("stale_gen_rejects", stale_gen_rejects);
+    fn("stale_epoch_rejects", stale_epoch_rejects);
+    fn("crashes", crashes);
+    fn("replays", replays);
+    fn("replayed_records", replayed_records);
+  }
 };
 
 class Manager {

@@ -96,6 +96,15 @@ struct JournalStats {
   std::uint64_t checkpoints = 0;
   /// Torn-tail truncation events detected by recover().
   std::uint64_t truncated_records = 0;
+
+  template <class Fn>
+  void for_each(Fn fn) const {
+    fn("records_appended", records_appended);
+    fn("bytes_appended", bytes_appended);
+    fn("flushes", flushes);
+    fn("checkpoints", checkpoints);
+    fn("truncated_records", truncated_records);
+  }
 };
 
 class MetaJournal {

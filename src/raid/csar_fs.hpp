@@ -91,6 +91,13 @@ class CsarFs {
     std::uint64_t degraded_writes = 0;  ///< writes routed degraded
     std::uint64_t reactive = 0;  ///< failovers triggered by an error, not
                                  ///< by the monitor's advance knowledge
+
+    template <class Fn>
+    void for_each(Fn fn) const {
+      fn("degraded_reads", degraded_reads);
+      fn("degraded_writes", degraded_writes);
+      fn("reactive", reactive);
+    }
   };
   const FailoverStats& failover_stats() const { return failover_stats_; }
 

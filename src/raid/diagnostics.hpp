@@ -3,6 +3,7 @@
 // print this with CSAR_DIAG=1.
 #pragma once
 
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 
@@ -69,25 +70,23 @@ inline TextTable ec_stats_table(const RedundancyPolicy& policy) {
   return t;
 }
 
+/// One `label: field=value ...` line, the fields named by the struct.
+template <class Stats>
+void print_stats(const char* label, const Stats& stats) {
+  std::printf("%s:", label);
+  stats.for_each([](const char* field, std::uint64_t v) {
+    std::printf(" %s=%llu", field, static_cast<unsigned long long>(v));
+  });
+  std::printf("\n");
+}
+
 /// Print the tables when the CSAR_DIAG environment variable is set.
 inline void maybe_print_diagnostics(Rig& rig, const std::string& label) {
   if (std::getenv("CSAR_DIAG") == nullptr) return;
   std::printf("\n-- diagnostics: %s --\n", label.c_str());
   rig_stats_table(rig).print();
-  {
-    const pvfs::ManagerStats& mg = rig.manager->stats();
-    const pvfs::JournalStats jn = rig.manager->journal_stats();
-    std::printf(
-        "manager: served=%llu dropped_replies=%llu dedup_hits=%llu "
-        "journal_records=%llu checkpoints=%llu crashes=%llu replays=%llu\n",
-        static_cast<unsigned long long>(mg.served),
-        static_cast<unsigned long long>(mg.dropped_replies),
-        static_cast<unsigned long long>(mg.dedup_hits),
-        static_cast<unsigned long long>(jn.records_appended),
-        static_cast<unsigned long long>(jn.checkpoints),
-        static_cast<unsigned long long>(mg.crashes),
-        static_cast<unsigned long long>(mg.replays));
-  }
+  print_stats("manager", rig.manager->stats());
+  print_stats("journal", rig.manager->journal_stats());
   {
     const EcStats& e = rig.policy().ec_stats();
     if (e.degraded_reads + e.rebuild_decodes + e.encode_bytes != 0) {
@@ -98,16 +97,7 @@ inline void maybe_print_diagnostics(Rig& rig, const std::string& label) {
   if (!rig.policy().per_scheme().empty()) {
     std::printf("\n-- policy: %s --\n", label.c_str());
     policy_stats_table(rig.policy()).print();
-    const auto& ps = rig.policy().stats();
-    std::printf(
-        "pressure: media=%llu down=%llu rpc=%llu | migrations: "
-        "started=%llu completed=%llu failed=%llu\n",
-        static_cast<unsigned long long>(ps.media_errors),
-        static_cast<unsigned long long>(ps.down_transitions),
-        static_cast<unsigned long long>(ps.rpc_pressure),
-        static_cast<unsigned long long>(ps.migrations_started),
-        static_cast<unsigned long long>(ps.migrations_completed),
-        static_cast<unsigned long long>(ps.migrations_failed));
+    print_stats("pressure", rig.policy().stats());
   }
 }
 

@@ -137,7 +137,6 @@ sim::Task<void> SchemeMigrator::migrate_task(std::uint64_t handle, Scheme to) {
   // reconcile() resolves the flip afterwards.
   auto cur = co_await repair.open(t.name);
   if (!cur.ok()) {
-    pol.note_migration_failed();
     ++stats_.migrations_failed;
     stats_.ok = false;
     t.migrating = false;
@@ -202,7 +201,6 @@ sim::Task<void> SchemeMigrator::migrate_task(std::uint64_t handle, Scheme to) {
       r.red_gen = new_gen;
       co_await repair.rpc(s, std::move(r), p_.rpc);
     }
-    pol.note_migration_failed();
     ++stats_.migrations_failed;
     stats_.ok = false;
     t.migrating = false;
@@ -223,7 +221,6 @@ sim::Task<void> SchemeMigrator::migrate_task(std::uint64_t handle, Scheme to) {
     // so nothing is lost either way; reconcile() re-persists after the
     // manager replays.
     if (ns.error().code == Errc::stale_epoch) ++stats_.stale_persists;
-    pol.note_migration_failed();
     ++stats_.migrations_failed;
     stats_.ok = false;
     t.migrating = false;
@@ -245,7 +242,6 @@ sim::Task<void> SchemeMigrator::migrate_task(std::uint64_t handle, Scheme to) {
     ++stats_.old_gens_dropped;
   }
 
-  pol.note_migration_completed();
   ++stats_.migrations_completed;
   if (obs::kEnabled && rig_->tracer() != nullptr) {
     rig_->tracer()->instant("migrate:complete", "migrate",

@@ -80,13 +80,19 @@ struct SchemeCounters {
   std::uint64_t overflow_bytes = 0;   ///< bytes routed to overflow copies
 };
 
+/// The adaptive engine's fault-pressure inputs. Migration counts live on
+/// the migrator (MigrateStats), which is the one place that runs them.
 struct PolicyStats {
-  std::uint64_t migrations_started = 0;
-  std::uint64_t migrations_completed = 0;
-  std::uint64_t migrations_failed = 0;
   std::uint64_t media_errors = 0;      ///< scrub findings + client-observed
   std::uint64_t down_transitions = 0;  ///< HealthMonitor alive->down flips
   std::uint64_t rpc_pressure = 0;      ///< client RPC timeouts + resets
+
+  template <class Fn>
+  void for_each(Fn fn) const {
+    fn("media_errors", media_errors);
+    fn("down_transitions", down_transitions);
+    fn("rpc_pressure", rpc_pressure);
+  }
 };
 
 /// Erasure-coding activity counters (rs(k,m) paths). Kept on the policy —
@@ -99,6 +105,15 @@ struct EcStats {
   std::uint64_t decode_bytes = 0;       ///< bytes fed through the GF decoder
   std::uint64_t encode_bytes = 0;       ///< bytes fed through the GF encoder
   std::uint64_t rebuild_decodes = 0;    ///< fragment decodes done by rebuilds
+
+  template <class Fn>
+  void for_each(Fn fn) const {
+    fn("degraded_reads", degraded_reads);
+    fn("fragments_fetched", fragments_fetched);
+    fn("decode_bytes", decode_bytes);
+    fn("encode_bytes", encode_bytes);
+    fn("rebuild_decodes", rebuild_decodes);
+  }
 };
 
 class RedundancyPolicy {
@@ -215,16 +230,13 @@ class RedundancyPolicy {
   }
   const EcStats& ec_stats() const { return ec_; }
 
-  // --- migration bookkeeping (SchemeMigrator) ---
+  // --- migration bookkeeping (SchemeMigrator; it counts the attempts) ---
+  /// A migration of `handle` began: recommend() never returns it again.
   void note_migration_started(std::uint64_t handle) {
     attempted_.insert(handle);
-    ++stats_.migrations_started;
   }
-  void note_migration_completed() { ++stats_.migrations_completed; }
-  void note_migration_failed() { ++stats_.migrations_failed; }
-  /// Exclude a handle from future recommendations without counting an
-  /// attempt (the migrator has no name/size for it, so it cannot act — and
-  /// recommend() would otherwise return the same handle forever).
+  /// Exclude a handle the migrator cannot act on (it has no name/size for
+  /// it, and recommend() would otherwise return the same handle forever).
   void dismiss(std::uint64_t handle) { attempted_.insert(handle); }
 
   /// One recommended transition, or nullopt. Deterministic: a pure function

@@ -5,6 +5,7 @@
 
 #include <cassert>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -182,75 +183,36 @@ class Rig {
   obs::Tracer* tracer() { return obs::kEnabled ? tracer_ : nullptr; }
   obs::Registry* metrics() { return obs::kEnabled ? metrics_ : nullptr; }
 
-  /// Dump end-of-run aggregates (lock/batch/rpc/cache/disk totals) into
-  /// `reg`. Complements the histograms/counters recorded live on the hot
-  /// path; call after the workload finishes.
+  /// Publish every component's counters into `reg`, one counter per Stats
+  /// field under its node's prefix: `server3.lock.waits`,
+  /// `client0.rpc.sent`, `repair.rpc.retries`, `manager.served`,
+  /// `ec.decode_bytes`. The structs are the store and name their own fields
+  /// (for_each); durations are ns counts. Call after the workload finishes;
+  /// the histograms are recorded live on the hot path.
   void export_metrics(obs::Registry& reg) {
-    pvfs::IoServer::LockStats lk;
-    pvfs::IoServer::BatchStats bt;
-    std::uint64_t cache_hits = 0, cache_misses = 0;
-    std::uint64_t disk_reads = 0, disk_writes = 0;
-    double disk_busy = 0;
-    for (auto& s : servers) {
-      lk.acquisitions += s->lock_stats().acquisitions;
-      lk.waits += s->lock_stats().waits;
-      lk.wait_time += s->lock_stats().wait_time;
-      lk.lease_expirations += s->lock_stats().lease_expirations;
-      bt.batches += s->batch_stats().batches;
-      bt.subs += s->batch_stats().subs;
-      bt.merged_reads += s->batch_stats().merged_reads;
-      hw::Node& n = cluster.node(s->node_id());
-      if (n.cache() != nullptr) {
-        cache_hits += n.cache()->stats().hits;
-        cache_misses += n.cache()->stats().misses;
-      }
-      if (n.disk() != nullptr) {
-        const auto d = n.disk()->stats();
-        disk_reads += d.reads;
-        disk_writes += d.writes;
-        disk_busy += sim::to_seconds(d.busy_time);
-      }
+    const auto put = [&reg](const std::string& prefix, const auto& stats) {
+      stats.for_each([&](const char* field, std::uint64_t v) {
+        reg.counter(prefix + field).set(v);
+      });
+    };
+    for (std::uint32_t s = 0; s < servers.size(); ++s) {
+      const std::string node = "server" + std::to_string(s) + ".";
+      put(node + "lock.", servers[s]->lock_stats());
+      put(node + "batch.", servers[s]->batch_stats());
+      hw::Node& n = cluster.node(servers[s]->node_id());
+      if (n.cache() != nullptr) put(node + "cache.", n.cache()->stats());
+      if (n.disk() != nullptr) put(node + "disk.", n.disk()->stats());
     }
-    pvfs::RpcStats rpc;
-    for (auto& c : clients) {
-      rpc.sent += c->rpc_stats().sent;
-      rpc.retries += c->rpc_stats().retries;
-      rpc.timeouts += c->rpc_stats().timeouts;
-      rpc.resets += c->rpc_stats().resets;
+    for (std::uint32_t c = 0; c < clients.size(); ++c) {
+      const std::string node = "client" + std::to_string(c) + ".";
+      put(node + "rpc.", clients[c]->rpc_stats());
+      put(node + "failover.", fs[c]->failover_stats());
     }
-    reg.counter("rig.lock_acquisitions").set(lk.acquisitions);
-    reg.counter("rig.lock_waits").set(lk.waits);
-    reg.counter("rig.lock_lease_expirations").set(lk.lease_expirations);
-    reg.gauge("rig.lock_wait_seconds").set(sim::to_seconds(lk.wait_time));
-    reg.counter("rig.batches").set(bt.batches);
-    reg.counter("rig.batch_subs").set(bt.subs);
-    reg.counter("rig.merged_reads").set(bt.merged_reads);
-    reg.counter("rig.rpc_sent").set(rpc.sent);
-    reg.counter("rig.rpc_retries").set(rpc.retries);
-    reg.counter("rig.rpc_timeouts").set(rpc.timeouts);
-    reg.counter("rig.rpc_resets").set(rpc.resets);
-    reg.counter("rig.cache_hits").set(cache_hits);
-    reg.counter("rig.cache_misses").set(cache_misses);
-    reg.counter("rig.disk_reads").set(disk_reads);
-    reg.counter("rig.disk_writes").set(disk_writes);
-    reg.gauge("rig.disk_busy_seconds").set(disk_busy);
-    const pvfs::ManagerStats& mg = manager->stats();
-    const pvfs::JournalStats jn = manager->journal_stats();
-    reg.counter("rig.mgr_served").set(mg.served);
-    reg.counter("rig.mgr_dropped_replies").set(mg.dropped_replies);
-    reg.counter("rig.mgr_dedup_hits").set(mg.dedup_hits);
-    reg.counter("rig.mgr_crashes").set(mg.crashes);
-    reg.counter("rig.mgr_replays").set(mg.replays);
-    reg.counter("rig.mgr_replayed_records").set(mg.replayed_records);
-    reg.counter("rig.mgr_journal_records").set(jn.records_appended);
-    reg.counter("rig.mgr_journal_bytes").set(jn.bytes_appended);
-    reg.counter("rig.mgr_checkpoints").set(jn.checkpoints);
-    const EcStats& ec = policy().ec_stats();
-    reg.counter("rig.ec_degraded_reads").set(ec.degraded_reads);
-    reg.counter("rig.ec_fragments_fetched").set(ec.fragments_fetched);
-    reg.counter("rig.ec_decode_bytes").set(ec.decode_bytes);
-    reg.counter("rig.ec_encode_bytes").set(ec.encode_bytes);
-    reg.counter("rig.ec_rebuild_decodes").set(ec.rebuild_decodes);
+    if (repair_client_) put("repair.rpc.", repair_client_->rpc_stats());
+    put("manager.", manager->stats());
+    put("manager.journal.", manager->journal_stats());
+    put("policy.", policy_->stats());
+    put("ec.", policy_->ec_stats());
   }
 
   Recovery repair_recovery() {

@@ -86,9 +86,9 @@ TEST(FaultStorm, SurvivesWithZeroMismatches) {
   EXPECT_GE(m.faults.msgs_dropped, 1u);
 
   // The client machinery did its job.
-  EXPECT_GE(m.rpc_retries, 1u);
-  EXPECT_GE(m.rpc_timeouts, 1u);
-  EXPECT_GE(m.degraded_reads + m.degraded_writes, 1u);
+  EXPECT_GE(m.rpc.retries, 1u);
+  EXPECT_GE(m.rpc.timeouts, 1u);
+  EXPECT_GE(m.failover.degraded_reads + m.failover.degraded_writes, 1u);
   EXPECT_TRUE(m.rebuild_ok);
   EXPECT_GT(m.detection_latency, 0u);
   // Detection within ~one probe interval plus probe deadlines.
@@ -121,7 +121,7 @@ TEST(FaultStorm, BitDeterministicAcrossRuns) {
   EXPECT_EQ(a.finished_at, b.finished_at);
   EXPECT_EQ(a.trace, b.trace);
   EXPECT_EQ(a.ops_ok, b.ops_ok);
-  EXPECT_EQ(a.rpc_retries, b.rpc_retries);
+  EXPECT_EQ(a.rpc.retries, b.rpc.retries);
   EXPECT_EQ(a.detection_latency, b.detection_latency);
   EXPECT_EQ(a.mttr, b.mttr);
 

@@ -13,8 +13,11 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdint>
+#include <map>
 #include <set>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -23,7 +26,9 @@
 #include "obs/trace.hpp"
 #include "pvfs/io_server.hpp"
 #include "raid/rig.hpp"
+#include "raid/scrub.hpp"
 #include "sim/simulation.hpp"
+#include "sim/sync.hpp"
 #include "sim/task.hpp"
 #include "test_util.hpp"
 
@@ -32,7 +37,9 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // Minimal JSON parser: values, objects, arrays, strings, numbers. Enough to
-// round-trip the tracer's output and count events by category.
+// round-trip the tracer's output and count events by category. Strings,
+// escapes, numbers and whitespace follow RFC 8259 as strictly as a
+// conforming parser would.
 class MiniJson {
  public:
   explicit MiniJson(const std::string& s) : s_(s) {}
@@ -98,28 +105,55 @@ class MiniJson {
     if (peek() != '"') return false;
     ++pos_;
     while (pos_ < s_.size() && s_[pos_] != '"') {
-      if (s_[pos_] == '\\') ++pos_;
+      if (static_cast<unsigned char>(s_[pos_]) < 0x20) return false;
+      if (s_[pos_] == '\\') {
+        ++pos_;
+        const char e = peek();
+        if (e == 'u') {
+          for (int i = 0; i < 4; ++i) {
+            ++pos_;
+            if (!std::isxdigit(static_cast<unsigned char>(peek()))) {
+              return false;
+            }
+          }
+        } else if (std::string_view("\"\\/bfnrt").find(e) ==
+                   std::string_view::npos) {
+          return false;
+        }
+      }
       ++pos_;
     }
     if (pos_ >= s_.size()) return false;
     ++pos_;  // closing quote
     return true;
   }
-  bool number() {
+  bool digits() {
     const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) ||
-            s_[pos_] == '.' || s_[pos_] == 'e' || s_[pos_] == 'E' ||
-            s_[pos_] == '+' || s_[pos_] == '-')) {
-      ++pos_;
-    }
+    while (std::isdigit(static_cast<unsigned char>(peek()))) ++pos_;
     return pos_ > start;
+  }
+  bool number() {
+    if (peek() == '-') ++pos_;
+    if (peek() == '0') {
+      ++pos_;
+    } else if (!digits()) {
+      return false;
+    }
+    if (peek() == '.') {
+      ++pos_;
+      if (!digits()) return false;
+    }
+    if (peek() == 'e' || peek() == 'E') {
+      ++pos_;
+      if (peek() == '+' || peek() == '-') ++pos_;
+      if (!digits()) return false;
+    }
+    return true;
   }
   char peek() const { return pos_ < s_.size() ? s_[pos_] : '\0'; }
   void skip_ws() {
-    while (pos_ < s_.size() &&
-           std::isspace(static_cast<unsigned char>(s_[pos_]))) {
+    while (peek() == ' ' || peek() == '\t' || peek() == '\n' ||
+           peek() == '\r') {
       ++pos_;
     }
   }
@@ -135,6 +169,20 @@ std::size_t count_occurrences(const std::string& hay, const std::string& pat) {
     ++n;
   }
   return n;
+}
+
+bool parses(const std::string& s) { return MiniJson(s).parse(); }
+
+TEST(ObsTrace, MiniJsonRejectsWhatJsonRejects) {
+  EXPECT_TRUE(parses(R"({"a":[1,-0.5,2e3,"x\"y\u00e9",true,null]})"));
+  EXPECT_FALSE(parses("{\"a\":\"tab\there\"}"));  // raw control char
+  EXPECT_FALSE(parses(R"({"a":"\q"})"));          // unknown escape
+  EXPECT_FALSE(parses(R"({"a":"\u12"})"));        // short \u escape
+  EXPECT_FALSE(parses(R"({"a":01})"));             // leading zero
+  EXPECT_FALSE(parses(R"({"a":1-2})"));
+  EXPECT_FALSE(parses(R"({"a":1.})"));
+  EXPECT_FALSE(parses(R"({"a":1,})"));
+  EXPECT_FALSE(parses("{\"a\":1}\v"));  // not JSON whitespace
 }
 
 // ---------------------------------------------------------------------------
@@ -339,9 +387,14 @@ TEST(ObsStorm, TraceJsonRoundTripsAndCoversEveryLayer) {
   EXPECT_GT(tracer.span_count(), 100u);
   EXPECT_GT(tracer.instant_count(), 2u);
 
-  // The live metrics recorded alongside: RPC latencies and rig aggregates.
+  // ...and fault instants under their own category.
+  EXPECT_GT(count_occurrences(json, "\"cat\":\"fault\""), 0u);
+  EXPECT_NE(json.find("\"traceEvents\":["), std::string::npos);
+
+  // The live metrics recorded alongside: RPC latencies and the exported
+  // per-node counters.
   EXPECT_GT(metrics.histogram("client.rpc_ns").count(), 0u);
-  EXPECT_EQ(metrics.counter("rig.rpc_sent").value(), m.rpc_sent);
+  EXPECT_EQ(metrics.counter("client0.rpc.sent").value(), m.rpc.sent);
 }
 
 TEST(ObsStorm, SameSeedTracesAreByteIdentical) {
@@ -351,12 +404,24 @@ TEST(ObsStorm, SameSeedTracesAreByteIdentical) {
     Tracer tracer;
     Registry metrics;
     fault::StormParams p = small_storm();
+    // A lossy client link too, so drops and retries are in both dumps.
+    {
+      raid::Rig probe(p.rig);
+      fault::LinkFault lf;
+      lf.a = probe.client().node_id();
+      lf.b = probe.server(2).node_id();
+      lf.start = sim::ms(100);
+      lf.end = sim::ms(600);
+      lf.drop_p = 0.3;
+      p.plan.links.push_back(lf);
+    }
     p.tracer = &tracer;
     p.metrics = &metrics;
     p.sample_window = sim::ms(20);
     const fault::StormMetrics m = fault::run_storm(p);
     json[i] = tracer.to_json();
     csv[i] = metrics.to_csv() + m.samples_csv;
+    EXPECT_GT(m.faults.msgs_dropped, 0u);
     EXPECT_GT(m.samples_csv.size(), 0u);
     EXPECT_EQ(m.samples_csv.rfind("time_ms,", 0), 0u);
   }
@@ -417,6 +482,139 @@ TEST(ObsRig, RepairClientCreatedBeforeSetObsIsMapped) {
   }
   EXPECT_EQ(rpc_spans, 1u);
   rig.set_obs(nullptr, nullptr);
+}
+
+// ---------------------------------------------------------------------------
+// Export: Rig::export_metrics is a per-node view of the Stats structs.
+
+/// Counter rows of a registry CSV dump: name -> the value of each row.
+std::map<std::string, std::vector<std::uint64_t>> counter_rows(
+    const std::string& csv) {
+  std::map<std::string, std::vector<std::uint64_t>> rows;
+  std::istringstream in(csv);
+  std::string line;
+  std::getline(in, line);  // header
+  while (std::getline(in, line)) {
+    std::vector<std::string> col;
+    std::istringstream cells(line);
+    for (std::string c; std::getline(cells, c, ',');) col.push_back(c);
+    if (col.size() < 4 || col[1] != "counter") continue;
+    rows[col[0]].push_back(std::stoull(col[3]));
+  }
+  return rows;
+}
+
+/// A small storm with a repair client: three clients race partial writes
+/// into one RAID5 stripe (parity-lock waits) over a lossy link (retries),
+/// then the repair client scrubs the file.
+sim::Task<void> contended_storm(raid::Rig& rig) {
+  constexpr std::uint32_t kSu = 4096;
+  auto f = co_await rig.client_fs(0).create("f", rig.layout(kSu));
+  CO_ASSERT_TRUE(f.ok());
+  for (std::uint64_t round = 0; round < 4; ++round) {
+    sim::WaitGroup wg(rig.sim);
+    wg.add(3);
+    for (std::uint32_t c = 0; c < 3; ++c) {
+      rig.sim.spawn([](raid::Rig& r, pvfs::OpenFile file, std::uint32_t cl,
+                       std::uint64_t seed,
+                       sim::WaitGroup* done) -> sim::Task<void> {
+        co_await r.client_fs(cl).write(file, std::uint64_t{cl} * kSu,
+                                       Buffer::pattern(kSu, seed));
+        done->done();
+      }(rig, *f, c, round * 3 + c, &wg));
+    }
+    co_await wg.wait();
+  }
+  raid::Scrubber scrub(rig.repair_client(), rig.policy());
+  EXPECT_TRUE((co_await scrub.repair(*f, 3 * kSu)).ok());
+}
+
+/// Run the storm on a fresh rig, export, check the export against the
+/// structs when `check` is set, and return the registry's CSV dump.
+std::string export_after_storm(bool check) {
+  raid::RigParams p;
+  p.scheme = raid::Scheme::raid5;
+  p.nservers = 4;
+  p.nclients = 3;
+  p.rpc.timeout = sim::ms(150);
+  p.rpc.max_attempts = 4;
+  Registry reg;  // outlives the rig, whose drain may still record
+  raid::Rig rig(p);
+  rig.set_obs(nullptr, &reg);
+  fault::FaultPlan plan;
+  plan.seed = 11;
+  fault::LinkFault lf;
+  lf.a = rig.client(1).node_id();
+  lf.b = rig.server(3).node_id();
+  lf.end = sim::sec(1);
+  lf.drop_p = 0.3;
+  plan.links.push_back(lf);
+  std::vector<pvfs::IoServer*> servers;
+  for (auto& s : rig.servers) servers.push_back(s.get());
+  fault::FaultInjector inj(rig.cluster, rig.fabric, servers, plan);
+  inj.start();
+  test::run_sim_void(rig, contended_storm(rig));
+  rig.export_metrics(reg);
+  const std::string csv = reg.to_csv();
+  if (!check) return csv;
+
+  // Every field of every struct is one row under its node's prefix, equal
+  // to the struct, and nothing else is exported as a counter.
+  const auto rows = counter_rows(csv);
+  std::size_t fields = 0;
+  const auto expect_view = [&](const std::string& prefix, const auto& stats) {
+    stats.for_each([&](const char* field, std::uint64_t v) {
+      ++fields;
+      const auto it = rows.find(prefix + field);
+      ASSERT_NE(it, rows.end()) << prefix + field;
+      ASSERT_EQ(it->second.size(), 1u) << prefix + field;
+      EXPECT_EQ(it->second[0], v) << prefix + field;
+    });
+  };
+  for (std::uint32_t s = 0; s < p.nservers; ++s) {
+    const std::string node = "server" + std::to_string(s) + ".";
+    hw::Node& n = rig.cluster.node(rig.server(s).node_id());
+    expect_view(node + "lock.", rig.server(s).lock_stats());
+    expect_view(node + "batch.", rig.server(s).batch_stats());
+    expect_view(node + "cache.", n.cache()->stats());
+    expect_view(node + "disk.", n.disk()->stats());
+  }
+  for (std::uint32_t c = 0; c < p.nclients; ++c) {
+    const std::string node = "client" + std::to_string(c) + ".";
+    expect_view(node + "rpc.", rig.client(c).rpc_stats());
+    expect_view(node + "failover.", rig.client_fs(c).failover_stats());
+  }
+  expect_view("repair.rpc.", rig.repair_client().rpc_stats());
+  expect_view("manager.", rig.manager->stats());
+  expect_view("manager.journal.", rig.manager->journal_stats());
+  expect_view("policy.", rig.policy().stats());
+  expect_view("ec.", rig.policy().ec_stats());
+  EXPECT_EQ(rows.size(), fields);
+
+  // No aggregate or live duplicate survives beside the per-node rows.
+  for (const auto& [name, values] : rows) {
+    EXPECT_NE(name.rfind("client.", 0), 0u) << name;
+    EXPECT_NE(name.rfind("rig.", 0), 0u) << name;
+  }
+
+  // The per-server rows add up to the structs' total, which is not zero:
+  // the writers really contended, and the repair client really ran.
+  std::uint64_t row_waits = 0;
+  std::uint64_t struct_waits = 0;
+  for (std::uint32_t s = 0; s < p.nservers; ++s) {
+    row_waits += rows.at("server" + std::to_string(s) + ".lock.waits")[0];
+    struct_waits += rig.server(s).lock_stats().waits;
+  }
+  EXPECT_EQ(row_waits, struct_waits);
+  EXPECT_GT(struct_waits, 0u);
+  EXPECT_GT(rows.at("repair.rpc.sent")[0], 0u);
+  EXPECT_GT(rows.at("client1.rpc.retries")[0], 0u);
+  return csv;
+}
+
+TEST(ObsRig, ExportIsOnePerNodeViewOfTheStructs) {
+  const std::string first = export_after_storm(/*check=*/true);
+  EXPECT_EQ(first, export_after_storm(/*check=*/false));
 }
 
 }  // namespace

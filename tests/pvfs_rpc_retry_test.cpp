@@ -228,6 +228,35 @@ TEST(MetaRetry, ResettingLinkMetaOpsRecover) {
   }(rig));
 }
 
+// A meta op every attempt of which the fabric refused fails with the same
+// error as a refused data RPC, not as a timeout.
+TEST(MetaRetry, ResetSurfacesAsConnDropped) {
+  raid::Rig rig(rig_params());
+  std::vector<pvfs::IoServer*> servers;
+  for (auto& s : rig.servers) servers.push_back(s.get());
+  FaultPlan plan;
+  LinkFault lf;
+  lf.a = rig.client().node_id();
+  lf.b = rig.manager->node_id();
+  lf.start = 0;
+  lf.end = sim::sec(10);
+  lf.reset_p = 1.0;
+  plan.links.push_back(lf);
+  FaultInjector inj(rig.cluster, rig.fabric, servers, plan);
+  inj.start();
+  run_sim_void(rig, [](raid::Rig& r) -> sim::Task<void> {
+    RpcPolicy policy;
+    policy.timeout = sim::ms(25);
+    policy.max_attempts = 2;
+    r.client().set_rpc_policy(policy);
+    auto f = co_await r.client().create("refused", r.layout(64 * 1024));
+    CO_ASSERT_TRUE(!f.ok());
+    EXPECT_EQ(f.error().code, Errc::conn_dropped);
+    EXPECT_EQ(r.client().rpc_stats().resets, 2u);
+    EXPECT_EQ(r.manager->file_count(), 0u);
+  }(rig));
+}
+
 TEST(RpcRetry, BackoffJitterIsDeterministicPerSeed) {
   // Two identically-seeded clients issue the same failing call; the total
   // elapsed time (which includes the jittered backoffs) must match exactly.

@@ -247,12 +247,12 @@ TEST(RaidPolicyTest, AdaptiveDecisionsDeterministicForFixedSeed) {
   };
   const fault::StormMetrics a = fault::run_storm(make());
   const fault::StormMetrics b = fault::run_storm(make());
-  EXPECT_GE(a.migrations_completed, 1u);
+  EXPECT_GE(a.migrate.migrations_completed, 1u);
   EXPECT_EQ(a.verify_mismatches, 0u);
-  EXPECT_EQ(a.migrations_started, b.migrations_started);
-  EXPECT_EQ(a.migrations_completed, b.migrations_completed);
-  EXPECT_EQ(a.migrations_failed, b.migrations_failed);
-  EXPECT_EQ(a.migrate_dirty_bytes, b.migrate_dirty_bytes);
+  EXPECT_EQ(a.migrate.migrations_started, b.migrate.migrations_started);
+  EXPECT_EQ(a.migrate.migrations_completed, b.migrate.migrations_completed);
+  EXPECT_EQ(a.migrate.migrations_failed, b.migrate.migrations_failed);
+  EXPECT_EQ(a.migrate.dirty_bytes, b.migrate.dirty_bytes);
   EXPECT_EQ(a.events_executed, b.events_executed);
   EXPECT_EQ(a.finished_at, b.finished_at);
   EXPECT_EQ(a.fingerprint, b.fingerprint);
@@ -277,8 +277,8 @@ TEST(RaidPolicyTest, MidStormMigrationByteExact) {
   p.migrate_to = Scheme::raid1;
   p.migrate_at = sim::ms(100);
   const fault::StormMetrics m = fault::run_storm(p);
-  EXPECT_EQ(m.migrations_completed, 1u);
-  EXPECT_EQ(m.migrations_failed, 0u);
+  EXPECT_EQ(m.migrate.migrations_completed, 1u);
+  EXPECT_EQ(m.migrate.migrations_failed, 0u);
   EXPECT_EQ(m.verify_mismatches, 0u);
   EXPECT_EQ(m.ops_failed, 0u);  // no faults in the plan
   EXPECT_EQ(m.tainted_bytes, 0u);
