@@ -48,7 +48,7 @@ bool demo(raid::Scheme scheme) {
       assert(wr.ok());
       (void)wr;
     }
-    const Buffer expect = Buffer::from_bytes(std::move(reference));
+    const Buffer expect = Buffer::from_bytes(reference);
 
     // --- disaster strikes server 2 ---
     std::printf("  [t=%7.3fs] server 2 fails\n",

@@ -20,6 +20,12 @@ so the baseline file carries its own "quick" row, measured with the same
 `--quick` command. The gate compares like with like: it fails if that
 row is missing or was measured on a different config.
 
+It also holds one benchmark workload's peak RSS under a committed
+ceiling (--rss): the baseline's "rss_ceiling" row names the workload and
+seed, the value measured when the ceiling was set, and the ceiling (that
+value + 10%). Resident memory is counted, not timed, so it holds on a
+loaded host; the slack covers allocator differences between C libraries.
+
 Every malformed input fails with a one-line FAIL message, never a
 traceback: a missing or truncated baseline is a repo bug CI should
 report crisply, not a Python stack to dig through.
@@ -27,6 +33,11 @@ report crisply, not a Python stack to dig through.
 Usage:
   check_perf_smoke.py <quick.json> <committed_baseline.json> [max_regress]
       CI gate mode (exit 1 on regression or malformed input).
+  check_perf_smoke.py --rss <workload> <result.json> <baseline.json>
+      Fail when <result.json>, the last stdout line of
+      `perfbench/run.py --workload <workload> --seed <row's seed>
+      --seconds 0 --trace 0`, is incorrect or reports a peak_rss_mib above
+      the baseline's "rss_ceiling" row for that workload.
   check_perf_smoke.py --append-trajectory <full.json> <baseline.json> <label>
       Record a PR's fresh `bench_sim_scale --out=full.json` sweep as one
       trajectory point in the baseline's "trajectory" history (the "rows"
@@ -171,7 +182,38 @@ def check_allocs(row, ref, config):
     return got <= ceiling
 
 
+def check_rss(workload, result_path, base_path):
+    """The workload's peak RSS must not exceed the committed ceiling."""
+    result = load_json(result_path, "benchmark result")
+    base = load_json(base_path, "committed baseline")
+    row = base.get("rss_ceiling") if isinstance(base, dict) else None
+    if not isinstance(row, dict) or not isinstance(
+            row.get("ceiling_mib"), (int, float)):
+        fail(f'{base_path} has no "rss_ceiling" row with a numeric '
+             f'ceiling_mib')
+    if row.get("workload") != workload:
+        fail(f'the committed "rss_ceiling" row is for '
+             f'{row.get("workload")!r}, not {workload!r}')
+    if not isinstance(result, dict) or result.get("correct") is not True:
+        fail(f"{result_path}: the {workload} run was not correct")
+    try:
+        got = float(result["metrics"]["peak_rss_mib"]["value"])
+    except (KeyError, TypeError, ValueError):
+        fail(f"{result_path} has no metrics.peak_rss_mib.value")
+    ceiling = row["ceiling_mib"]
+    verdict = "ok" if got <= ceiling else "REGRESSION"
+    print(f"perf-smoke: {workload} seed {row.get('seed')} peak RSS = "
+          f"{got:.1f} MiB; committed {row.get('measured_mib')} MiB, "
+          f"ceiling {ceiling} MiB [{verdict}]")
+    return 0 if got <= ceiling else 1
+
+
 def main() -> int:
+    if len(sys.argv) >= 2 and sys.argv[1] == "--rss":
+        if len(sys.argv) != 5:
+            print(__doc__)
+            return 2
+        return check_rss(sys.argv[2], sys.argv[3], sys.argv[4])
     if len(sys.argv) >= 2 and sys.argv[1] == "--append-trajectory":
         if len(sys.argv) != 5:
             print(__doc__)

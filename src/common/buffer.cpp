@@ -13,16 +13,50 @@
 
 #include "codec.hpp"
 
+#ifndef CSAR_OBS
+#define CSAR_OBS 1
+#endif
+
 namespace csar {
 
 namespace {
 
-std::shared_ptr<std::byte[]> alloc_for_overwrite(std::uint64_t size) {
-  return std::make_shared_for_overwrite<std::byte[]>(
-      static_cast<std::size_t>(size));
+/// Every flat backing starts kHeader bytes into its allocation, after a
+/// header that holds the backing's size, so a view can tell how much
+/// memory it keeps alive (Buffer::pinned_bytes). 16 bytes keep the bytes
+/// as aligned as the allocation.
+constexpr std::size_t kHeader = 16;
+
+/// The one allocation of a flat backing: `size` bytes, zero-filled if
+/// `zero`, else indeterminate.
+std::shared_ptr<std::byte> alloc_backing(std::uint64_t size,
+                                         bool zero = false) {
+  auto block = std::make_shared_for_overwrite<std::byte[]>(
+      kHeader + static_cast<std::size_t>(size));
+  std::memcpy(block.get(), &size, sizeof size);
+  std::byte* bytes = block.get() + kHeader;
+  if (zero) std::memset(bytes, 0, static_cast<std::size_t>(size));
+  return std::shared_ptr<std::byte>(std::move(block), bytes);
+}
+
+/// The size alloc_backing recorded for the backing starting at `bytes`.
+std::uint64_t backing_size(const void* bytes) {
+  std::uint64_t size;
+  std::memcpy(&size, static_cast<const std::byte*>(bytes) - kHeader,
+              sizeof size);
+  return size;
+}
+
+BufferCopyBytes copied;
+
+/// Adds `n` to a buffer_copy_bytes() counter when the hooks are compiled in.
+void count(std::uint64_t& counter, std::uint64_t n) {
+  if constexpr (CSAR_OBS != 0) counter += n;
 }
 
 }  // namespace
+
+BufferCopyBytes buffer_copy_bytes() { return copied; }
 
 /// A deferred combine: the parts' sources and coefficients until the
 /// result is first read, then the memo of the whole result.
@@ -35,10 +69,10 @@ struct Buffer::Recipe {
   std::vector<Buffer> srcs;          ///< every part's sources, in order
   std::vector<std::uint8_t> coeffs;  ///< one per source
   std::uint64_t size = 0;
-  std::shared_ptr<std::byte[]> memo;  ///< the result, once computed
+  std::shared_ptr<std::byte> memo;  ///< the result, once computed
 
   void compute() {
-    memo = alloc_for_overwrite(size);
+    memo = alloc_backing(size);
     std::byte* out = memo.get();
     std::size_t first = 0;
     for (const Part& p : parts) {
@@ -130,16 +164,14 @@ void zip(Cursor a, Cursor b, std::uint64_t len, Fn&& fn) {
 Buffer Buffer::real(std::uint64_t size) {
   Buffer b;
   b.size_ = size;
-  if (size > 0) {
-    b.data_ = std::make_shared<std::byte[]>(static_cast<std::size_t>(size));
-  }
+  if (size > 0) b.data_ = alloc_backing(size, /*zero=*/true);
   return b;
 }
 
 Buffer Buffer::for_overwrite(std::uint64_t size) {
   Buffer b;
   b.size_ = size;
-  if (size > 0) b.data_ = alloc_for_overwrite(size);
+  if (size > 0) b.data_ = alloc_backing(size);
   return b;
 }
 
@@ -150,15 +182,10 @@ Buffer Buffer::phantom(std::uint64_t size) {
   return b;
 }
 
-Buffer Buffer::from_bytes(std::vector<std::byte> bytes) {
-  Buffer b;
-  b.size_ = bytes.size();
-  if (!bytes.empty()) {
-    // Adopt the vector's storage: the control block owns the vector and
-    // data_ aliases its bytes, so no copy is made.
-    auto owner = std::make_shared<std::vector<std::byte>>(std::move(bytes));
-    b.data_ = std::shared_ptr<void>(owner, owner->data());
-  }
+Buffer Buffer::from_bytes(const std::vector<std::byte>& bytes) {
+  Buffer b = for_overwrite(bytes.size());
+  if (!bytes.empty()) std::memcpy(b.base(), bytes.data(), bytes.size());
+  count(copied.copied, bytes.size());
   return b;
 }
 
@@ -295,7 +322,7 @@ std::size_t Buffer::run_at(std::uint64_t pos) const {
 }
 
 void Buffer::reallocate() const {
-  auto out = alloc_for_overwrite(size_);
+  auto out = alloc_backing(size_);
   copy_to(out.get(), 0, size_);
   data_ = std::move(out);
   off_ = 0;
@@ -304,10 +331,38 @@ void Buffer::reallocate() const {
 
 void Buffer::copy_to(std::byte* dst, std::uint64_t off,
                      std::uint64_t len) const {
+  count(copied.copied, len);
   walk(Cursor(*this, off), len,
        [&](std::uint64_t pos, const std::byte* p, std::size_t n) {
          std::memcpy(dst + pos, p, n);
        });
+}
+
+std::uint64_t Buffer::pinned_bytes() const {
+  if (kind_ == Kind::runs) {
+    std::uint64_t sum = 0;
+    const Run* r = runs();
+    for (std::size_t i = 0; i < run_count(); ++i) {
+      sum += backing_size(r[i].data.get());
+    }
+    return sum;
+  }
+  return kind_ == Kind::flat && data_ != nullptr ? backing_size(data_.get())
+                                                 : 0;
+}
+
+void Buffer::shrink_to_fit() {
+  if (kind_ == Kind::phantom || kind_ == Kind::deferred) return;
+  if (2 * size_ >= pinned_bytes()) return;
+  auto out = alloc_backing(size_);
+  walk(Cursor(*this, 0), size_,
+       [&](std::uint64_t pos, const std::byte* p, std::size_t n) {
+         std::memcpy(out.get() + pos, p, n);
+       });
+  count(copied.residue, size_);
+  data_ = std::move(out);
+  off_ = 0;
+  kind_ = Kind::flat;
 }
 
 // Buffer::pattern's byte stream: byte[i] = bits 33..40 of the (i+1)th state
@@ -564,7 +619,7 @@ void Buffer::apply(Op op, std::uint64_t off, const Buffer& src,
   }
   // Copy-on-write fused with the mutation: the fresh allocation receives
   // the untouched bytes and old-op-src for the range, each written once.
-  auto out = alloc_for_overwrite(size_);
+  auto out = alloc_backing(size_);
   std::byte* o = out.get();
   copy_to(o, 0, off);
   if (op == Op::copy) {
@@ -614,7 +669,7 @@ void Buffer::resize(std::uint64_t size) {
   }
   // Grow: copy into exclusively-owned, exactly-sized backing and zero only
   // the extension.
-  auto out = alloc_for_overwrite(size);
+  auto out = alloc_backing(size);
   copy_to(out.get(), 0, size_);
   std::memset(out.get() + size_, 0, static_cast<std::size_t>(size - size_));
   data_ = std::move(out);

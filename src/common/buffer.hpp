@@ -44,14 +44,21 @@
 // a recipe pins every source view it captured (their writers' later
 // mutations copy on write, so the recipe keeps the bytes it was given).
 //
-// Trade-off: a stored run pins its whole backing allocation. A server that
-// keeps a slice of a client's multi-unit payload keeps the entire payload
-// alive until every slice of it is overwritten or dropped (stream_parity
-// peak RSS +6% against copying the gather).
+// A view pins its whole backing allocation. Every flat backing is one
+// allocation (control block included) whose header records its size, so
+// pinned_bytes() can tell what a view keeps alive. Fresh writes are stored
+// as views of the writer's payload; a server that keeps a slice of a
+// client's multi-unit payload keeps the whole payload alive. Overwrites
+// then leave residues: the head and tail a BufferMap keeps of a partly
+// overwritten entry. A residue goes through shrink_to_fit(), which copies
+// it into its own exact backing when it covers less than half of the
+// backing bytes it pins, so stored content pins at most about twice the
+// bytes it serves once overwrites have trimmed it. Phantom residues carry
+// no bytes, and an unsettled deferred residue stays a view of its recipe
+// (copying it would compute the whole recipe for a small piece).
 //
-// Backing bytes are one allocation (control block included; from_bytes
-// instead adopts its vector without copying). Only real() (which
-// read_range uses for holes) and resize()'s extension are zero-filled.
+// Only real() (which read_range uses for holes) and resize()'s extension
+// are zero-filled.
 #pragma once
 
 #include <cstddef>
@@ -79,8 +86,8 @@ class Buffer {
   /// of gf_mul_region); use real() when some bytes may stay unwritten.
   static Buffer for_overwrite(std::uint64_t size);
 
-  /// Materialized buffer taking ownership of `bytes` (no copy).
-  static Buffer from_bytes(std::vector<std::byte> bytes);
+  /// Materialized buffer holding a copy of `bytes`.
+  static Buffer from_bytes(const std::vector<std::byte>& bytes);
 
   /// `pieces` joined in order, sharing their bytes (no copy): the result's
   /// runs are the pieces' runs, adjacent runs of one backing merged. A
@@ -153,6 +160,19 @@ class Buffer {
 
   /// Content equality. Phantom buffers compare equal iff sizes match.
   bool operator==(const Buffer& other) const;
+
+  /// Bytes of backing allocation this buffer keeps alive: its backing's
+  /// size for a flat view, the sum of its runs' backings for a segmented
+  /// buffer (a backing that several runs view counts once per run). 0 for
+  /// phantom, empty and deferred buffers (a recipe's sources are not
+  /// walked).
+  std::uint64_t pinned_bytes() const;
+
+  /// Copy the bytes into one exclusively-owned, exactly-sized backing when
+  /// they cover less than half of pinned_bytes(), so that a small residue
+  /// of a large payload stops pinning it; otherwise leave the view. The
+  /// value is unchanged. Phantom and deferred buffers are left as they are.
+  void shrink_to_fit();
 
  private:
   enum class Kind : std::uint8_t { flat, runs, phantom, deferred };
@@ -237,6 +257,18 @@ void Buffer::for_each_run(Fn&& fn) const {
                              base() + off_, static_cast<std::size_t>(size_)));
   }
 }
+
+/// Bytes Buffer has copied since the process started: `copied` through
+/// copy_to (flattening, copy-on-write, resize's growth, a combine's unit
+/// copy) and from_bytes, `residue` through shrink_to_fit (not counted in
+/// `copied`). Host-independent costs, compiled in or out with the
+/// observability hooks (CSAR_OBS, default on) like codec_bytes(); both
+/// stay zero when compiled out.
+struct BufferCopyBytes {
+  std::uint64_t copied = 0;
+  std::uint64_t residue = 0;
+};
+BufferCopyBytes buffer_copy_bytes();
 
 /// dst[i] = c * src[i] over GF(2^8), reading `src` run by run (no
 /// flattening). Requires a materialized `src` with src.size() <= dst.size().

@@ -1,7 +1,11 @@
-// BufferMap: sparse byte content as an IntervalMap of Buffers. Overwrites
-// slice the surviving entries by view (no byte copies), and read_range()
-// assembles any range as a run list over the stored bytes (no copies). Used for a LocalFs file's content, the
-// collective-I/O staging maps and the scrubber's mirror map.
+// BufferMap: sparse byte content as an IntervalMap of Buffers. Inserts
+// store the written buffer as is. Overwrites slice the surviving head and
+// tail of a partly covered entry by view, unless the residue covers less
+// than half of the backing bytes it pins: then it is copied into its own
+// exact backing (Buffer::shrink_to_fit), so the dead bytes around it are
+// freed. read_range() assembles any range as a run list over the stored
+// bytes (no copies). Used for a LocalFs file's content, the collective-I/O
+// staging maps and the scrubber's mirror map.
 #pragma once
 
 #include <cstdint>
@@ -11,10 +15,14 @@
 
 namespace csar {
 
+/// IntervalMap::erase's slicer: the only place a stored head or tail
+/// residue is made.
 struct BufferSlicer {
   Buffer operator()(const Buffer& b, std::uint64_t off,
                     std::uint64_t len) const {
-    return b.slice(off, len);
+    Buffer residue = b.slice(off, len);
+    residue.shrink_to_fit();
+    return residue;
   }
 };
 

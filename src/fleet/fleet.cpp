@@ -284,11 +284,7 @@ void FleetController::export_metrics(obs::Registry& reg) const {
   reg.gauge("fleet.disks_useful").set(static_cast<double>(by_class[1]));
   reg.gauge("fleet.disks_wearout").set(static_cast<double>(by_class[2]));
   reg.gauge("fleet.backlog").set(static_cast<double>(backlog_));
-  reg.counter("fleet.transitions").set(stats_.transitions_requested);
-  reg.counter("fleet.transitions_urgent").set(stats_.urgent_requested);
-  reg.counter("fleet.transitions_elective").set(stats_.elective_requested);
-  reg.counter("fleet.deferred_concurrency").set(stats_.deferred_concurrency);
-  reg.counter("fleet.rgroup_persists").set(stats_.rgroup_persists);
+  reg.put("fleet.", stats_);
   reg.gauge("fleet.budget_bytes").set(
       static_cast<double>(budget_bytes_taken()));
   const double elapsed = sim::to_seconds(rig_->sim.now());

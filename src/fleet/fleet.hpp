@@ -210,6 +210,17 @@ struct FleetStats {
   std::uint64_t deferred_concurrency = 0;
   std::uint64_t rgroup_persists = 0;  ///< rgroup persists the manager acked
   std::uint64_t backlog_peak = 0;     ///< max files-awaiting-transition seen
+
+  template <class Fn>
+  void for_each(Fn fn) const {
+    fn("decision_ticks", decision_ticks);
+    fn("transitions", transitions_requested);
+    fn("transitions_urgent", urgent_requested);
+    fn("transitions_elective", elective_requested);
+    fn("deferred_concurrency", deferred_concurrency);
+    fn("rgroup_persists", rgroup_persists);
+    fn("backlog_peak", backlog_peak);
+  }
 };
 
 class FleetController {

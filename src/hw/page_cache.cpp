@@ -192,7 +192,7 @@ sim::Task<void> PageCache::write(std::uint64_t fid, std::uint64_t off,
       // The index may have changed while the pre-read was in flight.
       insert(fid, pg, /*dirty=*/true);
     } else {
-      ++stats_.misses;
+      ++stats_.write_allocs;
       insert_at(b, fid, pg, /*dirty=*/true);
     }
     if (resident_bytes() > p_.capacity_bytes) co_await ensure_room();

@@ -102,8 +102,10 @@ class PageCache {
   void drop_all();
 
   struct Stats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
+    std::uint64_t hits = 0;              ///< resident pages read or written
+    std::uint64_t misses = 0;            ///< pages a read fetched from disk
+    std::uint64_t write_allocs = 0;      ///< pages a write allocated without
+                                         ///< reading (fresh or whole-page)
     std::uint64_t miss_runs = 0;         ///< contiguous disk reads issued for
                                          ///< misses (batched adjacent server
                                          ///< reads show up as fewer runs)
@@ -115,6 +117,7 @@ class PageCache {
     void for_each(Fn fn) const {
       fn("hits", hits);
       fn("misses", misses);
+      fn("write_allocs", write_allocs);
       fn("miss_runs", miss_runs);
       fn("prereads", prereads);
       fn("dirty_evictions", dirty_evictions);

@@ -125,6 +125,15 @@ class Registry {
   Histogram& histogram(const std::string& name,
                        std::vector<std::uint64_t> bounds = {});
 
+  /// One counter per field of a Stats struct that names its fields
+  /// (`for_each`), called `prefix + field`.
+  template <class Stats>
+  void put(const std::string& prefix, const Stats& stats) {
+    stats.for_each([&](const char* field, std::uint64_t v) {
+      counter(prefix + field).set(v);
+    });
+  }
+
   /// name,kind,count,sum,min,max,p50,p95,p99 (value in `sum` for
   /// counters/gauges).
   std::string to_csv() const;

@@ -181,7 +181,7 @@ Buffer frame(const std::vector<std::byte>& payload) {
   put_u32(all, static_cast<std::uint32_t>(payload.size()));
   put_u64(all, fnv1a(payload));
   all.insert(all.end(), payload.begin(), payload.end());
-  return Buffer::from_bytes(std::move(all));
+  return Buffer::from_bytes(all);
 }
 
 }  // namespace

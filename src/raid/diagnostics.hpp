@@ -24,14 +24,17 @@ inline TextTable rig_stats_table(Rig& rig) {
     const auto d = node.disk()->stats();
     const auto& c = node.cache()->stats();
     const auto& l = rig.server(s).lock_stats();
+    // Pages a write allocated without reading are neither hits nor misses:
+    // a pure write stream has no hit ratio.
     const std::uint64_t accesses = c.hits + c.misses + c.prereads;
-    const double hit_pct =
-        accesses == 0 ? 0.0
-                      : 100.0 * static_cast<double>(c.hits) /
-                            static_cast<double>(accesses);
+    const std::string hit_pct =
+        accesses == 0 ? "-"
+                      : TextTable::num(100.0 * static_cast<double>(c.hits) /
+                                           static_cast<double>(accesses),
+                                       1);
     t.add_row({"s" + std::to_string(s), format_bytes(d.bytes_read),
                format_bytes(d.bytes_written), TextTable::num(d.seeks),
-               TextTable::num(hit_pct, 1), TextTable::num(c.prereads),
+               hit_pct, TextTable::num(c.prereads),
                TextTable::num(c.dirty_evictions),
                TextTable::num(l.acquisitions), TextTable::num(l.waits),
                TextTable::num(sim::to_seconds(l.wait_time) * 1e3, 1)});

@@ -190,29 +190,24 @@ class Rig {
   /// (for_each); durations are ns counts. Call after the workload finishes;
   /// the histograms are recorded live on the hot path.
   void export_metrics(obs::Registry& reg) {
-    const auto put = [&reg](const std::string& prefix, const auto& stats) {
-      stats.for_each([&](const char* field, std::uint64_t v) {
-        reg.counter(prefix + field).set(v);
-      });
-    };
     for (std::uint32_t s = 0; s < servers.size(); ++s) {
       const std::string node = "server" + std::to_string(s) + ".";
-      put(node + "lock.", servers[s]->lock_stats());
-      put(node + "batch.", servers[s]->batch_stats());
+      reg.put(node + "lock.", servers[s]->lock_stats());
+      reg.put(node + "batch.", servers[s]->batch_stats());
       hw::Node& n = cluster.node(servers[s]->node_id());
-      if (n.cache() != nullptr) put(node + "cache.", n.cache()->stats());
-      if (n.disk() != nullptr) put(node + "disk.", n.disk()->stats());
+      if (n.cache() != nullptr) reg.put(node + "cache.", n.cache()->stats());
+      if (n.disk() != nullptr) reg.put(node + "disk.", n.disk()->stats());
     }
     for (std::uint32_t c = 0; c < clients.size(); ++c) {
       const std::string node = "client" + std::to_string(c) + ".";
-      put(node + "rpc.", clients[c]->rpc_stats());
-      put(node + "failover.", fs[c]->failover_stats());
+      reg.put(node + "rpc.", clients[c]->rpc_stats());
+      reg.put(node + "failover.", fs[c]->failover_stats());
     }
-    if (repair_client_) put("repair.rpc.", repair_client_->rpc_stats());
-    put("manager.", manager->stats());
-    put("manager.journal.", manager->journal_stats());
-    put("policy.", policy_->stats());
-    put("ec.", policy_->ec_stats());
+    if (repair_client_) reg.put("repair.rpc.", repair_client_->rpc_stats());
+    reg.put("manager.", manager->stats());
+    reg.put("manager.journal.", manager->journal_stats());
+    reg.put("policy.", policy_->stats());
+    reg.put("ec.", policy_->ec_stats());
   }
 
   Recovery repair_recovery() {

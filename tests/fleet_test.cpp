@@ -323,6 +323,12 @@ TEST(FleetControllerTest, AdaptiveTransitionsAndRgroupPersistence) {
     EXPECT_EQ(reg.gauge("fleet.disks_infancy").value(), 3.0);
     EXPECT_EQ(reg.gauge("fleet.backlog").value(), 0.0);
     EXPECT_GT(reg.gauge("fleet.budget_bytes").value(), 0.0);
+    // Every FleetStats field exports as fleet.<field>.
+    ctl.stats().for_each([&reg](const char* field, std::uint64_t v) {
+      EXPECT_EQ(reg.counter(std::string("fleet.") + field).value(), v)
+          << field;
+    });
+    EXPECT_GT(reg.counter("fleet.decision_ticks").value(), 0u);
 
     const std::string table = fleet_stats_table(ctl).to_string();
     EXPECT_NE(table.find("transitions"), std::string::npos);

@@ -311,8 +311,10 @@ TEST(PageCache, ReadMissBatchesContiguousRuns) {
   }(f));
   f.sim.run();
   EXPECT_EQ(f.disk.stats().reads, 1u);  // one coalesced disk read
-  // 64 write-path insertions + 64 read-path misses after the drop.
-  EXPECT_EQ(f.cache.stats().misses, 128u);
+  // The 64 write-path insertions read nothing: only the 64 read-path
+  // misses after the drop count as misses.
+  EXPECT_EQ(f.cache.stats().write_allocs, 64u);
+  EXPECT_EQ(f.cache.stats().misses, 64u);
 }
 
 // ---------------------------------------------------------------------------
@@ -385,7 +387,7 @@ class CacheModel {
         ++stats.prereads;
         (void)disk_read(PageCache::page_addr(fid, pg, ps), ps);
       } else {
-        ++stats.misses;
+        ++stats.write_allocs;
       }
       insert({fid, pg}, /*dirty=*/true);
       ensure_room();
@@ -518,6 +520,7 @@ void expect_same_state(const CacheFixture& f, const CacheModel& m, int op) {
   const PageCache::Stats& s = f.cache.stats();
   EXPECT_EQ(s.hits, m.stats.hits) << "op " << op;
   EXPECT_EQ(s.misses, m.stats.misses) << "op " << op;
+  EXPECT_EQ(s.write_allocs, m.stats.write_allocs) << "op " << op;
   EXPECT_EQ(s.miss_runs, m.stats.miss_runs) << "op " << op;
   EXPECT_EQ(s.prereads, m.stats.prereads) << "op " << op;
   EXPECT_EQ(s.dirty_evictions, m.stats.dirty_evictions) << "op " << op;

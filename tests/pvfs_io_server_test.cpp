@@ -226,6 +226,45 @@ TEST(IoServer, DiagnosticsTableRenders) {
   EXPECT_NE(table.find("cache hit%"), std::string::npos);
 }
 
+/// The diagnostics table's row for server `s`.
+std::string stats_row(Rig& rig, std::uint32_t s) {
+  const std::string table = raid::rig_stats_table(rig).to_string();
+  const std::size_t at = table.find("\ns" + std::to_string(s) + " ");
+  if (at == std::string::npos) return {};
+  return table.substr(at + 1, table.find('\n', at + 1) - at - 1);
+}
+
+TEST(IoServer, WriteAllocationsAreNotCacheMisses) {
+  Fx fx;
+  const hw::PageCache& cache =
+      *fx.rig.cluster.node(fx.rig.server(0).node_id()).cache();
+  run_sim_void(fx.rig, [](Fx& f) -> sim::Task<void> {
+    Request w = f.make(Op::write_data, 1);
+    w.payload = Buffer::pattern(4 * kSu, 1);
+    (void)co_await f.rig.client().rpc(0, std::move(w));
+  }(fx));
+  // Fresh pages that a write fills read nothing from disk.
+  EXPECT_EQ(cache.stats().write_allocs, 4u);
+  EXPECT_EQ(cache.stats().misses, 0u);
+  EXPECT_EQ(cache.stats().hits, 0u);
+  // A pure write stream has no hit ratio, rather than a 0% one.
+  const std::string written = stats_row(fx.rig, 0);
+  ASSERT_FALSE(written.empty());
+  EXPECT_NE(written.find(" - "), std::string::npos) << written;
+
+  fx.rig.drop_all_caches();
+  run_sim_void(fx.rig, [](Fx& f) -> sim::Task<void> {
+    Request r = f.make(Op::read_data, 1);
+    r.len = 4 * kSu;
+    (void)co_await f.rig.client().rpc(0, std::move(r));
+  }(fx));
+  // Reading the dropped pages back misses on each; the writes stay apart.
+  EXPECT_EQ(cache.stats().misses, 4u);
+  EXPECT_EQ(cache.stats().write_allocs, 4u);
+  const std::string read = stats_row(fx.rig, 0);
+  EXPECT_EQ(read.find(" - "), std::string::npos) << read;
+}
+
 // Handle-resolved files: a handle's local files are cached in its state
 // after the first resolution, and must follow removals, generation drops,
 // compaction and disk wipes exactly as name lookups would.
