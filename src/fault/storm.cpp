@@ -405,7 +405,11 @@ StormMetrics run_storm(const StormParams& params) {
                 "storm_driver");
   rig.sim.run();
   if (sampler) m.samples_csv = sampler->to_csv();
-  if (params.metrics != nullptr) rig.export_metrics(*params.metrics);
+  if (params.metrics != nullptr) {
+    rig.export_metrics(*params.metrics);
+    if (coord) coord->export_metrics(*params.metrics);
+    if (mig) mig->export_metrics(*params.metrics);
+  }
 
   m.rpc = rig.client().rpc_stats();
   m.failover = rig.client_fs().failover_stats();

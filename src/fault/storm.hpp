@@ -69,7 +69,9 @@ struct StormParams {
   bool scrub_after = true;
   /// Observability (both optional, not owned). A tracer records the full
   /// request path as spans plus fault/rebuild/migration instants; a registry
-  /// collects counters/histograms. Attaching either adds ZERO simulation
+  /// collects counters/histograms, and at the end the rig's per-node Stats,
+  /// the coordinator's (rebuild.*) and the migrator's (migrate.*) as
+  /// counters. Attaching either adds ZERO simulation
   /// events, so events_executed and the fingerprint are unchanged.
   obs::Tracer* tracer = nullptr;
   obs::Registry* metrics = nullptr;

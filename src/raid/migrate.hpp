@@ -36,6 +36,7 @@
 #include <string>
 
 #include "common/interval_set.hpp"
+#include "obs/metrics.hpp"
 #include "raid/csar_fs.hpp"
 #include "raid/rig.hpp"
 #include "sim/sync.hpp"
@@ -77,6 +78,21 @@ struct MigrateStats {
   std::uint64_t reconcile_resumed = 0;  ///< flips re-persisted + GC'd
   std::uint64_t reconcile_adopted = 0;  ///< manager state adopted locally
   bool ok = true;  ///< false once any migration attempt failed
+
+  template <class Fn>
+  void for_each(Fn fn) const {
+    fn("migrations_started", migrations_started);
+    fn("migrations_completed", migrations_completed);
+    fn("migrations_failed", migrations_failed);
+    fn("passes", passes);
+    fn("recopy_passes", recopy_passes);
+    fn("dirty_bytes", dirty_bytes);
+    fn("old_gens_dropped", old_gens_dropped);
+    fn("stale_persists", stale_persists);
+    fn("reconcile_resumed", reconcile_resumed);
+    fn("reconcile_adopted", reconcile_adopted);
+    fn("ok", std::uint64_t{ok});
+  }
 };
 
 class SchemeMigrator final : public CsarFs::WriteListener {
@@ -138,6 +154,8 @@ class SchemeMigrator final : public CsarFs::WriteListener {
   sim::Task<void> reconcile();
 
   const MigrateStats& stats() const { return stats_; }
+  /// One counter per MigrateStats field, `migrate.<field>`.
+  void export_metrics(obs::Registry& reg) const { reg.put("migrate.", stats_); }
   const MigrateParams& params() const { return p_; }
 
   // CsarFs::WriteListener — synchronous, from the writing coroutines.

@@ -189,45 +189,42 @@ sim::Task<void> RebuildCoordinator::handle_rejoin(std::uint32_t s,
   sim::TokenBucket paced(sim(), p_.rate_cap, p_.burst);
   sim::TokenBucket tally(sim(), 0.0, 1);
   Recovery rec = rig_->repair_recovery();
-  bool ok = true;
 
   for (std::uint32_t pass = 0;; ++pass) {
     if (!running_ || pass >= p_.max_passes ||
         sim().now() - t0 > p_.give_up) {
-      ok = false;
       break;
     }
+    RebuildOptions opt;
+    opt.throttle = pass == 0 ? &paced : &tally;
+    opt.restore_all_overflow = o.overflow_suspect;
     // Other servers still out while this one rebuilds: coded files decode
     // around them while k fragments remain (rs(k,m) with m >= 2); single
     // redundancy reads through them.
     // Recomputed per pass — a concurrent outage may heal or appear between
     // passes.
-    std::vector<std::uint32_t> also_down;
     for (std::uint32_t s2 = 0; s2 < outages_.size(); ++s2) {
       if (s2 == s) continue;
       auto& srv2 = rig_->server(s2);
       if (srv2.crashed() || srv2.fenced() || !mon_->is_alive(s2)) {
-        also_down.push_back(s2);
+        opt.also_down.push_back(s2);
       }
     }
+    // One repair stream per pass (Recovery::repair): a full pass covers
+    // every file, a delta pass the files with stale regions.
+    const bool full = wiped && pass == 0;
+    std::vector<RebuildTarget> targets;
     for (const auto& t : files_) {
-      RebuildOptions opt;
-      opt.throttle = pass == 0 ? &paced : &tally;
-      opt.restore_all_overflow = o.overflow_suspect;
-      opt.also_down = also_down;
-      const bool full = wiped && pass == 0;
+      const IntervalSet* delta = nullptr;
       if (!full) {
         auto it = work.find(t.f.handle);
         if (it == work.end() || it->second.empty()) continue;
-        opt.delta = &it->second;
+        delta = &it->second;
       }
-      auto rb = co_await rec.rebuild_server(t.f, s, t.size, opt);
-      if (!rb.ok()) {
-        ok = false;
-        break;
-      }
+      targets.push_back({t.f, t.size, delta});
     }
-    if (!ok) break;
+    auto rb = co_await rec.rebuild_server(std::move(targets), s, std::move(opt));
+    if (!rb.ok()) break;
     ++stats_.passes;
     if (pass > 0) ++stats_.recopy_passes;
 

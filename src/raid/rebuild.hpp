@@ -28,7 +28,7 @@
 //    comes back fenced: regions degraded-written during the outage exist
 //    only in the redundancy, and content covered solely by dirty pages died
 //    with the crash (LocalFs::take_crash_losses). Only those stale regions
-//    are re-reconstructed (Recovery::RebuildOptions::delta) before admit —
+//    are re-reconstructed (RebuildTarget::delta) before admit —
 //    instead of either a full rebuild or, worse, silently serving stale
 //    bytes (the pre-coordinator behaviour).
 //
@@ -44,6 +44,7 @@
 #include <vector>
 
 #include "common/interval_set.hpp"
+#include "obs/metrics.hpp"
 #include "raid/csar_fs.hpp"
 #include "raid/health.hpp"
 #include "raid/recovery.hpp"
@@ -99,6 +100,26 @@ struct RebuildStats {
   sim::Time last_admit_at = 0;
   sim::Duration last_rebuild_time = 0;  ///< rejoin→admit of last completion
   bool ok = true;                       ///< false once any attempt failed
+
+  template <class Fn>
+  void for_each(Fn fn) const {
+    fn("rebuilds_started", rebuilds_started);
+    fn("rebuilds_completed", rebuilds_completed);
+    fn("rebuilds_failed", rebuilds_failed);
+    fn("full_rebuilds", full_rebuilds);
+    fn("delta_rebuilds", delta_rebuilds);
+    fn("passes", passes);
+    fn("recopy_passes", recopy_passes);
+    fn("bytes_rebuilt", bytes_rebuilt);
+    fn("dirty_bytes", dirty_bytes);
+    fn("lost_dirty_bytes", lost_dirty_bytes);
+    fn("degraded_writes_seen", degraded_writes_seen);
+    fn("first_down_at_ns", first_down_at);
+    fn("first_admit_at_ns", first_admit_at);
+    fn("last_admit_at_ns", last_admit_at);
+    fn("last_rebuild_time_ns", last_rebuild_time);
+    fn("ok", std::uint64_t{ok});
+  }
 };
 
 class RebuildCoordinator final : public CsarFs::WriteObserver {
@@ -130,6 +151,8 @@ class RebuildCoordinator final : public CsarFs::WriteObserver {
 
   const RebuildStats& stats() const { return stats_; }
   const RebuildParams& params() const { return p_; }
+  /// One counter per RebuildStats field, `rebuild.<field>`.
+  void export_metrics(obs::Registry& reg) const { reg.put("rebuild.", stats_); }
 
   // CsarFs::WriteObserver — called synchronously from writing coroutines.
   void on_degraded_write_begin(std::uint32_t failed) override;

@@ -76,20 +76,6 @@ SmallVec<std::uint32_t, 16> decode_sources(CodeSpec spec, Usable usable) {
   return out;
 }
 
-/// Repair traffic: at most kWindow jobs in flight, the first error kept.
-struct Pipeline {
-  static constexpr std::uint32_t kWindow = 16;
-  explicit Pipeline(sim::Simulation& sim) : window(sim, kWindow), wg(sim) {}
-  sim::Semaphore window;
-  sim::WaitGroup wg;
-  bool error = false;
-  Error first_error;
-  void fail(Error e) {
-    if (!error) first_error = std::move(e);
-    error = true;
-  }
-};
-
 /// Restore one side of server `failed`'s overflow tables, window by window:
 /// its own entries from the mirrors on its successor (`mirror` false), or
 /// the mirror entries it held for its predecessor from that server's own
@@ -97,20 +83,25 @@ struct Pipeline {
 /// across windows, as the rebuilt table's allocation order must match piece
 /// order (in-order batch execution keeps it within a window). `delta`, when
 /// set, keeps only the entries over it; `throttle` is charged both the read
-/// and the restore of what is kept.
+/// and the restore of what is kept. Each window read holds `reads`: the
+/// restores of one stream overlap, but their window reads go one at a time,
+/// so no survivor's iod queues more than one window (see kOverflowWindow).
 sim::Task<Result<void>> copy_overflow(pvfs::Client& client,
                                       const pvfs::OpenFile& f,
                                       std::uint32_t failed, bool mirror,
                                       std::uint64_t file_size,
                                       const IntervalSet* delta,
-                                      sim::TokenBucket* throttle) {
+                                      sim::TokenBucket* throttle,
+                                      sim::Mutex& reads) {
   const StripeLayout& layout = f.layout;
   const std::uint32_t n = layout.n();
   const std::uint32_t owner = mirror ? (failed + n - 1) % n : failed;
   const std::uint32_t source = mirror ? owner : (failed + 1) % n;
   for (std::uint64_t w0 = 0; w0 < file_size; w0 += kOverflowWindow) {
+    co_await reads.lock();
     auto got = co_await client.rpc(
         source, overflow_window_read(f, !mirror, owner, w0, file_size));
+    reads.unlock();
     if (!got.ok) co_return Error{got.err, "rebuild overflow read", got.server};
     std::vector<Request> restores;
     restores.reserve(got.pieces.size());
@@ -134,6 +125,53 @@ sim::Task<Result<void>> copy_overflow(pvfs::Client& client,
   co_return Result<void>::success();
 }
 }  // namespace
+
+/// A repair stream: at most kWindow jobs and overflow restores in flight,
+/// at most one overflow window read among them, the first error kept.
+struct Recovery::Pipeline {
+  static constexpr std::uint32_t kWindow = 16;
+  Pipeline(sim::Simulation& sim, std::vector<std::uint32_t> down,
+           bool migration, sim::TokenBucket* throttle)
+      : down(std::move(down)),
+        migration(migration),
+        throttle(throttle),
+        window(sim, kWindow),
+        wg(sim),
+        window_reads(sim) {}
+  const std::vector<std::uint32_t> down;
+  const bool migration;
+  sim::TokenBucket* const throttle;
+  sim::Semaphore window;
+  sim::WaitGroup wg;
+  sim::Mutex window_reads;  ///< held by each overflow window read
+  bool error = false;
+  Error first_error;
+  void fail(Error e) {
+    if (!error) first_error = std::move(e);
+    error = true;
+  }
+  /// Charge the throttle `bytes` (a restore charges its own, per window),
+  /// then take a slot for one job or restore. False, holding nothing, once
+  /// anything has failed: nothing is issued after the first error is seen.
+  sim::Task<bool> issue(std::uint64_t bytes) {
+    if (throttle != nullptr && bytes > 0 && !error) {
+      co_await throttle->take(bytes);
+    }
+    if (error) co_return false;
+    co_await window.acquire();
+    if (error) {
+      window.release();
+      co_return false;
+    }
+    wg.add();
+    co_return true;
+  }
+  /// Free a finished job's or restore's slot.
+  void done() {
+    window.release();
+    wg.done();
+  }
+};
 
 std::pair<std::uint32_t, Request> fragment_read(
     const pvfs::OpenFile& f, CodeSpec spec, std::uint32_t gen,
@@ -1161,85 +1199,74 @@ sim::Task<Result<void>> Recovery::write(const pvfs::OpenFile& f,
   co_return Result<void>::success();
 }
 
-sim::Task<Result<void>> Recovery::rebuild_server(const pvfs::OpenFile& f,
-                                                 std::uint32_t failed,
-                                                 std::uint64_t file_size,
-                                                 RebuildOptions opt) {
-  const StripeLayout& layout = f.layout;
-  const std::uint32_t n = layout.n();
-  const std::uint64_t su = layout.su();
-  const std::uint32_t predecessor = (failed + n - 1) % n;
-  if (file_size == 0) co_return Result<void>::success();
-  const Scheme sch = policy_->scheme_of(f);
-  const std::uint32_t gen = policy_->red_gen_of(f);
-  if (sch == Scheme::raid0) {
+sim::Task<Result<void>> Recovery::rebuild_server(
+    std::vector<RebuildTarget> targets, std::uint32_t failed,
+    RebuildOptions opt) {
+  std::vector<RepairFile> files;
+  files.reserve(targets.size());
+  for (const RebuildTarget& t : targets) {
+    const pvfs::OpenFile& f = t.f;
+    const std::uint64_t file_size = t.size;
+    const IntervalSet* delta = t.delta;
+    if (file_size == 0) continue;
+    const Scheme sch = policy_->scheme_of(f);
     // Nothing rebuildable: RAID0 stores no redundancy, so a replaced
     // server's units are simply gone. The coordinator admits such servers
-    // without a pass; a direct call is a no-op rather than an error so a
-    // mixed-scheme pass over many files can treat every file uniformly.
-    co_return Result<void>::success();
-  }
-  const CodeSpec spec = sch.code(layout);
-  const std::uint32_t k = spec.k;
-  // Servers unreadable during this pass: the rebuild target itself plus any
-  // concurrent outages. Decodes route around them while k fragments remain
-  // (see reconstruct).
-  std::vector<std::uint32_t> down = opt.also_down;
-  if (!contains(down, failed)) down.push_back(failed);
-  std::sort(down.begin(), down.end());
+    // without a pass; a RAID0 target is skipped rather than failed so a
+    // mixed-scheme pass can treat every file uniformly.
+    if (sch == Scheme::raid0) continue;
+    const StripeLayout& layout = f.layout;
+    const std::uint32_t n = layout.n();
+    const std::uint64_t su = layout.su();
+    const std::uint32_t predecessor = (failed + n - 1) % n;
+    const CodeSpec spec = sch.code(layout);
+    const std::uint32_t k = spec.k;
+    RepairFile& file =
+        files.emplace_back(RepairFile{&f, sch, policy_->red_gen_of(f), {}, {}});
 
-  // 1. Data file: reconstruct every unit the failed server held. This
-  //    restores the *base* content (data file only), keeping the surviving
-  //    redundancy consistent; overflow entries are restored separately in
-  //    step 3. The decode is of the raw survivors, no overflow overlay.
-  const std::uint32_t dn = layout.data_servers();
-  if (failed < dn) {
-    std::vector<RepairJob> jobs;
-    for (std::uint64_t u = first_unit_on(layout, failed); u * su < file_size;
-         u += dn) {
-      const std::uint64_t len = std::min<std::uint64_t>(su, file_size - u * su);
-      if (opt.delta && !opt.delta->intersects(u * su, u * su + len)) continue;
-      const auto i = static_cast<std::uint32_t>(u % k);
-      jobs.push_back({layout.group_of_unit(u, k), i, i + 1, len});
+    // 1. Data file: reconstruct every unit the failed server held. This
+    //    restores the *base* content (data file only), keeping the
+    //    surviving redundancy consistent; overflow entries are restored
+    //    separately in step 3. The decode is of the raw survivors, no
+    //    overflow overlay.
+    const std::uint32_t dn = layout.data_servers();
+    if (failed < dn) {
+      for (std::uint64_t u = first_unit_on(layout, failed);
+           u * su < file_size; u += dn) {
+        const std::uint64_t len =
+            std::min<std::uint64_t>(su, file_size - u * su);
+        if (delta && !delta->intersects(u * su, u * su + len)) continue;
+        const auto i = static_cast<std::uint32_t>(u % k);
+        file.jobs.push_back({layout.group_of_unit(u, k), i, i + 1, len});
+      }
     }
-    auto r = co_await repair(f, sch, std::move(jobs), down, gen,
-                             /*migration=*/false, opt.throttle);
-    if (!r.ok()) co_return r.error();
-  }
 
-  // 2. Redundancy file: the coding units whose placement lands on the
-  //    failed server, over the group's columns inside the file — the same
-  //    job, targeting fragment k+j instead of a data unit.
-  {
-    std::vector<RepairJob> jobs;
+    // 2. Redundancy file: the coding units whose placement lands on the
+    //    failed server, over the group's columns inside the file — the same
+    //    job, targeting fragment k+j instead of a data unit.
     const std::uint64_t ngroups = div_ceil(file_size, layout.group_width(k));
     for (std::uint64_t g = 0; g < ngroups; ++g) {
       for (std::uint32_t j = 0; j < spec.m; ++j) {
         if (layout.coding_server(g, k, j) != failed) continue;
-        if (opt.delta &&
-            !opt.delta->intersects(
-                layout.group_start(g, k),
-                std::min(layout.group_end(g, k), file_size))) {
+        if (delta &&
+            !delta->intersects(layout.group_start(g, k),
+                               std::min(layout.group_end(g, k), file_size))) {
           continue;
         }
-        jobs.push_back(
+        file.jobs.push_back(
             {g, k + j, k + j + 1, group_cols(layout, k, g, file_size)});
       }
     }
-    auto r = co_await repair(f, sch, std::move(jobs), down, gen,
-                             /*migration=*/false, opt.throttle);
-    if (!r.ok()) co_return r.error();
-  }
 
-  // 3. Overflow overlay: restore this server's own entries from the mirrors
-  //    on its successor, and the mirror entries it held for its predecessor
-  //    from that server's own table. Runs for Hybrid files and for files
-  //    migrated away from Hybrid (their overlay is still live).
-  if (policy_->overflow_possible(f)) {
-    const bool filter = opt.delta != nullptr && !opt.restore_all_overflow;
+    // 3. Overflow overlay: restore this server's own entries from the
+    //    mirrors on its successor, and the mirror entries it held for its
+    //    predecessor from that server's own table. Runs for Hybrid files and
+    //    for files migrated away from Hybrid (their overlay is still live).
+    if (!policy_->overflow_possible(f)) continue;
+    const bool filter = delta != nullptr && !opt.restore_all_overflow;
     // Stale entries are dropped first, by zero-payload write_data requests
-    // that carry pure invalidation ranges; the copier below then re-mirrors
-    // the authoritative survivor copies.
+    // that carry pure invalidation ranges; the copier then re-mirrors the
+    // authoritative survivor copies.
     std::vector<Request> invals;
     auto invalidate = [&](Interval own, Interval mirror) {
       Request r;
@@ -1250,7 +1277,7 @@ sim::Task<Result<void>> Recovery::rebuild_server(const pvfs::OpenFile& f,
       r.inval_mirror = mirror;
       invals.push_back(std::move(r));
     };
-    if (opt.delta != nullptr && opt.restore_all_overflow) {
+    if (delta != nullptr && opt.restore_all_overflow) {
       // The rejoiner's overflow content is wholesale suspect (e.g. dirty
       // pages under the overflow file died with the crash): drop both table
       // sides entirely.
@@ -1260,7 +1287,7 @@ sim::Task<Result<void>> Recovery::rebuild_server(const pvfs::OpenFile& f,
       // A non-wipe rejoiner kept its overflow tables, but over the delta
       // they are stale: survivors superseded or invalidated those entries
       // while this server was gone. Clear both table sides across it.
-      for (const auto& iv : opt.delta->to_vector()) {
+      for (const auto& iv : delta->to_vector()) {
         for (const auto& ext : layout.decompose(iv.start, iv.length())) {
           const Interval local{ext.local_off, ext.local_off + ext.len};
           if (ext.server == failed) {
@@ -1271,25 +1298,17 @@ sim::Task<Result<void>> Recovery::rebuild_server(const pvfs::OpenFile& f,
         }
       }
     }
-    if (!invals.empty()) {
-      auto ivr = co_await client_->rpc_batch(failed, std::move(invals));
-      for (const auto& r : ivr) {
-        if (!r.ok) {
-          co_return Error{r.err, "rebuild overflow invalidate", r.server};
-        }
-      }
-    }
-    // Both sides go through one windowed copier (see kOverflowWindow): the
-    // survivor-side tables can be huge (unaligned collective writes overflow
-    // nearly every request).
-    for (const bool mirror : {false, true}) {
-      auto r = co_await copy_overflow(*client_, f, failed, mirror, file_size,
-                                      filter ? opt.delta : nullptr,
-                                      opt.throttle);
-      if (!r.ok()) co_return r.error();
-    }
+    file.overflow = OverflowRestore{failed, file_size, std::move(invals),
+                                    filter ? delta : nullptr};
   }
-  co_return Result<void>::success();
+  // Servers unreadable during this pass: the rebuild target itself plus any
+  // concurrent outages. Decodes route around them while k fragments remain
+  // (see reconstruct).
+  std::vector<std::uint32_t> down = std::move(opt.also_down);
+  if (!contains(down, failed)) down.push_back(failed);
+  std::sort(down.begin(), down.end());
+  co_return co_await repair(std::move(files), std::move(down),
+                            /*migration=*/false, opt.throttle);
 }
 
 sim::Task<Result<void>> Recovery::build_redundancy(const pvfs::OpenFile& f,
@@ -1328,66 +1347,102 @@ sim::Task<Result<void>> Recovery::build_redundancy(const pvfs::OpenFile& f,
     jobs.push_back({g, spec.k, spec.fragments(),
                     group_cols(layout, spec.k, g, file_size)});
   }
-  co_return co_await repair(f, to, std::move(jobs), {}, red_gen,
-                            /*migration=*/true, throttle);
+  std::vector<RepairFile> files;
+  files.push_back({&f, to, red_gen, std::move(jobs), {}});
+  co_return co_await repair(std::move(files), {}, /*migration=*/true,
+                            throttle);
 }
 
-sim::Task<Result<void>> Recovery::repair(const pvfs::OpenFile& f, Scheme sch,
-                                         std::vector<RepairJob> jobs,
+sim::Task<Result<void>> Recovery::repair(std::vector<RepairFile> files,
                                          std::vector<std::uint32_t> down,
-                                         std::uint32_t gen, bool migration,
+                                         bool migration,
                                          sim::TokenBucket* throttle) {
   // The survivor reads and replacement writes of up to kWindow jobs stream
-  // concurrently, so the rebuilding node's links become the bottleneck, as
-  // in a real rebuild.
-  const std::uint32_t k = sch.code(f.layout).k;
-  Pipeline pipe(client_->cluster().sim());
-  for (const RepairJob& job : jobs) {
-    if (throttle) {
-      co_await throttle->take(std::uint64_t{k + job.t1 - job.t0} * job.cols);
+  // concurrently, across steps and files alike, so the rebuilding node's
+  // links become the bottleneck, as in a real rebuild.
+  sim::Simulation& sim = client_->cluster().sim();
+  Pipeline pipe(sim, std::move(down), migration, throttle);
+  for (RepairFile& file : files) {
+    if (pipe.error) break;
+    file.pending = file.jobs.size();
+    const std::uint32_t k = file.sch.code(file.f->layout).k;
+    for (const RepairJob& job : file.jobs) {
+      if (!co_await pipe.issue(std::uint64_t{k + job.t1 - job.t0} *
+                               job.cols)) {
+        break;
+      }
+      sim.spawn(repair_job(&pipe, &file, job));
     }
-    co_await pipe.window.acquire();
-    pipe.wg.add();
-    client_->cluster().sim().spawn(
-        [](Recovery* self, const pvfs::OpenFile* file, Scheme scheme,
-           RepairJob job, const std::vector<std::uint32_t>* down,
-           std::uint32_t gen, bool migration,
-           Pipeline* p) -> sim::Task<void> {
-          const CodeSpec spec = scheme.code(file->layout);
-          auto rebuilt = co_await self->reconstruct(
-              *file, scheme, job.g, job.t0, job.t1, 0, job.cols, *down);
-          if (!rebuilt.ok()) {
-            p->fail(rebuilt.error());
-          } else {
-            if (migration) {
-              self->policy_->note_ec_encode(scheme, std::uint64_t{spec.k} *
-                                                        job.cols *
-                                                        (job.t1 - job.t0));
-            } else {
-              self->policy_->note_ec_rebuild_decode(scheme, spec.k,
-                                                    job.cols * spec.k);
-            }
-            std::vector<std::pair<std::uint32_t, Request>> writes;
-            for (std::uint32_t t = job.t0; t < job.t1; ++t) {
-              Buffer& bytes = (*rebuilt)[t - job.t0];
-              writes.push_back(
-                  fragment_write(*file, spec, gen, job.g, t, std::move(bytes)));
-            }
-            auto wrs = co_await send_all(*self->client_, std::move(writes));
-            for (const auto& wr : wrs) {
-              if (!wr.ok) {
-                p->fail(Error{wr.err, "repair write", wr.server});
-                break;
-              }
-            }
-          }
-          p->window.release();
-          p->wg.done();
-        }(this, &f, sch, job, &down, gen, migration, &pipe));
+    // A file with no jobs starts its restore from here, in its own slot.
+    if (file.jobs.empty() && file.overflow && co_await pipe.issue(0)) {
+      sim.spawn(restore_overflow(&pipe, &file));
+    }
   }
   co_await pipe.wg.wait();
   if (pipe.error) co_return pipe.first_error;
   co_return Result<void>::success();
+}
+
+sim::Task<void> Recovery::repair_job(Pipeline* p, RepairFile* file,
+                                     RepairJob job) {
+  const pvfs::OpenFile& f = *file->f;
+  const CodeSpec spec = file->sch.code(f.layout);
+  auto rebuilt = co_await reconstruct(f, file->sch, job.g, job.t0, job.t1, 0,
+                                      job.cols, p->down);
+  if (!rebuilt.ok()) {
+    p->fail(rebuilt.error());
+  } else {
+    if (p->migration) {
+      policy_->note_ec_encode(file->sch, std::uint64_t{spec.k} * job.cols *
+                                             (job.t1 - job.t0));
+    } else {
+      policy_->note_ec_rebuild_decode(file->sch, spec.k, job.cols * spec.k);
+    }
+    std::vector<std::pair<std::uint32_t, Request>> writes;
+    for (std::uint32_t t = job.t0; t < job.t1; ++t) {
+      Buffer& bytes = (*rebuilt)[t - job.t0];
+      writes.push_back(
+          fragment_write(f, spec, file->gen, job.g, t, std::move(bytes)));
+    }
+    auto wrs = co_await send_all(*client_, std::move(writes));
+    for (const auto& wr : wrs) {
+      if (!wr.ok) {
+        p->fail(Error{wr.err, "repair write", wr.server});
+        break;
+      }
+    }
+  }
+  if (--file->pending == 0 && file->overflow && !p->error) {
+    // The file's last job hands its slot, and its place in the wait group,
+    // to the file's overflow restore.
+    client_->cluster().sim().spawn(restore_overflow(p, file));
+    co_return;
+  }
+  p->done();
+}
+
+sim::Task<void> Recovery::restore_overflow(Pipeline* p, RepairFile* file) {
+  OverflowRestore& o = *file->overflow;
+  if (!o.invals.empty()) {
+    auto ivr = co_await client_->rpc_batch(o.failed, std::move(o.invals));
+    for (const auto& r : ivr) {
+      if (!r.ok) {
+        p->fail(Error{r.err, "rebuild overflow invalidate", r.server});
+        break;
+      }
+    }
+  }
+  // Both sides go through one windowed copier (see kOverflowWindow): the
+  // survivor-side tables can be huge (unaligned collective writes overflow
+  // nearly every request).
+  for (const bool mirror : {false, true}) {
+    if (p->error) break;
+    auto r = co_await copy_overflow(*client_, *file->f, o.failed, mirror,
+                                    o.size, o.filter, p->throttle,
+                                    p->window_reads);
+    if (!r.ok()) p->fail(r.error());
+  }
+  p->done();
 }
 
 }  // namespace csar::raid

@@ -24,15 +24,22 @@
 //  repair  a server rebuild and a migration's redundancy build are one job
 //          per group: read k live fragments once, combine every target
 //          fragment from them and write each at a generation, the current
-//          one for a rebuild and the next one for a migration. A rebuilt
-//          server's overflow tables copy from its neighbours through one
-//          windowed loop (kOverflowWindow), called once per table side.
+//          one for a rebuild and the next one for a migration. A rebuild
+//          pass is one repair stream over all of its files: every file's
+//          data-unit and coding-unit jobs, in order, share one 16-slot
+//          pipeline that never drains between steps or files, and once a
+//          file's jobs have completed, its overflow restore (the
+//          invalidation batch, then one windowed copy per table side,
+//          kOverflowWindow) takes a slot of its own, overlapping the jobs
+//          of later files; the stream's window reads go one at a time. A
+//          migration's build is a stream of one file.
 //
 // Every file resolves its scheme, redundancy generation and overflow
 // status through the deployment's RedundancyPolicy.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -48,22 +55,29 @@
 
 namespace csar::raid {
 
-/// Knobs for rebuild_server. The defaults reproduce the legacy behaviour:
-/// full-file reconstruction at full pipeline speed.
-struct RebuildOptions {
+/// One file of a rebuild pass.
+struct RebuildTarget {
+  pvfs::OpenFile f;
+  /// Logical file size; bounds the scan.
+  std::uint64_t size = 0;
   /// Restrict reconstruction to the stripe units / parity groups / overflow
   /// entries whose *global* byte ranges intersect this set (nullptr =
   /// rebuild everything). The RebuildCoordinator passes the stale regions of
   /// a non-wipe rejoiner, or the regions dirtied by concurrent writes on a
   /// re-copy pass.
   const IntervalSet* delta = nullptr;
+};
+
+/// Knobs for a rebuild pass. The defaults run it at full pipeline speed,
+/// with no other server down.
+struct RebuildOptions {
   /// Pace reconstruction traffic through this bucket (nullptr = full
   /// pipeline speed). Charged with an estimate of the bytes each unit moves
   /// (survivor reads + replacement write), before the unit is issued.
   sim::TokenBucket* throttle = nullptr;
-  /// Hybrid: restore every overflow entry even when `delta` filters the
-  /// data/parity scan (set when the overflow content itself is suspect,
-  /// e.g. lost dirty pages under the overflow file).
+  /// Hybrid: restore every overflow entry even when a target's `delta`
+  /// filters the data/parity scan (set when the overflow content itself is
+  /// suspect, e.g. lost dirty pages under the overflow file).
   bool restore_all_overflow = false;
   /// Other servers that are *also* unavailable while this one rebuilds
   /// (concurrent outages). Coded files decode around them while k live
@@ -179,16 +193,24 @@ class Recovery {
                                 Buffer data,
                                 std::vector<std::uint32_t> failed = {});
 
-  /// Rebuild everything server `failed` stored for `f` — its data file,
-  /// its redundancy file (its coding units), its own overflow
+  /// Rebuild everything server `failed` stored for each of `targets` — its
+  /// data file, its redundancy file (its coding units), its own overflow
   /// entries (from the mirrors on its successor) and the mirror entries it
-  /// held for its predecessor. The server must already be back online
-  /// (recover()ed onto a blank disk); `file_size` bounds the scan. `opt`
-  /// restricts the scan to a delta and/or paces it (see RebuildOptions).
+  /// held for its predecessor — as one repair stream (see `repair`). The
+  /// server must already be back online (recover()ed onto a blank disk).
+  /// `opt` paces the pass and names concurrent outages (see
+  /// RebuildOptions). Returns the first error, which names its server.
+  sim::Task<Result<void>> rebuild_server(std::vector<RebuildTarget> targets,
+                                         std::uint32_t failed,
+                                         RebuildOptions opt = {});
+  /// A pass over all of one file, `file_size` bytes long.
   sim::Task<Result<void>> rebuild_server(const pvfs::OpenFile& f,
                                          std::uint32_t failed,
                                          std::uint64_t file_size,
-                                         RebuildOptions opt = {});
+                                         RebuildOptions opt = {}) {
+    return rebuild_server({RebuildTarget{f, file_size}}, failed,
+                          std::move(opt));
+  }
 
   /// Build scheme `to`'s base redundancy for `f` at generation `red_gen`,
   /// reading only the raw data files (never the old redundancy, never the
@@ -232,17 +254,46 @@ class Recovery {
     std::uint64_t cols;
   };
 
-  /// Run `jobs` in order, pipelined (at most 16 in flight): each reads k
+  /// A rebuilt server's overflow tables for one file: the invalidation batch
+  /// sent to `failed` first, then both table sides copied from its
+  /// neighbours, keeping only the entries over `filter` when it is set.
+  struct OverflowRestore {
+    std::uint32_t failed;
+    std::uint64_t size;
+    std::vector<pvfs::Request> invals;
+    const IntervalSet* filter;
+  };
+
+  /// One file's share of a repair stream: its jobs at generation `gen`, and
+  /// for a rebuild of a file that may carry overflow, the restore that
+  /// follows them.
+  struct RepairFile {
+    const pvfs::OpenFile* f;
+    Scheme sch;
+    std::uint32_t gen;
+    std::vector<RepairJob> jobs;
+    std::optional<OverflowRestore> overflow;
+    std::size_t pending = 0;  ///< jobs not yet completed
+  };
+
+  /// The slots, constants and first error of one stream (recovery.cpp).
+  struct Pipeline;
+
+  /// Run the files' jobs as one stream, file after file and each file's
+  /// jobs in order, at most Pipeline::kWindow (16) in flight: each reads k
   /// live fragments once (reconstruct, around `down`) and writes every
-  /// target at generation `gen`, the current one for a rebuild, the next
-  /// one for a migration. `throttle` is charged (k + targets)·cols before a
-  /// job is issued. A rebuild notes one ec decode per job, a migration
-  /// (`migration`) the encode of its targets. Returns the first error.
-  sim::Task<Result<void>> repair(const pvfs::OpenFile& f, Scheme sch,
-                                 std::vector<RepairJob> jobs,
+  /// target at its file's generation, the current one for a rebuild, the
+  /// next one for a migration. `throttle` is charged (k + targets)·cols
+  /// before a job is issued. The job that completes a file hands its slot
+  /// to the file's overflow restore; restores overlap, but their window
+  /// reads go one at a time. A rebuild notes one ec decode per job,
+  /// a migration (`migration`) the encode of its targets. Nothing is issued
+  /// once a job has failed; returns the first error.
+  sim::Task<Result<void>> repair(std::vector<RepairFile> files,
                                  std::vector<std::uint32_t> down,
-                                 std::uint32_t gen, bool migration,
-                                 sim::TokenBucket* throttle);
+                                 bool migration, sim::TokenBucket* throttle);
+  sim::Task<void> repair_job(Pipeline* p, RepairFile* file, RepairJob job);
+  sim::Task<void> restore_overflow(Pipeline* p, RepairFile* file);
 
   pvfs::Client* client_;
   const RedundancyPolicy* policy_;

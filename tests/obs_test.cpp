@@ -617,5 +617,46 @@ TEST(ObsRig, ExportIsOnePerNodeViewOfTheStructs) {
   EXPECT_EQ(first, export_after_storm(/*check=*/false));
 }
 
+// The storm's registry also carries the rebuild coordinator's and the
+// migrator's Stats, one counter per field (`rebuild.*`, `migrate.*`,
+// durations in ns), equal to the structs the storm returns. Exporting them
+// leaves the fingerprint as the bare run's.
+TEST(ObsStorm, RebuildAndMigrateExportAsTheirStructs) {
+  fault::StormParams p = small_storm();
+  p.nfiles = 2;
+  p.migrate_file = 1;
+  p.migrate_to = raid::Scheme::raid1;
+  p.migrate_at = sim::ms(100);
+  const fault::StormMetrics plain = fault::run_storm(p);
+
+  Registry reg;
+  p.metrics = &reg;
+  const fault::StormMetrics m = fault::run_storm(p);
+  EXPECT_EQ(m.fingerprint, plain.fingerprint);
+  EXPECT_EQ(m.verify_mismatches, 0u);
+
+  const auto rows = counter_rows(reg.to_csv());
+  std::size_t fields = 0;
+  const auto expect_view = [&](const std::string& prefix, const auto& stats) {
+    stats.for_each([&](const char* field, std::uint64_t v) {
+      ++fields;
+      const auto it = rows.find(prefix + field);
+      ASSERT_NE(it, rows.end()) << prefix + field;
+      ASSERT_EQ(it->second.size(), 1u) << prefix + field;
+      EXPECT_EQ(it->second[0], v) << prefix + field;
+    });
+  };
+  expect_view("rebuild.", m.rebuild);
+  expect_view("migrate.", m.migrate);
+  EXPECT_EQ(fields, 27u);
+  // The storm really rebuilt and migrated, so the rows are not all zero.
+  EXPECT_GE(rows.at("rebuild.rebuilds_completed")[0], 1u);
+  EXPECT_EQ(rows.at("rebuild.last_rebuild_time_ns")[0],
+            m.rebuild.last_rebuild_time);
+  EXPECT_GT(m.rebuild.last_rebuild_time, 0u);
+  EXPECT_EQ(rows.at("migrate.migrations_completed")[0], 1u);
+  EXPECT_EQ(rows.at("migrate.ok")[0], 1u);
+}
+
 }  // namespace
 }  // namespace csar::obs
