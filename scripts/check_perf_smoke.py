@@ -26,6 +26,12 @@ seed, the value measured when the ceiling was set, and the ceiling (that
 value + 10%). Resident memory is counted, not timed, so it holds on a
 loaded host; the slack covers allocator differences between C libraries.
 
+It also holds one benchmark workload's simulated metric under a committed
+ceiling (--sim): the baseline's "sim_ceiling" row names the workload, seed
+and metric and the value measured when the row was set. Simulated time is
+deterministic, so the ceiling is that value itself: any increase fails,
+and a decrease is reported so the committed value can be lowered.
+
 Every malformed input fails with a one-line FAIL message, never a
 traceback: a missing or truncated baseline is a repo bug CI should
 report crisply, not a Python stack to dig through.
@@ -38,6 +44,11 @@ Usage:
       `perfbench/run.py --workload <workload> --seed <row's seed>
       --seconds 0 --trace 0`, is incorrect or reports a peak_rss_mib above
       the baseline's "rss_ceiling" row for that workload.
+  check_perf_smoke.py --sim <workload> <metric> <result.json> <baseline.json>
+      Fail when <result.json>, the last stdout line of
+      `perfbench/run.py --workload <workload> --seed <row's seed>
+      --seconds 0 --trace 0`, is incorrect or reports <metric> above the
+      baseline's "sim_ceiling" row for that workload and metric.
   check_perf_smoke.py --append-trajectory <full.json> <baseline.json> <label>
       Record a PR's fresh `bench_sim_scale --out=full.json` sweep as one
       trajectory point in the baseline's "trajectory" history (the "rows"
@@ -182,24 +193,34 @@ def check_allocs(row, ref, config):
     return got <= ceiling
 
 
+def ceiling_row(base, base_path, key, value_key, workload):
+    """The baseline's `key` row for `workload`, with a numeric `value_key`."""
+    row = base.get(key) if isinstance(base, dict) else None
+    if not isinstance(row, dict) or not isinstance(
+            row.get(value_key), (int, float)):
+        fail(f'{base_path} has no "{key}" row with a numeric {value_key}')
+    if row.get("workload") != workload:
+        fail(f'the committed "{key}" row is for '
+             f'{row.get("workload")!r}, not {workload!r}')
+    return row
+
+
+def result_metric(result, result_path, workload, metric):
+    """`metric`'s value in a correct benchmark result."""
+    if not isinstance(result, dict) or result.get("correct") is not True:
+        fail(f"{result_path}: the {workload} run was not correct")
+    try:
+        return float(result["metrics"][metric]["value"])
+    except (KeyError, TypeError, ValueError):
+        fail(f"{result_path} has no metrics.{metric}.value")
+
+
 def check_rss(workload, result_path, base_path):
     """The workload's peak RSS must not exceed the committed ceiling."""
     result = load_json(result_path, "benchmark result")
     base = load_json(base_path, "committed baseline")
-    row = base.get("rss_ceiling") if isinstance(base, dict) else None
-    if not isinstance(row, dict) or not isinstance(
-            row.get("ceiling_mib"), (int, float)):
-        fail(f'{base_path} has no "rss_ceiling" row with a numeric '
-             f'ceiling_mib')
-    if row.get("workload") != workload:
-        fail(f'the committed "rss_ceiling" row is for '
-             f'{row.get("workload")!r}, not {workload!r}')
-    if not isinstance(result, dict) or result.get("correct") is not True:
-        fail(f"{result_path}: the {workload} run was not correct")
-    try:
-        got = float(result["metrics"]["peak_rss_mib"]["value"])
-    except (KeyError, TypeError, ValueError):
-        fail(f"{result_path} has no metrics.peak_rss_mib.value")
+    row = ceiling_row(base, base_path, "rss_ceiling", "ceiling_mib", workload)
+    got = result_metric(result, result_path, workload, "peak_rss_mib")
     ceiling = row["ceiling_mib"]
     verdict = "ok" if got <= ceiling else "REGRESSION"
     print(f"perf-smoke: {workload} seed {row.get('seed')} peak RSS = "
@@ -208,7 +229,33 @@ def check_rss(workload, result_path, base_path):
     return 0 if got <= ceiling else 1
 
 
+def check_sim(workload, metric, result_path, base_path):
+    """The workload's simulated `metric` must not exceed the committed one."""
+    result = load_json(result_path, "benchmark result")
+    base = load_json(base_path, "committed baseline")
+    row = ceiling_row(base, base_path, "sim_ceiling", "measured", workload)
+    if row.get("metric") != metric:
+        fail(f'the committed "sim_ceiling" row is for '
+             f'{row.get("metric")!r}, not {metric!r}')
+    got = result_metric(result, result_path, workload, metric)
+    want = row["measured"]
+    if got > want:
+        verdict = "REGRESSION"
+    elif got < want:
+        verdict = "ok, below the committed value: lower it"
+    else:
+        verdict = "ok"
+    print(f"perf-smoke: {workload} seed {row.get('seed')} {metric} = {got}; "
+          f"committed {want} [{verdict}]")
+    return 0 if got <= want else 1
+
+
 def main() -> int:
+    if len(sys.argv) >= 2 and sys.argv[1] == "--sim":
+        if len(sys.argv) != 6:
+            print(__doc__)
+            return 2
+        return check_sim(sys.argv[2], sys.argv[3], sys.argv[4], sys.argv[5])
     if len(sys.argv) >= 2 and sys.argv[1] == "--rss":
         if len(sys.argv) != 5:
             print(__doc__)

@@ -64,7 +64,7 @@ void FaultInjector::note(const char* what, std::uint32_t server,
   // `what` is a string literal at every call site, so the tracer may keep
   // the pointer.
   if (obs::kEnabled && tracer_ != nullptr) {
-    tracer_->instant(what, "fault", "\"server\":" + std::to_string(server));
+    tracer_->instant(what, "fault", {{"server", server}});
   }
 }
 
@@ -74,7 +74,7 @@ void FaultInjector::note_manager(const char* what, const char* extra) {
                 sim::to_seconds(cluster_->sim().now()) * 1e3, what, extra);
   trace_.emplace_back(buf);
   if (obs::kEnabled && tracer_ != nullptr) {
-    tracer_->instant(what, "fault", "\"manager\":1");
+    tracer_->instant(what, "fault", {{"manager", 1}});
   }
 }
 

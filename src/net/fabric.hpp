@@ -67,9 +67,7 @@ class Fabric {
     if (obs::kEnabled && tracer_ != nullptr) {
       span = tracer_->task_span(tracer_->node_pid(src), "net", "xfer", "net",
                                 parent,
-                                "\"dst\":" + std::to_string(dst) +
-                                    ",\"bytes\":" +
-                                    std::to_string(payload_bytes));
+                                {{"dst", dst}, {"bytes", payload_bytes}});
     }
     const std::uint64_t bytes = payload_bytes + kHeaderBytes;
     co_await cluster_->node(src).tx().transfer(bytes);

@@ -63,7 +63,7 @@ void Tracer::release_lane(std::uint32_t pid, std::uint32_t tid,
 }
 
 Span Tracer::span(std::uint32_t pid, std::uint32_t tid, const char* name,
-                  const char* cat, SpanId parent, std::string args) {
+                  const char* cat, SpanId parent, Args args) {
   const SpanId id = next_id_++;
   Event e;
   e.ph = 'X';
@@ -83,7 +83,7 @@ Span Tracer::span(std::uint32_t pid, std::uint32_t tid, const char* name,
 }
 
 Span Tracer::task_span(std::uint32_t pid, const char* kind, const char* name,
-                       const char* cat, SpanId parent, std::string args) {
+                       const char* cat, SpanId parent, Args args) {
   const std::uint32_t tid = acquire_lane(pid, kind);
   Span s = span(pid, tid, name, cat, parent, std::move(args));
   s.kind_ = kind;
@@ -96,7 +96,7 @@ void Tracer::end_span(std::size_t idx) {
   e.open = false;
 }
 
-void Tracer::instant(const char* name, const char* cat, std::string args,
+void Tracer::instant(const char* name, const char* cat, Args args,
                      std::uint32_t pid, std::uint32_t tid) {
   Event e;
   e.ph = 'i';
@@ -130,6 +130,19 @@ void append_us(std::string& out, std::uint64_t ns) {
   std::snprintf(buf, sizeof(buf), "%" PRIu64 ".%03" PRIu64, ns / 1000,
                 ns % 1000);
   out += buf;
+}
+
+/// The body of an event's args object: its integer fields, then its text.
+void append_args(std::string& out, const Args& a) {
+  for (std::uint8_t i = 0; i < a.nints; ++i) {
+    if (i > 0) out += ',';
+    out += '"';
+    out += a.ints[i].key;
+    out += "\":";
+    out += std::to_string(a.ints[i].value);
+  }
+  if (a.nints > 0 && !a.text.empty()) out += ',';
+  out += a.text;
 }
 
 void append_escaped(std::string& out, const std::string& s) {
@@ -201,7 +214,7 @@ std::string Tracer::to_json() const {
       }
       if (!e.args.empty()) out += ',';
     }
-    out += e.args;
+    append_args(out, e.args);
     out += "}}";
   }
   out += "\n]}\n";

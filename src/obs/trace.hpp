@@ -27,7 +27,10 @@
 // build a null tracer costs one pointer test per site.
 #pragma once
 
+#include <array>
+#include <cassert>
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <string>
 #include <utility>
@@ -49,6 +52,37 @@ inline constexpr bool kEnabled = CSAR_OBS != 0;
 using SpanId = std::uint64_t;
 
 class Tracer;
+
+/// A span's or instant's arguments: up to three integer fields kept inline
+/// (a literal key and its value, formatted only by Tracer::to_json(), so
+/// recording them allocates nothing), then an optional JSON object *body*
+/// fragment for any argument that is not an integer, e.g. "\"full\":true".
+struct Args {
+  struct Int {
+    const char* key;  ///< a string literal: the event keeps the pointer
+    std::uint64_t value;
+  };
+  static constexpr std::size_t kMaxInts = 3;
+
+  Args() = default;
+  Args(std::initializer_list<Int> fields) {
+    assert(fields.size() <= kMaxInts && "at most three integer arguments");
+    for (const Int& f : fields) {
+      if (nints < kMaxInts) ints[nints++] = f;
+    }
+  }
+  Args(std::string json) : text(std::move(json)) {}
+  Args(std::initializer_list<Int> fields, std::string json)
+      : Args(fields) {
+    text = std::move(json);
+  }
+
+  bool empty() const { return nints == 0 && text.empty(); }
+
+  std::array<Int, kMaxInts> ints{};
+  std::uint8_t nints = 0;
+  std::string text;
+};
 
 /// RAII guard for an open span: ends the span (at the sim time of
 /// destruction) and releases its pooled lane, if it owns one. Move-only;
@@ -141,20 +175,20 @@ class Tracer final : public sim::TaskObserver {
   std::uint32_t node_pid(std::uint32_t node) const;
 
   /// Open a span on an explicit lane. `name` and `cat` must be string
-  /// literals (the tracer stores the pointers). `args` is an optional JSON
-  /// object *body* fragment, e.g. "\"bytes\":4096".
+  /// literals (the tracer stores the pointers), and so must `args`' integer
+  /// keys, e.g. {{"bytes", 4096}}.
   Span span(std::uint32_t pid, std::uint32_t tid, const char* name,
-            const char* cat, SpanId parent = 0, std::string args = {});
+            const char* cat, SpanId parent = 0, Args args = {});
 
   /// Open a span on a pooled lane of `kind` under `pid`; the lane is
   /// released when the span ends. Use for one span per coroutine task.
   /// `kind` must be a string literal too (the span keeps the pointer to
   /// return the lane; pools match kinds by content).
   Span task_span(std::uint32_t pid, const char* kind, const char* name,
-                 const char* cat, SpanId parent = 0, std::string args = {});
+                 const char* cat, SpanId parent = 0, Args args = {});
 
   /// Record an instant event. Defaults to the "sim" process timeline lane.
-  void instant(const char* name, const char* cat, std::string args = {},
+  void instant(const char* name, const char* cat, Args args = {},
                std::uint32_t pid = kSimPid, std::uint32_t tid = 1);
 
   // sim::TaskObserver — named Simulation::spawn()s become spans on pooled
@@ -173,7 +207,7 @@ class Tracer final : public sim::TaskObserver {
     SpanId parent = 0;
     const char* name = "";
     const char* cat = "";
-    std::string args;
+    Args args;
   };
 
   const std::vector<Event>& events() const { return events_; }

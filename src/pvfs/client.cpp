@@ -203,9 +203,7 @@ sim::Task<Response> Client::rpc_attempts(
   if (obs::kEnabled && tracer_ != nullptr) {
     span = tracer_->task_span(pid_, "rpc", op_name(r.op), "rpc",
                               r.tspan != 0 ? r.tspan : ambient_,
-                              "\"server\":" + std::to_string(s) +
-                                  ",\"bytes\":" +
-                                  std::to_string(r.wire_bytes()));
+                              {{"server", s}, {"bytes", r.wire_bytes()}});
     r.tspan = span.id();
   }
   const sim::Time t0 = sim.now();

@@ -206,7 +206,7 @@ sim::Task<bool> IoServer::lock_parity(std::uint64_t key, hw::NodeId from,
   obs::Span span;
   if (obs::kEnabled && ctx.t != nullptr) {
     span = ctx.t->span(ctx.pid, ctx.tid, "lock_wait", "lock", ctx.parent,
-                       "\"key\":" + std::to_string(key));
+                       {{"key", key}});
   }
   struct Park {
     LockWaiter* w;
@@ -341,7 +341,7 @@ sim::Task<void> IoServer::handle(Request r) {
   obs::Ctx ctx;
   if (obs::kEnabled && tracer_ != nullptr) {
     span = tracer_->task_span(pid_, "req", op_name(r.op), "server", r.tspan,
-                              "\"handle\":" + std::to_string(r.handle));
+                              {{"handle", r.handle}});
     ctx = obs::Ctx{tracer_, span.pid(), span.tid(), span.id()};
   }
   const sim::Time t0 = cluster_->sim().now();
@@ -610,8 +610,7 @@ sim::Task<Response> IoServer::do_read_data(const Request& r, obs::Ctx ctx) {
   obs::Span span;
   if (obs::kEnabled && ctx.t != nullptr) {
     span = ctx.t->span(ctx.pid, ctx.tid, "read_data", "disk", ctx.parent,
-                       "\"off\":" + std::to_string(r.off) +
-                           ",\"len\":" + std::to_string(r.len));
+                       {{"off", r.off}, {"len", r.len}});
   }
   Response resp;
   auto base_out = co_await fs_.read_checked(
@@ -651,8 +650,7 @@ sim::Task<Response> IoServer::do_write_data(const Request& r, obs::Ctx ctx) {
   obs::Span span;
   if (obs::kEnabled && ctx.t != nullptr) {
     span = ctx.t->span(ctx.pid, ctx.tid, "write_data", "disk", ctx.parent,
-                       "\"off\":" + std::to_string(r.off) +
-                           ",\"len\":" + std::to_string(r.payload.size()));
+                       {{"off", r.off}, {"len", r.payload.size()}});
   }
   state_ref(r.handle);  // note the handle for storage accounting
   co_await pace(r, r.payload.size());
@@ -683,8 +681,7 @@ sim::Task<Response> IoServer::do_read_red(const Request& r, obs::Ctx ctx) {
   obs::Span span;
   if (obs::kEnabled && ctx.t != nullptr) {
     span = ctx.t->span(ctx.pid, ctx.tid, "read_red", "disk", ctx.parent,
-                       "\"off\":" + std::to_string(r.off) +
-                           ",\"len\":" + std::to_string(r.len));
+                       {{"off", r.off}, {"len", r.len}});
   }
   Response resp;
   auto out = co_await fs_.read_checked(
@@ -702,8 +699,7 @@ sim::Task<Response> IoServer::do_write_red(const Request& r, obs::Ctx ctx) {
   obs::Span span;
   if (obs::kEnabled && ctx.t != nullptr) {
     span = ctx.t->span(ctx.pid, ctx.tid, "write_red", "disk", ctx.parent,
-                       "\"off\":" + std::to_string(r.off) +
-                           ",\"len\":" + std::to_string(r.payload.size()));
+                       {{"off", r.off}, {"len", r.payload.size()}});
   }
   HandleState& hs = *state_ref(r.handle);
   hs.max_red_gen = std::max(hs.max_red_gen, r.red_gen);

@@ -43,7 +43,7 @@ void Manager::crash(bool wipe_unsynced) {
   if (fs_ && wipe_unsynced) fs_->crash();
   if (obs::kEnabled && tracer_) {
     tracer_->instant("mgr.crash", "fault",
-                     wipe_unsynced ? "\"wipe\":1" : "\"wipe\":0");
+                     {{"wipe", wipe_unsynced ? 1u : 0u}});
   }
 }
 
@@ -95,9 +95,9 @@ sim::Task<void> Manager::restart() {
   stats_.replayed_records += replayed;
   if (obs::kEnabled && tracer_) {
     tracer_->instant("mgr.replay", "fault",
-                     "\"records\":" + std::to_string(replayed) +
-                         ",\"files\":" + std::to_string(files_.size()) +
-                         ",\"incarnation\":" + std::to_string(incarnation_));
+                     {{"records", replayed},
+                      {"files", files_.size()},
+                      {"incarnation", incarnation_}});
   }
 }
 

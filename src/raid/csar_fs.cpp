@@ -66,8 +66,7 @@ sim::Task<Result<void>> CsarFs::write(const pvfs::OpenFile& f,
   if (obs::kEnabled && client_->tracer() != nullptr) {
     span = client_->tracer()->task_span(
         client_->obs_pid(), "fs", "fs.write", "fs", 0,
-        "\"off\":" + std::to_string(off) +
-            ",\"len\":" + std::to_string(data.size()));
+        {{"off", off}, {"len", data.size()}});
     ambient.c = client_;
     ambient.prev = client_->ambient_span();
     client_->set_ambient_span(span.id());
@@ -148,7 +147,7 @@ sim::Task<Result<Buffer>> CsarFs::read(const pvfs::OpenFile& f,
   if (obs::kEnabled && client_->tracer() != nullptr) {
     span = client_->tracer()->task_span(
         client_->obs_pid(), "fs", "fs.read", "fs", 0,
-        "\"off\":" + std::to_string(off) + ",\"len\":" + std::to_string(len));
+        {{"off", off}, {"len", len}});
     ambient.c = client_;
     ambient.prev = client_->ambient_span();
     client_->set_ambient_span(span.id());

@@ -120,10 +120,10 @@ sim::Task<void> SchemeMigrator::migrate_task(std::uint64_t handle, Scheme to) {
   ++stats_.migrations_started;
   pol.note_migration_started(handle);
   if (obs::kEnabled && rig_->tracer() != nullptr) {
-    rig_->tracer()->instant("migrate:start", "migrate",
-                            "\"handle\":" + std::to_string(handle) +
-                                ",\"to\":\"" + std::string(scheme_name(to)) +
-                                "\"");
+    rig_->tracer()->instant(
+        "migrate:start", "migrate",
+        {{{"handle", handle}},
+         "\"to\":\"" + std::string(scheme_name(to)) + "\""});
   }
 
   const std::uint32_t old_gen = pol.red_gen_of(t.f);
@@ -171,7 +171,7 @@ sim::Task<void> SchemeMigrator::migrate_task(std::uint64_t handle, Scheme to) {
         pol.set_override(t.f, to, new_gen);
         if (obs::kEnabled && rig_->tracer() != nullptr) {
           rig_->tracer()->instant("migrate:flip", "migrate",
-                                  "\"handle\":" + std::to_string(handle));
+                                  {{"handle", handle}});
         }
         break;
       }
@@ -245,7 +245,7 @@ sim::Task<void> SchemeMigrator::migrate_task(std::uint64_t handle, Scheme to) {
   ++stats_.migrations_completed;
   if (obs::kEnabled && rig_->tracer() != nullptr) {
     rig_->tracer()->instant("migrate:complete", "migrate",
-                            "\"handle\":" + std::to_string(handle));
+                            {{"handle", handle}});
   }
   t.migrating = false;
   --active_;
@@ -295,7 +295,7 @@ sim::Task<void> SchemeMigrator::reconcile() {
       ++stats_.reconcile_resumed;
       if (obs::kEnabled && rig_->tracer() != nullptr) {
         rig_->tracer()->instant("migrate:reconcile_resume", "migrate",
-                                "\"handle\":" + std::to_string(handle));
+                                {{"handle", handle}});
       }
       continue;
     }
@@ -310,7 +310,7 @@ sim::Task<void> SchemeMigrator::reconcile() {
       ++stats_.reconcile_adopted;
       if (obs::kEnabled && rig_->tracer() != nullptr) {
         rig_->tracer()->instant("migrate:reconcile_adopt", "migrate",
-                                "\"handle\":" + std::to_string(handle));
+                                {{"handle", handle}});
       }
       continue;
     }

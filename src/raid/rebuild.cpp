@@ -46,7 +46,7 @@ void RebuildCoordinator::start() {
             o.down_since = at;
             if (obs::kEnabled && rig_->tracer() != nullptr) {
               rig_->tracer()->instant("rebuild:degraded", "rebuild",
-                                      "\"server\":" + std::to_string(s));
+                                      {{"server", s}});
             }
           }
           if (stats_.first_down_at == 0) stats_.first_down_at = at;
@@ -178,9 +178,9 @@ sim::Task<void> RebuildCoordinator::handle_rejoin(std::uint32_t s,
     ++stats_.delta_rebuilds;
   }
   if (obs::kEnabled && rig_->tracer() != nullptr) {
-    rig_->tracer()->instant("rebuild:start", "rebuild",
-                            "\"server\":" + std::to_string(s) +
-                                ",\"full\":" + (wiped ? "true" : "false"));
+    rig_->tracer()->instant(
+        "rebuild:start", "rebuild",
+        {{{"server", s}}, wiped ? "\"full\":true" : "\"full\":false"});
   }
   const sim::Time t0 = sim().now();
   // Pass 0 is paced by the rate cap; dirty re-copy passes only tally their
@@ -245,7 +245,7 @@ sim::Task<void> RebuildCoordinator::handle_rejoin(std::uint32_t s,
       ++stats_.rebuilds_completed;
       if (obs::kEnabled && rig_->tracer() != nullptr) {
         rig_->tracer()->instant("rebuild:admit", "rebuild",
-                                "\"server\":" + std::to_string(s));
+                                {{"server", s}});
       }
       if (stats_.first_admit_at == 0) stats_.first_admit_at = sim().now();
       stats_.last_admit_at = sim().now();
@@ -269,8 +269,7 @@ sim::Task<void> RebuildCoordinator::handle_rejoin(std::uint32_t s,
   stats_.ok = false;
   ++stats_.rebuilds_failed;
   if (obs::kEnabled && rig_->tracer() != nullptr) {
-    rig_->tracer()->instant("rebuild:failed", "rebuild",
-                            "\"server\":" + std::to_string(s));
+    rig_->tracer()->instant("rebuild:failed", "rebuild", {{"server", s}});
   }
   stats_.bytes_rebuilt += paced.taken() + tally.taken();
   for (const auto& [handle, set] : work) {

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <map>
+#include <memory>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -56,12 +59,6 @@ std::uint64_t group_cols(const StripeLayout& lay, std::uint32_t k,
   return std::min(lay.su(), file_size - lay.group_start(g, k));
 }
 
-/// The first unit of the file that server `s` holds (its local unit 0).
-std::uint64_t first_unit_on(const StripeLayout& lay, std::uint32_t s) {
-  const std::uint32_t dn = lay.data_servers();
-  return (s + dn - lay.base % dn) % dn;
-}
-
 /// The fragments a decode combines: the first k that `usable` accepts, in
 /// index order, so data fragments before coding. Fewer when fewer are
 /// usable. This one rule picks the survivors every lost fragment is
@@ -76,6 +73,39 @@ SmallVec<std::uint32_t, 16> decode_sources(CodeSpec spec, Usable usable) {
   return out;
 }
 
+/// The survivor that serves one side of server `failed`'s overflow restore:
+/// its successor holds the mirrors of its own entries (`mirror` false), its
+/// predecessor the own entries it mirrored (`mirror` true).
+std::uint32_t overflow_source(std::uint32_t n, std::uint32_t failed,
+                              bool mirror) {
+  return mirror ? (failed + n - 1) % n : (failed + 1) % n;
+}
+
+/// The k fragments a decode of fragments [t0, t1) of group g reads: the
+/// first k (decode_sources) that are not targets, skipping every server in
+/// `down`. Exactly k are fetched — never more — which is the degraded-read
+/// cost the A14 ablation measures. When the servers in `down` leave fewer
+/// than k, read through them instead: a suspected server may still answer
+/// (its read fails loudly if not), and single redundancy needs every
+/// survivor.
+SmallVec<std::uint32_t, 16> repair_sources(
+    const StripeLayout& layout, CodeSpec spec, std::uint64_t g,
+    std::uint32_t t0, std::uint32_t t1,
+    const std::vector<std::uint32_t>& down) {
+  bool skip_down = true;
+  auto usable = [&](std::uint32_t frag) {
+    return (frag < t0 || frag >= t1) &&
+           !(skip_down &&
+             contains(down, fragment_server(layout, spec, g, frag)));
+  };
+  auto present = decode_sources(spec, usable);
+  if (present.size() < spec.k) {
+    skip_down = false;
+    present = decode_sources(spec, usable);
+  }
+  return present;
+}
+
 /// Restore one side of server `failed`'s overflow tables, window by window:
 /// its own entries from the mirrors on its successor (`mirror` false), or
 /// the mirror entries it held for its predecessor from that server's own
@@ -83,9 +113,10 @@ SmallVec<std::uint32_t, 16> decode_sources(CodeSpec spec, Usable usable) {
 /// across windows, as the rebuilt table's allocation order must match piece
 /// order (in-order batch execution keeps it within a window). `delta`, when
 /// set, keeps only the entries over it; `throttle` is charged both the read
-/// and the restore of what is kept. Each window read holds `reads`: the
-/// restores of one stream overlap, but their window reads go one at a time,
-/// so no survivor's iod queues more than one window (see kOverflowWindow).
+/// and the restore of what is kept. Each window read holds `reads`, the
+/// source survivor's lock: the restores of one stream overlap, but each
+/// survivor serves their window reads one at a time, so no survivor's iod
+/// queues more than one window (see kOverflowWindow).
 sim::Task<Result<void>> copy_overflow(pvfs::Client& client,
                                       const pvfs::OpenFile& f,
                                       std::uint32_t failed, bool mirror,
@@ -96,7 +127,7 @@ sim::Task<Result<void>> copy_overflow(pvfs::Client& client,
   const StripeLayout& layout = f.layout;
   const std::uint32_t n = layout.n();
   const std::uint32_t owner = mirror ? (failed + n - 1) % n : failed;
-  const std::uint32_t source = mirror ? owner : (failed + 1) % n;
+  const std::uint32_t source = overflow_source(n, failed, mirror);
   for (std::uint64_t w0 = 0; w0 < file_size; w0 += kOverflowWindow) {
     co_await reads.lock();
     auto got = co_await client.rpc(
@@ -127,23 +158,35 @@ sim::Task<Result<void>> copy_overflow(pvfs::Client& client,
 }  // namespace
 
 /// A repair stream: at most kWindow jobs and overflow restores in flight,
-/// at most one overflow window read among them, the first error kept.
+/// issued kBatch jobs at a time, at most one overflow window read per
+/// survivor among them, the first error kept.
 struct Recovery::Pipeline {
   static constexpr std::uint32_t kWindow = 16;
+  /// Jobs whose fragment reads go out together, in disk order. Half the
+  /// slots, so one batch's reads overlap the previous batch's decodes and
+  /// writes.
+  static constexpr std::uint32_t kBatch = kWindow / 2;
   Pipeline(sim::Simulation& sim, std::vector<std::uint32_t> down,
            bool migration, sim::TokenBucket* throttle)
-      : down(std::move(down)),
+      : sim(sim),
+        down(std::move(down)),
         migration(migration),
+        batch(migration ? 1 : kBatch),
         throttle(throttle),
         window(sim, kWindow),
-        wg(sim),
-        window_reads(sim) {}
+        wg(sim) {}
+  sim::Simulation& sim;
   const std::vector<std::uint32_t> down;
   const bool migration;
+  /// A migration's jobs read only data fragments, and in group order each
+  /// survivor's reads already run along its data file, so they go out one
+  /// job at a time; a rebuild's alternate between data and redundancy files.
+  const std::size_t batch;
   sim::TokenBucket* const throttle;
   sim::Semaphore window;
   sim::WaitGroup wg;
-  sim::Mutex window_reads;  ///< held by each overflow window read
+  /// Per source survivor, held by each overflow window read it serves.
+  std::map<std::uint32_t, sim::Mutex> window_reads;
   bool error = false;
   Error first_error;
   void fail(Error e) {
@@ -171,6 +214,19 @@ struct Recovery::Pipeline {
     window.release();
     wg.done();
   }
+  sim::Mutex& window_read_lock(std::uint32_t server) {
+    return window_reads.try_emplace(server, sim).first->second;
+  }
+};
+
+/// One job's fragment reads, sent by its batch: a slot per fragment that
+/// they fill, the reads still out, and the first that failed.
+struct Recovery::JobReads {
+  JobReads(sim::Simulation& sim, std::uint32_t fragments)
+      : frags(fragments), out(sim) {}
+  std::vector<Buffer> frags;
+  sim::WaitGroup out;
+  std::optional<Error> err;
 };
 
 std::pair<std::uint32_t, Request> fragment_read(
@@ -262,30 +318,33 @@ sim::Task<void> charge_decode(pvfs::Client& client, std::uint64_t bytes) {
       sim::transfer_time(bytes, node.params().xor_bytes_per_sec));
 }
 
+namespace {
+/// Restore fragments [t0, t1) into their empty slots of `frags` from its k
+/// filled ones (fragment_decode), pay the decode on `client`'s memory, and
+/// hand the restored fragments out in order.
+sim::Task<std::vector<Buffer>> decode_range(pvfs::Client& client,
+                                            CodeSpec spec,
+                                            std::vector<Buffer>& frags,
+                                            std::uint32_t t0,
+                                            std::uint32_t t1) {
+  SmallVec<std::uint32_t, 16> targets;
+  for (std::uint32_t t = t0; t < t1; ++t) targets.push_back(t);
+  co_await charge_decode(client, fragment_decode(spec, frags, targets));
+  std::vector<Buffer> out;
+  out.reserve(t1 - t0);
+  for (const std::uint32_t t : targets) out.push_back(std::move(frags[t]));
+  co_return out;
+}
+}  // namespace
+
 sim::Task<Result<std::vector<Buffer>>> Recovery::reconstruct(
     const pvfs::OpenFile& f, Scheme sch, std::uint64_t g, std::uint32_t t0,
     std::uint32_t t1, std::uint64_t c0, std::uint64_t len,
     const std::vector<std::uint32_t>& down) {
-  const StripeLayout& layout = f.layout;
-  const CodeSpec spec = sch.code(layout);
+  const CodeSpec spec = sch.code(f.layout);
   const std::uint32_t k = spec.k;
   const std::uint32_t gen = policy_->red_gen_of(f);
-  // Exactly k fragments are fetched — never more — which is the
-  // degraded-read cost the A14 ablation measures. When the servers in
-  // `down` leave fewer than k, read through them instead: a suspected
-  // server may still answer (its read fails loudly if not), and single
-  // redundancy needs every survivor.
-  bool skip_down = true;
-  auto usable = [&](std::uint32_t frag) {
-    return (frag < t0 || frag >= t1) &&
-           !(skip_down &&
-             contains(down, fragment_server(layout, spec, g, frag)));
-  };
-  auto present = decode_sources(spec, usable);
-  if (present.size() < k) {
-    skip_down = false;
-    present = decode_sources(spec, usable);
-  }
+  auto present = repair_sources(f.layout, spec, g, t0, t1, down);
   // The reads go out coding fragments first, then data (`present` is
   // ascending, so that is a rotation).
   std::rotate(present.begin(),
@@ -305,13 +364,7 @@ sim::Task<Result<std::vector<Buffer>>> Recovery::reconstruct(
     }
     frags[present[i]] = std::move(resps[i].data);
   }
-  SmallVec<std::uint32_t, 16> targets;
-  for (std::uint32_t t = t0; t < t1; ++t) targets.push_back(t);
-  co_await charge_decode(*client_, fragment_decode(spec, frags, targets));
-  std::vector<Buffer> out;
-  out.reserve(t1 - t0);
-  for (const std::uint32_t t : targets) out.push_back(std::move(frags[t]));
-  co_return out;
+  co_return co_await decode_range(*client_, spec, frags, t0, t1);
 }
 
 sim::Task<Result<Buffer>> Recovery::reconstruct_piece(
@@ -1224,41 +1277,37 @@ sim::Task<Result<void>> Recovery::rebuild_server(
     RepairFile& file =
         files.emplace_back(RepairFile{&f, sch, policy_->red_gen_of(f), {}, {}});
 
-    // 1. Data file: reconstruct every unit the failed server held. This
-    //    restores the *base* content (data file only), keeping the
-    //    surviving redundancy consistent; overflow entries are restored
-    //    separately in step 3. The decode is of the raw survivors, no
-    //    overflow overlay.
-    const std::uint32_t dn = layout.data_servers();
-    if (failed < dn) {
-      for (std::uint64_t u = first_unit_on(layout, failed);
-           u * su < file_size; u += dn) {
+    // 1. Per group, in group order: the data unit the failed server held and
+    //    the coding units whose placement lands on it, over the group's
+    //    columns inside the file. A data job restores the *base* content
+    //    (data file only), keeping the surviving redundancy consistent;
+    //    overflow entries are restored separately in step 2. The decode is
+    //    of the raw survivors, no overflow overlay. In this order each
+    //    survivor's reads of a batch run along its files (see repair).
+    const std::uint64_t ngroups = div_ceil(file_size, layout.group_width(k));
+    for (std::uint64_t g = 0; g < ngroups; ++g) {
+      const std::uint64_t g0 = layout.group_start(g, k);
+      if (delta &&
+          !delta->intersects(g0, std::min(layout.group_end(g, k), file_size))) {
+        continue;
+      }
+      for (std::uint32_t i = 0; i < k; ++i) {
+        const std::uint64_t u = g * k + i;
+        if (u * su >= file_size) break;
+        if (layout.data_server(g, k, i) != failed) continue;
         const std::uint64_t len =
             std::min<std::uint64_t>(su, file_size - u * su);
         if (delta && !delta->intersects(u * su, u * su + len)) continue;
-        const auto i = static_cast<std::uint32_t>(u % k);
-        file.jobs.push_back({layout.group_of_unit(u, k), i, i + 1, len});
+        file.jobs.push_back({g, i, i + 1, len});
       }
-    }
-
-    // 2. Redundancy file: the coding units whose placement lands on the
-    //    failed server, over the group's columns inside the file — the same
-    //    job, targeting fragment k+j instead of a data unit.
-    const std::uint64_t ngroups = div_ceil(file_size, layout.group_width(k));
-    for (std::uint64_t g = 0; g < ngroups; ++g) {
       for (std::uint32_t j = 0; j < spec.m; ++j) {
         if (layout.coding_server(g, k, j) != failed) continue;
-        if (delta &&
-            !delta->intersects(layout.group_start(g, k),
-                               std::min(layout.group_end(g, k), file_size))) {
-          continue;
-        }
         file.jobs.push_back(
             {g, k + j, k + j + 1, group_cols(layout, k, g, file_size)});
       }
     }
 
-    // 3. Overflow overlay: restore this server's own entries from the
+    // 2. Overflow overlay: restore this server's own entries from the
     //    mirrors on its successor, and the mirror entries it held for its
     //    predecessor from that server's own table. Runs for Hybrid files and
     //    for files migrated away from Hybrid (their overlay is still live).
@@ -1360,22 +1409,34 @@ sim::Task<Result<void>> Recovery::repair(std::vector<RepairFile> files,
   // The survivor reads and replacement writes of up to kWindow jobs stream
   // concurrently, across steps and files alike, so the rebuilding node's
   // links become the bottleneck, as in a real rebuild.
-  sim::Simulation& sim = client_->cluster().sim();
-  Pipeline pipe(sim, std::move(down), migration, throttle);
+  Pipeline pipe(client_->cluster().sim(), std::move(down), migration,
+                throttle);
   for (RepairFile& file : files) {
     if (pipe.error) break;
     file.pending = file.jobs.size();
     const std::uint32_t k = file.sch.code(file.f->layout).k;
-    for (const RepairJob& job : file.jobs) {
-      if (!co_await pipe.issue(std::uint64_t{k + job.t1 - job.t0} *
-                               job.cols)) {
+    const std::span<const RepairJob> jobs = file.jobs;
+    for (std::size_t b0 = 0; b0 < jobs.size(); b0 += pipe.batch) {
+      const auto batch =
+          jobs.subspan(b0, std::min(pipe.batch, jobs.size() - b0));
+      std::size_t taken = 0;
+      for (const RepairJob& job : batch) {
+        if (!co_await pipe.issue(std::uint64_t{k + job.t1 - job.t0} *
+                                 job.cols)) {
+          break;
+        }
+        ++taken;
+      }
+      if (taken < batch.size()) {
+        // An error stopped the batch before it was sent: free its slots.
+        for (; taken > 0; --taken) pipe.done();
         break;
       }
-      sim.spawn(repair_job(&pipe, &file, job));
+      send_batch(&pipe, &file, batch);
     }
     // A file with no jobs starts its restore from here, in its own slot.
     if (file.jobs.empty() && file.overflow && co_await pipe.issue(0)) {
-      sim.spawn(restore_overflow(&pipe, &file));
+      pipe.sim.spawn(restore_overflow(&pipe, &file));
     }
   }
   co_await pipe.wg.wait();
@@ -1383,15 +1444,69 @@ sim::Task<Result<void>> Recovery::repair(std::vector<RepairFile> files,
   co_return Result<void>::success();
 }
 
-sim::Task<void> Recovery::repair_job(Pipeline* p, RepairFile* file,
-                                     RepairJob job) {
+void Recovery::send_batch(Pipeline* p, RepairFile* file,
+                          std::span<const RepairJob> batch) {
   const pvfs::OpenFile& f = *file->f;
   const CodeSpec spec = file->sch.code(f.layout);
-  auto rebuilt = co_await reconstruct(f, file->sch, job.g, job.t0, job.t1, 0,
-                                      job.cols, p->down);
-  if (!rebuilt.ok()) {
-    p->fail(rebuilt.error());
+  const std::uint32_t gen = policy_->red_gen_of(f);
+  struct Read {
+    std::uint32_t server;
+    Request req;
+    JobReads* job;
+    std::uint32_t frag;
+  };
+  std::vector<Read> reads;
+  reads.reserve(batch.size() * spec.k);
+  std::vector<std::unique_ptr<JobReads>> jobs;
+  for (const RepairJob& job : batch) {
+    auto& st = jobs.emplace_back(
+        std::make_unique<JobReads>(p->sim, spec.fragments()));
+    for (const std::uint32_t frag :
+         repair_sources(f.layout, spec, job.g, job.t0, job.t1, p->down)) {
+      auto [server, req] =
+          fragment_read(f, spec, gen, job.g, frag, 0, job.cols);
+      reads.push_back({server, std::move(req), st.get(), frag});
+      st->out.add();
+    }
+  }
+  // Disk order: per survivor, its data file before its redundancy file, each
+  // by local offset. In group order that is a few runs per survivor.
+  std::stable_sort(reads.begin(), reads.end(),
+                   [](const Read& a, const Read& b) {
+                     return std::tuple(a.server, a.req.op != Op::read_data_raw,
+                                       a.req.off) <
+                            std::tuple(b.server, b.req.op != Op::read_data_raw,
+                                       b.req.off);
+                   });
+  for (Read& rd : reads) {
+    p->sim.spawn([](pvfs::Client* client, std::uint32_t server, Request req,
+                    JobReads* job, std::uint32_t frag) -> sim::Task<void> {
+      auto resp = co_await client->rpc(server, std::move(req));
+      if (!resp.ok) {
+        if (!job->err) job->err = Error{resp.err, "fragment read", resp.server};
+      } else {
+        job->frags[frag] = std::move(resp.data);
+      }
+      job->out.done();
+    }(client_, rd.server, std::move(rd.req), rd.job, rd.frag));
+  }
+  // Then the jobs, each waiting for its own reads.
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    p->sim.spawn(repair_job(p, file, batch[i], std::move(jobs[i])));
+  }
+}
+
+sim::Task<void> Recovery::repair_job(Pipeline* p, RepairFile* file,
+                                     RepairJob job,
+                                     std::unique_ptr<JobReads> reads) {
+  co_await reads->out.wait();
+  const pvfs::OpenFile& f = *file->f;
+  const CodeSpec spec = file->sch.code(f.layout);
+  if (reads->err) {
+    p->fail(*reads->err);
   } else {
+    auto rebuilt =
+        co_await decode_range(*client_, spec, reads->frags, job.t0, job.t1);
     if (p->migration) {
       policy_->note_ec_encode(file->sch, std::uint64_t{spec.k} * job.cols *
                                              (job.t1 - job.t0));
@@ -1400,7 +1515,7 @@ sim::Task<void> Recovery::repair_job(Pipeline* p, RepairFile* file,
     }
     std::vector<std::pair<std::uint32_t, Request>> writes;
     for (std::uint32_t t = job.t0; t < job.t1; ++t) {
-      Buffer& bytes = (*rebuilt)[t - job.t0];
+      Buffer& bytes = rebuilt[t - job.t0];
       writes.push_back(
           fragment_write(f, spec, file->gen, job.g, t, std::move(bytes)));
     }
@@ -1415,7 +1530,7 @@ sim::Task<void> Recovery::repair_job(Pipeline* p, RepairFile* file,
   if (--file->pending == 0 && file->overflow && !p->error) {
     // The file's last job hands its slot, and its place in the wait group,
     // to the file's overflow restore.
-    client_->cluster().sim().spawn(restore_overflow(p, file));
+    p->sim.spawn(restore_overflow(p, file));
     co_return;
   }
   p->done();
@@ -1435,11 +1550,12 @@ sim::Task<void> Recovery::restore_overflow(Pipeline* p, RepairFile* file) {
   // Both sides go through one windowed copier (see kOverflowWindow): the
   // survivor-side tables can be huge (unaligned collective writes overflow
   // nearly every request).
+  const std::uint32_t n = file->f->layout.n();
   for (const bool mirror : {false, true}) {
     if (p->error) break;
-    auto r = co_await copy_overflow(*client_, *file->f, o.failed, mirror,
-                                    o.size, o.filter, p->throttle,
-                                    p->window_reads);
+    auto r = co_await copy_overflow(
+        *client_, *file->f, o.failed, mirror, o.size, o.filter, p->throttle,
+        p->window_read_lock(overflow_source(n, o.failed, mirror)));
     if (!r.ok()) p->fail(r.error());
   }
   p->done();

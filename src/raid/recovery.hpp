@@ -26,19 +26,21 @@
 //          fragment from them and write each at a generation, the current
 //          one for a rebuild and the next one for a migration. A rebuild
 //          pass is one repair stream over all of its files: every file's
-//          data-unit and coding-unit jobs, in order, share one 16-slot
-//          pipeline that never drains between steps or files, and once a
-//          file's jobs have completed, its overflow restore (the
-//          invalidation batch, then one windowed copy per table side,
-//          kOverflowWindow) takes a slot of its own, overlapping the jobs
-//          of later files; the stream's window reads go one at a time. A
-//          migration's build is a stream of one file.
+//          jobs, in group order, share one 16-slot pipeline that never
+//          drains between files, issued 8 at a time with each batch's
+//          survivor reads sent in disk order; once a file's jobs have
+//          completed, its overflow restore (the invalidation batch, then
+//          one windowed copy per table side, kOverflowWindow) takes a slot
+//          of its own, overlapping the jobs of later files, and each
+//          survivor serves one window read at a time. A migration's build
+//          is a stream of one file.
 //
 // Every file resolves its scheme, redundancy generation and overflow
 // status through the deployment's RedundancyPolicy.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <utility>
@@ -278,21 +280,32 @@ class Recovery {
 
   /// The slots, constants and first error of one stream (recovery.cpp).
   struct Pipeline;
+  /// One job's fragment reads and what they fetched (recovery.cpp).
+  struct JobReads;
 
   /// Run the files' jobs as one stream, file after file and each file's
-  /// jobs in order, at most Pipeline::kWindow (16) in flight: each reads k
-  /// live fragments once (reconstruct, around `down`) and writes every
-  /// target at its file's generation, the current one for a rebuild, the
-  /// next one for a migration. `throttle` is charged (k + targets)·cols
-  /// before a job is issued. The job that completes a file hands its slot
-  /// to the file's overflow restore; restores overlap, but their window
-  /// reads go one at a time. A rebuild notes one ec decode per job,
-  /// a migration (`migration`) the encode of its targets. Nothing is issued
-  /// once a job has failed; returns the first error.
+  /// jobs in order, at most Pipeline::kWindow (16) in flight, a rebuild's
+  /// issued in batches of Pipeline::kBatch (8) and a migration's one at a
+  /// time: a batch takes a slot per job, then sends every job's k fragment
+  /// reads (the reconstruct's choice, around `down`) sorted by server, data
+  /// file before redundancy file, local offset. Each job decodes as soon as
+  /// its own reads are in and writes every target at its file's
+  /// generation, the current one for a rebuild, the next one for a
+  /// migration. `throttle` is charged (k + targets)·cols
+  /// before a job takes its slot. The job that completes a file hands its
+  /// slot to the file's overflow restore; restores overlap, but each
+  /// survivor serves their window reads one at a time. A rebuild notes one
+  /// ec decode per job, a migration (`migration`) the encode of its
+  /// targets. Nothing is issued once a job has failed; returns the first
+  /// error.
   sim::Task<Result<void>> repair(std::vector<RepairFile> files,
                                  std::vector<std::uint32_t> down,
                                  bool migration, sim::TokenBucket* throttle);
-  sim::Task<void> repair_job(Pipeline* p, RepairFile* file, RepairJob job);
+  /// Send `batch`'s reads in disk order, then spawn its jobs.
+  void send_batch(Pipeline* p, RepairFile* file,
+                  std::span<const RepairJob> batch);
+  sim::Task<void> repair_job(Pipeline* p, RepairFile* file, RepairJob job,
+                             std::unique_ptr<JobReads> reads);
   sim::Task<void> restore_overflow(Pipeline* p, RepairFile* file);
 
   pvfs::Client* client_;

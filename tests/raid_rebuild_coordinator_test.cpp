@@ -7,13 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "hw/node.hpp"
 #include "net/fabric.hpp"
+#include "obs/trace.hpp"
 #include "pvfs/io_server.hpp"
 #include "raid/health.hpp"
 #include "raid/rig.hpp"
@@ -603,6 +606,128 @@ TEST(RebuildStream, SurvivorCrashStopsThePassAndTheRetryAdmits) {
     m.stop();
     co.stop();
   }(rig, mon, coord));
+}
+
+// The restores of one pass overlap, and each survivor serves their
+// overflow window reads one at a time: no server ever holds two window
+// reads at once (see kOverflowWindow), while one restore's own side, read
+// from the rebuilt server's successor, runs beside another's mirror side,
+// read from its predecessor.
+TEST(RebuildStream, EachSurvivorServesOneOverflowWindowAtATime) {
+  if (!obs::kEnabled) GTEST_SKIP() << "hooks compiled out (CSAR_OBS=0)";
+  obs::Tracer tracer;  // outlives the rig, which drains its simulation
+  Rig rig(rig_params());
+  rig.set_obs(&tracer, nullptr);
+  run_sim_void(rig, [](Rig& r) -> sim::Task<void> {
+    std::vector<RefFile> refs;
+    const auto files = co_await overflowed_files(r, &refs);
+    r.server(kWiped).fail();
+    r.server(kWiped).wipe();
+    r.server(kWiped).recover();
+    std::vector<RebuildTarget> targets;
+    for (const auto& f : files) targets.push_back({f, kFile});
+    auto rb =
+        co_await r.repair_recovery().rebuild_server(std::move(targets), kWiped);
+    CO_ASSERT_TRUE(rb.ok());
+    EXPECT_EQ(co_await files_intact(r, files, refs), kFiles);
+  }(rig));
+  rig.set_obs(nullptr, nullptr);
+
+  // Each server's window reads, as the spans of the requests it handled.
+  std::vector<std::vector<std::pair<sim::Time, sim::Time>>> windows(
+      rig.p.nservers);
+  for (const auto& e : tracer.events()) {
+    const std::string name = e.name;
+    if (name != "read_own_overflow" && name != "read_mirror") continue;
+    for (std::uint32_t s = 0; s < rig.p.nservers; ++s) {
+      if (tracer.node_pid(rig.server(s).node_id()) == e.pid) {
+        windows[s].emplace_back(e.start, e.start + e.dur);
+      }
+    }
+  }
+  const std::uint32_t n = rig.p.nservers;
+  const std::uint32_t successor = (kWiped + 1) % n;
+  const std::uint32_t predecessor = (kWiped + n - 1) % n;
+  for (std::uint32_t s = 0; s < n; ++s) {
+    auto& w = windows[s];
+    std::sort(w.begin(), w.end());
+    if (s == successor || s == predecessor) {
+      EXPECT_EQ(w.size(), kFiles) << "server " << s;
+    } else {
+      EXPECT_TRUE(w.empty()) << "server " << s;
+    }
+    for (std::size_t i = 1; i < w.size(); ++i) {
+      EXPECT_GE(w[i].first, w[i - 1].second) << "server " << s;
+    }
+  }
+  std::size_t overlapping = 0;
+  for (const auto& a : windows[successor]) {
+    for (const auto& b : windows[predecessor]) {
+      if (a.first < b.second && b.first < a.second) ++overlapping;
+    }
+  }
+  EXPECT_GT(overlapping, 0u);
+}
+
+// ---------- survivor reads in disk order ----------
+
+/// Seeks each server's disk makes while server 1 of 6 is rebuilt, in one
+/// pass, under one raid5 and one rs(4,2) file of 16 KiB units, read from a
+/// cold cache of 1 MiB per server.
+std::vector<std::uint64_t> cold_rebuild_seeks() {
+  constexpr std::uint64_t kUnit = 16 * 1024;
+  constexpr std::uint64_t kSize = 480 * kUnit;  // whole groups for both
+  RigParams p;
+  p.nservers = 6;
+  p.scheme = Scheme::raid5;
+  p.policy.rules = {{"r5/", Scheme::raid5}, {"rs/", Scheme::rs(4, 2)}};
+  p.profile.server.cache->capacity_bytes = 1024 * 1024;
+  Rig rig(p);
+  std::vector<std::uint64_t> seeks;
+  run_sim_void(rig, [](Rig& r,
+                       std::vector<std::uint64_t>* out) -> sim::Task<void> {
+    std::vector<RebuildTarget> targets;
+    for (const char* name : {"r5/f", "rs/f"}) {
+      auto f = co_await r.client_fs().create(name, r.layout(kUnit));
+      CO_ASSERT_TRUE(f.ok());
+      CO_ASSERT_TRUE(
+          (co_await r.client_fs().write(*f, 0, Buffer::phantom(kSize))).ok());
+      CO_ASSERT_TRUE((co_await r.client_fs().flush(*f)).ok());
+      targets.push_back({*f, kSize});
+    }
+    r.drop_all_caches();
+    r.server(1).fail();
+    r.server(1).wipe();
+    r.server(1).recover();
+    auto seeks = [&r](std::uint32_t s) {
+      return r.cluster.node(r.server(s).node_id()).disk()->stats().seeks;
+    };
+    std::vector<std::uint64_t> before;
+    for (std::uint32_t s = 0; s < r.p.nservers; ++s) before.push_back(seeks(s));
+    auto rb =
+        co_await r.repair_recovery().rebuild_server(std::move(targets), 1);
+    CO_ASSERT_TRUE(rb.ok());
+    for (std::uint32_t s = 0; s < r.p.nservers; ++s) {
+      out->push_back(seeks(s) - before[s]);
+    }
+  }(rig, &seeks));
+  return seeks;
+}
+
+// A rebuild plans each file's jobs in group order and sends each batch's
+// survivor reads sorted by server, data file before redundancy file, local
+// offset, so a survivor seeks about once per switch between its two files.
+// Issued in the old order (every data-unit job, then every coding-unit
+// job, each job's reads sent on their own), the same pass made 49, 169,
+// 145, 185 and 144 seeks on survivors 0, 2, 3, 4 and 5.
+TEST(RebuildStream, SurvivorReadsFollowDiskOrder) {
+  const auto seeks = cold_rebuild_seeks();
+  ASSERT_EQ(seeks.size(), 6u);
+  EXPECT_EQ(seeks[0], 25u);
+  EXPECT_EQ(seeks[2], 54u);
+  EXPECT_EQ(seeks[3], 25u);
+  EXPECT_EQ(seeks[4], 54u);
+  EXPECT_EQ(seeks[5], 25u);
 }
 
 }  // namespace
